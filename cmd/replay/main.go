@@ -1,8 +1,9 @@
 // Command replay verifies a recorded incident capture offline: it
 // reads the versioned JSONL file a serve session wrote (loadgen
 // -capture, or any sched.Config.Recorder owner), re-runs every
-// recorded controller's decision chain through its simulation-harness
-// plant, and diffs the replayed trace against the captured one window
+// recorded controller's decision chain through its pure Decide
+// (obs.Capture.Replay — backpressure, adapt, placement and fair
+// alike), and diffs the replayed trace against the captured one window
 // by window. Bit-identical traces mean the capture, the recorded
 // configuration, and the current controller logic still agree — the
 // file reproduces the incident's decisions exactly. Any divergence is
@@ -30,19 +31,8 @@ import (
 	"log"
 	"os"
 
-	adaptsim "repro/internal/adapt/simtest"
-	bpsim "repro/internal/backpressure/simtest"
 	"repro/internal/obs"
-	plsim "repro/internal/placement/simtest"
 )
-
-// verdict is one controller's replay outcome.
-type verdict struct {
-	Controller string   `json:"controller"`
-	Windows    int      `json:"windows"`
-	Identical  bool     `json:"identical"`
-	Diffs      []string `json:"diffs,omitempty"`
-}
 
 // report is the -json output document.
 type report struct {
@@ -51,7 +41,7 @@ type report struct {
 	Arrivals  int               `json:"arrivals"`
 	Dropped   int64             `json:"dropped"`
 	Sealed    bool              `json:"sealed"`
-	Verdicts  []verdict         `json:"verdicts"`
+	Verdicts  []obs.Verdict     `json:"verdicts"`
 	Identical bool              `json:"identical"`
 }
 
@@ -98,30 +88,17 @@ func main() {
 		rep.Dropped = c.End.Dropped
 	}
 
-	if c.BPConfig != nil {
-		replayed, err := bpsim.ReplayCapture(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep.Verdicts = append(rep.Verdicts, newVerdict("backpressure", len(c.BP), obs.DiffBackpressure(replayed, c.BP)))
+	if rep.Verdicts, err = c.Replay(); err != nil {
+		log.Fatal(err)
 	}
-	if c.AdaptConfig != nil {
-		replayed, err := adaptsim.ReplayCapture(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep.Verdicts = append(rep.Verdicts, newVerdict("adapt", len(c.Adapt), obs.DiffAdapt(replayed, c.Adapt)))
-	}
-	if c.PlacementConfig != nil {
-		replayed, err := plsim.ReplayCapture(c)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep.Verdicts = append(rep.Verdicts, newVerdict("placement", len(c.Placement), obs.DiffPlacement(replayed, c.Placement)))
-	}
-	for _, v := range rep.Verdicts {
+	for i := range rep.Verdicts {
+		v := &rep.Verdicts[i]
 		if !v.Identical {
 			rep.Identical = false
+		}
+		if n := len(v.Diffs); n > maxDiffLines {
+			v.Diffs = append(v.Diffs[:maxDiffLines:maxDiffLines],
+				fmt.Sprintf("... and %d more divergent windows", n-maxDiffLines))
 		}
 	}
 
@@ -140,16 +117,6 @@ func main() {
 	if !rep.Identical {
 		os.Exit(1)
 	}
-}
-
-func newVerdict(name string, windows int, diffs []string) verdict {
-	v := verdict{Controller: name, Windows: windows, Identical: len(diffs) == 0}
-	if len(diffs) > maxDiffLines {
-		diffs = append(diffs[:maxDiffLines:maxDiffLines],
-			fmt.Sprintf("... and %d more divergent windows", len(diffs)-maxDiffLines))
-	}
-	v.Diffs = diffs
-	return v
 }
 
 func printReport(rep report) {

@@ -319,7 +319,7 @@ type Window = ctl.Window[Sample, State]
 // diffCumulative turns successive snapshots into one window's Sample:
 // the monotone counters are differenced, the instantaneous signals
 // (Pending, RankErrP99) are carried as-is.
-func diffCumulative(prev, cur Cumulative) Sample {
+func diffCumulative(prev, cur Cumulative) (Sample, Cumulative) {
 	return Sample{
 		Pops:           cur.Pops - prev.Pops,
 		PopFailures:    cur.PopFailures - prev.PopFailures,
@@ -329,18 +329,15 @@ func diffCumulative(prev, cur Cumulative) Sample {
 		BatchPops:      cur.BatchPops - prev.BatchPops,
 		Pending:        cur.Pending,
 		RankErrP99:     cur.RankErrP99,
-	}
+	}, cur
 }
 
-// Controller is the stateful wrapper around Decide: a ctl.Loop that
-// owns the current state and the previous counter snapshot, and turns
-// successive Cumulative snapshots into decisions. It is not safe for
-// concurrent use — one goroutine (the scheduler's controller loop, or a
-// simulation harness) drives it.
-type Controller struct {
-	cfg  Config
-	loop *ctl.Loop[Cumulative, Sample, State]
-}
+// Controller is Decide made stateful: the ctl.Loop that owns the
+// current state and the previous counter snapshot, and turns successive
+// Cumulative snapshots into decisions (State, Prime, Step). It is not
+// safe for concurrent use — one goroutine (the scheduler's controller
+// loop, or a simulation harness) drives it.
+type Controller = ctl.Loop[Cumulative, Sample, State]
 
 // NewController validates cfg and returns a controller starting at seed
 // (clamped into the limits).
@@ -348,31 +345,7 @@ func NewController(cfg Config, seed State) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg}
-	c.loop = ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
-		return Decide(c.cfg, cur, s)
-	}, cfg.Limits.Clamp(seed))
-	return c, nil
-}
-
-// Config returns the validated configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// State returns the current knob setting.
-func (c *Controller) State() State { return c.loop.State() }
-
-// Prime sets the baseline snapshot subsequent Steps are differenced
-// against, without taking a decision. A driver whose counters predate
-// the controller — a scheduler whose structure already served earlier
-// sessions — calls it once at session start, so the first window's
-// sample is that window's own activity rather than all of history. A
-// driver whose counters start at zero (the simtest harness) can skip
-// it: the zero-value baseline is then already correct.
-func (c *Controller) Prime(cum Cumulative) { c.loop.Prime(cum) }
-
-// Step closes one window: it differences cum against the previous
-// snapshot (construction or Prime before the first call), decides, and
-// returns the decision record.
-func (c *Controller) Step(at time.Duration, cum Cumulative) Window {
-	return c.loop.Step(at, cum)
+	return ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
+		return Decide(cfg, cur, s)
+	}, cfg.Limits.Clamp(seed)), nil
 }

@@ -76,11 +76,13 @@ type Result struct {
 // plant's counters accumulate across phases exactly like a real
 // scheduler's do.
 func Run(cfg adapt.Config, seed adapt.State, phases []Phase) (Result, error) {
+	if err := cfg.Validate(); err != nil { // fills the defaults the plant reads
+		return Result{}, err
+	}
 	ctrl, err := adapt.NewController(cfg, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg = ctrl.Config()
 	var (
 		cum     adapt.Cumulative
 		pending int64

@@ -1,35 +1,21 @@
-// Package atomicmix implements the schedlint analyzer that forbids
-// mixing atomic and plain access to the same memory.
+// Package atomicmix implements the schedlint analyzer that keeps the
+// tree on typed atomics only.
 //
-// A field that is ever the operand of a sync/atomic function
-// (atomic.AddInt64(&s.n, 1), atomic.LoadUint32(&s.state), ...)
-// participates in a lock-free protocol: every concurrent access must
-// go through the same atomic API, or the program has a data race that
-// the race detector only reports when a run happens to interleave the
-// two sides. The analyzer finds each address-taken atomic operand
-// that resolves to a struct field or package-level variable and then
-// flags every plain (non-atomic) use of the same object.
-//
-// Single-threaded phases are exempt by naming convention: accesses
-// inside functions named init, New*, new*, Stop, Close, or Reset are
-// not flagged — construction happens before the object is shared, and
-// the repository's Stop/Close paths quiesce workers before reading
-// counters (the documented "final read" pattern). An exempt-path read
-// that is in fact concurrent is exactly what the nightly race-detector
-// stress job exists to catch; the analyzer handles the structural
-// side.
-//
-// The typed atomics (atomic.Int64 and friends) make this mistake
-// unrepresentable — the field's plain value is not addressable — and
-// are the repository's default. This analyzer polices the remaining
-// legacy-API uses and, mostly, keeps new ones from creeping in.
+// The package-level sync/atomic functions (atomic.AddInt64(&s.n, 1),
+// atomic.LoadUint32(&s.state), ...) operate on plain words, so nothing
+// stops another line from reading or writing the same word without
+// them — a data race the race detector reports only when a run happens
+// to interleave the two sides. The typed atomics (atomic.Int64 and
+// friends) make that mistake unrepresentable: the value is reachable
+// only through its methods. The repository uses them exclusively, and
+// this analyzer keeps it that way with one rule: any call to a
+// package-level sync/atomic Add*, Load*, Store*, Swap* or
+// CompareAndSwap* function is a finding.
 package atomicmix
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -37,128 +23,36 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicmix",
-	Doc:  "check that fields accessed via sync/atomic are never also accessed plainly outside init/Stop paths",
+	Doc:  "check that atomic access goes through the typed sync/atomic values, never the package-level functions on plain words",
 	Run:  run,
 }
 
+// legacyOps are the name prefixes of the package-level functions that
+// take the address of a plain word.
+var legacyOps = []string{"Add", "Load", "Store", "Swap", "CompareAndSwap"}
+
 func run(pass *analysis.Pass) error {
-	// Pass 1: every object whose address feeds a sync/atomic call,
-	// plus the identifier nodes of those operands (excluded from the
-	// plain-use pass).
-	atomicObjs := make(map[*types.Var]string) // object -> atomic op name, for the message
-	operandIdents := make(map[*ast.Ident]bool)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			callee := analysis.StaticCallee(pass.Info, call)
-			if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "sync/atomic" {
+			fn := analysis.StaticCallee(pass.Info, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
+				fn.Type().(*types.Signature).Recv() != nil {
 				return true
 			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
+			for _, op := range legacyOps {
+				if strings.HasPrefix(fn.Name(), op) {
+					pass.Reportf(call.Pos(),
+						"sync/atomic.%s operates on a plain word that other code can still access non-atomically; declare the value as a typed atomic (atomic.Int64 and friends) and use its methods",
+						fn.Name())
+					break
 				}
-				id := terminalIdent(un.X)
-				if id == nil {
-					continue
-				}
-				v, ok := usedVar(pass.Info, id)
-				if !ok || !shared(v) {
-					continue
-				}
-				if _, seen := atomicObjs[v]; !seen {
-					atomicObjs[v] = callee.Name()
-				}
-				operandIdents[id] = true
 			}
 			return true
 		})
 	}
-	if len(atomicObjs) == 0 {
-		return nil
-	}
-
-	// Pass 2: plain uses of those objects outside exempt functions.
-	type finding struct {
-		id *ast.Ident
-		v  *types.Var
-	}
-	var findings []finding
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || exemptFunc(fd.Name.Name) {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok || operandIdents[id] {
-					return true
-				}
-				v, ok := usedVar(pass.Info, id)
-				if !ok {
-					return true
-				}
-				if _, isAtomic := atomicObjs[v]; isAtomic {
-					findings = append(findings, finding{id, v})
-				}
-				return true
-			})
-		}
-	}
-	sort.SliceStable(findings, func(i, j int) bool { return findings[i].id.Pos() < findings[j].id.Pos() })
-	for _, f := range findings {
-		pass.Reportf(f.id.Pos(),
-			"%s is accessed with sync/atomic.%s elsewhere; this plain access races with it (use the atomic API here, or move the access to an init/Stop-only path)",
-			f.v.Name(), atomicObjs[f.v])
-	}
 	return nil
-}
-
-// terminalIdent returns the identifier a (possibly selector-qualified)
-// operand resolves to: x -> x, s.f -> f, a.b.c -> c.
-func terminalIdent(e ast.Expr) *ast.Ident {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e
-	case *ast.SelectorExpr:
-		return e.Sel
-	}
-	return nil
-}
-
-func usedVar(info *types.Info, id *ast.Ident) (*types.Var, bool) {
-	v, ok := info.Uses[id].(*types.Var)
-	if !ok {
-		v, ok = info.Defs[id].(*types.Var)
-	}
-	if !ok {
-		return nil, false
-	}
-	return v, true
-}
-
-// shared reports whether the object can be reached by more than one
-// goroutine by construction: struct fields and package-level
-// variables. Locals are the enclosing goroutine's business (a local
-// that escapes into a goroutine is caught by the race detector, not
-// statically).
-func shared(v *types.Var) bool {
-	if v.IsField() {
-		return true
-	}
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// exemptFunc reports whether accesses inside the named function are
-// single-threaded by the repository's conventions.
-func exemptFunc(name string) bool {
-	if name == "init" || name == "Stop" || name == "Close" || name == "Reset" {
-		return true
-	}
-	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new")
 }

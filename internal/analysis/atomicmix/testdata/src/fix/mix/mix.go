@@ -1,49 +1,39 @@
-// Fixture for the atomicmix analyzer: a struct field and a package
-// variable driven through the legacy sync/atomic API, with plain
-// accesses on hot paths (flagged), in exempt construction/teardown
-// functions (not flagged), and under the ignore hatch.
+// Fixture for the atomicmix analyzer: package-level sync/atomic
+// functions on plain words (flagged, and under the ignore hatch),
+// beside the typed atomics and plain accesses it leaves alone.
 package mix
 
 import "sync/atomic"
 
 type gauge struct {
-	n    int64
-	name string
+	n     int64
+	typed atomic.Int64
 }
 
 func (g *gauge) bump() int64 {
-	return atomic.AddInt64(&g.n, 1)
+	return atomic.AddInt64(&g.n, 1) // want "sync/atomic.AddInt64 operates on a plain word"
+}
+
+func (g *gauge) claim() bool {
+	return atomic.CompareAndSwapInt64(&g.n, 0, 1) // want "sync/atomic.CompareAndSwapInt64 operates on a plain word"
 }
 
 func (g *gauge) read() int64 {
-	return g.n // want "n is accessed with sync/atomic.AddInt64 elsewhere"
-}
-
-func (g *gauge) label() string {
-	return g.name
-}
-
-func (g *gauge) Stop() int64 {
 	return g.n
 }
 
-func NewGauge() *gauge {
-	g := &gauge{}
-	g.n = 1
-	return g
+func (g *gauge) bumpTyped() int64 {
+	g.typed.Store(g.typed.Load())
+	return g.typed.Add(1)
 }
 
 func (g *gauge) drain() int64 {
-	//schedlint:ignore fixture: called only after the workers quiesce
-	return g.n
+	//schedlint:ignore fixture: interop with a C-shaped word
+	return atomic.LoadInt64(&g.n)
 }
 
 var hits int64
 
 func record() {
-	atomic.StoreInt64(&hits, 1)
-}
-
-func peek() int64 {
-	return hits // want "hits is accessed with sync/atomic.StoreInt64 elsewhere"
+	atomic.StoreInt64(&hits, 1) // want "sync/atomic.StoreInt64 operates on a plain word"
 }

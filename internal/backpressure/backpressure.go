@@ -355,7 +355,7 @@ type Cumulative struct {
 type Window = ctl.Window[Sample, State]
 
 // diffCumulative turns successive snapshots into one window's Sample.
-func diffCumulative(prev, cur Cumulative) Sample {
+func diffCumulative(prev, cur Cumulative) (Sample, Cumulative) {
 	return Sample{
 		Admitted:   cur.Admitted - prev.Admitted,
 		Deferred:   cur.Deferred - prev.Deferred,
@@ -365,17 +365,14 @@ func diffCumulative(prev, cur Cumulative) Sample {
 		Pending:    cur.Pending,
 		Spill:      cur.Spill,
 		RankErrP99: cur.RankErrP99,
-	}
+	}, cur
 }
 
-// Controller is the stateful wrapper around Decide: a ctl.Loop that
-// turns successive Cumulative snapshots into threshold decisions,
-// starting fully open. Not safe for concurrent use — one goroutine
-// (the scheduler's controller loop, or the simtest harness) drives it.
-type Controller struct {
-	cfg  Config
-	loop *ctl.Loop[Cumulative, Sample, State]
-}
+// Controller is Decide made stateful: the ctl.Loop that turns
+// successive Cumulative snapshots into threshold decisions (State,
+// Prime, Step). Not safe for concurrent use — one goroutine (the
+// scheduler's controller loop, or the simtest harness) drives it.
+type Controller = ctl.Loop[Cumulative, Sample, State]
 
 // NewController validates cfg and returns a controller starting fully
 // open (threshold at MaxPrio): admission only tightens on evidence.
@@ -383,43 +380,9 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg}
-	c.loop = ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
-		return Decide(c.cfg, cur, s)
-	}, cfg.Open())
-	return c, nil
-}
-
-// NewControllerSeeded is NewController starting from an explicit
-// (clamped) state instead of fully open. The live scheduler always
-// starts open; this constructor exists for replaying captures that
-// begin mid-session, where the recorded seed is the threshold that was
-// in force at the capture's first window.
-func NewControllerSeeded(cfg Config, seed State) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Controller{cfg: cfg}
-	c.loop = ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
-		return Decide(c.cfg, cur, s)
-	}, cfg.Clamp(seed))
-	return c, nil
-}
-
-// Config returns the validated configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// State returns the threshold currently in force.
-func (c *Controller) State() State { return c.loop.State() }
-
-// Prime sets the baseline snapshot subsequent Steps are differenced
-// against, without taking a decision (see ctl.Loop.Prime).
-func (c *Controller) Prime(cum Cumulative) { c.loop.Prime(cum) }
-
-// Step closes one window: it differences cum against the previous
-// snapshot, decides, and returns the decision record.
-func (c *Controller) Step(at time.Duration, cum Cumulative) Window {
-	return c.loop.Step(at, cum)
+	return ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
+		return Decide(cfg, cur, s)
+	}, cfg.Open()), nil
 }
 
 // Spillway is the bounded deferral buffer between the admission gate

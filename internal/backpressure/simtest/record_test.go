@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/backpressure"
+	"repro/internal/ctl"
 	"repro/internal/obs"
 )
 
@@ -32,13 +34,12 @@ func burstyPhases() []Phase {
 	}
 }
 
-// TestReplayCaptureBitIdentical is the plant-level half of the
+// TestRunRecordedReplaysBitIdentical is the plant-level half of the
 // incident-replay contract: a recorded bursty-overload session, read
-// back from its JSONL capture and re-run through a real controller via
-// ReplayWindows, reproduces the captured BackpressureTrace
-// bit-identically — Step's own snapshot diffing included, not just the
-// pure Decide chain.
-func TestReplayCaptureBitIdentical(t *testing.T) {
+// back from its JSONL capture, is the plant's own trace record for
+// record — Step's snapshot diffing included — and re-deciding it
+// (obs.Capture.Replay) reproduces it bit-identically.
+func TestRunRecordedReplaysBitIdentical(t *testing.T) {
 	var buf bytes.Buffer
 	rec := obs.NewRecorder(&buf)
 	cfg := StandardConfig()
@@ -73,37 +74,20 @@ func TestReplayCaptureBitIdentical(t *testing.T) {
 		t.Fatalf("capture has %d windows, plant produced %d", len(c.BP), len(res.Windows))
 	}
 
-	replayed, err := ReplayCapture(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diffs := obs.DiffBackpressure(replayed, c.BP); len(diffs) != 0 {
-		t.Fatalf("plant replay diverges from capture (%d windows), first:\n%s", len(diffs), diffs[0])
-	}
-
-	// And against the live plant trace directly, not just the capture's
-	// rendering of it: JSONL round-trip plus replay is end-to-end exact.
+	// The capture is the live plant trace, not merely self-consistent:
+	// the JSONL round-trip is exact.
+	live := make([]backpressure.Window, len(res.Windows))
 	for i, w := range res.Windows {
-		if replayed[i] != w.Window {
-			t.Fatalf("replayed[%d] = %+v, live plant window = %+v", i, replayed[i], w.Window)
-		}
+		live[i] = w.Window
 	}
-}
-
-// TestReplayCaptureRejectsMissingConfig pins the error path: a capture
-// without a cfg_bp record cannot be replayed through this plant.
-func TestReplayCaptureRejectsMissingConfig(t *testing.T) {
-	var buf bytes.Buffer
-	rec := obs.NewRecorder(&buf)
-	rec.Begin(obs.Header{Source: "simtest"})
-	if err := rec.Finish(); err != nil {
-		t.Fatal(err)
+	if diffs := ctl.Diff("bp", c.BP, live); len(diffs) != 0 {
+		t.Fatalf("capture diverges from the live plant trace (%d windows), first:\n%s", len(diffs), diffs[0])
 	}
-	c, err := obs.ReadCapture(&buf)
+	vs, err := c.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayCapture(c); err == nil {
-		t.Fatal("replay of a config-less capture succeeded")
+	if len(vs) != 1 || vs[0].Controller != "backpressure" || vs[0].Windows != len(live) || !vs[0].Identical {
+		t.Fatalf("replay verdicts = %+v, want one identical backpressure verdict over %d windows", vs, len(live))
 	}
 }

@@ -81,11 +81,13 @@ type Result struct {
 // clock advances one cfg.Interval per window; the plant's counters
 // accumulate across phases exactly like a real scheduler's do.
 func Run(cfg backpressure.Config, phases []Phase) (Result, error) {
+	if err := cfg.Validate(); err != nil { // fills the defaults the plant reads
+		return Result{}, err
+	}
 	ctrl, err := backpressure.NewController(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg = ctrl.Config()
 	spill := backpressure.NewSpillway[int64](cfg.SpillCap)
 	res := Result{
 		AdmittedByPrio: map[int64]int64{},

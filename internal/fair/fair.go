@@ -213,6 +213,18 @@ type Sample struct {
 	Pending []int64 `json:"pending"`
 }
 
+// Fits reports whether every per-tenant slice has exactly n entries,
+// the shape Decide indexes without checking. A Controller's own samples
+// always fit; one parsed from a capture file may not.
+func (s Sample) Fits(n int) bool {
+	for _, xs := range [...][]int64{s.Arrived, s.Admitted, s.Deferred, s.Shed, s.Readmitted, s.Executed, s.Pending} {
+		if len(xs) != n {
+			return false
+		}
+	}
+	return true
+}
+
 // totals sums a per-tenant slice.
 func totals(xs []int64) int64 {
 	var n int64
@@ -392,8 +404,8 @@ func Decide(cfg Config, cur State, s Sample) State {
 // Cumulative is a snapshot of monotone per-tenant admission counters
 // plus the instantaneous outstanding counts, as fed to Controller.Step.
 // The controller differences successive snapshots into window Samples
-// itself, and clones the slices on entry, so drivers may reuse their
-// scratch between Steps.
+// itself, and keeps its own copy as the next baseline, so drivers may
+// reuse their scratch between Steps.
 type Cumulative struct {
 	Arrived    []int64
 	Admitted   []int64
@@ -441,7 +453,9 @@ func (c Cumulative) clone() Cumulative {
 }
 
 // diffCumulative turns successive snapshots into one window's Sample.
-func diffCumulative(prev, cur Cumulative) Sample {
+// The baseline it hands back is a clone: cur's slices stay the
+// driver's to overwrite.
+func diffCumulative(prev, cur Cumulative) (Sample, Cumulative) {
 	return Sample{
 		Arrived:    sub(prev.Arrived, cur.Arrived),
 		Admitted:   sub(prev.Admitted, cur.Admitted),
@@ -450,18 +464,14 @@ func diffCumulative(prev, cur Cumulative) Sample {
 		Readmitted: sub(prev.Readmitted, cur.Readmitted),
 		Executed:   sub(prev.Executed, cur.Executed),
 		Pending:    sub(nil, cur.Pending),
-	}
+	}, cur.clone()
 }
 
-// Controller is the stateful wrapper around Decide: a ctl.Loop that
-// turns successive Cumulative snapshots into per-tenant quota
-// decisions, starting ungated. Not safe for concurrent use — one
-// goroutine (the scheduler's controller loop, or the simtest harness)
-// drives it.
-type Controller struct {
-	cfg  Config
-	loop *ctl.Loop[Cumulative, Sample, State]
-}
+// Controller is Decide made stateful: the ctl.Loop that turns
+// successive Cumulative snapshots into per-tenant quota decisions
+// (State, Prime, Step). Not safe for concurrent use — one goroutine
+// (the scheduler's controller loop, or the simtest harness) drives it.
+type Controller = ctl.Loop[Cumulative, Sample, State]
 
 // NewController validates cfg and returns a controller starting
 // ungated: quotas only engage on evidence.
@@ -469,39 +479,7 @@ func NewController(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg}
-	c.loop = ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
-		return Decide(c.cfg, cur, s)
-	}, cfg.Open())
-	return c, nil
-}
-
-// NewControllerSeeded is NewController starting from an explicit state
-// instead of ungated. The live scheduler always starts ungated; this
-// constructor exists for replaying captures that begin mid-session.
-func NewControllerSeeded(cfg Config, seed State) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Controller{cfg: cfg}
-	c.loop = ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
-		return Decide(c.cfg, cur, s)
-	}, seed)
-	return c, nil
-}
-
-// Config returns the validated configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// State returns the policy currently in force.
-func (c *Controller) State() State { return c.loop.State() }
-
-// Prime sets the baseline snapshot subsequent Steps are differenced
-// against, without taking a decision (see ctl.Loop.Prime).
-func (c *Controller) Prime(cum Cumulative) { c.loop.Prime(cum.clone()) }
-
-// Step closes one window: it differences cum against the previous
-// snapshot, decides, and returns the decision record.
-func (c *Controller) Step(at time.Duration, cum Cumulative) Window {
-	return c.loop.Step(at, cum.clone())
+	return ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
+		return Decide(cfg, cur, s)
+	}, cfg.Open()), nil
 }

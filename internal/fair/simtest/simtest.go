@@ -109,11 +109,13 @@ type spilled struct {
 // cfg.Interval per window; the plant's counters accumulate across
 // phases exactly like a real scheduler's do.
 func Run(cfg fair.Config, phases []Phase) (Result, error) {
+	if err := cfg.Validate(); err != nil { // fills the defaults the plant reads
+		return Result{}, err
+	}
 	ctrl, err := fair.NewController(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg = ctrl.Config()
 	n := cfg.Tenants()
 	mk := func() []int64 { return make([]int64, n) }
 	res := Result{

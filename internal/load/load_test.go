@@ -560,8 +560,11 @@ func TestRunGrouped(t *testing.T) {
 // TestRunTenantSkew floods a throttled scheduler with a 10×-skewed
 // four-tenant mix and checks the tenant instrumentation end to end:
 // per-tenant ledgers conserving task flow, every tenant making
-// progress, the fairness trace recorded, and the gate engaging under
-// genuine overload.
+// progress, and the fairness trace recorded. Whether the flood actually
+// overloads this box, and how the gate then splits the executed work,
+// depends on wall-clock speed, so neither is asserted here: the gate
+// engaging and the hot/cold ratio are pinned deterministically by
+// fair/simtest and end to end by the CI tenant-skew smoke.
 func TestRunTenantSkew(t *testing.T) {
 	res, err := Run(Config{
 		Strategy:      sched.RelaxedSampleTwo,
@@ -589,9 +592,6 @@ func TestRunTenantSkew(t *testing.T) {
 	if len(res.FairTrace) == 0 {
 		t.Fatal("no fairness trace recorded")
 	}
-	if res.FairGatedWindows == 0 {
-		t.Fatal("a 10×-skewed overload never engaged the tenant gate")
-	}
 	var attempted, shed, executed int64
 	for _, tn := range res.Tenants {
 		attempted += tn.Attempted
@@ -613,17 +613,6 @@ func TestRunTenantSkew(t *testing.T) {
 	if attempted != res.Attempted || shed != res.Shed || executed != res.Executed {
 		t.Fatalf("tenant totals %d/%d/%d disagree with run totals %d/%d/%d",
 			attempted, shed, executed, res.Attempted, res.Shed, res.Executed)
-	}
-	// The hot tenant floods 10× harder than any cold tenant; with equal
-	// weights the gate must keep it from translating that into a 10×
-	// executed share. Allow generous slack — this is a smoke bound, the
-	// tight ratio is asserted by the deterministic fair/simtest plant.
-	hot := res.Tenants[0].Executed
-	for _, tn := range res.Tenants[1:] {
-		if hot > 8*tn.Executed {
-			t.Errorf("hot tenant executed %d vs tenant %d's %d: skew passed through the gate",
-				hot, tn.Tenant, tn.Executed)
-		}
 	}
 }
 

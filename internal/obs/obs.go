@@ -18,7 +18,7 @@
 //     scraper's goroutine.
 //
 // Trace capture (Recorder) and deterministic replay (ReadCapture,
-// ReplayBackpressure and friends) live in capture.go and replay.go;
+// Capture.Replay) live in capture.go and replay.go;
 // the JSONL schema they share is documented in docs/METRICS.md.
 //
 // Every exported series produced by the scheduler is documented in

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/backpressure"
-	"repro/internal/ctl"
 )
 
 func TestRegistryInstruments(t *testing.T) {
@@ -169,7 +168,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorderSize(&buf, 4)
 	rec.Begin(Header{Source: "test", Meta: map[string]string{"strategy": "relaxed-two"}})
-	rec.ConfigBackpressure(ctrl.Config(), ctrl.State())
+	rec.ConfigBackpressure(cfg, ctrl.State())
 
 	// Six arrivals into a ring of four: two must drop, counted not lost.
 	for i := 0; i < 6; i++ {
@@ -179,7 +178,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 	// Drive the real controller through an overload ramp and record
 	// every decision.
 	var cum backpressure.Cumulative
-	interval := ctrl.Config().Interval
+	interval := cfg.Interval
 	for i := 1; i <= 8; i++ {
 		cum.Admitted += 500
 		cum.Executed += 100
@@ -218,12 +217,12 @@ func TestCaptureRoundTrip(t *testing.T) {
 		t.Fatalf("threshold never tightened; last window %+v", c.BP[len(c.BP)-1])
 	}
 
-	replayed, err := c.ReplayBackpressure()
+	vs, err := c.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := DiffBackpressure(replayed, c.BP); len(diffs) != 0 {
-		t.Errorf("replay diverged:\n%s", strings.Join(diffs, "\n"))
+	if len(vs) != 1 || vs[0].Controller != "backpressure" || vs[0].Windows != 8 || !vs[0].Identical {
+		t.Errorf("replay verdicts = %+v, want one identical 8-window backpressure verdict", vs)
 	}
 }
 
@@ -233,20 +232,5 @@ func TestReadCaptureRejectsVersionAndMissingHeader(t *testing.T) {
 	}
 	if _, err := ReadCapture(strings.NewReader(`{"t":"arr","at_ns":1,"p":2,"k":3}` + "\n")); err == nil {
 		t.Error("want missing-header error")
-	}
-}
-
-func TestDiffWindowsReportsDivergence(t *testing.T) {
-	a := []backpressure.Window{{At: 1, State: backpressure.State{Threshold: 10}}}
-	b := []backpressure.Window{{At: 1, State: backpressure.State{Threshold: 11}}}
-	if diffs := DiffBackpressure(a, b); len(diffs) != 1 {
-		t.Errorf("diffs = %v", diffs)
-	}
-	if diffs := diffWindows[backpressure.Sample, backpressure.State]("bp", a, a); len(diffs) != 0 {
-		t.Errorf("self-diff = %v", diffs)
-	}
-	var short []ctl.Window[backpressure.Sample, backpressure.State]
-	if diffs := diffWindows("bp", short, a); len(diffs) != 1 {
-		t.Errorf("length diff = %v", diffs)
 	}
 }

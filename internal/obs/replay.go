@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
 
 	"repro/internal/adapt"
 	"repro/internal/backpressure"
@@ -152,112 +151,65 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	return c, nil
 }
 
-// replayDecide re-runs a pure per-window decision function over the
-// captured samples, starting from the captured seed state. Because the
-// decision functions are pure and the samples in the capture are the
-// exact windows the live controller saw, the replayed trace is
-// bit-identical to the captured one whenever the live controller was
-// healthy — any divergence means the capture, the config, or the
-// decision logic changed.
-func replayDecide[S, St any](ws []ctl.Window[S, St], seed St, decide func(St, S) St) []ctl.Window[S, St] {
-	out := make([]ctl.Window[S, St], 0, len(ws))
-	st := seed
-	for _, w := range ws {
-		st = decide(st, w.Sample)
-		out = append(out, ctl.Window[S, St]{At: w.At, Sample: w.Sample, State: st})
-	}
-	return out
+// Verdict is one controller's replay outcome: how many windows the
+// capture recorded for it and where, if anywhere, re-deciding them
+// departs from the record.
+type Verdict struct {
+	Controller string   `json:"controller"`
+	Windows    int      `json:"windows"`
+	Identical  bool     `json:"identical"`
+	Diffs      []string `json:"diffs,omitempty"`
 }
 
-// ReplayBackpressure re-runs the backpressure decision chain over the
-// captured windows. Requires a cfg_bp record.
-func (c *Capture) ReplayBackpressure() ([]backpressure.Window, error) {
-	if c.BPConfig == nil {
-		return nil, errors.New("obs: capture has no backpressure config record")
-	}
-	cfg := *c.BPConfig
-	return replayDecide(c.BP, c.BPSeed, func(st backpressure.State, s backpressure.Sample) backpressure.State {
-		return backpressure.Decide(cfg, st, s)
-	}), nil
-}
-
-// ReplayAdapt re-runs the adaptive-tuning decision chain over the
-// captured windows. Requires a cfg_adapt record.
-func (c *Capture) ReplayAdapt() ([]adapt.Window, error) {
-	if c.AdaptConfig == nil {
-		return nil, errors.New("obs: capture has no adapt config record")
-	}
-	cfg := *c.AdaptConfig
-	return replayDecide(c.Adapt, c.AdaptSeed, func(st adapt.State, s adapt.Sample) adapt.State {
-		return adapt.Decide(cfg, st, s)
-	}), nil
-}
-
-// ReplayPlacement re-runs the placement decision chain over the
-// captured windows. Requires a cfg_pl record.
-func (c *Capture) ReplayPlacement() ([]placement.Window, error) {
-	if c.PlacementConfig == nil {
-		return nil, errors.New("obs: capture has no placement config record")
-	}
-	cfg := *c.PlacementConfig
-	return replayDecide(c.Placement, c.PlacementSeed, func(st placement.State, s placement.Sample) placement.State {
-		return placement.Decide(cfg, st, s)
-	}), nil
-}
-
-// ReplayFair re-runs the tenant-fairness decision chain over the
-// captured windows. Requires a cfg_fair record.
-func (c *Capture) ReplayFair() ([]fair.Window, error) {
-	if c.FairConfig == nil {
-		return nil, errors.New("obs: capture has no fair config record")
-	}
-	cfg := *c.FairConfig
-	return replayDecide(c.Fair, c.FairSeed, func(st fair.State, s fair.Sample) fair.State {
-		return fair.Decide(cfg, st, s)
-	}), nil
-}
-
-// diffWindows reports, window by window, every field-level difference
-// between two traces. Empty result means bit-identical.
-func diffWindows[S, St any](kind string, got, want []ctl.Window[S, St]) []string {
-	var out []string
-	n := len(got)
-	if len(want) != n {
-		out = append(out, fmt.Sprintf("%s: trace length %d, want %d", kind, len(got), len(want)))
-		if len(want) < n {
-			n = len(want)
+// Replay re-decides every controller trace the capture recorded —
+// each from its recorded seed, through its package's pure Decide, over
+// the recorded samples (ctl.Replay) — and diffs the result against the
+// record (ctl.Diff). One verdict per recorded config, in the order
+// backpressure, adapt, placement, fair; none when the capture recorded
+// no controller. Identical everywhere means the capture, its configs
+// and the current decision logic still agree. An error means the
+// capture cannot be replayed at all: windows without their config
+// record, a config the controller would reject, or a fairness sample
+// not sized for the recorded tenant count.
+func (c *Capture) Replay() ([]Verdict, error) {
+	if c.FairConfig != nil {
+		n := c.FairConfig.Tenants()
+		for i, w := range c.Fair {
+			if !w.Sample.Fits(n) {
+				return nil, fmt.Errorf("obs: capture ten[%d]: sample is not sized for the %d configured tenants", i, n)
+			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			g, _ := json.Marshal(got[i])
-			w, _ := json.Marshal(want[i])
-			out = append(out, fmt.Sprintf("%s[%d]: got %s, want %s", kind, i, g, w))
-		}
+	var vs []Verdict
+	err := errors.Join(
+		replayOne(&vs, "backpressure", "bp", c.BPConfig, c.BPSeed, c.BP, backpressure.Decide),
+		replayOne(&vs, "adapt", "adapt", c.AdaptConfig, c.AdaptSeed, c.Adapt, adapt.Decide),
+		replayOne(&vs, "placement", "pl", c.PlacementConfig, c.PlacementSeed, c.Placement, placement.Decide),
+		replayOne(&vs, "fair", "ten", c.FairConfig, c.FairSeed, c.Fair, fair.Decide),
+	)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return vs, nil
 }
 
-// DiffBackpressure reports per-window differences between two
-// backpressure traces; empty means bit-identical.
-func DiffBackpressure(got, want []backpressure.Window) []string {
-	return diffWindows("bp", got, want)
-}
-
-// DiffAdapt reports per-window differences between two adaptive-tuning
-// traces; empty means bit-identical.
-func DiffAdapt(got, want []adapt.Window) []string {
-	return diffWindows("adapt", got, want)
-}
-
-// DiffPlacement reports per-window differences between two placement
-// traces; empty means bit-identical.
-func DiffPlacement(got, want []placement.Window) []string {
-	return diffWindows("pl", got, want)
-}
-
-// DiffFair reports per-window differences between two tenant-fairness
-// traces; empty means bit-identical.
-func DiffFair(got, want []fair.Window) []string {
-	return diffWindows("ten", got, want)
+// replayOne appends the verdict for one controller (name; its window
+// records are tagged tag) when the capture recorded its config.
+func replayOne[C any, PC interface {
+	*C
+	Validate() error
+}, S, St any](vs *[]Verdict, name, tag string, rec PC, seed St, ws []ctl.Window[S, St], decide func(C, St, S) St) error {
+	if rec == nil {
+		if len(ws) > 0 {
+			return fmt.Errorf("obs: capture has %d %q windows but no %s config record", len(ws), tag, name)
+		}
+		return nil
+	}
+	cfg := *rec
+	if err := PC(&cfg).Validate(); err != nil {
+		return fmt.Errorf("obs: capture %s config: %w", name, err)
+	}
+	diffs := ctl.Diff(tag, ctl.Replay(ws, seed, func(st St, s S) St { return decide(cfg, st, s) }), ws)
+	*vs = append(*vs, Verdict{Controller: name, Windows: len(ws), Identical: len(diffs) == 0, Diffs: diffs})
+	return nil
 }

@@ -255,7 +255,7 @@ type Cumulative struct {
 type Window = ctl.Window[Sample, State]
 
 // diffCumulative turns successive snapshots into one window's Sample.
-func diffCumulative(prev, cur Cumulative) Sample {
+func diffCumulative(prev, cur Cumulative) (Sample, Cumulative) {
 	return Sample{
 		Pops:           cur.Pops - prev.Pops,
 		PopFailures:    cur.PopFailures - prev.PopFailures,
@@ -263,17 +263,14 @@ func diffCumulative(prev, cur Cumulative) Sample {
 		Steals:         cur.Steals - prev.Steals,
 		CrossGroupPops: cur.CrossGroupPops - prev.CrossGroupPops,
 		Pending:        cur.Pending,
-	}
+	}, cur
 }
 
-// Controller is the stateful wrapper around Decide: a ctl.Loop that
-// turns successive Cumulative snapshots into group-count decisions.
-// Not safe for concurrent use — one goroutine (the scheduler's
-// controller loop, or the simtest harness) drives it.
-type Controller struct {
-	cfg  Config
-	loop *ctl.Loop[Cumulative, Sample, State]
-}
+// Controller is Decide made stateful: the ctl.Loop that turns
+// successive Cumulative snapshots into group-count decisions (State,
+// Prime, Step). Not safe for concurrent use — one goroutine (the
+// scheduler's controller loop, or the simtest harness) drives it.
+type Controller = ctl.Loop[Cumulative, Sample, State]
 
 // NewController validates cfg and returns a controller starting at seed
 // (clamped into [1, MaxGroups]). Seeding at MaxGroups — the finest
@@ -283,25 +280,7 @@ func NewController(cfg Config, seed State) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg}
-	c.loop = ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
-		return Decide(c.cfg, cur, s)
-	}, cfg.Clamp(seed))
-	return c, nil
-}
-
-// Config returns the validated configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// State returns the group count currently in force.
-func (c *Controller) State() State { return c.loop.State() }
-
-// Prime sets the baseline snapshot subsequent Steps are differenced
-// against, without taking a decision (see ctl.Loop.Prime).
-func (c *Controller) Prime(cum Cumulative) { c.loop.Prime(cum) }
-
-// Step closes one window: it differences cum against the previous
-// snapshot, decides, and returns the decision record.
-func (c *Controller) Step(at time.Duration, cum Cumulative) Window {
-	return c.loop.Step(at, cum)
+	return ctl.NewLoop(diffCumulative, func(cur State, s Sample) State {
+		return Decide(cfg, cur, s)
+	}, cfg.Clamp(seed)), nil
 }

@@ -79,6 +79,9 @@ type Result struct {
 // plant's counters accumulate across phases exactly like a real
 // structure's do.
 func Run(cfg placement.Config, seed placement.State, phases []Phase) (Result, error) {
+	if err := cfg.Validate(); err != nil { // fills the defaults the plant reads
+		return Result{}, err
+	}
 	ctrl, err := placement.NewController(cfg, seed)
 	if err != nil {
 		return Result{}, err
@@ -120,7 +123,7 @@ func Run(cfg placement.Config, seed placement.State, phases []Phase) (Result, er
 			cum.CrossGroupPops += cross
 			cum.Pending = backlog
 
-			now += ctrl.Config().Interval
+			now += cfg.Interval
 			win := ctrl.Step(now, cum)
 			res.Windows = append(res.Windows, WindowResult{
 				Phase:   ph.Name,

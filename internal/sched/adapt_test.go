@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/adapt"
-	"repro/internal/ctl"
 )
 
 // TestServeAdaptiveRaceStress floods an adaptive scheduler from
@@ -333,8 +332,7 @@ func TestAdaptiveTraceBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ctrl = ctrl
-	s.trace = ctl.NewRing[adapt.Window](maxTraceWindows)
+	s.adaptCtl.Begin(ctrl, s.snapshot())
 	const extra = 37
 	for i := 0; i < maxTraceWindows+extra; i++ {
 		s.adaptTick(time.Duration(i)*time.Millisecond, -1)

@@ -147,7 +147,7 @@ func (s *Scheduler[T]) deferOrShedTenant(k int, v T, t int, byQuota bool) error 
 
 // fairSnapshot collects the cumulative per-tenant totals the fairness
 // controller differences into window samples. The scratch Cumulative
-// is reused across windows — Controller.Step clones on entry. The
+// is reused across windows — the controller keeps its own copy. The
 // Pending estimate clamps at zero: worker-spawned tasks are attributed
 // to their tenant only at execution, so a spawn-heavy tenant can
 // execute more than it admitted.
@@ -175,12 +175,7 @@ func (s *Scheduler[T]) fairSnapshot() fair.Cumulative {
 // boundary — the race with in-flight submissions is benign (a task
 // lands in one window or the next).
 func (s *Scheduler[T]) fairTick(at time.Duration) fair.Window {
-	cum := s.fairSnapshot()
-	s.fairMu.Lock()
-	w := s.fairCtrl.Step(at, cum)
-	s.fairLast = w.State
-	s.fairTrace.Append(w)
-	s.fairMu.Unlock()
+	w := s.fairCtl.Step(at, s.fairSnapshot())
 	s.applyFair(w.State)
 	return w
 }
@@ -209,9 +204,7 @@ func (s *Scheduler[T]) FairState() (fair.State, bool) {
 	if s.tenants == 0 {
 		return fair.State{}, false
 	}
-	s.fairMu.Lock()
-	defer s.fairMu.Unlock()
-	return s.fairLast, true
+	return s.fairCtl.State(), true
 }
 
 // FairTrace returns a copy of the fairness controller's per-window
@@ -219,12 +212,10 @@ func (s *Scheduler[T]) FairState() (fair.State, bool) {
 // window first. Only the most recent maxTraceWindows windows are
 // retained. Nil without Config.TenantWeights.
 func (s *Scheduler[T]) FairTrace() []fair.Window {
-	s.fairMu.Lock()
-	defer s.fairMu.Unlock()
-	if s.fairTrace == nil {
+	if s.fairCtl == nil {
 		return nil
 	}
-	return s.fairTrace.Snapshot()
+	return s.fairCtl.Trace()
 }
 
 // TenantCounters returns a snapshot of every tenant's cumulative

@@ -76,7 +76,19 @@ func TestTenantConfigValidation(t *testing.T) {
 // ledgers conserve task flow exactly, and the trace/state accessors
 // report the session.
 func TestServeTenantFairness(t *testing.T) {
-	s, err := New(tenantConfig([]int64{7, 1, 1, 1}))
+	// The workers stall until the gate has engaged, so the burst is an
+	// overload on any box at any speed (a window that executed nothing
+	// has a zero depth budget): whether four free-running workers fall
+	// behind 20k submissions is a wall-clock question, and under the
+	// race detector the answer was often no.
+	cfg := tenantConfig([]int64{7, 1, 1, 1})
+	hold := make(chan struct{})
+	run := cfg.Execute
+	cfg.Execute = func(ctx *Ctx[tenTask], v tenTask) {
+		<-hold
+		run(ctx, v)
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +96,6 @@ func TestServeTenantFairness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A burst far beyond what four workers clear inside the sojourn
-	// budget: the fairness controller must engage within a few windows.
 	shed := make([]int64, 4)
 	for i := 0; i < 20000; i++ {
 		ten := 0
@@ -100,6 +110,12 @@ func TestServeTenantFairness(t *testing.T) {
 			shed[ten]++
 		}
 	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := s.FairState(); st.Gated || time.Now().After(deadline) {
+			break // an unengaged gate is reported from the trace below
+		}
+	}
+	close(hold)
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +136,7 @@ func TestServeTenantFairness(t *testing.T) {
 		}
 	}
 	if !gated {
-		t.Error("a 30k-task burst never engaged the tenant gate")
+		t.Error("a 20k-task burst against stalled workers never engaged the tenant gate")
 	}
 	if _, ok := s.FairState(); !ok {
 		t.Error("FairState reports tenancy off")

@@ -226,10 +226,7 @@ func (s *Scheduler[T]) obsTick(at time.Duration, rank float64) {
 		m.spillOcc.Set(float64(s.spill.Len()))
 	}
 	if m.stickiness != nil {
-		s.adaptMu.Lock()
-		st := s.adaptLast
-		s.adaptMu.Unlock()
-		m.stickiness.Set(float64(st.Stickiness))
+		m.stickiness.Set(float64(s.adaptCtl.State().Stickiness))
 	}
 	if m.laneGroups != nil {
 		m.laneGroups.Set(float64(s.grpDS.ActiveGroups()))
@@ -251,9 +248,7 @@ func (s *Scheduler[T]) obsTick(at time.Duration, rank float64) {
 		m.rankP99.Set(rank)
 	}
 	if m.tenSeries != nil {
-		s.fairMu.Lock()
-		fst := s.fairLast
-		s.fairMu.Unlock()
+		fst := s.fairCtl.State()
 		gated := 0.0
 		if fst.Gated {
 			gated = 1
@@ -298,28 +293,16 @@ func (s *Scheduler[T]) recBegin(rec *obs.Recorder) {
 		},
 	})
 	if s.cfg.Backpressure {
-		s.bpMu.Lock()
-		cfg, seed := s.bpCtrl.Config(), s.bpCtrl.State()
-		s.bpMu.Unlock()
-		rec.ConfigBackpressure(cfg, seed)
+		rec.ConfigBackpressure(s.bpCfg, s.bpCtl.State())
 	}
 	if s.cfg.Adaptive {
-		s.adaptMu.Lock()
-		cfg, seed := s.ctrl.Config(), s.ctrl.State()
-		s.adaptMu.Unlock()
-		rec.ConfigAdapt(cfg, seed)
+		rec.ConfigAdapt(s.adaptCfg, s.adaptCtl.State())
 	}
 	if s.cfg.AdaptivePlacement {
-		s.plMu.Lock()
-		cfg, seed := s.plCtrl.Config(), s.plCtrl.State()
-		s.plMu.Unlock()
-		rec.ConfigPlacement(cfg, seed)
+		rec.ConfigPlacement(s.plCfg, s.plCtl.State())
 	}
 	if s.tenants > 0 {
-		s.fairMu.Lock()
-		cfg, seed := s.fairCtrl.Config(), s.fairCtrl.State()
-		s.fairMu.Unlock()
-		rec.ConfigFair(cfg, seed)
+		rec.ConfigFair(s.fairCfg, s.fairCtl.State())
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	bpsim "repro/internal/backpressure/simtest"
+	"repro/internal/ctl"
 	"repro/internal/obs"
 	"repro/internal/xrand"
 )
@@ -282,26 +282,20 @@ func TestServeCaptureReplayRoundTrip(t *testing.T) {
 	}
 
 	// The captured trace is the live trace, record for record.
-	if diffs := obs.DiffBackpressure(c.BP, live); len(diffs) != 0 {
+	if diffs := ctl.Diff("bp", c.BP, live); len(diffs) != 0 {
 		t.Fatalf("captured trace diverges from live trace:\n%s", diffs[0])
 	}
 	// Replaying the decision chain from the captured seed reproduces it
 	// bit-identically.
-	replayed, err := c.ReplayBackpressure()
+	vs, err := c.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := obs.DiffBackpressure(replayed, c.BP); len(diffs) != 0 {
-		t.Fatalf("replay diverges from capture (%d windows differ), first:\n%s", len(diffs), diffs[0])
+	if len(vs) != 1 || vs[0].Controller != "backpressure" || vs[0].Windows != len(live) {
+		t.Fatalf("replay verdicts = %+v, want one backpressure verdict over %d windows", vs, len(live))
 	}
-	// So does the simtest plant path, which re-runs a real Controller
-	// (Step and snapshot diffing included) over the capture.
-	planted, err := bpsim.ReplayCapture(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diffs := obs.DiffBackpressure(planted, live); len(diffs) != 0 {
-		t.Fatalf("plant replay diverges from the live BackpressureTrace (%d windows differ), first:\n%s", len(diffs), diffs[0])
+	if !vs[0].Identical {
+		t.Fatalf("replay diverges from capture (%d windows differ), first:\n%s", len(vs[0].Diffs), vs[0].Diffs[0])
 	}
 }
 

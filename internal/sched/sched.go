@@ -360,8 +360,11 @@ type Scheduler[T any] struct {
 	// force, re-read every pop episode so the controller's moves
 	// propagate live. stickDS/contDS are the relaxed structure's
 	// retuning and contention-sampling hooks (nil for other
-	// strategies). adaptMu guards the controller, its trace and
-	// adaptLast against concurrent observers.
+	// strategies). Each of the four window controllers is held the
+	// same way: its validated config, and a ctl.Session (nil when the
+	// controller is off) carrying the per-serve-session loop, the state
+	// in force and the decision trace for concurrent observers.
+	// ctrlStop/ctrlDone bracket the one goroutine that steps them all.
 	maxBatch  int
 	effBatch  atomic.Int32
 	stickDS   interface{ SetStickiness(int) }
@@ -369,36 +372,24 @@ type Scheduler[T any] struct {
 	grpDS     groupedDS
 	adaptCfg  adapt.Config
 	adaptSeed adapt.State
-	adaptMu   sync.Mutex
-	ctrl      *adapt.Controller
+	adaptCtl  *ctl.Session[adapt.Cumulative, adapt.Sample, adapt.State]
 	ctrlStop  chan struct{}
 	ctrlDone  chan struct{}
-	adaptLast adapt.State
-	trace     *ctl.Ring[adapt.Window]
 
 	// Placement-controller state (see serve.go): the lane-group resize
-	// loop over grpDS, same shape as the adaptive S/B state above.
-	// plMu guards the controller, its trace and plLast against
-	// concurrent observers.
-	plCfg   placement.Config
-	plMu    sync.Mutex
-	plCtrl  *placement.Controller
-	plLast  placement.State
-	plTrace *ctl.Ring[placement.Window]
+	// loop over grpDS.
+	plCfg placement.Config
+	plCtl *ctl.Session[placement.Cumulative, placement.Sample, placement.State]
 
 	// Backpressure state (see serve.go). bpGate is the admission
 	// threshold in force — one atomic load on every Submit; spill is
 	// the bounded deferral buffer between the gate and ErrShed;
 	// shed/deferredN/readmitted/admittedN are the scheduler-level
-	// admission counters merged into Stats(). bpMu guards the
-	// controller, its trace and bpLast against concurrent observers.
+	// admission counters merged into Stats().
 	bpCfg      backpressure.Config
+	bpCtl      *ctl.Session[backpressure.Cumulative, backpressure.Sample, backpressure.State]
 	bpGate     atomic.Int64
 	spill      *backpressure.Spillway[deferredTask[T]]
-	bpMu       sync.Mutex
-	bpCtrl     *backpressure.Controller
-	bpLast     backpressure.State
-	bpTrace    *ctl.Ring[backpressure.Window]
 	shed       atomic.Int64
 	deferredN  atomic.Int64
 	readmitted atomic.Int64
@@ -407,15 +398,11 @@ type Scheduler[T any] struct {
 	// Tenant-fairness state (see fair.go). tenants is the tenant count
 	// (0: tenancy off); tenGated plus the padded per-tenant atomics are
 	// the Submit hot path's view of the controller's last decision;
-	// fairMu guards the controller, its trace and fairLast against
-	// concurrent observers; fairCum is the controller goroutine's
-	// snapshot scratch (Step clones on entry).
+	// fairCum is the controller goroutine's snapshot scratch (the
+	// controller keeps its own copy).
 	fairCfg       fair.Config
+	fairCtl       *ctl.Session[fair.Cumulative, fair.Sample, fair.State]
 	tenants       int
-	fairMu        sync.Mutex
-	fairCtrl      *fair.Controller
-	fairLast      fair.State
-	fairTrace     *ctl.Ring[fair.Window]
 	fairCum       fair.Cumulative
 	tenGated      atomic.Bool
 	tenQuota      []padCounter
@@ -555,7 +542,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 			seed = 1
 		}
 		s.adaptSeed = acfg.Limits.Clamp(adapt.State{Stickiness: seed, Batch: cfg.Batch})
-		s.adaptLast = s.adaptSeed
+		s.adaptCtl = ctl.NewSession[adapt.Cumulative, adapt.Sample](s.adaptSeed, maxTraceWindows)
 		if acfg.Limits.MaxBatch > s.maxBatch {
 			s.maxBatch = acfg.Limits.MaxBatch
 		}
@@ -578,7 +565,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		s.bpCfg = bcfg
 		s.spill = backpressure.NewSpillway[deferredTask[T]](bcfg.SpillCap)
 		s.bpGate.Store(bcfg.MaxPrio)
-		s.bpLast = bcfg.Open()
+		s.bpCtl = ctl.NewSession[backpressure.Cumulative, backpressure.Sample](bcfg.Open(), maxTraceWindows)
 	}
 	if len(cfg.TenantWeights) > 0 {
 		if cfg.Tenant == nil {
@@ -599,7 +586,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		}
 		s.fairCfg = fcfg
 		s.tenants = len(cfg.TenantWeights)
-		s.fairLast = fcfg.Open()
+		s.fairCtl = ctl.NewSession[fair.Cumulative, fair.Sample](fcfg.Open(), maxTraceWindows)
 		n := s.tenants
 		s.tenQuota = make([]padCounter, n)
 		s.tenFloor = make([]padCounter, n)
@@ -725,7 +712,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 			return nil, err
 		}
 		s.plCfg = pcfg
-		s.plLast = placement.State{Groups: cfg.LaneGroups}
+		s.plCtl = ctl.NewSession[placement.Cumulative, placement.Sample](placement.State{Groups: cfg.LaneGroups}, maxTraceWindows)
 	}
 	if cfg.Metrics != nil || cfg.Recorder != nil {
 		// Metrics/recorder-only sessions run the controller loop too (it

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/backpressure"
-	"repro/internal/ctl"
 	"repro/internal/fair"
 	"repro/internal/placement"
 	"repro/internal/xrand"
@@ -123,78 +122,29 @@ func (s *Scheduler[T]) Start() error {
 			})
 		}(pl, seeds.Split())
 	}
+	// Every configured controller starts the session fresh: a new loop
+	// at its configured seed, primed with the current cumulative totals
+	// (the counters span earlier sessions and closed-world Runs, and the
+	// first window must sample this session only), its seed applied to
+	// the machinery. Sessions are then independent, reproducible
+	// experiments rather than continuations of whatever the last one
+	// converged to.
 	if s.cfg.Adaptive {
-		// Each serve session gets a fresh controller at the configured
-		// seeds: sessions are then independent, reproducible experiments
-		// rather than continuations of whatever the last session
-		// converged to.
-		ctrl, err := adapt.NewController(s.adaptCfg, s.adaptSeed)
-		if err != nil {
-			// adaptCfg was validated in New; a failure here is a bug.
-			panic(fmt.Sprintf("sched: adaptive controller: %v", err))
-		}
-		// The structure's counters are cumulative across sessions (and
-		// closed-world Runs); prime the fresh controller with the
-		// current totals so its first window samples this session's
-		// activity, not all of history.
-		ctrl.Prime(s.snapshot())
-		s.adaptMu.Lock()
-		s.ctrl = ctrl
-		s.adaptLast = ctrl.State()
-		s.trace = ctl.NewRing[adapt.Window](maxTraceWindows)
-		s.adaptMu.Unlock()
-		s.applyKnobs(ctrl.State())
+		loop := fresh(adapt.NewController(s.adaptCfg, s.adaptSeed))
+		s.applyKnobs(s.adaptCtl.Begin(loop, s.snapshot()))
 	}
 	if s.cfg.Backpressure {
-		// Like the adaptive controller, each session starts from a clean
-		// slate: the gate fully open, a fresh controller primed with the
-		// current cumulative totals.
-		ctrl, err := backpressure.NewController(s.bpCfg)
-		if err != nil {
-			// bpCfg was validated in New; a failure here is a bug.
-			panic(fmt.Sprintf("sched: backpressure controller: %v", err))
-		}
-		ctrl.Prime(s.bpSnapshot(-1))
-		s.bpMu.Lock()
-		s.bpCtrl = ctrl
-		s.bpLast = ctrl.State()
-		s.bpTrace = ctl.NewRing[backpressure.Window](maxTraceWindows)
-		s.bpMu.Unlock()
-		s.bpGate.Store(ctrl.State().Threshold)
+		loop := fresh(backpressure.NewController(s.bpCfg))
+		s.bpGate.Store(s.bpCtl.Begin(loop, s.bpSnapshot(-1)).Threshold)
 	}
 	if s.tenants > 0 {
-		// The fairness controller follows the same session protocol:
-		// fresh controller, gate open, primed with the cumulative
-		// per-tenant totals.
-		ctrl, err := fair.NewController(s.fairCfg)
-		if err != nil {
-			// fairCfg was validated in New; a failure here is a bug.
-			panic(fmt.Sprintf("sched: fairness controller: %v", err))
-		}
-		ctrl.Prime(s.fairSnapshot())
-		s.fairMu.Lock()
-		s.fairCtrl = ctrl
-		s.fairLast = ctrl.State()
-		s.fairTrace = ctl.NewRing[fair.Window](maxTraceWindows)
-		s.fairMu.Unlock()
-		s.applyFair(ctrl.State())
+		loop := fresh(fair.NewController(s.fairCfg))
+		s.applyFair(s.fairCtl.Begin(loop, s.fairSnapshot()))
 	}
 	if s.cfg.AdaptivePlacement {
-		// Like the other controllers, each session starts clean: the
-		// finest partition in force, a fresh controller primed with the
-		// current cumulative totals. Start local, merge on evidence.
-		ctrl, err := placement.NewController(s.plCfg, placement.State{Groups: s.cfg.LaneGroups})
-		if err != nil {
-			// plCfg was validated in New; a failure here is a bug.
-			panic(fmt.Sprintf("sched: placement controller: %v", err))
-		}
-		ctrl.Prime(s.plSnapshot())
-		s.plMu.Lock()
-		s.plCtrl = ctrl
-		s.plLast = ctrl.State()
-		s.plTrace = ctl.NewRing[placement.Window](maxTraceWindows)
-		s.plMu.Unlock()
-		s.grpDS.SetGroups(ctrl.State().Groups)
+		// Seeded at the finest partition: start local, merge on evidence.
+		loop := fresh(placement.NewController(s.plCfg, placement.State{Groups: s.cfg.LaneGroups}))
+		s.grpDS.SetGroups(s.plCtl.Begin(loop, s.plSnapshot()).Groups)
 	}
 	if s.cfg.Recorder != nil {
 		// Header + controller configs first, so the capture is
@@ -215,6 +165,15 @@ func (s *Scheduler[T]) Start() error {
 	s.serving.Store(true)
 	s.accepting.Store(true)
 	return nil
+}
+
+// fresh unwraps a controller constructor's result. New validated every
+// controller config, so an error here is a bug, not an input.
+func fresh[L any](loop *L, err error) *L {
+	if err != nil {
+		panic(fmt.Sprintf("sched: controller config rejected after New validated it: %v", err))
+	}
+	return loop
 }
 
 // ctlLoop is the controller goroutine: one tick per interval until Stop
@@ -332,11 +291,7 @@ const maxTraceWindows = 4096
 func (s *Scheduler[T]) adaptTick(at time.Duration, rank float64) adapt.Window {
 	cum := s.snapshot()
 	cum.RankErrP99 = rank
-	s.adaptMu.Lock()
-	w := s.ctrl.Step(at, cum)
-	s.adaptLast = w.State
-	s.trace.Append(w)
-	s.adaptMu.Unlock()
+	w := s.adaptCtl.Step(at, cum)
 	s.applyKnobs(w.State)
 	return w
 }
@@ -379,12 +334,7 @@ func (s *Scheduler[T]) bpSnapshot(rank float64) backpressure.Cumulative {
 // re-admit whatever the window's spare capacity allows back out of the
 // spillway.
 func (s *Scheduler[T]) bpTick(at time.Duration, rank float64) backpressure.Window {
-	cum := s.bpSnapshot(rank)
-	s.bpMu.Lock()
-	w := s.bpCtrl.Step(at, cum)
-	s.bpLast = w.State
-	s.bpTrace.Append(w)
-	s.bpMu.Unlock()
+	w := s.bpCtl.Step(at, s.bpSnapshot(rank))
 	s.bpGate.Store(w.State.Threshold)
 	if q := backpressure.ReadmitQuota(s.bpCfg, w.Sample); q > 0 {
 		s.readmitSpill(int(q), true)
@@ -414,12 +364,7 @@ func (s *Scheduler[T]) plSnapshot() placement.Cumulative {
 // the structure (places pick the new partition up at their next lane
 // selection).
 func (s *Scheduler[T]) plTick(at time.Duration) placement.Window {
-	cum := s.plSnapshot()
-	s.plMu.Lock()
-	w := s.plCtrl.Step(at, cum)
-	s.plLast = w.State
-	s.plTrace.Append(w)
-	s.plMu.Unlock()
+	w := s.plCtl.Step(at, s.plSnapshot())
 	s.grpDS.SetGroups(w.State.Groups)
 	return w
 }
@@ -602,9 +547,8 @@ func (s *Scheduler[T]) AdaptiveState() (stickiness, batch int, ok bool) {
 	if !s.cfg.Adaptive {
 		return 0, 0, false
 	}
-	s.adaptMu.Lock()
-	defer s.adaptMu.Unlock()
-	return s.adaptLast.Stickiness, s.adaptLast.Batch, true
+	st := s.adaptCtl.State()
+	return st.Stickiness, st.Batch, true
 }
 
 // AdaptiveTrace returns a copy of the per-window decision trace of the
@@ -613,12 +557,10 @@ func (s *Scheduler[T]) AdaptiveState() (stickiness, batch int, ok bool) {
 // recent maxTraceWindows windows are retained. Nil when Config.Adaptive
 // is off.
 func (s *Scheduler[T]) AdaptiveTrace() []adapt.Window {
-	s.adaptMu.Lock()
-	defer s.adaptMu.Unlock()
-	if s.trace == nil {
+	if s.adaptCtl == nil {
 		return nil
 	}
-	return s.trace.Snapshot()
+	return s.adaptCtl.Trace()
 }
 
 // BackpressureState reports the admission threshold currently in force
@@ -628,9 +570,7 @@ func (s *Scheduler[T]) BackpressureState() (backpressure.State, bool) {
 	if !s.cfg.Backpressure {
 		return backpressure.State{}, false
 	}
-	s.bpMu.Lock()
-	defer s.bpMu.Unlock()
-	return s.bpLast, true
+	return s.bpCtl.State(), true
 }
 
 // BackpressureTrace returns a copy of the admission controller's
@@ -638,12 +578,10 @@ func (s *Scheduler[T]) BackpressureState() (backpressure.State, bool) {
 // session, oldest window first. Only the most recent maxTraceWindows
 // windows are retained. Nil when Config.Backpressure is off.
 func (s *Scheduler[T]) BackpressureTrace() []backpressure.Window {
-	s.bpMu.Lock()
-	defer s.bpMu.Unlock()
-	if s.bpTrace == nil {
+	if s.bpCtl == nil {
 		return nil
 	}
-	return s.bpTrace.Snapshot()
+	return s.bpCtl.Trace()
 }
 
 // PlacementState reports the active lane-group count currently in
@@ -663,12 +601,10 @@ func (s *Scheduler[T]) PlacementState() (groups int, ok bool) {
 // session, oldest window first. Only the most recent maxTraceWindows
 // windows are retained. Nil when Config.AdaptivePlacement is off.
 func (s *Scheduler[T]) PlacementTrace() []placement.Window {
-	s.plMu.Lock()
-	defer s.plMu.Unlock()
-	if s.plTrace == nil {
+	if s.plCtl == nil {
 		return nil
 	}
-	return s.plTrace.Snapshot()
+	return s.plCtl.Trace()
 }
 
 // GroupContention returns the per-active-group failed-try-lock totals
