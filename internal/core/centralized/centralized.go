@@ -245,25 +245,16 @@ func (d *DS[T]) Tail() int64 { return d.tail.Load() }
 // Segments reports retained global-array segments (for tests).
 func (d *DS[T]) Segments() int { return d.arr.Segments() }
 
-// PushK and PopK adapt the batch contract onto the single-task
-// operations. The centralized structure's ρ-bound is enforced per
-// insertion against the moving tail window, so a native batch could not
-// skip the per-task tail checks anyway; the wiring exists so the
-// structure is a core.BatchDS like the others.
+// PushK and PopKInto loop over the single-task operations: the
+// centralized structure's ρ-bound is enforced per insertion against the
+// moving tail window, so a native batch could not skip the per-task
+// tail checks anyway.
 
 // PushK stores every element of vs via the single-task path.
 func (d *DS[T]) PushK(pl int, k int, vs []T) { core.PushKViaSingles[T](d, pl, k, vs) }
-
-// PopK removes up to max tasks via the single-task path, stopping at
-// the first failed pop.
-func (d *DS[T]) PopK(pl int, max int) []T { return core.PopKViaSingles[T](d, pl, max) }
 
 // PopKInto fills out via the single-task path without allocating; the
 // caller owns the buffer.
 func (d *DS[T]) PopKInto(pl int, out []T) int { return core.PopKIntoViaSingles[T](d, pl, out) }
 
-var (
-	_ core.DS[int]             = (*DS[int])(nil)
-	_ core.BatchDS[int]        = (*DS[int])(nil)
-	_ core.BatchPopIntoer[int] = (*DS[int])(nil)
-)
+var _ core.DS[int] = (*DS[int])(nil)

@@ -24,131 +24,56 @@ import (
 	"repro/internal/pq"
 )
 
-// DS is the data structure interface the scheduling system programs
-// against. Push and Pop must only be invoked with 0 ≤ place < Places, and
-// each place value must be used by at most one goroutine at a time (the
-// place's local component is single-owner by construction).
+// DS is the one contract the scheduling system programs against: the
+// paper's push and pop in the context of a place (§2.1) plus their
+// batched forms. Every operation must only be invoked with
+// 0 ≤ place < Places, and each place value must be used by at most one
+// goroutine at a time (the place's local component is single-owner by
+// construction).
+//
+// The batch operations amortize synchronization: a native
+// implementation stores or removes a whole group of tasks under a single
+// lock acquisition (the MultiQueue "operation batching" of Postnikova et
+// al.); structures whose bounds are enforced per task loop over the
+// single-task operations (PushKViaSingles, PopKIntoViaSingles).
 type DS[T any] interface {
 	// Push stores v with relaxation parameter k on behalf of place.
 	Push(place int, k int, v T)
 	// Pop removes and returns a stored task on behalf of place.
 	// ok == false is a (possibly spurious) failure.
 	Pop(place int) (v T, ok bool)
+	// PushK stores every element of vs with relaxation parameter k on
+	// behalf of place. Equivalent to len(vs) Push calls; a native
+	// implementation may store the whole batch in one synchronization
+	// episode. An empty vs is a no-op.
+	PushK(place int, k int, vs []T)
+	// PopKInto fills the caller-owned out with up to len(out) stored
+	// tasks on behalf of place and returns the count obtained, so a hot
+	// loop reuses one buffer per worker instead of allocating per pop
+	// episode. 0 is a (possibly spurious) failure, exactly like Pop's
+	// ok == false; an empty out always returns 0. The tasks of one batch
+	// are returned in the implementation's pop order, but a batch as a
+	// whole provides no stronger ordering guarantee than len(out)
+	// successive Pops.
+	PopKInto(place int, out []T) int
 	// Stats returns aggregated operation counters. It may be called
 	// concurrently with operations; values are internally consistent per
 	// counter but not across counters.
 	Stats() Stats
 }
 
-// BatchDS is the optional batched extension of DS. Batch operations
-// amortize synchronization: a native implementation stores or removes a
-// whole group of tasks under a single lock acquisition (the MultiQueue
-// "operation batching" of Postnikova et al.), while the AsBatch adapter
-// falls back to looping over the single-task operations so every DS can
-// be programmed against uniformly.
-//
-// The place-ownership rule of DS applies unchanged: PushK and PopK must
-// only be invoked with 0 ≤ place < Places, one goroutine per place.
-type BatchDS[T any] interface {
-	DS[T]
-	// PushK stores every element of vs with relaxation parameter k on
-	// behalf of place. Equivalent to len(vs) Push calls; a native
-	// implementation may store the whole batch in one synchronization
-	// episode. An empty vs is a no-op.
-	PushK(place int, k int, vs []T)
-	// PopK removes and returns up to max stored tasks on behalf of
-	// place. An empty result is a (possibly spurious) failure, exactly
-	// like Pop's ok == false; max < 1 always returns nil. The tasks of
-	// one batch are returned in the implementation's pop order, but a
-	// batch as a whole provides no stronger ordering guarantee than max
-	// successive Pops.
-	PopK(place int, max int) []T
-}
-
-// BatchPopIntoer is the optional allocation-free refinement of
-// BatchDS.PopK: the caller owns the buffer, so a hot loop popping
-// batches (the scheduler's batched worker loop) reuses one buffer per
-// worker instead of allocating a slice per pop episode. PopKInto fills
-// out with up to len(out) tasks and returns the count obtained; 0 is a
-// possibly spurious failure, exactly like an empty PopK result.
-type BatchPopIntoer[T any] interface {
-	PopKInto(place int, out []T) int
-}
-
-// AsBatch returns d itself when it already implements BatchDS, and
-// otherwise wraps it in an adapter that implements the batch operations
-// as loops over Push and Pop.
-func AsBatch[T any](d DS[T]) BatchDS[T] {
-	if b, ok := d.(BatchDS[T]); ok {
-		return b
-	}
-	return singlesAdapter[T]{d}
-}
-
-// singlesAdapter lifts a singles-only DS to BatchDS with no batching
-// benefit: each element still pays its own synchronization.
-type singlesAdapter[T any] struct {
-	DS[T]
-}
-
-func (a singlesAdapter[T]) PushK(place int, k int, vs []T) {
-	PushKViaSingles(a.DS, place, k, vs)
-}
-
-func (a singlesAdapter[T]) PopK(place int, max int) []T {
-	return PopKViaSingles(a.DS, place, max)
-}
-
-func (a singlesAdapter[T]) PopKInto(place int, out []T) int {
-	return PopKIntoViaSingles(a.DS, place, out)
-}
-
-// PushKViaSingles implements BatchDS.PushK semantics over the
-// single-task Push. Shared by the AsBatch adapter and by the structures
-// whose PushK has no native batching advantage.
+// PushKViaSingles implements DS.PushK over the single-task Push, for
+// the structures whose PushK has no native batching advantage.
 func PushKViaSingles[T any](d DS[T], place int, k int, vs []T) {
 	for _, v := range vs {
 		d.Push(place, k, v)
 	}
 }
 
-// popKViaSinglesCap bounds the capacity hint PopKViaSingles allocates
-// up front, so a huge max against a nearly empty structure does not
-// translate into a huge allocation.
-const popKViaSinglesCap = 256
-
-// PopKViaSingles implements BatchDS.PopK semantics over the single-task
-// Pop: it stops at the first failed pop, so one spurious failure ends
-// the batch early rather than blocking it. The result slice is
-// allocated lazily, after the first pop succeeds — a failed batch (the
-// common case under backoff) costs no allocation at all.
-func PopKViaSingles[T any](d DS[T], place int, max int) []T {
-	if max < 1 {
-		return nil
-	}
-	v, ok := d.Pop(place)
-	if !ok {
-		return nil
-	}
-	hint := max
-	if hint > popKViaSinglesCap {
-		hint = popKViaSinglesCap
-	}
-	out := make([]T, 1, hint)
-	out[0] = v
-	for len(out) < max {
-		v, ok := d.Pop(place)
-		if !ok {
-			break
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// PopKIntoViaSingles implements BatchPopIntoer.PopKInto over the
-// single-task Pop, stopping at the first failed pop like
-// PopKViaSingles. It never allocates: the caller owns out.
+// PopKIntoViaSingles implements DS.PopKInto over the single-task Pop:
+// it stops at the first failed pop, so one spurious failure ends the
+// batch early rather than blocking it. It never allocates: the caller
+// owns out.
 func PopKIntoViaSingles[T any](d DS[T], place int, out []T) int {
 	got := 0
 	for got < len(out) {
@@ -253,7 +178,7 @@ type Stats struct {
 	Pops         int64 // tasks returned by pop
 	PopFailures  int64 // pops that returned ok == false
 	BatchPushes  int64 // native PushK calls that stored ≥ 1 task in one lock episode
-	BatchPops    int64 // native PopK calls that returned ≥ 1 task in one lock episode
+	BatchPops    int64 // native PopKInto calls that returned ≥ 1 task in one lock episode
 	PopRetries   int64 // relaxed: bounded lane re-samples after a failed try-lock/read
 	Resticks     int64 // relaxed: sticky lane re-selections (expired or contended lanes)
 	Eliminated   int64 // stale tasks retired without execution

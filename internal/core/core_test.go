@@ -2,9 +2,9 @@ package core
 
 import "testing"
 
-// stackDS is a trivial singles-only DS: one LIFO stack, no batching,
-// no synchronization. It exists so the adapter helpers can be pinned
-// in isolation from any real structure's behavior.
+// stackDS is a trivial DS: one LIFO stack, no synchronization, batch
+// operations via the singles helpers. It exists so the helpers can be
+// pinned in isolation from any real structure's behavior.
 type stackDS struct {
 	items []int64
 	stats Stats
@@ -26,43 +26,29 @@ func (s *stackDS) Pop(place int) (int64, bool) {
 	return v, true
 }
 
-func (s *stackDS) Stats() Stats { return s.stats }
+func (s *stackDS) PushK(place, k int, vs []int64) { PushKViaSingles[int64](s, place, k, vs) }
 
-// TestAsBatchAdapterPopKInto pins that the AsBatch adapter exposes the
-// allocation-free batch pop (the scheduler requires BatchPopIntoer from
-// every structure it serves from, adapted or native).
-func TestAsBatchAdapterPopKInto(t *testing.T) {
-	b := AsBatch[int64](&stackDS{})
-	pi, ok := b.(BatchPopIntoer[int64])
-	if !ok {
-		t.Fatal("AsBatch adapter does not implement BatchPopIntoer")
-	}
-	b.PushK(0, 1, []int64{1, 2, 3})
-	buf := make([]int64, 2)
-	if got := pi.PopKInto(0, buf); got != 2 || buf[0] != 3 || buf[1] != 2 {
-		t.Fatalf("PopKInto = %d, buf %v", got, buf)
-	}
-	if got := pi.PopKInto(0, buf); got != 1 || buf[0] != 1 {
-		t.Fatalf("PopKInto tail = %d, buf %v", got, buf)
-	}
-	if got := pi.PopKInto(0, buf); got != 0 {
-		t.Fatalf("PopKInto on empty = %d", got)
-	}
+func (s *stackDS) PopKInto(place int, out []int64) int {
+	return PopKIntoViaSingles[int64](s, place, out)
 }
 
-// TestPopKIntoViaSinglesAllocFree pins the adapter fallback's
-// allocation behavior: filling a caller-owned buffer over the
-// single-task path allocates nothing — the whole point of replacing the
-// append-grown PopKViaSingles on the worker hot path.
+func (s *stackDS) Stats() Stats { return s.stats }
+
+// TestPopKIntoViaSinglesAllocFree pins the singles helper's allocation
+// behavior: filling a caller-owned buffer over the single-task path
+// allocates nothing, and a failed pop ends the fill early.
 func TestPopKIntoViaSinglesAllocFree(t *testing.T) {
 	d := &stackDS{items: make([]int64, 0, 64)}
 	buf := make([]int64, 8)
 	allocs := testing.AllocsPerRun(1000, func() {
-		for i := int64(0); i < 8; i++ {
+		for i := int64(0); i < 11; i++ {
 			d.Push(0, 1, i)
 		}
-		if got := PopKIntoViaSingles[int64](d, 0, buf); got != 8 {
-			t.Fatalf("PopKIntoViaSingles got %d", got)
+		if got := PopKIntoViaSingles[int64](d, 0, buf); got != 8 || buf[0] != 10 {
+			t.Fatalf("PopKIntoViaSingles got %d, buf %v", got, buf)
+		}
+		if got := PopKIntoViaSingles[int64](d, 0, buf); got != 3 || buf[2] != 0 {
+			t.Fatalf("PopKIntoViaSingles tail got %d, buf %v", got, buf)
 		}
 		if got := PopKIntoViaSingles[int64](d, 0, buf); got != 0 {
 			t.Fatalf("PopKIntoViaSingles on empty got %d", got)
@@ -70,29 +56,5 @@ func TestPopKIntoViaSinglesAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("PopKIntoViaSingles allocs = %v, want 0", allocs)
-	}
-}
-
-// TestPopKViaSinglesCapacityHint pins the allocating fallback's bounded
-// growth: one pop episode allocates exactly its result slice as long as
-// the request fits the capacity hint, never a chain of append doublings.
-func TestPopKViaSinglesCapacityHint(t *testing.T) {
-	d := &stackDS{items: make([]int64, 0, 1024)}
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := int64(0); i < 200; i++ {
-			d.Push(0, 1, i)
-		}
-		if got := PopKViaSingles[int64](d, 0, 200); len(got) != 200 {
-			t.Fatalf("PopKViaSingles got %d", len(got))
-		}
-	})
-	if allocs != 1 {
-		t.Errorf("PopKViaSingles allocs = %v, want 1 (the result slice)", allocs)
-	}
-	if got := PopKViaSingles[int64](d, 0, 5); got != nil {
-		t.Fatalf("PopKViaSingles on empty = %v, want nil", got)
-	}
-	if got := PopKViaSingles[int64](d, 0, 0); got != nil {
-		t.Fatalf("PopKViaSingles(max=0) = %v, want nil", got)
 	}
 }

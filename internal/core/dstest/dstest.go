@@ -450,28 +450,10 @@ func externalInjection(t *testing.T, mk Factory) {
 	}
 }
 
-// popAllBatched drains the structure from one place using PopK with the
-// given max, retrying empty (spurious-failure) results up to `patience`
-// consecutive times.
-func popAllBatched(d core.BatchDS[int64], place, max, patience int) []int64 {
-	var out []int64
-	fails := 0
-	for fails < patience {
-		if got := d.PopK(place, max); len(got) > 0 {
-			out = append(out, got...)
-			fails = 0
-		} else {
-			fails++
-		}
-	}
-	return out
-}
-
-// batchRoundTrip: mixed PushK/Push traffic drained with mixed PopK/Pop
-// must deliver the exact multiset exactly once, for every structure via
-// its core.BatchDS view (native or adapted).
+// batchRoundTrip: mixed PushK/Push traffic drained with mixed
+// PopKInto/Pop must deliver the exact multiset exactly once.
 func batchRoundTrip(t *testing.T, mk Factory) {
-	d := core.AsBatch(mustNew(t, mk, core.Options[int64]{Places: 2, Seed: 27}))
+	d := mustNew(t, mk, core.Options[int64]{Places: 2, Seed: 27})
 	r := xrand.New(28)
 	want := map[int64]int{}
 	next := int64(0)
@@ -498,7 +480,7 @@ func batchRoundTrip(t *testing.T, mk Factory) {
 		}
 	}
 	var got []int64
-	got = append(got, popAllBatched(d, 0, 1+r.Intn(16), 4096)...)
+	got = append(got, popAllInto(t, d, 0, make([]int64, 1+r.Intn(16)), 4096)...)
 	got = append(got, popAll(d, 1, 4096)...)
 	if int64(len(got)) != next {
 		t.Fatalf("drained %d of %d batched tasks", len(got), next)
@@ -513,41 +495,42 @@ func batchRoundTrip(t *testing.T, mk Factory) {
 	}
 }
 
-// batchEmptyPop pins the PopK emptiness contract: max < 1 always
-// returns nothing, an empty structure returns nothing, and after a
-// drain the structure keeps returning nothing — without panics or
-// phantom tasks.
+// batchEmptyPop pins the PopKInto emptiness contract: a zero-length
+// buffer always obtains nothing, an empty structure obtains nothing,
+// and after a drain the structure keeps obtaining nothing — without
+// panics or phantom tasks.
 func batchEmptyPop(t *testing.T, mk Factory) {
-	d := core.AsBatch(mustNew(t, mk, core.Options[int64]{Places: 2, Seed: 29}))
-	for _, max := range []int{-1, 0, 1, 8} {
-		if got := d.PopK(0, max); len(got) != 0 {
-			t.Fatalf("PopK(empty, max=%d) returned %v", max, got)
+	d := mustNew(t, mk, core.Options[int64]{Places: 2, Seed: 29})
+	buf := make([]int64, 8)
+	for _, n := range []int{0, 1, 8} {
+		if got := d.PopKInto(0, buf[:n]); got != 0 {
+			t.Fatalf("PopKInto(empty, %d-slot buffer) = %d", n, got)
 		}
 	}
 	d.PushK(0, 8, []int64{3, 1, 2})
-	if got := popAllBatched(d, 0, 8, 4096); len(got) != 3 {
+	if got := d.PopKInto(0, buf[:0]); got != 0 {
+		t.Fatalf("PopKInto(zero-length buffer) on non-empty = %d, want 0", got)
+	}
+	if got := popAllInto(t, d, 0, buf, 4096); len(got) != 3 {
 		t.Fatalf("drained %d of 3", len(got))
 	}
 	for i := 0; i < 64; i++ {
-		if got := d.PopK(i%2, 4); len(got) != 0 {
-			t.Fatalf("PopK after drain returned %v", got)
+		if got := d.PopKInto(i%2, buf[:4]); got != 0 {
+			t.Fatalf("PopKInto after drain = %d", got)
 		}
-	}
-	if got := d.PopK(0, 1<<20); len(got) != 0 {
-		t.Fatalf("PopK(huge max) on empty returned %v", got)
 	}
 }
 
 // popAllInto drains the structure from one place through PopKInto,
 // reusing a single caller-owned buffer for every call — the scheduler's
-// batched worker-loop pattern — retrying empty results up to `patience`
+// worker-loop pattern — retrying empty results up to `patience`
 // consecutive times.
-func popAllInto(t *testing.T, pi core.BatchPopIntoer[int64], place int, buf []int64, patience int) []int64 {
+func popAllInto(t *testing.T, d core.DS[int64], place int, buf []int64, patience int) []int64 {
 	t.Helper()
 	var out []int64
 	fails := 0
 	for fails < patience {
-		got := pi.PopKInto(place, buf)
+		got := d.PopKInto(place, buf)
 		if got < 0 || got > len(buf) {
 			t.Fatalf("PopKInto returned %d with a %d-element buffer", got, len(buf))
 		}
@@ -562,17 +545,13 @@ func popAllInto(t *testing.T, pi core.BatchPopIntoer[int64], place int, buf []in
 }
 
 // batchPopInto pins the allocation-free batch-pop contract every
-// structure's batch view must provide (core.BatchPopIntoer): a nil or
+// structure must provide (core.DS.PopKInto): a nil or
 // empty buffer is a no-op, the fill count never exceeds the buffer, and
 // a mixed push workload drained entirely through one reused buffer is
 // delivered exactly once.
 func batchPopInto(t *testing.T, mk Factory) {
-	d := core.AsBatch(mustNew(t, mk, core.Options[int64]{Places: 2, Seed: 36}))
-	pi, ok := d.(core.BatchPopIntoer[int64])
-	if !ok {
-		t.Fatal("batch view does not implement core.BatchPopIntoer")
-	}
-	if got := pi.PopKInto(0, nil); got != 0 {
+	d := mustNew(t, mk, core.Options[int64]{Places: 2, Seed: 36})
+	if got := d.PopKInto(0, nil); got != 0 {
 		t.Fatalf("PopKInto(nil buffer) = %d, want 0", got)
 	}
 	r := xrand.New(37)
@@ -594,11 +573,11 @@ func batchPopInto(t *testing.T, mk Factory) {
 			next++
 		}
 	}
-	if got := pi.PopKInto(0, nil); got != 0 {
+	if got := d.PopKInto(0, nil); got != 0 {
 		t.Fatalf("PopKInto(nil buffer) on non-empty = %d, want 0", got)
 	}
 	buf := make([]int64, 1+r.Intn(16))
-	got := append(popAllInto(t, pi, 0, buf, 4096), popAllInto(t, pi, 1, buf, 4096)...)
+	got := append(popAllInto(t, d, 0, buf, 4096), popAllInto(t, d, 1, buf, 4096)...)
 	if int64(len(got)) != next {
 		t.Fatalf("drained %d of %d via PopKInto", len(got), next)
 	}
@@ -619,11 +598,7 @@ func batchPopInto(t *testing.T, mk Factory) {
 // count beyond what it actually wrote would resurrect dead tasks from
 // the previous wave's residue.
 func popIntoBufferReuse(t *testing.T, mk Factory) {
-	d := core.AsBatch(mustNew(t, mk, core.Options[int64]{Places: 2, Seed: 38}))
-	pi, ok := d.(core.BatchPopIntoer[int64])
-	if !ok {
-		t.Fatal("batch view does not implement core.BatchPopIntoer")
-	}
+	d := mustNew(t, mk, core.Options[int64]{Places: 2, Seed: 38})
 	buf := make([]int64, 8)
 	const waves, perWave = 5, 200
 	for w := 0; w < waves; w++ {
@@ -631,7 +606,7 @@ func popIntoBufferReuse(t *testing.T, mk Factory) {
 		for v := lo; v < hi; v++ {
 			d.Push(int(v)%2, 1+int(v%512), v)
 		}
-		got := append(popAllInto(t, pi, 0, buf, 4096), popAllInto(t, pi, 1, buf, 4096)...)
+		got := append(popAllInto(t, d, 0, buf, 4096), popAllInto(t, d, 1, buf, 4096)...)
 		if len(got) != perWave {
 			t.Fatalf("wave %d: drained %d of %d", w, len(got), perWave)
 		}
@@ -664,7 +639,7 @@ func concurrentBatchMix(t *testing.T, mk Factory) {
 	if testing.Short() {
 		perPlace = 3000
 	}
-	d := core.AsBatch(mustNew(t, mk, core.Options[int64]{Places: places, Seed: 30}))
+	d := mustNew(t, mk, core.Options[int64]{Places: places, Seed: 30})
 	var produced atomic.Int64
 	var wg sync.WaitGroup
 	results := make([][]int64, places)
@@ -674,6 +649,7 @@ func concurrentBatchMix(t *testing.T, mk Factory) {
 			defer wg.Done()
 			r := xrand.New(uint64(pl)*131 + 7)
 			var mine []int64
+			var buf [8]int64
 			pushed := 0
 			fails := 0
 			for {
@@ -699,8 +675,8 @@ func concurrentBatchMix(t *testing.T, mk Factory) {
 					continue
 				}
 				if r.Intn(2) == 0 {
-					if got := d.PopK(pl, 1+r.Intn(8)); len(got) > 0 {
-						mine = append(mine, got...)
+					if got := d.PopKInto(pl, buf[:1+r.Intn(8)]); got > 0 {
+						mine = append(mine, buf[:got]...)
 						fails = 0
 						continue
 					}
@@ -722,7 +698,7 @@ func concurrentBatchMix(t *testing.T, mk Factory) {
 	}
 	wg.Wait()
 	// Quiescent final drain: whatever remains must surface now.
-	leftovers := popAllBatched(d, 0, 8, 1<<15)
+	leftovers := popAllInto(t, d, 0, make([]int64, 8), 1<<15)
 	seen := map[int64]int{}
 	total := 0
 	for _, res := range results {
@@ -956,7 +932,7 @@ func counterConsistency(t *testing.T, mk Factory) {
 	if testing.Short() {
 		perPlace = 2000
 	}
-	d := core.AsBatch(mustNew(t, mk, core.Options[int64]{Places: places, Seed: 31}))
+	d := mustNew(t, mk, core.Options[int64]{Places: places, Seed: 31})
 
 	// Monitor: poll Stats() concurrently with the traffic, checking
 	// race-cleanliness and monotonicity of every cumulative counter.
@@ -992,6 +968,7 @@ func counterConsistency(t *testing.T, mk Factory) {
 		go func(pl int) {
 			defer wg.Done()
 			r := xrand.New(uint64(pl)*977 + 5)
+			var buf [8]int64
 			sent := 0
 			fails := 0
 			for sent < perPlace || fails < 1<<14 {
@@ -1018,8 +995,8 @@ func counterConsistency(t *testing.T, mk Factory) {
 				}
 				if r.Intn(2) == 0 {
 					popKCalls.Add(1)
-					if got := d.PopK(pl, 1+r.Intn(8)); len(got) > 0 {
-						popped.Add(int64(len(got)))
+					if got := d.PopKInto(pl, buf[:1+r.Intn(8)]); got > 0 {
+						popped.Add(int64(got))
 						fails = 0
 						continue
 					}
@@ -1075,7 +1052,7 @@ func counterConsistency(t *testing.T, mk Factory) {
 		t.Fatalf("Stats.BatchPushes = %d exceeds the %d PushK calls issued", s.BatchPushes, pushKCalls.Load())
 	}
 	if s.BatchPops > popKCalls.Load() {
-		t.Fatalf("Stats.BatchPops = %d exceeds the %d PopK calls issued", s.BatchPops, popKCalls.Load())
+		t.Fatalf("Stats.BatchPops = %d exceeds the %d PopKInto calls issued", s.BatchPops, popKCalls.Load())
 	}
 	if s.PopFailures == 0 {
 		t.Fatal("Stats.PopFailures = 0: the final failed drain loops went uncounted")

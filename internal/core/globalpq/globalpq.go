@@ -29,10 +29,6 @@ type DS[T any] struct {
 	mu   sync.Mutex
 	heap *pq.BinHeap[T]
 	ctrs []core.Counters
-	// popKBuf is PopK's per-place drain scratch (single-owner places):
-	// failed pops allocate nothing and successful ones only the
-	// exact-size result.
-	popKBuf [][]T
 }
 
 // New constructs the shared queue for opts.Places places.
@@ -41,10 +37,9 @@ func New[T any](opts core.Options[T]) (*DS[T], error) {
 		return nil, err
 	}
 	return &DS[T]{
-		opts:    opts,
-		heap:    pq.NewBinHeap(opts.Less),
-		ctrs:    make([]core.Counters, opts.Places),
-		popKBuf: make([][]T, opts.Places),
+		opts: opts,
+		heap: pq.NewBinHeap(opts.Less),
+		ctrs: make([]core.Counters, opts.Places),
 	}, nil
 }
 
@@ -100,41 +95,7 @@ func (d *DS[T]) PushK(pl int, k int, vs []T) {
 	c.BatchPushes.Add(1)
 }
 
-// maxPopKAlloc caps the buffer one PopK call allocates; returning fewer
-// than max tasks is within the "up to max" contract.
-const maxPopKAlloc = 256
-
-// PopK removes up to max tasks in priority order under a single
-// acquisition of the global lock, eliminating stale tasks on the way.
-// At most maxPopKAlloc tasks are returned per call.
-func (d *DS[T]) PopK(pl int, max int) []T {
-	if max < 1 {
-		return nil
-	}
-	if max > maxPopKAlloc {
-		max = maxPopKAlloc
-	}
-	buf := d.popKBuf[pl]
-	if cap(buf) < max {
-		buf = make([]T, max)
-		d.popKBuf[pl] = buf
-	}
-	buf = buf[:max]
-	got := d.PopKInto(pl, buf)
-	if got == 0 {
-		return nil
-	}
-	out := make([]T, got)
-	copy(out, buf[:got])
-	var zero T
-	for i := range buf[:got] {
-		buf[i] = zero // drop scratch references: the caller owns out
-	}
-	return out
-}
-
-// PopKInto is the allocation-free batch pop (core.BatchPopIntoer): it
-// fills out with up to len(out) tasks under one lock acquisition and
+// PopKInto is the batch pop: it fills the caller-owned out with up to len(out) tasks under one lock acquisition and
 // returns the count obtained.
 func (d *DS[T]) PopKInto(pl int, out []T) int {
 	if len(out) == 0 {
@@ -173,8 +134,4 @@ func (d *DS[T]) PopKInto(pl int, out []T) int {
 // Stats aggregates the per-place counters.
 func (d *DS[T]) Stats() core.Stats { return core.SumCounters(d.ctrs) }
 
-var (
-	_ core.DS[int]             = (*DS[int])(nil)
-	_ core.BatchDS[int]        = (*DS[int])(nil)
-	_ core.BatchPopIntoer[int] = (*DS[int])(nil)
-)
+var _ core.DS[int] = (*DS[int])(nil)

@@ -326,25 +326,16 @@ func (d *DS[T]) localListLooksEmpty(p *place[T]) bool {
 // Stats aggregates the per-place counters.
 func (d *DS[T]) Stats() core.Stats { return core.SumCounters(d.ctrs) }
 
-// PushK and PopK adapt the batch contract onto the single-task
-// operations. The hybrid structure's k-bound triggers publication per
-// insertion (a push may have to append the local list to the global
-// one), so batching cannot elide the per-task bookkeeping; the wiring
-// exists so the structure is a core.BatchDS like the others.
+// PushK and PopKInto loop over the single-task operations: the hybrid
+// structure's k-bound triggers publication per insertion (a push may
+// have to append the local list to the global one), so batching cannot
+// elide the per-task bookkeeping.
 
 // PushK stores every element of vs via the single-task path.
 func (d *DS[T]) PushK(pl int, k int, vs []T) { core.PushKViaSingles[T](d, pl, k, vs) }
-
-// PopK removes up to max tasks via the single-task path, stopping at
-// the first failed pop.
-func (d *DS[T]) PopK(pl int, max int) []T { return core.PopKViaSingles[T](d, pl, max) }
 
 // PopKInto fills out via the single-task path without allocating; the
 // caller owns the buffer.
 func (d *DS[T]) PopKInto(pl int, out []T) int { return core.PopKIntoViaSingles[T](d, pl, out) }
 
-var (
-	_ core.DS[int]             = (*DS[int])(nil)
-	_ core.BatchDS[int]        = (*DS[int])(nil)
-	_ core.BatchPopIntoer[int] = (*DS[int])(nil)
-)
+var _ core.DS[int] = (*DS[int])(nil)

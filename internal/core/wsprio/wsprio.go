@@ -176,25 +176,16 @@ func (d *DS[T]) popLocal(p *place[T], c *core.Counters) (v T, ok bool) {
 // Stats aggregates the per-place counters.
 func (d *DS[T]) Stats() core.Stats { return core.SumCounters(d.ctrs) }
 
-// PushK and PopK adapt the batch contract onto the single-task
-// operations. Work-stealing keeps each task in exactly one place-local
-// queue, and the owner's push/pop already amortizes to a brief
-// uncontended lock hold, so a native batch path would buy little; the
-// wiring exists so the structure is a core.BatchDS like the others.
+// PushK and PopKInto loop over the single-task operations:
+// work-stealing keeps each task in exactly one place-local queue, and
+// the owner's push/pop already amortizes to a brief uncontended lock
+// hold, so a native batch path would buy little.
 
 // PushK stores every element of vs via the single-task path.
 func (d *DS[T]) PushK(pl int, k int, vs []T) { core.PushKViaSingles[T](d, pl, k, vs) }
-
-// PopK removes up to max tasks via the single-task path, stopping at
-// the first failed pop.
-func (d *DS[T]) PopK(pl int, max int) []T { return core.PopKViaSingles[T](d, pl, max) }
 
 // PopKInto fills out via the single-task path without allocating; the
 // caller owns the buffer.
 func (d *DS[T]) PopKInto(pl int, out []T) int { return core.PopKIntoViaSingles[T](d, pl, out) }
 
-var (
-	_ core.DS[int]             = (*DS[int])(nil)
-	_ core.BatchDS[int]        = (*DS[int])(nil)
-	_ core.BatchPopIntoer[int] = (*DS[int])(nil)
-)
+var _ core.DS[int] = (*DS[int])(nil)

@@ -41,10 +41,10 @@
 //     buys cache locality and fewer random re-samples at the price of a
 //     proportionally larger expected rank error.
 //
-//   - Operation batching: the native BatchDS implementation stores a
-//     whole push buffer (PushK) or drains up to max items (PopK) under a
-//     single lane lock acquisition, amortizing the lock and the minimum
-//     re-advertisement across the batch.
+//   - Operation batching: PushK stores a whole push buffer and PopKInto
+//     drains up to a buffer's worth of items under a single lane lock
+//     acquisition, amortizing the lock and the minimum re-advertisement
+//     across the batch.
 //
 //   - Lane groups (Config.Groups): the lanes are partitioned into
 //     contiguous per-producer-group segments and every place gets a home
@@ -96,10 +96,11 @@ const DefaultStickiness = 1
 // cap, a pop racing a faster popper could re-sample indefinitely.
 const maxPopRetries = 3
 
-// MaxPopBatch is the largest batch one PopK call may return (the
-// allocation cap maxPopKAlloc); schedulers validate their batch knobs
-// against it so a configured batch is never silently truncated.
-const MaxPopBatch = maxPopKAlloc
+// MaxPopBatch is the largest pop batch schedulers may configure: they
+// validate their batch knobs (and size their per-worker PopKInto
+// buffers) against it, so one pop episode never holds a lane lock for
+// an unbounded drain.
+const MaxPopBatch = 256
 
 // stealPatience is the steal-reluctance bound of the grouped
 // structure: a pop that finds its home group empty fails spuriously
@@ -238,7 +239,7 @@ type sticky struct {
 }
 
 // DS is the structurally relaxed priority queue. It implements core.DS
-// and core.BatchDS.
+// with native batch operations.
 type DS[T any] struct {
 	opts core.Options[T]
 	mode SampleMode
@@ -264,11 +265,6 @@ type DS[T any] struct {
 	rngs      []*xrand.Rand // one per place
 	sticky    []sticky      // one per place
 	ctrs      []core.Counters
-	// popKBuf is PopK's per-place scratch (places are single-owner, so
-	// no lock is needed): PopK drains into the retained buffer and only
-	// allocates the exact-size result when tasks were actually obtained,
-	// so empty pops under backoff cost nothing.
-	popKBuf [][]T
 }
 
 // New constructs the structure with DefaultLaneFactor lanes per place,
@@ -345,7 +341,6 @@ func NewWithNumeric[T any](opts core.Options[T], cfg Config, num NumericConfig[T
 		rngs:      make([]*xrand.Rand, opts.Places),
 		sticky:    make([]sticky, opts.Places),
 		ctrs:      make([]core.Counters, opts.Places),
-		popKBuf:   make([][]T, opts.Places),
 	}
 	if num.Prio == nil {
 		d.hz = make([]hzBox[T], opts.Places)
@@ -686,54 +681,11 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 	return buf[0], true
 }
 
-// maxPopKAlloc caps the buffer one PopK call allocates. Returning fewer
-// than max tasks is always within the contract ("up to max"), so a huge
-// max on a mostly empty structure must not translate into a huge
-// allocation. Callers on the true hot path use PopKInto instead.
-const maxPopKAlloc = 256
-
-// PopK drains up to max tasks from the chosen lane under one lock
-// acquisition. An empty result is a (possibly spurious) failure. At
-// most maxPopKAlloc tasks are returned per call.
-//
-// The drain goes through the place's retained scratch buffer, so the
-// only allocation is the exact-size result — and a failed pop (the
-// common case under backoff) allocates nothing at all. Callers on the
-// true hot path use PopKInto and own the buffer outright.
-//
-//schedlint:hotpath
-func (d *DS[T]) PopK(pl int, max int) []T {
-	if max < 1 {
-		return nil
-	}
-	if max > maxPopKAlloc {
-		max = maxPopKAlloc
-	}
-	buf := d.popKBuf[pl]
-	if cap(buf) < max {
-		//schedlint:ignore per-place scratch grows once per max increase and is retained; steady state re-uses it
-		buf = make([]T, max)
-		d.popKBuf[pl] = buf
-	}
-	buf = buf[:max]
-	got := d.PopKInto(pl, buf)
-	if got == 0 {
-		return nil
-	}
-	//schedlint:ignore the exact-size caller-owned result is PopK's documented contract; allocation-free callers use PopKInto
-	out := make([]T, got)
-	copy(out, buf[:got])
-	var zero T
-	for i := range buf[:got] {
-		buf[i] = zero // drop scratch references: the caller owns out
-	}
-	return out
-}
-
 // PopKInto is the allocation-free batch pop: it fills out with up to
 // len(out) tasks and returns how many it obtained (0 is a possibly
-// spurious failure). The scheduler's batched worker loop uses this with
-// a reusable per-worker buffer (core.BatchPopIntoer).
+// spurious failure). The scheduler's worker loop uses this with a
+// reusable per-worker buffer; a one-slot fill is exactly Pop and is not
+// counted as a batch pop.
 //
 //schedlint:hotpath
 func (d *DS[T]) PopKInto(pl int, out []T) int {
@@ -914,8 +866,4 @@ func (d *DS[T]) drainLocked(ln *lane[T], c *core.Counters, out []T) int {
 // Stats aggregates the per-place counters.
 func (d *DS[T]) Stats() core.Stats { return core.SumCounters(d.ctrs) }
 
-var (
-	_ core.DS[int]             = (*DS[int])(nil)
-	_ core.BatchDS[int]        = (*DS[int])(nil)
-	_ core.BatchPopIntoer[int] = (*DS[int])(nil)
-)
+var _ core.DS[int] = (*DS[int])(nil)

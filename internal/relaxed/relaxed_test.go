@@ -281,7 +281,7 @@ func TestSetGroupsConcurrent(t *testing.T) {
 
 // TestStickyPushAffinity pins the stickiness mechanics: with stickiness
 // S, a place's first S pushes land in one lane (a single restick), so a
-// single PopK drains them all, in order, under one lock acquisition.
+// single PopKInto drains them all, in order, under one lock acquisition.
 func TestStickyPushAffinity(t *testing.T) {
 	const S = 8
 	d, err := NewWithConfig(core.Options[int64]{Places: 1, Less: less, Seed: 3},
@@ -296,9 +296,9 @@ func TestStickyPushAffinity(t *testing.T) {
 	for _, v := range vals {
 		d.Push(0, 0, v)
 	}
-	got := d.PopK(0, S)
-	if len(got) != S {
-		t.Fatalf("PopK returned %d of %d: sticky pushes were scattered across lanes", len(got), S)
+	got := make([]int64, S)
+	if n := d.PopKInto(0, got); n != S {
+		t.Fatalf("PopKInto obtained %d of %d: sticky pushes were scattered across lanes", n, S)
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
@@ -316,8 +316,9 @@ func TestStickyPushAffinity(t *testing.T) {
 }
 
 // TestBatchCounters pins the native batch accounting: PushK counts one
-// BatchPushes episode and len(vs) Pushes; PopK counts one BatchPops
-// episode and the tasks it returned.
+// BatchPushes episode and len(vs) Pushes; PopKInto counts one BatchPops
+// episode and the tasks it obtained — but a one-slot fill is exactly Pop
+// and moves only Pops, and a zero-length buffer moves nothing.
 func TestBatchCounters(t *testing.T) {
 	d, err := NewWithConfig(core.Options[int64]{Places: 1, Less: less, Seed: 4},
 		Config{Lanes: 4, Stickiness: 2})
@@ -329,14 +330,21 @@ func TestBatchCounters(t *testing.T) {
 	if s := d.Stats(); s.Pushes != 5 || s.BatchPushes != 1 {
 		t.Fatalf("after PushK: %+v", s)
 	}
-	if got := d.PopK(0, 3); len(got) != 3 {
-		t.Fatalf("PopK(3) = %v", got)
+	buf := make([]int64, 3)
+	if got := d.PopKInto(0, buf); got != 3 {
+		t.Fatalf("PopKInto(3 slots) = %d, buf %v", got, buf)
 	}
-	if got := d.PopK(0, 0); got != nil {
-		t.Fatalf("PopK(0) = %v, want nil", got)
+	if got := d.PopKInto(0, buf[:0]); got != 0 {
+		t.Fatalf("PopKInto(0 slots) = %d, want 0", got)
 	}
 	if s := d.Stats(); s.Pops != 3 || s.BatchPops != 1 {
-		t.Fatalf("after PopK: %+v", s)
+		t.Fatalf("after PopKInto: %+v", s)
+	}
+	if got := d.PopKInto(0, buf[:1]); got != 1 {
+		t.Fatalf("PopKInto(1 slot) = %d", got)
+	}
+	if s := d.Stats(); s.Pops != 4 || s.BatchPops != 1 {
+		t.Fatalf("a one-slot fill must count as a plain pop: %+v", s)
 	}
 }
 
@@ -494,12 +502,12 @@ func TestSetStickinessLive(t *testing.T) {
 	if d.Stickiness() != 4 {
 		t.Fatalf("after SetStickiness(4): %d", d.Stickiness())
 	}
-	// Four pushes under S=4: one lane selection, so one PopK drains all.
+	// Four pushes under S=4: one lane selection, so one PopKInto drains all.
 	for _, v := range []int64{4, 2, 3, 1} {
 		d.Push(0, 0, v)
 	}
-	if got := d.PopK(0, 4); len(got) != 4 {
-		t.Fatalf("PopK after live S=4 got %d of 4: pushes scattered", len(got))
+	if got := d.PopKInto(0, make([]int64, 4)); got != 4 {
+		t.Fatalf("PopKInto after live S=4 got %d of 4: pushes scattered", got)
 	}
 	d.SetStickiness(0) // clamps to the unsticky floor
 	if d.Stickiness() != 1 {
@@ -677,7 +685,7 @@ func TestNumericConfigValidation(t *testing.T) {
 
 // warmNumeric builds a single-place numeric structure and runs enough
 // push/pop traffic through every configuration knob that all lane
-// storage and the PopK scratch reach steady-state capacity.
+// storage reaches steady-state capacity.
 func warmNumeric(t *testing.T, res int64) *DS[int64] {
 	t.Helper()
 	d, err := NewWithNumeric(core.Options[int64]{Places: 1, Less: less, Seed: 9},
@@ -695,8 +703,9 @@ func warmNumeric(t *testing.T, res int64) *DS[int64] {
 			d.Push(0, 0, int64(i%1024))
 		}
 		got := 0
+		buf := make([]int64, 64)
 		for spin := 0; got < 2048 && spin < 100000; spin++ {
-			got += len(d.PopK(0, 64))
+			got += d.PopKInto(0, buf)
 		}
 		if got != 2048 {
 			t.Fatalf("warmup drained %d of 2048", got)
@@ -707,8 +716,8 @@ func warmNumeric(t *testing.T, res int64) *DS[int64] {
 
 // TestNumericHotPathAllocFree pins the zero-allocation contract of the
 // numeric serve path: steady-state Push + PopKInto allocates nothing —
-// for the exact heaps and for the multiresolution bucket lanes — and a
-// PopK that comes back empty allocates nothing either. (The boxed
+// for the exact heaps and for the multiresolution bucket lanes — and
+// neither does an empty or a multi-task PopKInto. (The boxed
 // Less-only path advertises minima through pointer stores and is
 // allowed to allocate; it is not under test.)
 func TestNumericHotPathAllocFree(t *testing.T) {
@@ -727,31 +736,30 @@ func TestNumericHotPathAllocFree(t *testing.T) {
 			t.Errorf("res %d: Push+PopKInto allocs = %v, want 0", res, allocs)
 		}
 		allocs = testing.AllocsPerRun(1000, func() {
-			if vs := d.PopK(0, 64); vs != nil {
-				t.Fatalf("res %d: PopK on empty returned %d tasks", res, len(vs))
+			if got := d.PopKInto(0, buf); got != 0 {
+				t.Fatalf("res %d: PopKInto on empty obtained %d tasks", res, got)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("res %d: empty PopK allocs = %v, want 0", res, allocs)
+			t.Errorf("res %d: empty PopKInto allocs = %v, want 0", res, allocs)
 		}
-		// A successful PopK allocates exactly its exact-size result.
-		// Stickiness 4 spreads 8 pushes over 2–3 lanes and PopK drains
-		// one lane per call, so a full drain is at most 3 non-empty
-		// calls — hence at most 3 result-slice allocations.
+		// Stickiness 4 spreads 8 pushes over 2–3 lanes and PopKInto
+		// drains one lane per call; the whole multi-call drain through
+		// one reused buffer allocates nothing.
 		allocs = testing.AllocsPerRun(1000, func() {
 			for i := 0; i < 8; i++ {
 				d.Push(0, 0, int64(i))
 			}
 			got := 0
 			for spin := 0; got < 8 && spin < 1000; spin++ {
-				got += len(d.PopK(0, 8))
+				got += d.PopKInto(0, buf)
 			}
 			if got != 8 {
 				t.Fatalf("res %d: drained %d of 8", res, got)
 			}
 		})
-		if allocs < 1 || allocs > 3 {
-			t.Errorf("res %d: non-empty PopK allocs = %v, want 1..3 (result slices only)", res, allocs)
+		if allocs != 0 {
+			t.Errorf("res %d: batch PopKInto drain allocs = %v, want 0", res, allocs)
 		}
 	}
 }

@@ -1,11 +1,9 @@
-// Tenant-fairness serve machinery: the per-tenant admission gate the
-// fairness controller (internal/fair) drives. Config.TenantWeights
+// Tenant-fairness serve machinery: the per-tenant ledger the fairness
+// controller (internal/fair) drives and samples. Config.TenantWeights
 // turns it on; the controller computes per-window admission quotas and
-// starvation floors from the weight vector, and the Submit hot path
-// consults them through padded per-tenant atomics — the tenant gate
-// sits in front of the backpressure priority threshold, and a floor
-// admission bypasses the threshold entirely so no tenant can be
-// starved by another tenant's priority inflation.
+// starvation floors from the weight vector and publishes them here, and
+// the admission gate (admit.go) consults them through the ledger's
+// padded atomics.
 package sched
 
 import (
@@ -30,10 +28,35 @@ type padCounter struct {
 	_ [120]byte
 }
 
-// loadAll copies every counter of xs into dst (sized len(xs)).
-func loadAll(dst []int64, xs []padCounter) {
-	for i := range xs {
-		dst[i] = xs[i].v.Load()
+// tenantLedger is one tenant's row of hot-path atomics: the gate inputs
+// the fairness controller publishes (quota, floor), the window sequence
+// the gate consumes (win), and the cumulative admission ledger. Every
+// field is its own prefetch pair, so producers hammering different
+// tenants — or different counters of one tenant — never false-share.
+//
+//schedlint:padded
+type tenantLedger struct {
+	quota, floor, win                 padCounter
+	arrived, admitted, deferred, shed padCounter
+	readmitted, executed, pending     padCounter
+}
+
+// counters snapshots the cumulative ledger. The Pending estimate clamps
+// at zero: worker-spawned tasks are attributed to their tenant only at
+// execution, so a spawn-heavy tenant can execute more than it admitted.
+func (l *tenantLedger) counters() TenantCounters {
+	p := l.pending.v.Load()
+	if p < 0 {
+		p = 0
+	}
+	return TenantCounters{
+		Arrived:    l.arrived.v.Load(),
+		Admitted:   l.admitted.v.Load(),
+		Deferred:   l.deferred.v.Load(),
+		Shed:       l.shed.v.Load(),
+		Readmitted: l.readmitted.v.Load(),
+		Executed:   l.executed.v.Load(),
+		Pending:    p,
 	}
 }
 
@@ -64,107 +87,15 @@ func (s *Scheduler[T]) tenantOf(v T) int {
 	return t
 }
 
-// submitTenant is the tenant-aware tail of SubmitK: the two-stage gate
-// (tenant floor, tenant quota, then the backpressure priority
-// threshold) plus per-tenant attribution. The caller has already
-// raised pending, checked accepting and recorded the arrival.
-//
-//schedlint:hotpath
-func (s *Scheduler[T]) submitTenant(k int, v T) error {
-	t := s.tenantOf(v)
-	s.tenArrived[t].v.Add(1)
-	if s.tenGated.Load() && s.cfg.Priority(v) >= s.bpCfg.ProtectedBand {
-		// The protected band bypasses the tenant gate too — it is the
-		// operator's "never gated" contract, and quota-deferring it both
-		// broke that contract and cut off the admission flow that
-		// anchors the capacity estimate. With tenants that cannot be
-		// trusted to label priorities honestly, shrink or zero
-		// ProtectedBand so the quotas police everything.
-		seq := s.tenWin[t].v.Add(1)
-		if seq <= s.tenFloor[t].v.Load() {
-			// Floor admission: unconditional, bypassing the priority
-			// threshold — the anti-starvation guarantee.
-			return s.pushTenant(k, v, t)
-		}
-		if seq > s.tenQuota[t].v.Load() {
-			return s.deferOrShedTenant(k, v, t, true)
-		}
-	}
-	if s.cfg.Priority(v) > s.bpGate.Load() {
-		return s.deferOrShedTenant(k, v, t, false)
-	}
-	return s.pushTenant(k, v, t)
-}
-
-// pushTenant admits one tenant-attributed task into the structure.
-//
-//schedlint:hotpath
-func (s *Scheduler[T]) pushTenant(k int, v T, t int) error {
-	s.admittedN.Add(1)
-	s.tenAdmitted[t].v.Add(1)
-	s.tenPending[t].v.Add(1)
-	s.serveFin.pending.Add(1)
-	s.spawned.Add(1)
-	inj := s.injectors[s.nextInj.Add(1)%uint64(len(s.injectors))]
-	inj.mu.Lock()
-	s.ds.Push(inj.place, k, envelope[T]{v: v, fin: s.serveFin})
-	inj.mu.Unlock()
-	return nil
-}
-
-// deferOrShedTenant is deferOrShed with per-tenant attribution.
-// byQuota marks a rejection by the tenant quota rather than the
-// priority threshold — the split the TenantShed/TenantDeferred
-// counters report.
-//
-//schedlint:hotpath
-func (s *Scheduler[T]) deferOrShedTenant(k int, v T, t int, byQuota bool) error {
-	s.serveFin.pending.Add(1)
-	s.spawned.Add(1)
-	if s.spill.Offer(deferredTask[T]{env: envelope[T]{v: v, fin: s.serveFin}, k: k}) {
-		s.deferredN.Add(1)
-		s.tenDeferred[t].v.Add(1)
-		s.tenPending[t].v.Add(1)
-		if byQuota {
-			s.quotaDeferred.Add(1)
-		}
-		if !s.accepting.Load() {
-			//schedlint:ignore stop-racing submissions drain the spillway once; a shutdown edge, not the steady submit path
-			s.flushSpill()
-		}
-		return nil
-	}
-	s.serveFin.pending.Add(-1)
-	s.spawned.Add(-1)
-	s.pending.Add(-1)
-	s.shed.Add(1)
-	s.tenShed[t].v.Add(1)
-	if byQuota {
-		s.quotaShed.Add(1)
-	}
-	return ErrShed
-}
-
 // fairSnapshot collects the cumulative per-tenant totals the fairness
 // controller differences into window samples. The scratch Cumulative
-// is reused across windows — the controller keeps its own copy. The
-// Pending estimate clamps at zero: worker-spawned tasks are attributed
-// to their tenant only at execution, so a spawn-heavy tenant can
-// execute more than it admitted.
+// is reused across windows — the controller keeps its own copy.
 func (s *Scheduler[T]) fairSnapshot() fair.Cumulative {
 	c := &s.fairCum
-	loadAll(c.Arrived, s.tenArrived)
-	loadAll(c.Admitted, s.tenAdmitted)
-	loadAll(c.Deferred, s.tenDeferred)
-	loadAll(c.Shed, s.tenShed)
-	loadAll(c.Readmitted, s.tenReadmitted)
-	loadAll(c.Executed, s.tenExecuted)
-	for t := range s.tenPending {
-		p := s.tenPending[t].v.Load()
-		if p < 0 {
-			p = 0
-		}
-		c.Pending[t] = p
+	for t := range s.ten {
+		tc := s.ten[t].counters()
+		c.Arrived[t], c.Admitted[t], c.Deferred[t], c.Shed[t] = tc.Arrived, tc.Admitted, tc.Deferred, tc.Shed
+		c.Readmitted[t], c.Executed[t], c.Pending[t] = tc.Readmitted, tc.Executed, tc.Pending
 	}
 	return *c
 }
@@ -184,14 +115,13 @@ func (s *Scheduler[T]) fairTick(at time.Duration) fair.Window {
 // quotas and floors first, then the gating flag, so a producer that
 // observes the gate engaged never reads the previous window's zeros.
 func (s *Scheduler[T]) applyFair(st fair.State) {
-	if st.Gated {
-		for t := 0; t < s.tenants; t++ {
-			s.tenQuota[t].v.Store(st.Quotas[t])
-			s.tenFloor[t].v.Store(st.Floors[t])
+	for t := range s.ten {
+		led := &s.ten[t]
+		if st.Gated {
+			led.quota.v.Store(st.Quotas[t])
+			led.floor.v.Store(st.Floors[t])
 		}
-	}
-	for t := 0; t < s.tenants; t++ {
-		s.tenWin[t].v.Store(0)
+		led.win.v.Store(0)
 	}
 	s.tenGated.Store(st.Gated)
 }
@@ -228,19 +158,7 @@ func (s *Scheduler[T]) TenantCounters() []TenantCounters {
 	}
 	out := make([]TenantCounters, s.tenants)
 	for t := range out {
-		p := s.tenPending[t].v.Load()
-		if p < 0 {
-			p = 0
-		}
-		out[t] = TenantCounters{
-			Arrived:    s.tenArrived[t].v.Load(),
-			Admitted:   s.tenAdmitted[t].v.Load(),
-			Deferred:   s.tenDeferred[t].v.Load(),
-			Shed:       s.tenShed[t].v.Load(),
-			Readmitted: s.tenReadmitted[t].v.Load(),
-			Executed:   s.tenExecuted[t].v.Load(),
-			Pending:    p,
-		}
+		out[t] = s.ten[t].counters()
 	}
 	return out
 }

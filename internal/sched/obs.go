@@ -98,9 +98,9 @@ func (s *Scheduler[T]) newServeMetrics(sink obs.Sink) *serveMetrics {
 	if s.cfg.Adaptive {
 		m.stickiness = sink.Gauge(obs.Desc{Name: "sched_effective_stickiness", Help: "lane stickiness S in force (AdaptiveTrace state)"})
 	}
-	if s.grpDS != nil && s.grpDS.MaxGroups() > 1 {
+	if s.rlx != nil && s.rlx.MaxGroups() > 1 {
 		m.laneGroups = sink.Gauge(obs.Desc{Name: "sched_lane_groups", Help: "active lane-group partition (PlacementTrace state)"})
-		n := s.grpDS.MaxGroups()
+		n := s.rlx.MaxGroups()
 		m.groupCont = make([]obs.Counter, n)
 		for g := 0; g < n; g++ {
 			m.groupCont[g] = sink.Counter(obs.Desc{
@@ -136,24 +136,6 @@ func (s *Scheduler[T]) newServeMetrics(sink obs.Sink) *serveMetrics {
 	return m
 }
 
-// tenCumNow snapshots one tenant's cumulative counters for the
-// exporter (same sources as fairSnapshot).
-func (s *Scheduler[T]) tenCumNow(t int) TenantCounters {
-	p := s.tenPending[t].v.Load()
-	if p < 0 {
-		p = 0
-	}
-	return TenantCounters{
-		Arrived:    s.tenArrived[t].v.Load(),
-		Admitted:   s.tenAdmitted[t].v.Load(),
-		Deferred:   s.tenDeferred[t].v.Load(),
-		Shed:       s.tenShed[t].v.Load(),
-		Readmitted: s.tenReadmitted[t].v.Load(),
-		Executed:   s.tenExecuted[t].v.Load(),
-		Pending:    p,
-	}
-}
-
 // obsCumNow snapshots every cumulative counter the exporter publishes.
 // Same sources as the controller snapshots (bpSnapshot, plSnapshot):
 // the structure's counters plus the scheduler-level admission atomics.
@@ -172,8 +154,8 @@ func (s *Scheduler[T]) obsCumNow() obsCum {
 		crossGroup:  st.CrossGroupPops,
 		resticks:    st.Resticks,
 	}
-	if s.contDS != nil {
-		c.laneCont = s.contDS.ContentionTotal()
+	if s.rlx != nil {
+		c.laneCont = s.rlx.ContentionTotal()
 	}
 	return c
 }
@@ -186,10 +168,10 @@ func (s *Scheduler[T]) primeMetrics() {
 	m.prev = s.obsCumNow()
 	m.lastAt = 0
 	for t := range m.tenSeries {
-		m.tenSeries[t].prev = s.tenCumNow(t)
+		m.tenSeries[t].prev = s.ten[t].counters()
 	}
 	if m.groupCont != nil {
-		m.scratchG = s.grpDS.GroupContention(m.scratchG[:0])
+		m.scratchG = s.rlx.GroupContention(m.scratchG[:0])
 		copy(m.prevG, m.scratchG)
 		for i := len(m.scratchG); i < len(m.prevG); i++ {
 			m.prevG[i] = 0
@@ -229,10 +211,10 @@ func (s *Scheduler[T]) obsTick(at time.Duration, rank float64) {
 		m.stickiness.Set(float64(s.adaptCtl.State().Stickiness))
 	}
 	if m.laneGroups != nil {
-		m.laneGroups.Set(float64(s.grpDS.ActiveGroups()))
+		m.laneGroups.Set(float64(s.rlx.ActiveGroups()))
 	}
 	if m.groupCont != nil {
-		m.scratchG = s.grpDS.GroupContention(m.scratchG[:0])
+		m.scratchG = s.rlx.GroupContention(m.scratchG[:0])
 		for g, tot := range m.scratchG {
 			// The group→lane-span mapping moves when the placement
 			// controller re-partitions, so a group's total can step
@@ -256,7 +238,7 @@ func (s *Scheduler[T]) obsTick(at time.Duration, rank float64) {
 		m.fairGated.Set(gated)
 		for t := range m.tenSeries {
 			ts := &m.tenSeries[t]
-			tc := s.tenCumNow(t)
+			tc := s.ten[t].counters()
 			ts.arrived.Add(tc.Arrived - ts.prev.Arrived)
 			ts.admitted.Add(tc.Admitted - ts.prev.Admitted)
 			ts.deferred.Add(tc.Deferred - ts.prev.Deferred)

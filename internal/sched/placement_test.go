@@ -355,11 +355,11 @@ func TestReadmitRunsPreserveK(t *testing.T) {
 	}
 }
 
-// recordingBatchDS wraps the scheduler's batch view and records every
-// PushK so the readmission test can assert which lane and which k each
+// recordingDS wraps the scheduler's structure and records every PushK
+// so the readmission test can assert which lane and which k each
 // striped run actually used.
-type recordingBatchDS struct {
-	core.BatchDS[envelope[int64]]
+type recordingDS struct {
+	core.DS[envelope[int64]]
 	mu    sync.Mutex
 	calls []recordedPush
 }
@@ -370,7 +370,7 @@ type recordedPush struct {
 	vs    []int64
 }
 
-func (r *recordingBatchDS) PushK(place int, k int, vs []envelope[int64]) {
+func (r *recordingDS) PushK(place int, k int, vs []envelope[int64]) {
 	rec := recordedPush{place: place, k: k}
 	for _, e := range vs {
 		rec.vs = append(rec.vs, e.v)
@@ -378,7 +378,7 @@ func (r *recordingBatchDS) PushK(place int, k int, vs []envelope[int64]) {
 	r.mu.Lock()
 	r.calls = append(r.calls, rec)
 	r.mu.Unlock()
-	r.BatchDS.PushK(place, k, vs)
+	r.DS.PushK(place, k, vs)
 }
 
 // TestReadmitSpillStripesAcrossInjectors drives the real readmitSpill
@@ -394,8 +394,8 @@ func TestReadmitSpillStripesAcrossInjectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordingBatchDS{BatchDS: s.bds}
-	s.bds = rec
+	rec := &recordingDS{DS: s.ds}
+	s.ds = rec
 
 	// Park a mixed-k prefix and a long same-k tail, tagging each task's
 	// value with its k. The scheduler is never started: readmitSpill

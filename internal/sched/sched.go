@@ -46,11 +46,10 @@ import (
 // instead of being accepted and then silently truncated or thrashed.
 const (
 	// MaxBatch caps Config.Batch (and the adaptive controller's batch
-	// ceiling) at the structures' native per-call batch capacity: the
-	// relaxed MultiQueues fill at most relaxed.MaxPopBatch tasks per
-	// PopK, so a larger configured batch could never be honored — every
-	// pop episode would quietly return less than asked, and the worker
-	// buffer (one per place, sized Batch) would waste memory for nothing.
+	// ceiling) at relaxed.MaxPopBatch: one pop episode drains a lane
+	// under its lock, and the worker buffer (one per place) is sized to
+	// the ceiling, so an unbounded batch would hold lane locks and waste
+	// memory for nothing.
 	MaxBatch = relaxed.MaxPopBatch
 	// MaxStickiness caps Config.Stickiness (and the adaptive ceiling): a
 	// place camping on one lane for 2^16 consecutive operations is
@@ -149,11 +148,11 @@ type Config[T any] struct {
 	// Injectors ≥ 1 (≈ the expected producer count) to serve.
 	Injectors int
 	// Batch is the maximum number of tasks a worker removes from the
-	// data structure per pop episode (core.BatchDS.PopK). 1 (and 0, the
-	// default) selects the classic one-task-per-pop loop; larger values
-	// amortize the structure's synchronization across the batch on
-	// structures with a native PopK, at the price of coarser priority
-	// adherence within a batch.
+	// data structure per pop episode (core.DS.PopKInto). 1 (and 0, the
+	// default) pops one task per episode; larger values amortize the
+	// structure's synchronization across the batch on structures with a
+	// native PopKInto, at the price of coarser priority adherence within
+	// a batch.
 	Batch int
 	// Stickiness is the per-place lane stickiness S of the relaxed
 	// strategies (Relaxed, RelaxedSampleTwo): a place reuses its last
@@ -325,10 +324,12 @@ type finishRegion struct {
 // Scheduler executes task-parallel computations over a priority
 // scheduling data structure.
 type Scheduler[T any] struct {
-	cfg      Config[T]
-	ds       core.DS[envelope[T]]
-	bds      core.BatchDS[envelope[T]]        // batch view of ds (adapter when not native)
-	popInto  core.BatchPopIntoer[envelope[T]] // allocation-free pop view; always available
+	cfg Config[T]
+	ds  core.DS[envelope[T]]
+	// rlx is ds again as the concrete relaxed structure (nil for the
+	// other strategies): the live-retuning and sampling surface the
+	// controllers drive — stickiness, lane contention, lane groups.
+	rlx      *relaxed.DS[envelope[T]]
 	pending  atomic.Int64
 	active   atomic.Bool
 	elim     atomic.Int64
@@ -358,18 +359,13 @@ type Scheduler[T any] struct {
 	// Adaptive-controller state (see serve.go). maxBatch is the worker
 	// pop buffer capacity (the batch ceiling); effBatch is the batch in
 	// force, re-read every pop episode so the controller's moves
-	// propagate live. stickDS/contDS are the relaxed structure's
-	// retuning and contention-sampling hooks (nil for other
-	// strategies). Each of the four window controllers is held the
+	// propagate live. Each of the four window controllers is held the
 	// same way: its validated config, and a ctl.Session (nil when the
 	// controller is off) carrying the per-serve-session loop, the state
 	// in force and the decision trace for concurrent observers.
 	// ctrlStop/ctrlDone bracket the one goroutine that steps them all.
 	maxBatch  int
 	effBatch  atomic.Int32
-	stickDS   interface{ SetStickiness(int) }
-	contDS    interface{ ContentionTotal() int64 }
-	grpDS     groupedDS
 	adaptCfg  adapt.Config
 	adaptSeed adapt.State
 	adaptCtl  *ctl.Session[adapt.Cumulative, adapt.Sample, adapt.State]
@@ -377,7 +373,7 @@ type Scheduler[T any] struct {
 	ctrlDone  chan struct{}
 
 	// Placement-controller state (see serve.go): the lane-group resize
-	// loop over grpDS.
+	// loop over rlx.
 	plCfg placement.Config
 	plCtl *ctl.Session[placement.Cumulative, placement.Sample, placement.State]
 
@@ -396,25 +392,16 @@ type Scheduler[T any] struct {
 	admittedN  atomic.Int64
 
 	// Tenant-fairness state (see fair.go). tenants is the tenant count
-	// (0: tenancy off); tenGated plus the padded per-tenant atomics are
-	// the Submit hot path's view of the controller's last decision;
-	// fairCum is the controller goroutine's snapshot scratch (the
-	// controller keeps its own copy).
+	// (0: tenancy off); tenGated plus the per-tenant ledger's
+	// quota/floor/win are the admission gate's view of the controller's
+	// last decision; fairCum is the controller goroutine's snapshot
+	// scratch (the controller keeps its own copy).
 	fairCfg       fair.Config
 	fairCtl       *ctl.Session[fair.Cumulative, fair.Sample, fair.State]
 	tenants       int
 	fairCum       fair.Cumulative
 	tenGated      atomic.Bool
-	tenQuota      []padCounter
-	tenFloor      []padCounter
-	tenWin        []padCounter
-	tenArrived    []padCounter
-	tenAdmitted   []padCounter
-	tenDeferred   []padCounter
-	tenShed       []padCounter
-	tenReadmitted []padCounter
-	tenExecuted   []padCounter
-	tenPending    []padCounter
+	ten           []tenantLedger
 	quotaShed     atomic.Int64
 	quotaDeferred atomic.Int64
 	// quotaHold parks spillway tasks a controller-tick readmission
@@ -444,16 +431,6 @@ type Scheduler[T any] struct {
 // executed-per-group tally) attributes work with the same arithmetic
 // the structure partitions by, rather than re-deriving it.
 func HomeGroup(i, n, groups int) int { return i * groups / n }
-
-// groupedDS is the lane-group hook set of the relaxed structures: live
-// partition resize plus the per-group observability the placement
-// controller and the load generator's per-group stats consume.
-type groupedDS interface {
-	SetGroups(int)
-	ActiveGroups() int
-	MaxGroups() int
-	GroupContention(out []int64) []int64
-}
 
 // New constructs a scheduler. The data structure instance is created here
 // and reused across sequential Run calls.
@@ -588,16 +565,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		s.tenants = len(cfg.TenantWeights)
 		s.fairCtl = ctl.NewSession[fair.Cumulative, fair.Sample](fcfg.Open(), maxTraceWindows)
 		n := s.tenants
-		s.tenQuota = make([]padCounter, n)
-		s.tenFloor = make([]padCounter, n)
-		s.tenWin = make([]padCounter, n)
-		s.tenArrived = make([]padCounter, n)
-		s.tenAdmitted = make([]padCounter, n)
-		s.tenDeferred = make([]padCounter, n)
-		s.tenShed = make([]padCounter, n)
-		s.tenReadmitted = make([]padCounter, n)
-		s.tenExecuted = make([]padCounter, n)
-		s.tenPending = make([]padCounter, n)
+		s.ten = make([]tenantLedger, n)
 		s.fairCum = fair.Cumulative{
 			Arrived: make([]int64, n), Admitted: make([]int64, n),
 			Deferred: make([]int64, n), Shed: make([]int64, n),
@@ -677,12 +645,13 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		ds, err = hybrid.New(opts)
 	case HybridNoSpy:
 		ds, err = hybrid.NewNoSpy(opts)
-	case Relaxed:
+	case Relaxed, RelaxedSampleTwo:
 		rcfg.Mode = relaxed.SampleAll
-		ds, err = relaxed.NewWithNumeric(opts, rcfg, num)
-	case RelaxedSampleTwo:
-		rcfg.Mode = relaxed.SampleTwo
-		ds, err = relaxed.NewWithNumeric(opts, rcfg, num)
+		if cfg.Strategy == RelaxedSampleTwo {
+			rcfg.Mode = relaxed.SampleTwo
+		}
+		s.rlx, err = relaxed.NewWithNumeric(opts, rcfg, num)
+		ds = s.rlx
 	case GlobalHeap:
 		ds, err = globalpq.New(opts)
 	default:
@@ -692,17 +661,6 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		return nil, err
 	}
 	s.ds = ds
-	s.bds = core.AsBatch(ds)
-	pi, ok := s.bds.(core.BatchPopIntoer[envelope[T]])
-	if !ok {
-		// Unreachable with the in-tree structures: every native BatchDS
-		// implements PopKInto and the AsBatch adapter adds it over Pop.
-		return nil, fmt.Errorf("sched: %T provides no allocation-free batch pop (core.BatchPopIntoer)", s.bds)
-	}
-	s.popInto = pi
-	s.stickDS, _ = ds.(interface{ SetStickiness(int) })
-	s.contDS, _ = ds.(interface{ ContentionTotal() int64 })
-	s.grpDS, _ = ds.(groupedDS)
 	if cfg.AdaptivePlacement {
 		pcfg := placement.Config{
 			MaxGroups: cfg.LaneGroups,
@@ -798,50 +756,26 @@ func (s *Scheduler[T]) Run(roots ...T) (RunStats, error) {
 // the top-level workers and by places waiting inside a finish region
 // (work-helping), so executed tasks are accounted on the scheduler.
 //
-// With a batch ceiling above 1 (Config.Batch > 1, or Config.Adaptive,
-// whose controller may raise the batch at runtime) each pop episode
-// removes up to the currently effective batch in one core.BatchDS.PopK
-// call; every task of an obtained batch is executed before the loop
-// re-checks done(), because a popped task is no longer in the structure
-// and skipping it would lose it.
+// Each pop episode fills up to the currently effective batch through
+// core.DS.PopKInto — with a batch of 1 (the default) that is exactly a
+// Pop on every structure. The effective batch is re-read from effBatch
+// every episode, so the adaptive controller's moves propagate to the
+// very next pop without any worker coordination. Every task of an
+// obtained batch is executed before the loop re-checks done(), because
+// a popped task is no longer in the structure and skipping it would
+// lose it.
+//
+// The pop buffer (sized to the batch ceiling, so a later controller
+// move never needs a reallocation) is cached on the place's Ctx so
+// successive entries (one per finish region) reuse it — but an entry
+// takes ownership for its lifetime, because Execute may call Finish and
+// re-enter this loop on the same Ctx while the outer batch still holds
+// unexecuted envelopes: a nested entry finding no cached buffer
+// allocates its own (once, then cached in turn) instead of clobbering
+// the outer one.
 //
 //schedlint:hotpath
 func (s *Scheduler[T]) workLoop(ctx *Ctx[T], done func() bool) {
-	if s.maxBatch > 1 {
-		s.workLoopBatch(ctx, done)
-		return
-	}
-	fails := 0
-	for {
-		if done() {
-			return
-		}
-		e, ok := s.ds.Pop(ctx.place)
-		if !ok {
-			fails++
-			backoff(fails)
-			continue
-		}
-		fails = 0
-		s.execute(ctx, e)
-	}
-}
-
-// workLoopBatch is the batch-ceiling > 1 variant of workLoop, popping
-// through the allocation-free core.BatchPopIntoer path (every structure
-// provides one). The effective batch is re-read from effBatch every
-// episode, so the adaptive controller's moves propagate to the very next
-// pop without any worker coordination. The pop buffer (sized to the
-// ceiling, so a later controller move never needs a reallocation) is
-// cached on the place's Ctx so successive entries (one per finish
-// region) reuse it — but an entry takes ownership for its lifetime,
-// because Execute may call Finish and re-enter this loop on the same Ctx
-// while the outer batch still holds unexecuted envelopes: a nested entry
-// finding no cached buffer allocates its own (once, then cached in turn)
-// instead of clobbering the outer one.
-//
-//schedlint:hotpath
-func (s *Scheduler[T]) workLoopBatch(ctx *Ctx[T], done func() bool) {
 	buf := ctx.popBuf
 	if len(buf) < s.maxBatch {
 		//schedlint:ignore once per nested loop entry, then cached on the Ctx; the per-task steady state re-uses it
@@ -862,7 +796,7 @@ func (s *Scheduler[T]) workLoopBatch(ctx *Ctx[T], done func() bool) {
 		if b > len(buf) {
 			b = len(buf)
 		}
-		n := s.popInto.PopKInto(ctx.place, buf[:b])
+		n := s.ds.PopKInto(ctx.place, buf[:b])
 		if n == 0 {
 			fails++
 			backoff(fails)
@@ -887,9 +821,9 @@ func (s *Scheduler[T]) execute(ctx *Ctx[T], e envelope[T]) {
 	s.pending.Add(-1)
 	s.executed.Add(1)
 	if s.tenants > 0 {
-		t := s.tenantOf(e.v)
-		s.tenExecuted[t].v.Add(1)
-		s.tenPending[t].v.Add(-1)
+		led := &s.ten[s.tenantOf(e.v)]
+		led.executed.v.Add(1)
+		led.pending.v.Add(-1)
 	}
 }
 
@@ -930,7 +864,7 @@ type Ctx[T any] struct {
 	place  int
 	fin    *finishRegion
 	rng    *xrand.Rand
-	popBuf []envelope[T] // cached batch-pop buffer; see workLoopBatch
+	popBuf []envelope[T] // cached pop buffer; see workLoop
 }
 
 // Place returns the executing place's id in [0, Places).

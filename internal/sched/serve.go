@@ -144,7 +144,7 @@ func (s *Scheduler[T]) Start() error {
 	if s.cfg.AdaptivePlacement {
 		// Seeded at the finest partition: start local, merge on evidence.
 		loop := fresh(placement.NewController(s.plCfg, placement.State{Groups: s.cfg.LaneGroups}))
-		s.grpDS.SetGroups(s.plCtl.Begin(loop, s.plSnapshot()).Groups)
+		s.rlx.SetGroups(s.plCtl.Begin(loop, s.plSnapshot()).Groups)
 	}
 	if s.cfg.Recorder != nil {
 		// Header + controller configs first, so the capture is
@@ -271,8 +271,8 @@ func (s *Scheduler[T]) snapshot() adapt.Cumulative {
 		Pending:     s.pending.Load(),
 		RankErrP99:  -1,
 	}
-	if s.contDS != nil {
-		cum.LaneContention = s.contDS.ContentionTotal()
+	if s.rlx != nil {
+		cum.LaneContention = s.rlx.ContentionTotal()
 	}
 	return cum
 }
@@ -308,8 +308,8 @@ func (s *Scheduler[T]) applyKnobs(st adapt.State) {
 		b = 1
 	}
 	s.effBatch.Store(int32(b))
-	if s.stickDS != nil {
-		s.stickDS.SetStickiness(st.Stickiness)
+	if s.rlx != nil {
+		s.rlx.SetStickiness(st.Stickiness)
 	}
 }
 
@@ -353,8 +353,8 @@ func (s *Scheduler[T]) plSnapshot() placement.Cumulative {
 		CrossGroupPops: st.CrossGroupPops,
 		Pending:        s.pending.Load(),
 	}
-	if s.contDS != nil {
-		cum.LaneContention = s.contDS.ContentionTotal()
+	if s.rlx != nil {
+		cum.LaneContention = s.rlx.ContentionTotal()
 	}
 	return cum
 }
@@ -365,7 +365,7 @@ func (s *Scheduler[T]) plSnapshot() placement.Cumulative {
 // selection).
 func (s *Scheduler[T]) plTick(at time.Duration) placement.Window {
 	w := s.plCtl.Step(at, s.plSnapshot())
-	s.grpDS.SetGroups(w.State.Groups)
+	s.rlx.SetGroups(w.State.Groups)
 	return w
 }
 
@@ -484,8 +484,7 @@ func (s *Scheduler[T]) readmitSpill(max int, respectQuota bool) bool {
 		kept := ds[:0]
 		var over []deferredTask[T]
 		for _, d := range ds {
-			ten := s.tenantOf(d.env.v)
-			if s.tenWin[ten].v.Add(1) > s.tenQuota[ten].v.Load() {
+			if _, overQuota := s.ten[s.tenantOf(d.env.v)].gate(); overQuota {
 				over = append(over, d)
 				continue
 			}
@@ -505,7 +504,7 @@ func (s *Scheduler[T]) readmitSpill(max int, respectQuota bool) bool {
 	}
 	if s.tenants > 0 {
 		for _, d := range ds {
-			s.tenReadmitted[s.tenantOf(d.env.v)].v.Add(1)
+			s.ten[s.tenantOf(d.env.v)].readmitted.v.Add(1)
 		}
 	}
 	s.readmitted.Add(int64(got))
@@ -520,7 +519,7 @@ func (s *Scheduler[T]) readmitSpill(max int, respectQuota bool) bool {
 		}
 		inj := s.injectors[s.nextInj.Add(1)%uint64(len(s.injectors))]
 		inj.mu.Lock()
-		s.bds.PushK(inj.place, run[0].k, envs)
+		s.ds.PushK(inj.place, run[0].k, envs)
 		inj.mu.Unlock()
 		start = end
 	}
@@ -531,8 +530,8 @@ func (s *Scheduler[T]) readmitSpill(max int, respectQuota bool) bool {
 
 // flushSpill drains the spillway completely. Stop calls it after
 // closing the submission gate so every deferred (accepted) task
-// executes before Stop returns; the Submit paths call it again when
-// they observe a closed gate right after deferring, closing the race
+// executes before Stop returns; park calls it again when it observes
+// a closed gate right after deferring, closing the race
 // where a task is parked just after Stop's flush (the seq-cst order of
 // the accepting flag guarantees one of the two flushes sees it).
 func (s *Scheduler[T]) flushSpill() {
@@ -590,10 +589,10 @@ func (s *Scheduler[T]) BackpressureTrace() []backpressure.Window {
 // Config.AdaptivePlacement. ok is false when the scheduler's structure
 // has no lane groups (LaneGroups ≤ 1 or a non-relaxed strategy).
 func (s *Scheduler[T]) PlacementState() (groups int, ok bool) {
-	if s.grpDS == nil || s.grpDS.MaxGroups() <= 1 {
+	if s.rlx == nil || s.rlx.MaxGroups() <= 1 {
 		return 0, false
 	}
-	return s.grpDS.ActiveGroups(), true
+	return s.rlx.ActiveGroups(), true
 }
 
 // PlacementTrace returns a copy of the placement controller's
@@ -612,10 +611,10 @@ func (s *Scheduler[T]) PlacementTrace() []placement.Window {
 // placement signal, exposed for per-group reporting (internal/load) and
 // diagnostics. Nil for ungrouped structures and other strategies.
 func (s *Scheduler[T]) GroupContention() []int64 {
-	if s.grpDS == nil || s.grpDS.MaxGroups() <= 1 {
+	if s.rlx == nil || s.rlx.MaxGroups() <= 1 {
 		return nil
 	}
-	return s.grpDS.GroupContention(nil)
+	return s.rlx.GroupContention(nil)
 }
 
 // Submit stores v for execution by the serving workers with the
@@ -644,15 +643,14 @@ func (s *Scheduler[T]) SubmitK(k int, v T) error {
 	if s.cfg.Recorder != nil {
 		s.recArrival(k, v)
 	}
-	if s.tenants > 0 {
-		// Tenant-aware admission: floor, quota, then the priority
-		// threshold (see fair.go).
-		return s.submitTenant(k, v)
-	}
-	if s.spill != nil && s.cfg.Priority(v) > s.bpGate.Load() {
-		return s.deferOrShed(k, v)
-	}
 	if s.spill != nil {
+		ten, ok, byQuota := s.admit(v, s.bpGate.Load(), s.tenGated.Load())
+		if !ok {
+			if s.park(k, v, ten, byQuota) == Shed {
+				return ErrShed
+			}
+			return nil
+		}
 		s.admittedN.Add(1)
 	}
 	s.serveFin.pending.Add(1)
@@ -662,31 +660,6 @@ func (s *Scheduler[T]) SubmitK(k int, v T) error {
 	s.ds.Push(inj.place, k, envelope[T]{v: v, fin: s.serveFin})
 	inj.mu.Unlock()
 	return nil
-}
-
-// deferOrShed handles a submission above the admission threshold: park
-// it in the spillway, or reject it with ErrShed when the spillway is
-// full. The caller has already raised pending.
-//
-//schedlint:hotpath
-func (s *Scheduler[T]) deferOrShed(k int, v T) error {
-	s.serveFin.pending.Add(1)
-	s.spawned.Add(1)
-	if s.spill.Offer(deferredTask[T]{env: envelope[T]{v: v, fin: s.serveFin}, k: k}) {
-		s.deferredN.Add(1)
-		if !s.accepting.Load() {
-			// Stop may have flushed the spillway between our gate check
-			// and the Offer; flush again so the envelope is not stranded.
-			//schedlint:ignore stop-racing submissions drain the spillway once; a shutdown edge, not the steady submit path
-			s.flushSpill()
-		}
-		return nil
-	}
-	s.serveFin.pending.Add(-1)
-	s.spawned.Add(-1)
-	s.pending.Add(-1)
-	s.shed.Add(1)
-	return ErrShed
 }
 
 // SubmitAll stores every element of vs for execution with the
@@ -702,7 +675,7 @@ func (s *Scheduler[T]) SubmitAllOutcomes(vs []T, out []Outcome) (int, error) {
 // SubmitAllK stores every element of vs with an explicit per-task
 // relaxation parameter k, as one batch: the whole group is pushed under
 // a single injector-lane lock and — on structures with a native batch
-// path (core.BatchDS.PushK) — a single data structure lock acquisition.
+// path (core.DS.PushK) — a single data structure lock acquisition.
 // Without backpressure, acceptance is all-or-nothing: either every task
 // is accepted (nil) or none is (ErrNotServing). Under
 // Config.Backpressure the admission gate decides per task, so a batch
@@ -756,112 +729,45 @@ func (s *Scheduler[T]) SubmitAllKOutcomes(k int, vs []T, out []Outcome) (int, er
 	if s.cfg.Recorder != nil {
 		s.recArrivalBatch(k, vs)
 	}
-	if s.spill == nil {
-		// Ungated: the whole batch is admitted as one push.
-		for i := range vs {
-			if out != nil {
-				out[i] = Admitted
-			}
-		}
-		s.serveFin.pending.Add(n)
-		s.spawned.Add(n)
-		blk := s.envArena.get()
-		envs := blk.grow(len(vs))
-		for i, v := range vs {
-			envs[i] = envelope[T]{v: v, fin: s.serveFin}
-		}
-		inj := s.injectors[s.nextInj.Add(1)%uint64(len(s.injectors))]
-		inj.mu.Lock()
-		s.bds.PushK(inj.place, k, envs)
-		inj.mu.Unlock()
-		s.envArena.put(blk) // PushK copied the envelopes; the buffer is dead
-		return len(vs), nil
-	}
-	// Gated: one threshold read decides the whole batch, so a batch is
-	// internally consistent even while the controller moves the gate.
-	// The tenant gate, when configured, is consulted per task — its
-	// window counters are inherently per-task sequence numbers.
-	threshold := s.bpGate.Load()
-	tenGated := s.tenants > 0 && s.tenGated.Load()
+	// Under backpressure one read of the gate state decides the whole
+	// batch, so a batch is internally consistent even while the
+	// controllers move the gates (the tenant window counters stay
+	// per-task sequence numbers). The admitted subset — everything,
+	// without backpressure — is staged and pushed as one batch.
+	gated := s.spill != nil
+	threshold, tenGated := s.bpGate.Load(), s.tenGated.Load()
 	blk := s.envArena.get()
 	envs := blk.grow(len(vs))[:0]
-	deferred, shedN := 0, 0
+	shedN := 0
 	for i, v := range vs {
-		ten, byQuota, floored := 0, false, false
-		if s.tenants > 0 {
-			ten = s.tenantOf(v)
-			s.tenArrived[ten].v.Add(1)
-			// The protected band bypasses the tenant gate like it
-			// bypasses the threshold (see submitTenant).
-			if tenGated && s.cfg.Priority(v) >= s.bpCfg.ProtectedBand {
-				seq := s.tenWin[ten].v.Add(1)
-				if seq <= s.tenFloor[ten].v.Load() {
-					floored = true // floor: bypasses the priority threshold
-				} else if seq > s.tenQuota[ten].v.Load() {
-					byQuota = true
+		o := Admitted
+		if gated {
+			if ten, ok, byQuota := s.admit(v, threshold, tenGated); !ok {
+				if o = s.park(k, v, ten, byQuota); o == Shed {
+					shedN++
 				}
 			}
 		}
-		if !byQuota && (floored || s.cfg.Priority(v) <= threshold) {
-			if out != nil {
-				out[i] = Admitted
-			}
-			if s.tenants > 0 {
-				s.tenAdmitted[ten].v.Add(1)
-				s.tenPending[ten].v.Add(1)
-			}
+		if o == Admitted {
 			//schedlint:ignore envs was arena-grown to len(vs) above; append stays within capacity
 			envs = append(envs, envelope[T]{v: v, fin: s.serveFin})
-			continue
 		}
-		s.serveFin.pending.Add(1)
-		s.spawned.Add(1)
-		if s.spill.Offer(deferredTask[T]{env: envelope[T]{v: v, fin: s.serveFin}, k: k}) {
-			s.deferredN.Add(1)
-			deferred++
-			if s.tenants > 0 {
-				s.tenDeferred[ten].v.Add(1)
-				s.tenPending[ten].v.Add(1)
-				if byQuota {
-					s.quotaDeferred.Add(1)
-				}
-			}
-			if out != nil {
-				out[i] = Deferred
-			}
-			continue
-		}
-		s.serveFin.pending.Add(-1)
-		s.spawned.Add(-1)
-		s.pending.Add(-1)
-		s.shed.Add(1)
-		if s.tenants > 0 {
-			s.tenShed[ten].v.Add(1)
-			if byQuota {
-				s.quotaShed.Add(1)
-			}
-		}
-		shedN++
 		if out != nil {
-			out[i] = Shed
+			out[i] = o
 		}
 	}
-	if len(envs) > 0 {
-		s.serveFin.pending.Add(int64(len(envs)))
-		s.spawned.Add(int64(len(envs)))
-		s.admittedN.Add(int64(len(envs)))
+	if n := int64(len(envs)); n > 0 {
+		s.serveFin.pending.Add(n)
+		s.spawned.Add(n)
+		if gated {
+			s.admittedN.Add(n)
+		}
 		inj := s.injectors[s.nextInj.Add(1)%uint64(len(s.injectors))]
 		inj.mu.Lock()
-		s.bds.PushK(inj.place, k, envs)
+		s.ds.PushK(inj.place, k, envs)
 		inj.mu.Unlock()
 	}
 	s.envArena.put(blk) // PushK copied the admitted envelopes; the buffer is dead
-	if deferred > 0 && !s.accepting.Load() {
-		// Stop may have flushed the spillway while we were deferring;
-		// flush again so nothing is stranded (see flushSpill).
-		//schedlint:ignore stop-racing batches drain the spillway once; a shutdown edge, not the steady submit path
-		s.flushSpill()
-	}
 	if shedN > 0 {
 		return len(vs) - shedN, ErrShed
 	}
@@ -956,7 +862,7 @@ func (s *Scheduler[T]) Stop() (RunStats, error) {
 			// Restore the configured partition, so a closed-world Run
 			// behaves identically before and after a serve session.
 			// PlacementTrace keeps reporting the session's trajectory.
-			s.grpDS.SetGroups(s.cfg.LaneGroups)
+			s.rlx.SetGroups(s.cfg.LaneGroups)
 		}
 	}
 	if rec := s.cfg.Recorder; rec != nil {

@@ -484,43 +484,22 @@ type HistogramSummary = stats.Summary
 func NewHistogram() *Histogram { return stats.NewHistogram() }
 
 // PriorityDS is the raw data structure interface (§2.1) for callers who
-// want the queues without the scheduler: push and pop are always executed
-// in the context of a place id in [0, places), and each place id must be
+// want the queues without the scheduler: every operation is executed in
+// the context of a place id in [0, places), and each place id must be
 // used by one goroutine at a time. Pop may fail spuriously under
 // concurrency; at quiescence emptiness is exact.
+//
+// PushK and PopKInto are the batch forms that amortize synchronization:
+// PushK stores a group of tasks and PopKInto fills the caller-owned out
+// with up to len(out) tasks, each in (at best) one lock episode, and
+// returns the count obtained — 0 is a possibly spurious failure, like
+// Pop's ok == false.
 type PriorityDS[T any] interface {
 	Push(place int, k int, v T)
 	Pop(place int) (v T, ok bool)
-	Stats() DSStats
-}
-
-// BatchPriorityDS extends PriorityDS with batch operations that amortize
-// synchronization: PushK stores a group of tasks and PopK removes up to
-// max tasks, each in (at best) one lock episode. An empty PopK result is
-// a possibly spurious failure, like Pop's ok == false. Every structure
-// in this repository implements it; AsBatchDS lifts third-party
-// singles-only implementations.
-type BatchPriorityDS[T any] interface {
-	PriorityDS[T]
 	PushK(place int, k int, vs []T)
-	PopK(place int, max int) []T
-}
-
-// AsBatchDS returns d itself when it implements BatchPriorityDS, and
-// otherwise an adapter that loops over the single-task operations.
-func AsBatchDS[T any](d PriorityDS[T]) BatchPriorityDS[T] {
-	if b, ok := d.(BatchPriorityDS[T]); ok {
-		return b
-	}
-	return core.AsBatch[T](dsShim[T]{d})
-}
-
-// dsShim adapts the exported PriorityDS back onto core.DS so core's
-// batch adapter can wrap it. DSStats aliases core.Stats, so the embedded
-// method set satisfies core.DS as-is, and core.BatchDS is structurally
-// identical to BatchPriorityDS.
-type dsShim[T any] struct {
-	PriorityDS[T]
+	PopKInto(place int, out []T) int
+	Stats() DSStats
 }
 
 // DSConfig configures a standalone data structure.
