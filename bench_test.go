@@ -9,7 +9,8 @@
 //	FIG3-LEFT/MID/RIGHT  -> BenchmarkFig3Simulation, BenchmarkFig3Theory
 //	FIG4-TIME/RELAX      -> BenchmarkFig4Scaling/*
 //	FIG5-TIME/RELAX      -> BenchmarkFig5KSweep/*
-//	ABL-LOCALQUEUE       -> BenchmarkAblationLocalQueue (queue kind choice)
+//	ABL-LOCALQUEUE       -> BenchmarkAblationLocalQueue (queue kind choice),
+//	                        BenchmarkLocalQueue (Less-ordered vs keyed container)
 //	ABL-STEAL            -> BenchmarkAblationSteal/*
 //	ABL-SPY              -> BenchmarkAblationSpy/*
 //	EXT-STRUCT           -> BenchmarkExtensionStructural/*
@@ -28,11 +29,14 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/load"
 	"repro/internal/obs"
+	"repro/internal/pq"
 	"repro/internal/sched"
 	"repro/internal/sssp"
+	"repro/internal/xrand"
 )
 
 // benchCommon is the reduced-scale workload for benchmarks.
@@ -247,6 +251,43 @@ func BenchmarkAblationLocalQueue(b *testing.B) {
 				if _, err := sv.Solve(g.Graph, 0); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkLocalQueue prices one pop + push on a place-local queue held
+// at 32 k references (the hold model: the new priority is the popped one
+// plus a random increment, as in SSSP), as core.NewLocalQueue builds it
+// for a structure without and with a numeric projection.
+func BenchmarkLocalQueue(b *testing.B) {
+	const depth = 32 << 10
+	type task struct{ prio int64 }
+	less := func(x, y pq.Keyed[*task]) bool { return x.V.prio < y.V.prio }
+	for _, c := range []struct {
+		name  string
+		keyed bool
+	}{{"binheap-less", false}, {"keyheap", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			q := core.NewLocalQueue(core.BinaryHeap, c.keyed, less, 1)
+			push := func(t *task) {
+				e := pq.Keyed[*task]{V: t}
+				if c.keyed {
+					e.Key = t.prio
+				}
+				q.Push(e)
+			}
+			r := xrand.New(1)
+			tasks := make([]task, depth)
+			for i := range tasks {
+				tasks[i].prio = int64(r.Intn(1 << 20))
+				push(&tasks[i])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, _ := q.Pop()
+				e.V.prio += int64(r.Intn(1 << 20))
+				push(e.V)
 			}
 		})
 	}

@@ -113,6 +113,15 @@ func TestPublicLocalQueueKinds(t *testing.T) {
 	}
 }
 
+func TestPublicSolveSSSPRejectsBadSource(t *testing.T) {
+	g := repro.ErdosRenyi(20, 0.3, 1)
+	for _, src := range []int{-1, 20, 1 << 20} {
+		if _, err := repro.SolveSSSP(g, src, repro.SSSPOptions{Places: 2, Strategy: repro.Hybrid, K: 8}); err == nil {
+			t.Errorf("source %d accepted on a %d-node graph", src, g.N)
+		}
+	}
+}
+
 func TestPublicRMATGraphSSSP(t *testing.T) {
 	// Skewed-degree graphs: every strategy still computes exact distances.
 	g := repro.RMATGraph(9, 8, 17)

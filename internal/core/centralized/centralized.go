@@ -56,7 +56,7 @@ type ref[T any] struct {
 type place[T any] struct {
 	id  int32
 	rng *xrand.Rand
-	pq  pq.Queue[ref[T]]
+	pq  pq.Queue[pq.Keyed[ref[T]]]
 	cur *segarray.Cursor[item[T]]
 }
 
@@ -90,13 +90,18 @@ func New[T any](opts core.Options[T]) (*DS[T], error) {
 		d.places[i] = &place[T]{
 			id:  int32(i),
 			rng: rng,
-			pq: core.NewLocalQueue(opts.LocalQueue, func(a, b ref[T]) bool {
-				return opts.Less(a.it.v, b.it.v)
+			pq: core.NewLocalQueue(opts.LocalQueue, opts.Prio != nil, func(a, b pq.Keyed[ref[T]]) bool {
+				return opts.Less(a.V.it.v, b.V.it.v)
 			}, rng.Uint64()),
 			cur: d.arr.NewCursor(),
 		}
 	}
 	return d, nil
+}
+
+// ref is the local-queue reference to it at array position pos.
+func (d *DS[T]) ref(it *item[T], pos int64) pq.Keyed[ref[T]] {
+	return pq.Keyed[ref[T]]{Key: d.opts.Key(it.v), V: ref[T]{it: it, tag: pos}}
 }
 
 // Push stores v with relaxation parameter k (Listing 1).
@@ -125,7 +130,7 @@ func (d *DS[T]) Push(pl int, k int, v T) {
 			// names the expected CAS value for takers and rules out ABA.
 			it.tag.Store(pos)
 			if slot.CompareAndSwap(nil, it) {
-				p.pq.Push(ref[T]{it: it, tag: pos})
+				p.pq.Push(d.ref(it, pos))
 				d.ctrs[pl].Pushes.Add(1)
 				return
 			}
@@ -156,7 +161,7 @@ func (d *DS[T]) drainGlobal(p *place[T]) {
 			return
 		}
 		if it.place != p.id && it.tag.Load() != takenTag {
-			p.pq.Push(ref[T]{it: it, tag: p.cur.Pos()})
+			p.pq.Push(d.ref(it, p.cur.Pos()))
 		}
 		p.cur.Advance()
 	}
@@ -169,10 +174,11 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 	d.drainGlobal(p)
 
 	for {
-		r, any := p.pq.Pop()
+		e, any := p.pq.Pop()
 		if !any {
 			break
 		}
+		r := e.V
 		it := r.it
 		if it.tag.Load() != r.tag {
 			continue // already taken (or eliminated) by someone else

@@ -18,6 +18,21 @@ func TestConformance(t *testing.T) {
 	})
 }
 
+// TestConformanceKeyed runs the same suite, fixtures included, with the
+// values' own integer projection set, so the local queues order by the
+// cached key (pq.KeyHeap); the key agrees with Less, so nothing the
+// contract promises may change.
+func TestConformanceKeyed(t *testing.T) {
+	dstest.Run(t, "CentralizedKeyed", func(opts core.Options[int64]) (core.DS[int64], error) {
+		opts.Prio = func(v int64) int64 { return v }
+		d, err := New(opts)
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
+	})
+}
+
 func TestConstructorValidation(t *testing.T) {
 	if _, err := New(core.Options[int64]{Places: 0, Less: func(a, b int64) bool { return a < b }}); err == nil {
 		t.Fatal("Places=0 accepted")

@@ -101,9 +101,22 @@ const (
 	SkipListQueue
 )
 
-// NewLocalQueue constructs a sequential priority queue of the given kind.
-// The seed drives the skip list's level randomness (unused by the heaps).
-func NewLocalQueue[E any](kind LocalQueueKind, less func(a, b E) bool, seed uint64) pq.Queue[E] {
+// NewLocalQueue constructs the sequential priority queue of one place's
+// local component. It is the single place that picks the container.
+// Entries are references V tagged with their task's key (Options.Key).
+// With a projection (keyed) the queue orders by Key: the default
+// BinaryHeap kind becomes pq.KeyHeap, which compares integers inline,
+// and the other kinds compare keys through one closure. Without one
+// every key is 0 and the queue orders by less, the structure's
+// Options.Less lifted to its references. The seed drives the skip
+// list's level randomness (unused by the heaps).
+func NewLocalQueue[V any](kind LocalQueueKind, keyed bool, less func(a, b pq.Keyed[V]) bool, seed uint64) pq.Queue[pq.Keyed[V]] {
+	if keyed {
+		if kind == BinaryHeap {
+			return pq.NewKeyHeap[V]()
+		}
+		less = func(a, b pq.Keyed[V]) bool { return a.Key < b.Key }
+	}
 	switch kind {
 	case PairingHeap:
 		return pq.NewPairingHeap(less)
@@ -122,6 +135,12 @@ type Options[T any] struct {
 	Places int
 	// Less orders tasks; smaller-first. Required.
 	Less func(a, b T) bool
+	// Prio optionally projects a task to an integer key that agrees with
+	// Less (Prio(a) < Prio(b) implies Less(a, b)). The k-priority
+	// structures then order their place-local queues by the key, computed
+	// once per reference, instead of calling Less per heap comparison.
+	// The scheduler fills it from its Priority function.
+	Prio func(T) int64
 	// Stale optionally marks dead tasks (§5.1): tasks superseded by a
 	// re-insertion with improved priority. Pop eliminates stale tasks
 	// lazily instead of returning them.
@@ -139,6 +158,14 @@ type Options[T any] struct {
 	LocalQueue LocalQueueKind
 	// Seed makes all internal randomization deterministic.
 	Seed uint64
+}
+
+// Key is the local-queue key of v: Prio(v), or 0 without a projection.
+func (o *Options[T]) Key(v T) int64 {
+	if o.Prio == nil {
+		return 0
+	}
+	return o.Prio(v)
 }
 
 // DefaultKMax is the paper's kmax (§4.1.2).

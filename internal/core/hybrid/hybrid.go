@@ -22,10 +22,24 @@
 // ρ-relaxation guarantee (§2.2): each place can hide at most the k newest
 // items it pushed, so a pop misses at most ρ = P·k items in total.
 //
-// Lists are realized as linked lists of fixed-size blocks (§4.2.3). In the
-// paper items carry per-place index tags to guard the taken flag against
-// ABA under item reuse; with Go's GC items are never reused, so a plain
-// CAS-able taken flag suffices (see DESIGN.md, substitutions).
+// Lists are realized as linked lists of blocks (§4.2.3), each a list node
+// plus a slab holding up to blockSize items inline: a push allocates two
+// objects per blockSize tasks, and the references in the priority queues
+// are interior pointers into the slabs. In the paper items carry
+// per-place index tags to guard the taken flag against ABA under item
+// reuse; with Go's GC items are never reused, so a plain CAS-able taken
+// flag suffices (see DESIGN.md, substitutions).
+//
+// Memory: nothing roots the global list, so a list node is collectable
+// once every place's iterator has moved past it. Iterators advance on
+// pop and on publication only: a place that never pushes or pops keeps
+// the chain from its iterator onwards alive. A slab (the payloads of its
+// blockSize tasks included) lives until no priority queue references
+// one of its items; a reference to a task another place took is dropped
+// when it reaches the top of its queue. The slab is a separate object
+// from the node because such a reference can sit in a queue for long:
+// it may pin its slab, but must not pin the next link and with it every
+// block published since.
 package hybrid
 
 import (
@@ -37,8 +51,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// blockSize is the number of item slots per list block. 64 pointers fill
-// one 512-byte span, amortizing the pointer chase during scans and spying.
+// blockSize is the most item slots a list block has: one node, one slab
+// and one pointer chase per 64 tasks during pushes, scans and spying.
 const blockSize = 64
 
 // maxSpyBlocks caps how many blocks a single spy attempt traverses. A spy
@@ -47,21 +61,23 @@ const blockSize = 64
 // spurious failure, so bounding the walk is safe.
 const maxSpyBlocks = 1024
 
-// item is a task plus the owner place (so scans skip items the owner
-// already referenced at push time) and the taken flag.
+// item is a task plus the taken flag.
 type item[T any] struct {
 	taken atomic.Int32
-	place int32
 	v     T
 }
 
-// block is one node of a block list. items[i] for i < n.Load() are fully
-// published: the owner writes the slot before release-storing n, and
-// readers acquire-load n before reading slots.
+// block is one node of a block list. All its items were pushed by owner
+// (so the owner's scans skip the block: it referenced them at push
+// time). items is the slab, allocated by the first push into the block;
+// items[i] for i < n.Load() are fully published: the owner writes the
+// slab and the slot before release-storing n, and readers acquire-load n
+// before reading either.
 type block[T any] struct {
 	n     atomic.Int32
+	owner int32
 	next  atomic.Pointer[block[T]]
-	items [blockSize]*item[T]
+	items []item[T]
 }
 
 // cursor addresses a position inside a block chain.
@@ -74,7 +90,7 @@ type cursor[T any] struct {
 type place[T any] struct {
 	id        int32
 	rng       *xrand.Rand
-	pq        pq.Queue[*item[T]]
+	pq        pq.Queue[pq.Keyed[*item[T]]]
 	listHead  atomic.Pointer[block[T]] // current local list (atomic: spied upon)
 	listTail  *block[T]                // owner-private
 	remaining int64                    // owner-private remaining_k budget
@@ -86,7 +102,6 @@ type place[T any] struct {
 type DS[T any] struct {
 	opts       core.Options[T]
 	noSpy      bool
-	globalHead *block[T]                // sentinel
 	globalTail atomic.Pointer[block[T]] // hint; the true tail is found by walking next
 	places     []*place[T]
 	ctrs       []core.Counters
@@ -112,60 +127,73 @@ func newDS[T any](opts core.Options[T], noSpy bool) (*DS[T], error) {
 		return nil, err
 	}
 	d := &DS[T]{
-		opts:       opts,
-		noSpy:      noSpy,
-		globalHead: &block[T]{},
-		places:     make([]*place[T], opts.Places),
-		ctrs:       make([]core.Counters, opts.Places),
+		opts:   opts,
+		noSpy:  noSpy,
+		places: make([]*place[T], opts.Places),
+		ctrs:   make([]core.Counters, opts.Places),
 	}
-	// The sentinel is "full" so iterators skip it uniformly.
-	d.globalHead.n.Store(blockSize)
-	d.globalTail.Store(d.globalHead)
+	// The global list starts at an empty sentinel block. Only the
+	// iterators and the tail hint hold it: the structure keeps no head, or
+	// every block ever published would stay reachable.
+	sentinel := &block[T]{owner: -1}
+	d.globalTail.Store(sentinel)
 	seeds := xrand.New(opts.Seed)
 	for i := range d.places {
 		p := &place[T]{
 			id:        int32(i),
 			rng:       seeds.Split(),
 			remaining: math.MaxInt64,
-			giter:     cursor[T]{b: d.globalHead, idx: blockSize},
+			giter:     cursor[T]{b: sentinel},
 		}
 		p.lastHit.Store(int32((i + 1) % opts.Places))
-		p.pq = core.NewLocalQueue(opts.LocalQueue, func(a, b *item[T]) bool {
-			return opts.Less(a.v, b.v)
+		p.pq = core.NewLocalQueue(opts.LocalQueue, opts.Prio != nil, func(a, b pq.Keyed[*item[T]]) bool {
+			return opts.Less(a.V.v, b.V.v)
 		}, p.rng.Uint64())
-		p.listHead.Store(&block[T]{})
-		p.listTail = p.listHead.Load()
+		p.listTail = &block[T]{owner: p.id}
+		p.listHead.Store(p.listTail)
 		d.places[i] = p
 	}
 	return d, nil
 }
 
+// ref is the local-queue reference to it.
+func (d *DS[T]) ref(it *item[T]) pq.Keyed[*item[T]] {
+	return pq.Keyed[*item[T]]{Key: d.opts.Key(it.v), V: it}
+}
+
 // Push stores v with relaxation parameter k (Listing 3).
+//
+//schedlint:hotpath
 func (d *DS[T]) Push(pl int, k int, v T) {
 	p := d.places[pl]
-	it := &item[T]{place: p.id, v: v}
+
+	// remaining_k = min(remaining_k − 1, k): the strictest pending task
+	// dictates when the local list must become globally visible.
+	rem := min(p.remaining-1, int64(k))
+	p.remaining = rem
 
 	// Place the task in the local list and the local priority queue.
 	tailBlk := p.listTail
 	n := tailBlk.n.Load()
-	if n == blockSize {
-		nb := &block[T]{}
-		tailBlk.next.Store(nb)
-		p.listTail = nb
-		tailBlk, n = nb, 0
+	if int(n) == len(tailBlk.items) {
+		if n > 0 {
+			//schedlint:ignore one list node per slab
+			nb := &block[T]{owner: p.id}
+			tailBlk.next.Store(nb)
+			p.listTail = nb
+			tailBlk, n = nb, 0
+		}
+		// The list takes this task and at most rem more before it is
+		// published, so a small k gets a small slab.
+		//schedlint:ignore one slab per blockSize pushes, or per publication when k is smaller: the items live inline in it
+		tailBlk.items = make([]item[T], min(max(rem, 0)+1, blockSize))
 	}
-	tailBlk.items[n] = it
+	it := &tailBlk.items[n]
+	it.v = v
 	tailBlk.n.Store(n + 1) // release: publishes items[n] to spies
-	p.pq.Push(it)
+	p.pq.Push(d.ref(it))
 	d.ctrs[pl].Pushes.Add(1)
 
-	// remaining_k = min(remaining_k − 1, k): the strictest pending task
-	// dictates when the local list must become globally visible.
-	rem := p.remaining - 1
-	if int64(k) < rem {
-		rem = int64(k)
-	}
-	p.remaining = rem
 	if rem <= 0 {
 		d.publish(pl, p)
 	}
@@ -185,7 +213,8 @@ func (d *DS[T]) publish(pl int, p *place[T]) {
 			break
 		}
 	}
-	fresh := &block[T]{}
+	//schedlint:ignore one list node per publication (every k+1 pushes) starts the next local list
+	fresh := &block[T]{owner: p.id}
 	p.listHead.Store(fresh)
 	p.listTail = fresh
 	p.remaining = math.MaxInt64
@@ -207,20 +236,23 @@ func (d *DS[T]) findTail() *block[T] {
 }
 
 // processGlobalList adds references to all unread global items to the
-// local priority queue, skipping the place's own items (already referenced
-// at push time) and items already taken.
+// local priority queue, skipping the place's own blocks (already
+// referenced at push time) and items already taken.
+//
+//schedlint:hotpath
 func (d *DS[T]) processGlobalList(pl int, p *place[T]) {
 	cur := p.giter
 	for {
 		// Blocks reachable from the global list are frozen: a place stops
 		// appending to a chain before publishing it, so n is final here.
 		n := cur.b.n.Load()
-		for cur.idx < n {
-			it := cur.b.items[cur.idx]
-			if it.place != p.id && it.taken.Load() == 0 {
-				p.pq.Push(it)
+		if cur.b.owner == p.id {
+			cur.idx = n
+		}
+		for ; cur.idx < n; cur.idx++ {
+			if it := &cur.b.items[cur.idx]; it.taken.Load() == 0 {
+				p.pq.Push(d.ref(it))
 			}
-			cur.idx++
 		}
 		next := cur.b.next.Load()
 		if next == nil {
@@ -232,16 +264,19 @@ func (d *DS[T]) processGlobalList(pl int, p *place[T]) {
 }
 
 // Pop removes and returns a task (Listing 4).
+//
+//schedlint:hotpath
 func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 	p := d.places[pl]
 	c := &d.ctrs[pl]
 	for {
 		d.processGlobalList(pl, p)
 		for {
-			it, any := p.pq.Pop()
+			e, any := p.pq.Pop()
 			if !any {
 				break
 			}
+			it := e.V
 			if it.taken.Load() != 0 {
 				continue
 			}
@@ -299,12 +334,15 @@ func (d *DS[T]) spy(pl int, p *place[T]) bool {
 	got := 0
 	blk := victim.listHead.Load()
 	for hops := 0; blk != nil && hops < maxSpyBlocks; hops++ {
-		n := blk.n.Load()
-		for i := int32(0); i < n; i++ {
-			it := blk.items[i]
-			if it.place != p.id && it.taken.Load() == 0 {
-				p.pq.Push(it)
-				got++
+		// A victim that publishes mid-walk splices this chain into the
+		// global list, where the spy's own blocks may follow.
+		if blk.owner != p.id {
+			n := blk.n.Load()
+			for i := int32(0); i < n; i++ {
+				if it := &blk.items[i]; it.taken.Load() == 0 {
+					p.pq.Push(d.ref(it))
+					got++
+				}
 			}
 		}
 		blk = blk.next.Load()

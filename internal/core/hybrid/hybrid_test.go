@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -8,14 +9,34 @@ import (
 	"repro/internal/xrand"
 )
 
-func TestConformance(t *testing.T) {
-	dstest.Run(t, "Hybrid", func(opts core.Options[int64]) (core.DS[int64], error) {
+// factory builds the structure for the conformance suite, with the
+// values' own integer projection set when keyed.
+func factory(keyed bool, kind core.LocalQueueKind) dstest.Factory {
+	return func(opts core.Options[int64]) (core.DS[int64], error) {
+		if keyed {
+			opts.Prio = func(v int64) int64 { return v }
+		}
+		opts.LocalQueue = kind
 		d, err := New(opts)
 		if err != nil {
 			return nil, err
 		}
 		return d, nil
-	})
+	}
+}
+
+func TestConformance(t *testing.T) {
+	dstest.Run(t, "Hybrid", factory(false, core.BinaryHeap))
+}
+
+// TestConformanceKeyed runs the same suite, fixtures included, on local
+// queues ordered by the cached key — pq.KeyHeap for the default kind,
+// the generic queues comparing keys for the other two. The key agrees
+// with Less, so nothing the contract promises may change.
+func TestConformanceKeyed(t *testing.T) {
+	dstest.Run(t, "HybridKeyHeap", factory(true, core.BinaryHeap))
+	dstest.Run(t, "HybridKeyedPairing", factory(true, core.PairingHeap))
+	dstest.Run(t, "HybridKeyedSkipList", factory(true, core.SkipListQueue))
 }
 
 // TestNoSpyOwnerDrain pins the no-spy ablation's intentional liveness
@@ -293,5 +314,127 @@ func TestBlockChainGrowth(t *testing.T) {
 	}
 	if got != int(n) {
 		t.Fatalf("spied %d of %d chained tasks", got, n)
+	}
+}
+
+// TestPublishedBlocksAreCollectable: a long-lived structure must not
+// keep every block it ever published. Nothing but the places' iterators
+// and the tail hint may hold the global list, so once a round has been
+// drained its blocks are garbage and the heap stays flat across rounds.
+func TestPublishedBlocksAreCollectable(t *testing.T) {
+	d, err := New(core.Options[int64]{
+		Places: 2,
+		Less:   func(a, b int64) bool { return a < b },
+		Seed:   7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perRound = 50_000
+	inuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	var after2 uint64
+	for round := 1; round <= 20; round++ {
+		for i := 0; i < perRound; i++ {
+			d.Push(i&1, 64, int64(i))
+		}
+		for got, fails := 0, 0; got < perRound; {
+			_, ok0 := d.Pop(0)
+			_, ok1 := d.Pop(1)
+			if ok0 {
+				got++
+			}
+			if ok1 {
+				got++
+			}
+			if !ok0 && !ok1 {
+				if fails++; fails > 1<<12 {
+					t.Fatalf("round %d: drained %d of %d", round, got, perRound)
+				}
+			}
+		}
+		if round == 2 {
+			after2 = inuse()
+		}
+	}
+	after20 := inuse()
+	runtime.KeepAlive(d)
+	if after20 > 2*after2 {
+		t.Fatalf("HeapInuse %d KB after round 20, %d KB after round 2: published blocks are being retained",
+			after20>>10, after2>>10)
+	}
+	t.Logf("HeapInuse %d KB after round 2, %d KB after round 20", after2>>10, after20>>10)
+}
+
+// TestHybridPushAllocsAmortised pins the slab layout: items live inline
+// in their list block and the local queue grows by whole chunks, so a
+// push allocates a small fraction of an object, not one per task.
+func TestHybridPushAllocsAmortised(t *testing.T) {
+	const n = 64 << 10
+	for name, prio := range map[string]func(int64) int64{"less": nil, "keyed": func(v int64) int64 { return v }} {
+		allocs := testing.AllocsPerRun(3, func() {
+			d, err := New(core.Options[int64]{
+				Places: 1,
+				Less:   func(a, b int64) bool { return a < b },
+				Prio:   prio,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < n; i++ {
+				d.Push(0, 512, i^0x5555)
+			}
+			for i := 0; i < n; i++ {
+				if _, ok := d.Pop(0); !ok {
+					t.Fatalf("pop %d failed", i)
+				}
+			}
+		})
+		if perOp := allocs / n; perOp > 0.05 {
+			t.Errorf("%s: %.3f allocs per push+pop, want at most 0.05", name, perOp)
+		}
+	}
+}
+
+// TestSlabSizedByPublicationBudget: a list block's slab holds what the
+// local list can still take before it must be published, so strict
+// (small-k) use pays for a few items per publication, not for blockSize.
+func TestSlabSizedByPublicationBudget(t *testing.T) {
+	for _, c := range []struct {
+		k, pushes int
+		slabs     []int // slab sizes along the local list
+	}{
+		{k: 0, pushes: 1, slabs: []int{1}},
+		{k: 3, pushes: 4, slabs: []int{4}},
+		{k: blockSize + 9, pushes: blockSize + 10, slabs: []int{blockSize, 10}},
+		{k: 1 << 20, pushes: blockSize + 1, slabs: []int{blockSize, blockSize}},
+	} {
+		d, err := New(core.Options[int64]{Places: 2, Less: func(a, b int64) bool { return a < b }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := d.places[0].listHead.Load()
+		if blk.items != nil {
+			t.Fatalf("k=%d: the empty list already has a slab", c.k)
+		}
+		for i := 0; i < c.pushes; i++ {
+			d.Push(0, c.k, int64(i))
+		}
+		for i, want := range c.slabs {
+			if blk == nil {
+				t.Fatalf("k=%d: the list ends after %d blocks, want %d", c.k, i, len(c.slabs))
+			}
+			if len(blk.items) != want {
+				t.Fatalf("k=%d: block %d of the list has a slab of %d items, want %d", c.k, i, len(blk.items), want)
+			}
+			blk = blk.next.Load()
+		}
+		if blk != nil {
+			t.Fatalf("k=%d: more than %d blocks for %d pushes", c.k, len(c.slabs), c.pushes)
+		}
 	}
 }

@@ -7,9 +7,12 @@
 // implementations are provided: an array-backed binary heap (the default;
 // cache-friendly, O(log n) push/pop, O(1) arbitrary-half split for
 // steal-half work-stealing) and a pairing heap (pointer-based, O(1)
-// amortized push, useful as an independent oracle in tests).
+// amortized push, useful as an independent oracle in tests). A skip list
+// and, for integer priority domains, a bucket queue are alternatives; and
+// where the priority projects to an integer key, KeyHeap orders Keyed
+// entries by that key without calling a comparator at all.
 //
-// Neither implementation is safe for concurrent use; the owning place is
+// No implementation is safe for concurrent use; the owning place is
 // the only accessor, exactly as in the paper's data structure model.
 package pq
 

@@ -15,6 +15,7 @@ func makers() map[string]func() Queue[int] {
 		"BinHeap":     func() Queue[int] { return NewBinHeap(intLess) },
 		"PairingHeap": func() Queue[int] { return NewPairingHeap(intLess) },
 		"SkipList":    func() Queue[int] { return NewSkipList(intLess, 42) },
+		"KeyHeap":     func() Queue[int] { return keyedInts{NewKeyHeap[int]()} },
 		// One band per value over the test domain (int16, shifted to be
 		// non-negative): at that resolution the bucket queue is an exact
 		// priority queue and must pass the whole generic suite.

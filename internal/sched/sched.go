@@ -220,10 +220,15 @@ type Config[T any] struct {
 	// system from its callers.
 	Backpressure bool
 	// Priority maps a task to its numeric priority (smaller is more
-	// urgent), the value the admission threshold is compared against at
-	// Submit time. Required when Backpressure is set; it must agree with
-	// Less (Priority(a) < Priority(b) implies Less(a, b)) or the gate
-	// polices a different order than the structure serves.
+	// urgent). It is the one numeric projection of the order: the relaxed
+	// strategies' lanes advertise their minima with it, the k-priority
+	// strategies (Centralized, Hybrid) key their place-local queues on it
+	// — computed once per reference instead of one Less call per heap
+	// comparison — and the admission threshold is compared against it at
+	// Submit time. Optional except with Backpressure and Resolution; it
+	// must agree with Less (Priority(a) < Priority(b) implies Less(a, b))
+	// or the queues and the gate follow a different order than Less
+	// describes. Tasks with equal Priority run in unspecified order.
 	Priority func(T) int64
 	// MaxPrio is the inclusive upper bound of the Priority domain
 	// (required ≥ 1 with Backpressure, and with Resolution > 1).
@@ -616,16 +621,19 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 			return HomeGroup(pl-p, inj, g)
 		}
 	}
-	// Whenever the caller supplies a numeric Priority, hand the relaxed
-	// structure its projection: the lanes then advertise their minima as
-	// plain atomic integers instead of boxed task copies — one heap
-	// allocation per lane lock episode gone, the load-bearing piece of
-	// the allocation-free serve path. Priority is documented to agree
-	// with Less, which is exactly the agreement the projection needs.
+	// Whenever the caller supplies a numeric Priority, hand the
+	// structures its projection. The relaxed lanes then advertise their
+	// minima as plain atomic integers instead of boxed task copies — one
+	// heap allocation per lane lock episode gone, the load-bearing piece
+	// of the allocation-free serve path — and the k-priority structures
+	// key their place-local queues on it instead of calling Less per heap
+	// comparison. Priority is documented to agree with Less, which is
+	// exactly the agreement the projection needs.
 	var num relaxed.NumericConfig[envelope[T]]
 	if cfg.Priority != nil {
 		pr := cfg.Priority
-		num.Prio = func(e envelope[T]) int64 { return pr(e.v) }
+		opts.Prio = func(e envelope[T]) int64 { return pr(e.v) }
+		num.Prio = opts.Prio
 		num.MaxPrio = cfg.MaxPrio
 		num.Resolution = cfg.Resolution
 	}

@@ -14,6 +14,7 @@
 package sssp
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -73,6 +74,12 @@ type NodeTask struct {
 	Node int32
 	Dist float64
 }
+
+// distKey is the scheduler's numeric projection of a task's priority.
+// The IEEE-754 bit patterns of non-negative floats order like the floats
+// themselves, and Dijkstra's distances are never negative, so the bits
+// of Dist are a key that agrees with Less exactly.
+func distKey(t NodeTask) int64 { return int64(math.Float64bits(t.Dist)) }
 
 // Options configures a parallel SSSP run.
 type Options struct {
@@ -137,6 +144,7 @@ func NewSolver(n int, opt Options) (*Solver, error) {
 		LocalQueue: opt.LocalQueue,
 		Seed:       opt.Seed,
 		Less:       func(a, b NodeTask) bool { return a.Dist < b.Dist },
+		Priority:   distKey,
 		// A task is dead iff the node's distance moved on since spawn
 		// (§5.1): it was superseded by a re-inserted improvement.
 		Stale:   func(t NodeTask) bool { return sv.load(t.Node) != t.Dist },
@@ -184,6 +192,12 @@ func (sv *Solver) relaxNode(ctx *sched.Ctx[NodeTask], t NodeTask) {
 // Solve runs the parallel algorithm on g from src. g must have at most
 // the node count the solver was built with.
 func (sv *Solver) Solve(g *graph.Graph, src int) (Result, error) {
+	if g.N > len(sv.dist) {
+		return Result{}, fmt.Errorf("sssp: graph has %d nodes, solver built for %d", g.N, len(sv.dist))
+	}
+	if src < 0 || src >= g.N {
+		return Result{}, fmt.Errorf("sssp: source %d out of range [0, %d)", src, g.N)
+	}
 	sv.g = g
 	infBits := math.Float64bits(Inf)
 	for i := 0; i < g.N; i++ {

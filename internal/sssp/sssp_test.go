@@ -3,6 +3,7 @@ package sssp
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/sched"
@@ -52,30 +53,99 @@ func TestDijkstraSingleNode(t *testing.T) {
 var parallelStrategies = []sched.Strategy{
 	sched.WorkStealing, sched.Centralized, sched.Hybrid, sched.Relaxed,
 	sched.WorkStealingStealOne, sched.HybridNoSpy, sched.GlobalHeap,
+	sched.RelaxedSampleTwo,
 }
 
+// TestParallelMatchesDijkstraAllStrategies: the solver hands every
+// strategy its numeric projection of the distance, so each one — keyed
+// local queues, keyed lanes, or Less alone — must still produce exactly
+// Dijkstra's distances, on a uniform, a long-diameter and a hub-heavy
+// graph.
 func TestParallelMatchesDijkstraAllStrategies(t *testing.T) {
-	g := graph.ErdosRenyi(300, 0.1, 11)
-	want, _ := Dijkstra(g, 0)
+	graphs := map[string]*graph.Graph{
+		"er":   graph.ErdosRenyi(300, 0.1, 11),
+		"grid": graph.Grid(15, 20, 5),
+		"rmat": graph.RMAT(8, 8, 0, 0, 0, 7),
+	}
 	for _, strat := range parallelStrategies {
 		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, places := range []int{1, 4} {
-				res, err := Parallel(g, 0, Options{
-					Places: places, Strategy: strat, K: 64, Seed: 1,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !Equal(res.Dist, want, 1e-12) {
-					t.Fatalf("places=%d: distance vector differs from Dijkstra", places)
-				}
-				if res.NodesRelaxed < 300 {
-					t.Fatalf("places=%d: relaxed %d < n; missed nodes", places, res.NodesRelaxed)
+			for name, g := range graphs {
+				want, reachable := Dijkstra(g, 0)
+				for _, places := range []int{1, 2, 4} {
+					res, err := Parallel(g, 0, Options{
+						Places: places, Strategy: strat, K: 64, Seed: 1,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !Equal(res.Dist, want, 0) {
+						t.Fatalf("%s places=%d: distance vector differs from Dijkstra", name, places)
+					}
+					if res.NodesRelaxed < reachable {
+						t.Fatalf("%s places=%d: relaxed %d < %d reachable; missed nodes", name, places, res.NodesRelaxed, reachable)
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestDistKeyPreservesOrder: the key the queues sort by must order
+// non-negative distances exactly as < does, ties included, from zero
+// through the subnormals to +Inf.
+func TestDistKeyPreservesOrder(t *testing.T) {
+	key := func(d float64) int64 { return distKey(NodeTask{Dist: d}) }
+	fixed := []float64{0, math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 1, math.Nextafter(1, 2), math.MaxFloat64, Inf}
+	for i, a := range fixed {
+		if key(a) < 0 {
+			t.Fatalf("key(%v) = %d is negative", a, key(a))
+		}
+		if i > 0 && key(fixed[i-1]) >= key(a) {
+			t.Fatalf("key(%v) = %d not below key(%v) = %d", fixed[i-1], key(fixed[i-1]), a, key(a))
+		}
+	}
+	f := func(x, y float64) bool {
+		a, b := math.Abs(x), math.Abs(y)
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return true
+		}
+		return (a < b) == (key(a) < key(b)) && (a == b) == (key(a) == key(b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSolveRejectsBadInput: the graph and the source are caller input,
+// so a graph larger than the solver or a source outside it is an error,
+// not an index panic, and the solver stays usable afterwards.
+func TestSolveRejectsBadInput(t *testing.T) {
+	small, big := graph.ErdosRenyi(50, 0.2, 1), graph.ErdosRenyi(51, 0.2, 1)
+	sv, err := NewSolver(small.N, Options{Places: 2, Strategy: sched.Hybrid, K: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		src  int
+		want string
+	}{
+		{"graph larger than solver", big, 0, "sssp: graph has 51 nodes, solver built for 50"},
+		{"negative source", small, -1, "sssp: source -1 out of range [0, 50)"},
+		{"source past the last node", small, 50, "sssp: source 50 out of range [0, 50)"},
+		{"source past a smaller graph", graph.ErdosRenyi(10, 0.5, 1), 10, "sssp: source 10 out of range [0, 10)"},
+	} {
+		if _, err := sv.Solve(c.g, c.src); err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+	want, _ := Dijkstra(small, 49)
+	res, err := sv.Solve(small, 49)
+	if err != nil || !Equal(res.Dist, want, 0) {
+		t.Fatalf("solve after rejected inputs: err = %v", err)
 	}
 }
 

@@ -184,15 +184,20 @@ type SchedulerConfig[T any] struct {
 	Backpressure bool
 	// Priority maps a task to its numeric priority (smaller is more
 	// urgent); required with Backpressure and must agree with Less
-	// (Priority(a) < Priority(b) must imply Less(a, b)).
+	// (Priority(a) < Priority(b) must imply Less(a, b)). Tasks with
+	// equal Priority run in unspecified order.
 	//
-	// Supplying it also helps the relaxed strategies: they use it as a
-	// numeric projection, advertising each lane's minimum as a plain
-	// atomic int64. The Less-only fallback advertises a boxed copy of
-	// the task through a hazard-guarded per-lane box recycle — also
-	// zero steady-state allocations per lock episode, at a slightly
-	// higher sampling cost. Set Priority whenever tasks have a numeric
-	// priority, even with Backpressure off.
+	// It is the one numeric projection of the order, and every strategy
+	// with a queue to key uses it. The relaxed strategies advertise each
+	// lane's minimum as a plain atomic int64 (the Less-only fallback
+	// advertises a boxed copy of the task through a hazard-guarded
+	// per-lane box recycle — also zero steady-state allocations per lock
+	// episode, at a slightly higher sampling cost). Centralized and
+	// Hybrid key their place-local queues on it: the key is computed
+	// once per queue entry and, with the default BinaryHeap kind, heap
+	// comparisons are inlined integer compares instead of Less calls.
+	// Set Priority whenever tasks have a numeric priority, even with
+	// Backpressure off.
 	Priority func(T) int64
 	// MaxPrio is the inclusive upper bound of the Priority domain
 	// (required ≥ 1 with Backpressure, and with Resolution > 1).

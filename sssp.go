@@ -70,7 +70,10 @@ func DeltaStepping(g Graph, src int, delta float64) ([]float64, int64) {
 
 // SSSPOptions configures a parallel shortest-path run (§5.1's application:
 // one task per pending node relaxation, prioritized by tentative
-// distance).
+// distance). The solver supplies the scheduler's numeric Priority
+// itself — the bit pattern of the non-negative distance, which orders
+// exactly like the distance — so every strategy runs on keyed queues
+// or lanes without a field here.
 type SSSPOptions struct {
 	// Places is the number of workers (the paper's P).
 	Places int
@@ -100,6 +103,7 @@ type SSSPResult struct {
 }
 
 // SolveSSSP runs the parallel shortest-path computation on g from src.
+// A src outside [0, g.N) is an error.
 func SolveSSSP(g Graph, src int, opt SSSPOptions) (SSSPResult, error) {
 	res, err := sssp.Parallel(g.Graph, src, sssp.Options{
 		Places:     opt.Places,
