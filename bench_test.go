@@ -23,6 +23,7 @@ package repro_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -258,39 +259,98 @@ func BenchmarkAblationLocalQueue(b *testing.B) {
 
 // BenchmarkLocalQueue prices one pop + push on a place-local queue held
 // at 32 k references (the hold model: the new priority is the popped one
-// plus a random increment, as in SSSP), as core.NewLocalQueue builds it
-// for a structure without and with a numeric projection.
+// plus a random increment, as in SSSP): the Less-ordered heap
+// core.NewLocalQueue builds for a structure without a numeric
+// projection, the keyed heap, and the windowed bucket queue it builds
+// with one — on uniform integer increments, on the bit patterns of
+// float distances (sssp's keys), and on keys so close together that
+// they share one band until the queue narrows its bands to single keys.
 func BenchmarkLocalQueue(b *testing.B) {
 	const depth = 32 << 10
 	type task struct{ prio int64 }
+	type queue = pq.Queue[pq.Keyed[*task]]
 	less := func(x, y pq.Keyed[*task]) bool { return x.V.prio < y.V.prio }
+	addFloat := func(prio int64, d float64) int64 {
+		return int64(math.Float64bits(math.Float64frombits(uint64(prio)) + d))
+	}
 	for _, c := range []struct {
 		name  string
 		keyed bool
-	}{{"binheap-less", false}, {"keyheap", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			q := core.NewLocalQueue(core.BinaryHeap, c.keyed, less, 1)
-			push := func(t *task) {
-				e := pq.Keyed[*task]{V: t}
-				if c.keyed {
-					e.Key = t.prio
+		mk    func() queue
+	}{
+		{"binheap-less", false, func() queue { return core.NewLocalQueue(core.BinaryHeap, false, less, 1) }},
+		{"keyheap", true, func() queue { return pq.NewKeyHeap[*task]() }},
+		{"keywindow", true, func() queue { return core.NewLocalQueue(core.BinaryHeap, true, less, 1) }},
+	} {
+		for _, ks := range []struct {
+			name string
+			next func(r *xrand.Rand, prio int64) int64
+		}{
+			{"uniform", func(r *xrand.Rand, prio int64) int64 { return prio + int64(r.Intn(1<<20)) }},
+			{"floatbits", func(r *xrand.Rand, prio int64) int64 { return addFloat(prio, r.Float64()) }},
+			{"oneband", func(r *xrand.Rand, prio int64) int64 { return prio + int64(r.Intn(2)) }},
+		} {
+			b.Run(c.name+"/"+ks.name, func(b *testing.B) {
+				q := c.mk()
+				push := func(t *task) {
+					e := pq.Keyed[*task]{V: t}
+					if c.keyed {
+						e.Key = t.prio
+					}
+					q.Push(e)
 				}
-				q.Push(e)
-			}
-			r := xrand.New(1)
-			tasks := make([]task, depth)
-			for i := range tasks {
-				tasks[i].prio = int64(r.Intn(1 << 20))
-				push(&tasks[i])
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e, _ := q.Pop()
-				e.V.prio += int64(r.Intn(1 << 20))
-				push(e.V)
-			}
-		})
+				r := xrand.New(1)
+				tasks := make([]task, depth)
+				for i := range tasks {
+					tasks[i].prio = ks.next(r, 0)
+					push(&tasks[i])
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e, _ := q.Pop()
+					e.V.prio = ks.next(r, e.V.prio)
+					push(e.V)
+				}
+			})
+		}
 	}
+}
+
+// BenchmarkSpawnAccounting prices the scheduler's own cost per task —
+// spawn, push, pop, execute and the task accounting around them — with
+// nothing else in the way: a binary spawn tree of empty tasks on two
+// places (2^17 − 1 tasks per Run).
+func BenchmarkSpawnAccounting(b *testing.B) {
+	const depth = 16
+	s, err := sched.New(sched.Config[int64]{
+		Places:   2,
+		Strategy: sched.Hybrid,
+		K:        512,
+		Less:     func(x, y int64) bool { return x > y },
+		Priority: func(v int64) int64 { return -v },
+		Execute: func(ctx *sched.Ctx[int64], v int64) {
+			if v > 0 {
+				ctx.Spawn(v - 1)
+				ctx.Spawn(v - 1)
+			}
+		},
+		Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tasks int64
+	var elapsed time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := s.Run(depth)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasks += st.Executed
+		elapsed += st.Elapsed
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(tasks), "ns/task")
 }
 
 // BenchmarkExtensionStructural compares the §5.3 structural queue against

@@ -15,9 +15,28 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
+	"strings"
 
 	"repro"
 )
+
+// queues are the accepted -queue values; the flag's help text and the
+// rejection message are generated from it.
+var queues = map[string]repro.LocalQueueKind{
+	"binary":   repro.BinaryHeap,
+	"pairing":  repro.PairingHeap,
+	"skiplist": repro.SkipListQueue,
+}
+
+func queueNames() string {
+	names := make([]string, 0, len(queues))
+	for name := range queues {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return strings.Join(names, "|")
+}
 
 func main() {
 	log.SetFlags(0)
@@ -34,7 +53,7 @@ func main() {
 		places = flag.Int("places", 8, "places P")
 		strat  = flag.String("strategy", "hybrid", "work-stealing|centralized|hybrid|relaxed|ws-steal-one|hybrid-no-spy|global-heap")
 		k      = flag.Int("k", 512, "relaxation parameter")
-		queue  = flag.String("queue", "binary", "local queue: binary|pairing")
+		queue  = flag.String("queue", "binary", "local queue: "+queueNames())
 		seed   = flag.Uint64("seed", 1, "random seed")
 		verify = flag.Bool("verify", true, "verify distances against Dijkstra")
 	)
@@ -89,14 +108,9 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown -strategy %q", *strat)
 	}
-	queues := map[string]repro.LocalQueueKind{
-		"binary":   repro.BinaryHeap,
-		"pairing":  repro.PairingHeap,
-		"skiplist": repro.SkipListQueue,
-	}
 	lq, ok := queues[*queue]
 	if !ok {
-		log.Fatalf("unknown -queue %q", *queue)
+		log.Fatalf("unknown -queue %q (want %s)", *queue, queueNames())
 	}
 
 	fmt.Printf("graph: %s, n=%d, m=%d undirected edges\n", *kind, g.N, g.M())

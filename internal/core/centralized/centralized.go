@@ -188,7 +188,7 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 			if it.tag.CompareAndSwap(r.tag, takenTag) {
 				c.Eliminated.Add(1)
 				if d.opts.OnEliminate != nil {
-					d.opts.OnEliminate(it.v)
+					d.opts.OnEliminate(pl, it.v)
 				}
 			}
 			continue
@@ -224,7 +224,7 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 				if it.tag.CompareAndSwap(pos, takenTag) {
 					c.Eliminated.Add(1)
 					if d.opts.OnEliminate != nil {
-						d.opts.OnEliminate(it.v)
+						d.opts.OnEliminate(pl, it.v)
 					}
 				}
 			} else {

@@ -105,15 +105,16 @@ const (
 // local component. It is the single place that picks the container.
 // Entries are references V tagged with their task's key (Options.Key).
 // With a projection (keyed) the queue orders by Key: the default
-// BinaryHeap kind becomes pq.KeyHeap, which compares integers inline,
-// and the other kinds compare keys through one closure. Without one
-// every key is 0 and the queue orders by less, the structure's
-// Options.Less lifted to its references. The seed drives the skip
-// list's level randomness (unused by the heaps).
+// BinaryHeap kind becomes pq.KeyWindow — exact by key like a heap, with
+// a bucket front that pops in O(1) and pq.KeyHeap behind it for the keys
+// outside its window — and the other kinds compare keys through one
+// closure. Without one every key is 0 and the queue orders by less, the
+// structure's Options.Less lifted to its references. The seed drives
+// the skip list's level randomness (unused by the heaps).
 func NewLocalQueue[V any](kind LocalQueueKind, keyed bool, less func(a, b pq.Keyed[V]) bool, seed uint64) pq.Queue[pq.Keyed[V]] {
 	if keyed {
 		if kind == BinaryHeap {
-			return pq.NewKeyHeap[V]()
+			return pq.NewKeyWindow[V]()
 		}
 		less = func(a, b pq.Keyed[V]) bool { return a.Key < b.Key }
 	}
@@ -146,9 +147,11 @@ type Options[T any] struct {
 	// lazily instead of returning them.
 	Stale func(T) bool
 	// OnEliminate is invoked once for every task retired through the
-	// Stale predicate (never concurrently for the same task). The
-	// scheduler uses it to settle its outstanding-task accounting.
-	OnEliminate func(T)
+	// Stale predicate (never concurrently for the same task), on the
+	// goroutine of the place whose pop retired it and with that place's
+	// id — so the scheduler settles its outstanding-task accounting in
+	// the place's own counters instead of a shared one.
+	OnEliminate func(place int, v T)
 	// KMax bounds per-task k values for the centralized structure, which
 	// must probe a bounded window past the tail (§4.1.2). Defaults to 512,
 	// the paper's choice.

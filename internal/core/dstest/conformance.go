@@ -130,7 +130,7 @@ func runFixture(t *testing.T, mk Factory, fx Fixture) {
 	if fx.StaleMod > 0 {
 		mod := fx.StaleMod
 		opts.Stale = func(v int64) bool { return v%mod == 0 }
-		opts.OnEliminate = func(int64) { eliminated.Add(1) }
+		opts.OnEliminate = func(int, int64) { eliminated.Add(1) }
 	}
 	d := mustNew(t, mk, opts)
 	for si, seg := range fx.Segments {

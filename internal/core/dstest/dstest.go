@@ -184,7 +184,7 @@ func staleElimination(t *testing.T, mk Factory) {
 		Places:      1,
 		Seed:        7,
 		Stale:       stale,
-		OnEliminate: func(int64) { eliminated.Add(1) },
+		OnEliminate: func(int, int64) { eliminated.Add(1) },
 	})
 	const n = 500
 	for i := int64(0); i < n; i++ {
@@ -736,7 +736,7 @@ func concurrentStaleFlips(t *testing.T, mk Factory) {
 		Places:      places,
 		Seed:        11,
 		Stale:       func(v int64) bool { return staleMask[v].Load() != 0 },
-		OnEliminate: func(int64) { eliminated.Add(1) },
+		OnEliminate: func(int, int64) { eliminated.Add(1) },
 	})
 	var wg sync.WaitGroup
 	var delivered atomic.Int64

@@ -68,7 +68,7 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 		if d.opts.Stale != nil && d.opts.Stale(v) {
 			c.Eliminated.Add(1)
 			if d.opts.OnEliminate != nil {
-				d.opts.OnEliminate(v)
+				d.opts.OnEliminate(pl, v)
 			}
 			continue
 		}
@@ -112,7 +112,7 @@ func (d *DS[T]) PopKInto(pl int, out []T) int {
 		if d.opts.Stale != nil && d.opts.Stale(v) {
 			c.Eliminated.Add(1)
 			if d.opts.OnEliminate != nil {
-				d.opts.OnEliminate(v)
+				d.opts.OnEliminate(pl, v)
 			}
 			continue
 		}

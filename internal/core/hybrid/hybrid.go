@@ -284,7 +284,7 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 				if it.taken.CompareAndSwap(0, 1) {
 					c.Eliminated.Add(1)
 					if d.opts.OnEliminate != nil {
-						d.opts.OnEliminate(it.v)
+						d.opts.OnEliminate(pl, it.v)
 					}
 				}
 				continue

@@ -97,7 +97,7 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 	p := d.places[pl]
 	c := &d.ctrs[pl]
 
-	if v, ok = d.popLocal(p, c); ok {
+	if v, ok = d.popLocal(pl); ok {
 		return v, true
 	}
 
@@ -141,7 +141,7 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 				}
 			}
 			p.mu.Unlock()
-			if v, ok = d.popLocal(p, c); ok {
+			if v, ok = d.popLocal(pl); ok {
 				return v, true
 			}
 		}
@@ -152,7 +152,8 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 }
 
 // popLocal pops the local minimum, eliminating stale tasks on the way.
-func (d *DS[T]) popLocal(p *place[T], c *core.Counters) (v T, ok bool) {
+func (d *DS[T]) popLocal(pl int) (v T, ok bool) {
+	p, c := d.places[pl], &d.ctrs[pl]
 	p.mu.Lock()
 	for {
 		v, ok = p.heap.Pop()
@@ -163,7 +164,7 @@ func (d *DS[T]) popLocal(p *place[T], c *core.Counters) (v T, ok bool) {
 		if d.opts.Stale != nil && d.opts.Stale(v) {
 			c.Eliminated.Add(1)
 			if d.opts.OnEliminate != nil {
-				d.opts.OnEliminate(v)
+				d.opts.OnEliminate(pl, v)
 			}
 			continue
 		}

@@ -10,7 +10,8 @@
 // amortized push, useful as an independent oracle in tests). A skip list
 // and, for integer priority domains, a bucket queue are alternatives; and
 // where the priority projects to an integer key, KeyHeap orders Keyed
-// entries by that key without calling a comparator at all.
+// entries by that key without calling a comparator at all, and KeyWindow
+// puts an exact bucket front before it that pops in O(1).
 //
 // No implementation is safe for concurrent use; the owning place is
 // the only accessor, exactly as in the paper's data structure model.

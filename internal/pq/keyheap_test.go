@@ -9,21 +9,21 @@ import (
 	"repro/internal/xrand"
 )
 
-// keyedInts runs a KeyHeap through the generic Queue[int] suite: every
-// int is its own key.
-type keyedInts struct{ h *KeyHeap[int] }
+// keyedInts runs a queue of Keyed entries through the generic Queue[int]
+// suite: every int is its own key.
+type keyedInts struct{ q Queue[Keyed[int]] }
 
-func (q keyedInts) Push(v int) { q.h.Push(Keyed[int]{Key: int64(v), V: v}) }
-func (q keyedInts) Pop() (int, bool) {
-	e, ok := q.h.Pop()
+func (k keyedInts) Push(v int) { k.q.Push(Keyed[int]{Key: int64(v), V: v}) }
+func (k keyedInts) Pop() (int, bool) {
+	e, ok := k.q.Pop()
 	return e.V, ok
 }
-func (q keyedInts) Peek() (int, bool) {
-	e, ok := q.h.Peek()
+func (k keyedInts) Peek() (int, bool) {
+	e, ok := k.q.Peek()
 	return e.V, ok
 }
-func (q keyedInts) Len() int { return q.h.Len() }
-func (q keyedInts) Clear()   { q.h.Clear() }
+func (k keyedInts) Len() int { return k.q.Len() }
+func (k keyedInts) Clear()   { k.q.Clear() }
 
 // edgeKeys are mixed into the random scripts: the extremes of the key
 // domain, and a small range so that duplicates are common.

@@ -16,6 +16,11 @@ func makers() map[string]func() Queue[int] {
 		"PairingHeap": func() Queue[int] { return NewPairingHeap(intLess) },
 		"SkipList":    func() Queue[int] { return NewSkipList(intLess, 42) },
 		"KeyHeap":     func() Queue[int] { return keyedInts{NewKeyHeap[int]()} },
+		// Fresh, a KeyWindow is its fallback heap; the suite's queues
+		// mostly stay below the size at which the band table is built, so
+		// the second maker hands it out with the bands already in use.
+		"KeyWindow":        func() Queue[int] { return keyedInts{NewKeyWindow[int]()} },
+		"KeyWindow-banded": func() Queue[int] { return keyedInts{bandedWindow()} },
 		// One band per value over the test domain (int16, shifted to be
 		// non-negative): at that resolution the bucket queue is an exact
 		// priority queue and must pass the whole generic suite.

@@ -723,7 +723,7 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 		if !d.laneEmpty(ln) {
 			if ln.mu.TryLock() {
 				st.popLeft--
-				if got := d.drainLocked(ln, c, out); got > 0 {
+				if got := d.drainLocked(pl, ln, out); got > 0 {
 					st.homeMiss = 0
 					return got
 				}
@@ -760,7 +760,7 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 			ln.contended.Add(1)
 			continue
 		}
-		if got := d.drainLocked(ln, c, out); got > 0 {
+		if got := d.drainLocked(pl, ln, out); got > 0 {
 			st.popLane, st.popLeft = best, stick-1
 			st.homeMiss = 0
 			c.Resticks.Add(1)
@@ -784,7 +784,7 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 			ln.contended.Add(1)
 			continue
 		}
-		if got := d.drainLocked(ln, c, out); got > 0 {
+		if got := d.drainLocked(pl, ln, out); got > 0 {
 			st.popLane, st.popLeft = i, stick-1
 			st.homeMiss = 0
 			c.Resticks.Add(1)
@@ -826,7 +826,7 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 				ln.contended.Add(1)
 				continue
 			}
-			if got := d.drainLocked(ln, c, out); got > 0 {
+			if got := d.drainLocked(pl, ln, out); got > 0 {
 				c.CrossGroupPops.Add(int64(got))
 				return got
 			}
@@ -838,7 +838,8 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 
 // drainLocked pops up to len(out) non-stale tasks from ln, which the
 // caller holds locked, then re-advertises the minimum once and unlocks.
-func (d *DS[T]) drainLocked(ln *lane[T], c *core.Counters, out []T) int {
+func (d *DS[T]) drainLocked(pl int, ln *lane[T], out []T) int {
+	c := &d.ctrs[pl]
 	got := 0
 	for got < len(out) {
 		v, ok := ln.q.Pop()
@@ -848,7 +849,7 @@ func (d *DS[T]) drainLocked(ln *lane[T], c *core.Counters, out []T) int {
 		if d.opts.Stale != nil && d.opts.Stale(v) {
 			c.Eliminated.Add(1)
 			if d.opts.OnEliminate != nil {
-				d.opts.OnEliminate(v)
+				d.opts.OnEliminate(pl, v)
 			}
 			continue
 		}

@@ -67,13 +67,11 @@ func (s *Scheduler[T]) admit(v T, threshold int64, tenGated bool) (ten int, ok, 
 // the spillway (Deferred — accepted, it will execute at the latest when
 // Stop flushes the spillway), or, when the spillway is full, roll its
 // accounting back and reject it (Shed). The caller has already raised
-// pending.
+// injected.
 //
 //schedlint:hotpath
 func (s *Scheduler[T]) park(k int, v T, ten int, byQuota bool) Outcome {
-	s.serveFin.pending.Add(1)
-	s.spawned.Add(1)
-	if s.spill.Offer(deferredTask[T]{env: envelope[T]{v: v, fin: s.serveFin}, k: k}) {
+	if s.spill.Offer(deferredTask[T]{env: envelope[T]{v: v}, k: k}) {
 		s.deferredN.Add(1)
 		if s.tenants > 0 {
 			s.ten[ten].deferred.v.Add(1)
@@ -91,9 +89,7 @@ func (s *Scheduler[T]) park(k int, v T, ten int, byQuota bool) Outcome {
 		}
 		return Deferred
 	}
-	s.serveFin.pending.Add(-1)
-	s.spawned.Add(-1)
-	s.pending.Add(-1)
+	s.injected.Add(-1)
 	s.shed.Add(1)
 	if s.tenants > 0 {
 		s.ten[ten].shed.v.Add(1)

@@ -33,7 +33,7 @@ type admitResult struct {
 	outcomes                                    []Outcome
 	tenants                                     []TenantCounters
 	shed, deferred, tenShed, tenDeferred        int64
-	admitted, pending, spawned, finPending      int64
+	admitted, pending, injected                 int64
 	finalTenants                                []TenantCounters
 	finalExecuted, finalReadmitted, finalPushes int64
 }
@@ -105,8 +105,7 @@ func replayAdmit(t *testing.T, c admitCase, batch int) admitResult {
 	st := s.Stats()
 	r.tenants = s.TenantCounters()
 	r.shed, r.deferred, r.tenShed, r.tenDeferred = st.Shed, st.Deferred, st.TenantShed, st.TenantDeferred
-	r.admitted, r.pending, r.spawned = s.admittedN.Load(), s.pending.Load(), s.spawned.Load()
-	r.finPending = s.serveFin.pending.Load()
+	r.admitted, r.pending, r.injected = s.admittedN.Load(), s.Pending(), s.injected.Load()
 
 	close(release)
 	stopped := make(chan RunStats, 1)
@@ -211,9 +210,9 @@ func TestAdmissionPathsEquivalent(t *testing.T) {
 			if want.shed != counts[Shed] || want.deferred != counts[Deferred] || want.admitted != counts[Admitted] {
 				t.Fatalf("counters disagree with outcomes %v: shed=%d deferred=%d admitted=%d", counts, want.shed, want.deferred, want.admitted)
 			}
-			if want.pending != accepted || want.spawned != accepted || want.finPending != accepted {
-				t.Fatalf("with %d accepted tasks outstanding: pending=%d spawned=%d finish-region=%d (shed tasks must be rolled back)",
-					accepted, want.pending, want.spawned, want.finPending)
+			if want.pending != accepted || want.injected != accepted {
+				t.Fatalf("with %d accepted tasks outstanding: pending=%d injected=%d (shed tasks must be rolled back)",
+					accepted, want.pending, want.injected)
 			}
 			if want.finalExecuted != accepted || want.finalReadmitted != counts[Deferred] || want.finalPushes != accepted {
 				t.Fatalf("after Stop: executed=%d readmitted=%d pushes=%d, want %d/%d/%d",

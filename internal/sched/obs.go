@@ -140,10 +140,10 @@ func (s *Scheduler[T]) newServeMetrics(sink obs.Sink) *serveMetrics {
 // Same sources as the controller snapshots (bpSnapshot, plSnapshot):
 // the structure's counters plus the scheduler-level admission atomics.
 func (s *Scheduler[T]) obsCumNow() obsCum {
-	st := s.ds.Stats()
+	st, now := s.ds.Stats(), s.scan(nil)
 	c := obsCum{
-		executed:    s.executed.Load(),
-		spawned:     s.spawned.Load(),
+		executed:    now.executed,
+		spawned:     now.injected + now.spawned,
 		shed:        s.shed.Load(),
 		deferred:    s.deferredN.Load(),
 		readmitted:  s.readmitted.Load(),
@@ -198,7 +198,7 @@ func (s *Scheduler[T]) obsTick(at time.Duration, rank float64) {
 	m.laneCont.Add(cur.laneCont - m.prev.laneCont)
 	m.resticks.Add(cur.resticks - m.prev.resticks)
 
-	m.pending.Set(float64(s.pending.Load()))
+	m.pending.Set(float64(s.Pending()))
 	m.effBatchG.Set(float64(s.effBatch.Load()))
 	if dt := (at - m.lastAt).Seconds(); dt > 0 {
 		m.tasksPerSec.Set(float64(cur.executed-m.prev.executed) / dt)

@@ -14,9 +14,10 @@
 // other tasks while it waits (work-helping), so no place ever idles inside
 // a finish.
 //
-// Termination: the scheduler counts outstanding tasks globally; pops are
-// allowed to fail spuriously (§2.1), so a failed pop is always a retry
-// with bounded backoff, and workers exit only when the count reaches zero.
+// Termination: every place counts the tasks it creates and retires in a
+// ledger of its own (ledger.go); pops are allowed to fail spuriously
+// (§2.1), so a failed pop is always a retry with bounded backoff, and
+// workers exit only when a scan of the ledgers finds nothing outstanding.
 package sched
 
 import (
@@ -120,6 +121,10 @@ func (s Strategy) String() string {
 // Config configures a Scheduler.
 type Config[T any] struct {
 	// Places is the number of worker threads of execution (the paper's P).
+	// Each place counts the tasks it spawns, executes and eliminates in
+	// counters of its own, so spawning and executing write no memory
+	// another place writes; Pending, Drain and termination read all P of
+	// them (ledger.go).
 	Places int
 	// Strategy selects the backing data structure.
 	Strategy Strategy
@@ -132,7 +137,12 @@ type Config[T any] struct {
 	Less func(a, b T) bool
 	// Execute runs one task. It may spawn further tasks through ctx.
 	Execute func(ctx *Ctx[T], v T)
-	// Stale optionally marks dead tasks for lazy elimination (§5.1).
+	// Stale optionally marks dead tasks for lazy elimination (§5.1): a
+	// task it condemns when a pop reaches it is retired without running —
+	// counted in RunStats.Eliminated, settled in the task accounting (and
+	// in its tenant's backlog) exactly like an executed one. It is called
+	// from the popping place's goroutine and must be safe to call from
+	// all of them at once.
 	Stale func(T) bool
 	// LocalQueue selects the sequential local priority queue kind.
 	LocalQueue core.LocalQueueKind
@@ -306,7 +316,9 @@ type Config[T any] struct {
 	Seed uint64
 }
 
-// envelope wraps a task with the finish region it belongs to.
+// envelope wraps a task with the finish region it belongs to: the
+// innermost Ctx.Finish it was (transitively) spawned inside, nil outside
+// any.
 type envelope[T any] struct {
 	v   T
 	fin *finishRegion
@@ -321,7 +333,7 @@ type deferredTask[T any] struct {
 }
 
 // finishRegion counts the outstanding tasks transitively spawned inside
-// one finish scope.
+// one Ctx.Finish scope.
 type finishRegion struct {
 	pending atomic.Int64
 }
@@ -334,16 +346,17 @@ type Scheduler[T any] struct {
 	// rlx is ds again as the concrete relaxed structure (nil for the
 	// other strategies): the live-retuning and sampling surface the
 	// controllers drive — stickiness, lane contention, lane groups.
-	rlx      *relaxed.DS[envelope[T]]
-	pending  atomic.Int64
-	active   atomic.Bool
-	elim     atomic.Int64
-	spawned  atomic.Int64
-	executed atomic.Int64
+	rlx    *relaxed.DS[envelope[T]]
+	active atomic.Bool
+	// Task accounting (see ledger.go): one ledger per worker place, plus
+	// the count of tasks created outside the worker places.
+	led      []placeLedger
+	injected atomic.Int64
 
 	// Serve-mode state (see serve.go). serveMu guards the Start/Stop
-	// lifecycle; accepting and stopping gate the Submit and worker-exit
-	// hot paths without taking it.
+	// lifecycle; accepting gates the Submit hot path without taking it.
+	// stopping lets the workers exit at the next quiescent instant: set
+	// for the whole of a closed-world Run, and by Stop.
 	serveMu   sync.Mutex
 	started   bool
 	serving   atomic.Bool
@@ -352,9 +365,11 @@ type Scheduler[T any] struct {
 	workers   sync.WaitGroup
 	injectors []*injector
 	nextInj   atomic.Uint64
-	serveFin  *finishRegion
 	serveT0   time.Time
-	serveBase RunStats
+	// serveBase/serveBaseDS are the totals at Start; Stop reports the
+	// session as the difference.
+	serveBase   taskTotals
+	serveBaseDS core.Stats
 	// envArena pools the envelope staging buffers of the SubmitAllK
 	// paths; defArena pools the spillway drain scratch of readmitSpill
 	// (nil without Backpressure). See blockArena.
@@ -501,7 +516,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 			return nil, fmt.Errorf("sched: Resolution = %d requires MaxPrio ≥ 1, got %d", cfg.Resolution, cfg.MaxPrio)
 		}
 	}
-	s := &Scheduler[T]{cfg: cfg}
+	s := &Scheduler[T]{cfg: cfg, led: make([]placeLedger, cfg.Places)}
 	s.maxBatch = cfg.Batch
 	if cfg.Adaptive {
 		acfg := adapt.Config{
@@ -597,12 +612,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 	}
 	if cfg.Stale != nil {
 		opts.Stale = func(e envelope[T]) bool { return cfg.Stale(e.v) }
-		opts.OnEliminate = func(e envelope[T]) {
-			// A lazily eliminated task counts as finished without running.
-			e.fin.pending.Add(-1)
-			s.pending.Add(-1)
-			s.elim.Add(1)
-		}
+		opts.OnEliminate = s.onEliminate
 	}
 
 	// The relaxed construction knobs, shared by both sampling modes:
@@ -725,15 +735,11 @@ func (s *Scheduler[T]) Run(roots ...T) (RunStats, error) {
 	defer s.active.Store(false)
 
 	dsBefore := s.Stats()
-	elimBefore := s.elim.Load()
-	execBefore := s.executed.Load()
-	spawnBefore := s.spawned.Load()
-	rootFin := &finishRegion{}
-	rootFin.pending.Store(int64(len(roots)))
-	s.pending.Store(int64(len(roots)))
-	s.spawned.Add(int64(len(roots)))
+	before := s.scan(nil)
+	s.injected.Add(int64(len(roots)))
+	s.stopping.Store(true)
 	for i, r := range roots {
-		s.ds.Push(i%s.cfg.Places, s.cfg.K, envelope[T]{v: r, fin: rootFin})
+		s.ds.Push(i%s.cfg.Places, s.cfg.K, envelope[T]{v: r})
 	}
 
 	start := time.Now()
@@ -743,35 +749,56 @@ func (s *Scheduler[T]) Run(roots ...T) (RunStats, error) {
 		wg.Add(1)
 		go func(pl int, rng *xrand.Rand) {
 			defer wg.Done()
-			ctx := &Ctx[T]{s: s, place: pl, rng: rng}
-			s.workLoop(ctx, func() bool { return s.pending.Load() == 0 })
+			s.workLoop(s.newCtx(pl, rng), nil)
 		}(pl, seeds.Split())
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-
-	return RunStats{
-		Elapsed:    elapsed,
-		Executed:   s.executed.Load() - execBefore,
-		Eliminated: s.elim.Load() - elimBefore,
-		Spawned:    s.spawned.Load() - spawnBefore,
-		DS:         s.Stats().Sub(dsBefore),
-	}, nil
+	return s.runStats(elapsed, before, dsBefore), nil
 }
 
-// workLoop pops and executes tasks until done() reports completion,
-// applying bounded backoff on spurious pop failures. It is used both by
-// the top-level workers and by places waiting inside a finish region
-// (work-helping), so executed tasks are accounted on the scheduler.
+// runStats is the RunStats of the run or session that started at the
+// given totals.
+func (s *Scheduler[T]) runStats(elapsed time.Duration, before taskTotals, dsBefore core.Stats) RunStats {
+	now := s.scan(nil)
+	return RunStats{
+		Elapsed:    elapsed,
+		Executed:   now.executed - before.executed,
+		Eliminated: now.eliminated - before.eliminated,
+		Spawned:    now.injected + now.spawned - before.injected - before.spawned,
+		DS:         s.Stats().Sub(dsBefore),
+	}
+}
+
+// onEliminate is the structures' OnEliminate hook: a lazily eliminated
+// task counts as retired without running.
+//
+//schedlint:hotpath
+func (s *Scheduler[T]) onEliminate(place int, e envelope[T]) {
+	if e.fin != nil {
+		e.fin.pending.Add(-1)
+	}
+	if s.tenants > 0 {
+		s.ten[s.tenantOf(e.v)].pending.v.Add(-1)
+	}
+	s.led[place].eliminate()
+}
+
+// workLoop pops and executes tasks, applying bounded backoff on spurious
+// pop failures. It is used both by the top-level workers (region nil:
+// until stopping is set and the scheduler is quiescent, asked only after
+// an empty pop — the scan reads every place's ledger line) and by places
+// waiting inside a finish region (work-helping: until the region has no
+// outstanding task, asked before every pop).
 //
 // Each pop episode fills up to the currently effective batch through
 // core.DS.PopKInto — with a batch of 1 (the default) that is exactly a
 // Pop on every structure. The effective batch is re-read from effBatch
 // every episode, so the adaptive controller's moves propagate to the
 // very next pop without any worker coordination. Every task of an
-// obtained batch is executed before the loop re-checks done(), because
-// a popped task is no longer in the structure and skipping it would
-// lose it.
+// obtained batch is executed before the loop re-checks for completion,
+// because a popped task is no longer in the structure and skipping it
+// would lose it.
 //
 // The pop buffer (sized to the batch ceiling, so a later controller
 // move never needs a reallocation) is cached on the place's Ctx so
@@ -783,7 +810,7 @@ func (s *Scheduler[T]) Run(roots ...T) (RunStats, error) {
 // the outer one.
 //
 //schedlint:hotpath
-func (s *Scheduler[T]) workLoop(ctx *Ctx[T], done func() bool) {
+func (s *Scheduler[T]) workLoop(ctx *Ctx[T], region *finishRegion) {
 	buf := ctx.popBuf
 	if len(buf) < s.maxBatch {
 		//schedlint:ignore once per nested loop entry, then cached on the Ctx; the per-task steady state re-uses it
@@ -794,7 +821,7 @@ func (s *Scheduler[T]) workLoop(ctx *Ctx[T], done func() bool) {
 	defer func() { ctx.popBuf = buf }()
 	fails := 0
 	for {
-		if done() {
+		if region != nil && region.pending.Load() == 0 {
 			return
 		}
 		b := int(s.effBatch.Load())
@@ -806,6 +833,9 @@ func (s *Scheduler[T]) workLoop(ctx *Ctx[T], done func() bool) {
 		}
 		n := s.ds.PopKInto(ctx.place, buf[:b])
 		if n == 0 {
+			if region == nil && s.stopping.Load() && s.quiescent() {
+				return
+			}
 			fails++
 			backoff(fails)
 			continue
@@ -825,9 +855,10 @@ func (s *Scheduler[T]) execute(ctx *Ctx[T], e envelope[T]) {
 	ctx.fin = e.fin
 	s.cfg.Execute(ctx, e.v)
 	ctx.fin = prev
-	e.fin.pending.Add(-1)
-	s.pending.Add(-1)
-	s.executed.Add(1)
+	if e.fin != nil {
+		e.fin.pending.Add(-1)
+	}
+	ctx.led.retire()
 	if s.tenants > 0 {
 		led := &s.ten[s.tenantOf(e.v)]
 		led.executed.v.Add(1)
@@ -870,9 +901,14 @@ func (s *Scheduler[T]) Stats() core.Stats {
 type Ctx[T any] struct {
 	s      *Scheduler[T]
 	place  int
-	fin    *finishRegion
+	led    *placeLedger  // the place's task counters
+	fin    *finishRegion // innermost enclosing Finish; nil outside any
 	rng    *xrand.Rand
 	popBuf []envelope[T] // cached pop buffer; see workLoop
+}
+
+func (s *Scheduler[T]) newCtx(place int, rng *xrand.Rand) *Ctx[T] {
+	return &Ctx[T]{s: s, place: place, led: &s.led[place], rng: rng}
 }
 
 // Place returns the executing place's id in [0, Places).
@@ -891,20 +927,25 @@ func (c *Ctx[T]) Spawn(v T) { c.SpawnK(c.s.cfg.K, v) }
 //
 //schedlint:hotpath
 func (c *Ctx[T]) SpawnK(k int, v T) {
-	c.fin.pending.Add(1)
-	c.s.pending.Add(1)
-	c.s.spawned.Add(1)
+	if c.fin != nil {
+		c.fin.pending.Add(1)
+	}
+	c.led.spawn()
 	c.s.ds.Push(c.place, k, envelope[T]{v: v, fin: c.fin})
 }
 
 // Finish runs body and then waits until all tasks transitively spawned
 // within it have executed, helping with any available work while waiting
 // (the blocking synchronization primitive of the async-finish model, §2).
+// A region is the one piece of task accounting every place writes: each
+// task spawned inside it adds to, and each one retired subtracts from,
+// the region's shared counter. Tasks outside any Finish pay nothing for
+// the mechanism.
 func (c *Ctx[T]) Finish(body func()) {
 	parent := c.fin
 	region := &finishRegion{}
 	c.fin = region
 	body()
-	c.s.workLoop(c, func() bool { return region.pending.Load() == 0 })
+	c.s.workLoop(c, region)
 	c.fin = parent
 }

@@ -6,7 +6,7 @@ import (
 )
 
 var allStrategies = []Strategy{
-	WorkStealing, Centralized, Hybrid, Relaxed, WorkStealingStealOne, HybridNoSpy, GlobalHeap,
+	WorkStealing, Centralized, Hybrid, Relaxed, WorkStealingStealOne, HybridNoSpy, GlobalHeap, RelaxedSampleTwo,
 }
 
 func intLess(a, b int64) bool { return a < b }

@@ -9,12 +9,12 @@
 // Serve mode keeps the same data structure and work loop but changes the
 // termination protocol: workers treat an empty structure as "wait for
 // traffic" rather than "done", and exit only after Stop has been called
-// AND the outstanding count has reached zero. External producers submit
-// through dedicated injector places (the DS contract makes each place
-// single-owner, so producers cannot push on the workers' place ids);
-// each injector lane is a mutex-guarded place id past the worker places,
-// and Submit rotates over the lanes so concurrent producers mostly hit
-// different locks.
+// AND a scan of the task accounting finds nothing outstanding. External
+// producers submit through dedicated injector places (the DS contract
+// makes each place single-owner, so producers cannot push on the
+// workers' place ids); each injector lane is a mutex-guarded place id
+// past the worker places, and Submit rotates over the lanes so
+// concurrent producers mostly hit different locks.
 package sched
 
 import (
@@ -102,24 +102,15 @@ func (s *Scheduler[T]) Start() error {
 	}
 	s.started = true
 	s.stopping.Store(false)
-	s.serveFin = &finishRegion{}
 	s.serveT0 = time.Now()
-	s.serveBase = RunStats{
-		Executed:   s.executed.Load(),
-		Eliminated: s.elim.Load(),
-		Spawned:    s.spawned.Load(),
-		DS:         s.Stats(),
-	}
+	s.serveBase, s.serveBaseDS = s.scan(nil), s.Stats()
 
 	seeds := xrand.New(s.cfg.Seed ^ 0x5e7e5e7e)
 	for pl := 0; pl < s.cfg.Places; pl++ {
 		s.workers.Add(1)
 		go func(pl int, rng *xrand.Rand) {
 			defer s.workers.Done()
-			ctx := &Ctx[T]{s: s, place: pl, rng: rng}
-			s.workLoop(ctx, func() bool {
-				return s.stopping.Load() && s.pending.Load() == 0
-			})
+			s.workLoop(s.newCtx(pl, rng), nil)
 		}(pl, seeds.Split())
 	}
 	// Every configured controller starts the session fresh: a new loop
@@ -268,7 +259,7 @@ func (s *Scheduler[T]) snapshot() adapt.Cumulative {
 		PopRetries:  st.PopRetries,
 		Resticks:    st.Resticks,
 		BatchPops:   st.BatchPops,
-		Pending:     s.pending.Load(),
+		Pending:     s.Pending(),
 		RankErrP99:  -1,
 	}
 	if s.rlx != nil {
@@ -317,13 +308,14 @@ func (s *Scheduler[T]) applyKnobs(st adapt.State) {
 // controller differences into window samples. rank is the window's
 // rank-error p99 estimate (< 0: none).
 func (s *Scheduler[T]) bpSnapshot(rank float64) backpressure.Cumulative {
+	now := s.scan(nil)
 	return backpressure.Cumulative{
 		Admitted:   s.admittedN.Load(),
 		Deferred:   s.deferredN.Load(),
 		Shed:       s.shed.Load(),
 		Readmitted: s.readmitted.Load(),
-		Executed:   s.executed.Load(),
-		Pending:    s.pending.Load(),
+		Executed:   now.executed,
+		Pending:    now.outstanding(),
 		Spill:      int64(s.spill.Len()),
 		RankErrP99: rank,
 	}
@@ -351,7 +343,7 @@ func (s *Scheduler[T]) plSnapshot() placement.Cumulative {
 		PopFailures:    st.PopFailures,
 		Steals:         st.Steals,
 		CrossGroupPops: st.CrossGroupPops,
-		Pending:        s.pending.Load(),
+		Pending:        s.Pending(),
 	}
 	if s.rlx != nil {
 		cum.LaneContention = s.rlx.ContentionTotal()
@@ -426,7 +418,7 @@ func readmitRuns[T any](ds []deferredTask[T], lanes int) [][]deferredTask[T] {
 // through one: a single lane per tick serialized the whole readmission
 // burst behind one lane lock (and, on the grouped relaxed structures,
 // landed it all in one lane group) while the other lanes sat idle.
-// Their pending/finish accounting was taken at deferral time, so only
+// They were counted as created when their Submit accepted them, so only
 // the Readmitted counter moves here. Reports whether anything drained.
 // Safe for concurrent callers (the controller tick, Stop's flush, the
 // Submit re-flush race and Drain's nudge may overlap).
@@ -632,12 +624,12 @@ func (s *Scheduler[T]) Submit(v T) error { return s.SubmitK(s.cfg.K, v) }
 //
 //schedlint:hotpath
 func (s *Scheduler[T]) SubmitK(k int, v T) error {
-	// Count the task before checking the gate: once pending is raised,
+	// Count the task before checking the gate: once injected is raised,
 	// workers (and Stop) will not conclude quiescence until it is either
-	// pushed and executed, or rolled back on the rejection path below.
-	s.pending.Add(1)
+	// pushed and retired, or rolled back on the rejection path below.
+	s.injected.Add(1)
 	if !s.accepting.Load() {
-		s.pending.Add(-1)
+		s.injected.Add(-1)
 		return ErrNotServing
 	}
 	if s.cfg.Recorder != nil {
@@ -653,11 +645,9 @@ func (s *Scheduler[T]) SubmitK(k int, v T) error {
 		}
 		s.admittedN.Add(1)
 	}
-	s.serveFin.pending.Add(1)
-	s.spawned.Add(1)
 	inj := s.injectors[s.nextInj.Add(1)%uint64(len(s.injectors))]
 	inj.mu.Lock()
-	s.ds.Push(inj.place, k, envelope[T]{v: v, fin: s.serveFin})
+	s.ds.Push(inj.place, k, envelope[T]{v: v})
 	inj.mu.Unlock()
 	return nil
 }
@@ -709,7 +699,7 @@ func (s *Scheduler[T]) SubmitAllK(k int, vs []T) error {
 func (s *Scheduler[T]) SubmitAllKOutcomes(k int, vs []T, out []Outcome) (int, error) {
 	if out != nil && len(out) < len(vs) {
 		// Checked before any state change: failing mid-batch would leave
-		// pending raised for tasks never processed and wedge Stop.
+		// injected raised for tasks never processed and wedge Stop.
 		//schedlint:ignore misuse error on the cold validation edge, before any task is processed
 		return 0, fmt.Errorf("sched: SubmitAllKOutcomes out has %d entries for %d tasks", len(out), len(vs))
 	}
@@ -721,9 +711,9 @@ func (s *Scheduler[T]) SubmitAllKOutcomes(k int, vs []T, out []Outcome) (int, er
 	}
 	n := int64(len(vs))
 	// Count the batch before checking the gate, exactly like SubmitK.
-	s.pending.Add(n)
+	s.injected.Add(n)
 	if !s.accepting.Load() {
-		s.pending.Add(-n)
+		s.injected.Add(-n)
 		return 0, ErrNotServing
 	}
 	if s.cfg.Recorder != nil {
@@ -750,15 +740,13 @@ func (s *Scheduler[T]) SubmitAllKOutcomes(k int, vs []T, out []Outcome) (int, er
 		}
 		if o == Admitted {
 			//schedlint:ignore envs was arena-grown to len(vs) above; append stays within capacity
-			envs = append(envs, envelope[T]{v: v, fin: s.serveFin})
+			envs = append(envs, envelope[T]{v: v})
 		}
 		if out != nil {
 			out[i] = o
 		}
 	}
 	if n := int64(len(envs)); n > 0 {
-		s.serveFin.pending.Add(n)
-		s.spawned.Add(n)
 		if gated {
 			s.admittedN.Add(n)
 		}
@@ -778,7 +766,8 @@ func (s *Scheduler[T]) SubmitAllKOutcomes(k int, vs []T, out []Outcome) (int, er
 // task submitted before that instant has been executed (or eliminated).
 // The scheduler keeps serving — Drain does not stop the workers and
 // concurrent producers may keep submitting, in which case Drain returns
-// at the first moment the outstanding count touches zero.
+// at the first scan of the task accounting that finds nothing
+// outstanding.
 //
 // Deferred (spillway) tasks count as outstanding — they were accepted —
 // but re-enter the structure only on under-loaded controller ticks, and
@@ -793,7 +782,7 @@ func (s *Scheduler[T]) Drain() error {
 		return ErrNotServing
 	}
 	fails := 0
-	for s.pending.Load() != 0 {
+	for !s.quiescent() {
 		if s.spill != nil && (s.spill.Len() > 0 || s.holdLen() > 0) {
 			s.readmitSpill(s.bpCfg.ReadmitChunk, false)
 		}
@@ -876,20 +865,8 @@ func (s *Scheduler[T]) Stop() (RunStats, error) {
 	s.started = false
 	s.serving.Store(false)
 	s.active.Store(false)
-	st := RunStats{
-		Elapsed:    time.Since(s.serveT0),
-		Executed:   s.executed.Load() - s.serveBase.Executed,
-		Eliminated: s.elim.Load() - s.serveBase.Eliminated,
-		Spawned:    s.spawned.Load() - s.serveBase.Spawned,
-		DS:         s.Stats().Sub(s.serveBase.DS),
-	}
-	return st, nil
+	return s.runStats(time.Since(s.serveT0), s.serveBase, s.serveBaseDS), nil
 }
 
 // Serving reports whether the scheduler is between Start and Stop.
 func (s *Scheduler[T]) Serving() bool { return s.serving.Load() }
-
-// Pending returns the number of submitted-or-spawned tasks not yet
-// executed. It is a monitoring signal (e.g. for backpressure decisions);
-// under concurrency the value is immediately stale.
-func (s *Scheduler[T]) Pending() int64 { return s.pending.Load() }

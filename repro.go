@@ -529,11 +529,15 @@ type DSConfig[T any] struct {
 }
 
 func (c DSConfig[T]) options() core.Options[T] {
+	var onEliminate func(int, T)
+	if f := c.OnEliminate; f != nil {
+		onEliminate = func(_ int, v T) { f(v) }
+	}
 	return core.Options[T]{
 		Places:      c.Places,
 		Less:        c.Less,
 		Stale:       c.Stale,
-		OnEliminate: c.OnEliminate,
+		OnEliminate: onEliminate,
 		KMax:        c.KMax,
 		LocalQueue:  c.LocalQueue,
 		Seed:        c.Seed,
