@@ -9,8 +9,7 @@
 //	FIG3-LEFT/MID/RIGHT  -> BenchmarkFig3Simulation, BenchmarkFig3Theory
 //	FIG4-TIME/RELAX      -> BenchmarkFig4Scaling/*
 //	FIG5-TIME/RELAX      -> BenchmarkFig5KSweep/*
-//	ABL-LOCALQUEUE       -> BenchmarkAblationLocalQueue (queue kind choice),
-//	                        BenchmarkLocalQueue (Less-ordered vs keyed container)
+//	ABL-LOCALQUEUE       -> BenchmarkLocalQueue (Less-ordered vs keyed container)
 //	ABL-STEAL            -> BenchmarkAblationSteal/*
 //	ABL-SPY              -> BenchmarkAblationSpy/*
 //	EXT-STRUCT           -> BenchmarkExtensionStructural/*
@@ -230,33 +229,6 @@ func BenchmarkAblationSpy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLocalQueue contrasts binary-heap against pairing-heap
-// place-local queues (§4.1: "any sequential priority queue can be used").
-func BenchmarkAblationLocalQueue(b *testing.B) {
-	common := benchCommon()
-	g := repro.ErdosRenyi(common.N, common.EdgeP, common.Seed)
-	for _, lq := range []struct {
-		name string
-		kind repro.LocalQueueKind
-	}{{"binary-heap", repro.BinaryHeap}, {"pairing-heap", repro.PairingHeap}} {
-		b.Run(lq.name, func(b *testing.B) {
-			sv, err := sssp.NewSolver(g.N, sssp.Options{
-				Places: 8, Strategy: repro.Centralized, K: 512,
-				LocalQueue: lq.kind, Seed: common.Seed,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sv.Solve(g.Graph, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkLocalQueue prices one pop + push on a place-local queue held
 // at 32 k references (the hold model: the new priority is the popped one
 // plus a random increment, as in SSSP): the Less-ordered heap
@@ -278,9 +250,9 @@ func BenchmarkLocalQueue(b *testing.B) {
 		keyed bool
 		mk    func() queue
 	}{
-		{"binheap-less", false, func() queue { return core.NewLocalQueue(core.BinaryHeap, false, less, 1) }},
+		{"binheap-less", false, func() queue { return core.NewLocalQueue(false, less) }},
 		{"keyheap", true, func() queue { return pq.NewKeyHeap[*task]() }},
-		{"keywindow", true, func() queue { return core.NewLocalQueue(core.BinaryHeap, true, less, 1) }},
+		{"keywindow", true, func() queue { return core.NewLocalQueue(true, less) }},
 	} {
 		for _, ks := range []struct {
 			name string

@@ -15,6 +15,8 @@
 //	          [-places 1,2,3,5,10,20,40,80]
 //	          [-strategies work-stealing,centralized,hybrid]
 //	          [-sequential] [-seed 20140215]
+//
+// -strategies takes the names sched.ParseStrategy accepts; -h lists them.
 package main
 
 import (
@@ -30,20 +32,11 @@ import (
 )
 
 func parseStrategies(s string) ([]sched.Strategy, error) {
-	byName := map[string]sched.Strategy{
-		"work-stealing": sched.WorkStealing,
-		"centralized":   sched.Centralized,
-		"hybrid":        sched.Hybrid,
-		"relaxed":       sched.Relaxed,
-		"ws-steal-one":  sched.WorkStealingStealOne,
-		"hybrid-no-spy": sched.HybridNoSpy,
-		"global-heap":   sched.GlobalHeap,
-	}
 	var out []sched.Strategy
 	for _, name := range strings.Split(s, ",") {
-		st, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown strategy %q", name)
+		st, err := sched.ParseStrategy(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, st)
 	}
@@ -71,7 +64,7 @@ func main() {
 		graphs = flag.Int("graphs", 20, "number of random graphs")
 		k      = flag.Int("k", 512, "relaxation parameter")
 		places = flag.String("places", "1,2,3,5,10,20,40,80", "place counts to sweep")
-		strats = flag.String("strategies", "work-stealing,centralized,hybrid", "strategies to compare")
+		strats = flag.String("strategies", "work-stealing,centralized,hybrid", fmt.Sprintf("strategies to compare, a comma list of %v", sched.Strategies()))
 		seq    = flag.Bool("sequential", true, "include sequential Dijkstra (one thread)")
 		seed   = flag.Uint64("seed", 20140215, "base random seed")
 	)

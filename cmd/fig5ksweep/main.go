@@ -12,6 +12,8 @@
 //	fig5ksweep [-n 10000] [-p 0.5] [-graphs 20] [-places 80]
 //	           [-ks 0,1,2,4,...] [-strategies centralized,hybrid]
 //	           [-seed 20140215]
+//
+// -strategies takes the names sched.ParseStrategy accepts; -h lists them.
 package main
 
 import (
@@ -35,7 +37,7 @@ func main() {
 		graphs = flag.Int("graphs", 20, "number of random graphs")
 		places = flag.Int("places", 80, "places P")
 		ks     = flag.String("ks", "", "comma-separated k values (default the paper's 0,1,2,...,32768)")
-		strats = flag.String("strategies", "centralized,hybrid", "strategies to sweep")
+		strats = flag.String("strategies", "centralized,hybrid", fmt.Sprintf("strategies to sweep, a comma list of %v", sched.Strategies()))
 		seed   = flag.Uint64("seed", 20140215, "base random seed")
 	)
 	flag.Parse()
@@ -53,20 +55,11 @@ func main() {
 			cfg.Ks = append(cfg.Ks, v)
 		}
 	}
-	byName := map[string]sched.Strategy{
-		"work-stealing": sched.WorkStealing,
-		"centralized":   sched.Centralized,
-		"hybrid":        sched.Hybrid,
-		"relaxed":       sched.Relaxed,
-		"ws-steal-one":  sched.WorkStealingStealOne,
-		"hybrid-no-spy": sched.HybridNoSpy,
-		"global-heap":   sched.GlobalHeap,
-	}
 	cfg.Strategies = cfg.Strategies[:0]
 	for _, name := range strings.Split(*strats, ",") {
-		st, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			log.Fatalf("unknown strategy %q", name)
+		st, err := sched.ParseStrategy(strings.TrimSpace(name))
+		if err != nil {
+			log.Fatalf("-strategies: %v", err)
 		}
 		cfg.Strategies = append(cfg.Strategies, st)
 	}

@@ -23,15 +23,17 @@
 //	        [-capture FILE] [-seed 20140215]
 //
 // -strategy, -rate, -producers, -batch, -stickiness, -groups and
-// -resolution accept comma-separated lists; "-strategy all" expands to
-// the six headline strategies (work-stealing, centralized, hybrid,
-// global-heap, relaxed, relaxed-two). -batch sets both the producers'
-// submit batch and the workers' pop batch; -stickiness sets the relaxed
-// strategies' lane stickiness S — together they sweep the MultiQueue
-// throughput vs. rank-error trade-off. -resolution sweeps the relaxed
-// strategies' multiresolution band width (0/1 = exact per-lane heaps):
-// coarser bands buy O(1) lane operations for up to a band's worth of
-// extra rank error, tracing the rank-error-vs-throughput frontier.
+// -resolution accept comma-separated lists; -strategy takes the names
+// sched.ParseStrategy accepts (-h lists them), and "-strategy all"
+// expands to the six headline strategies (work-stealing, centralized,
+// hybrid, global-heap, relaxed, relaxed-two). -batch sets both the
+// producers' submit batch and the workers' pop batch; -stickiness sets
+// the relaxed strategies' lane stickiness S — together they sweep the
+// MultiQueue throughput vs. rank-error trade-off. -resolution sweeps
+// the relaxed strategies' multiresolution band width (0/1 = exact
+// per-lane heaps): coarser bands buy O(1) lane operations for up to a
+// band's worth of extra rank error, tracing the rank-error-vs-throughput
+// frontier.
 //
 // -groups partitions the relaxed strategies' lanes into per-producer-
 // group lane groups (0/1 = flat): sampling and stickiness stay
@@ -107,20 +109,11 @@ func parseStrategies(s string) ([]sched.Strategy, error) {
 	if strings.TrimSpace(s) == "all" {
 		return allStrategies, nil
 	}
-	byName := map[string]sched.Strategy{
-		"work-stealing": sched.WorkStealing,
-		"centralized":   sched.Centralized,
-		"hybrid":        sched.Hybrid,
-		"relaxed":       sched.Relaxed,
-		"relaxed-two":   sched.RelaxedSampleTwo,
-		"ws-steal-one":  sched.WorkStealingStealOne,
-		"global-heap":   sched.GlobalHeap,
-	}
 	var out []sched.Strategy
 	for _, name := range strings.Split(s, ",") {
-		st, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown strategy %q", name)
+		st, err := sched.ParseStrategy(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, st)
 	}
@@ -215,7 +208,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("loadgen: ")
 	var (
-		strategy   = flag.String("strategy", "all", "strategies to sweep (comma list or \"all\")")
+		strategy   = flag.String("strategy", "all", fmt.Sprintf("strategies to sweep: \"all\" (the headline six) or a comma list of %v", sched.Strategies()))
 		rates      = flag.String("rate", "100000", "aggregate arrival rates in tasks/s (comma list)")
 		producers  = flag.String("producers", "4", "producer goroutine counts (comma list)")
 		duration   = flag.Duration("duration", 2*time.Second, "traffic duration per configuration")

@@ -7,7 +7,9 @@
 //
 //	ssspcli [-graph er|grid] [-n 10000] [-p 0.5] [-rows 100 -cols 100]
 //	        [-src 0] [-places 8] [-strategy hybrid] [-k 512]
-//	        [-queue binary|pairing|skiplist] [-seed 1] [-verify]
+//	        [-seed 1] [-verify]
+//
+// -strategy takes any name repro.ParseStrategy accepts; -h lists them.
 package main
 
 import (
@@ -15,28 +17,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
-	"strings"
 
 	"repro"
 )
-
-// queues are the accepted -queue values; the flag's help text and the
-// rejection message are generated from it.
-var queues = map[string]repro.LocalQueueKind{
-	"binary":   repro.BinaryHeap,
-	"pairing":  repro.PairingHeap,
-	"skiplist": repro.SkipListQueue,
-}
-
-func queueNames() string {
-	names := make([]string, 0, len(queues))
-	for name := range queues {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return strings.Join(names, "|")
-}
 
 func main() {
 	log.SetFlags(0)
@@ -51,9 +34,8 @@ func main() {
 		cols   = flag.Int("cols", 100, "cols (grid)")
 		src    = flag.Int("src", 0, "source node")
 		places = flag.Int("places", 8, "places P")
-		strat  = flag.String("strategy", "hybrid", "work-stealing|centralized|hybrid|relaxed|ws-steal-one|hybrid-no-spy|global-heap")
+		strat  = flag.String("strategy", "hybrid", fmt.Sprintf("scheduling strategy, one of %v", repro.Strategies()))
 		k      = flag.Int("k", 512, "relaxation parameter")
-		queue  = flag.String("queue", "binary", "local queue: "+queueNames())
 		seed   = flag.Uint64("seed", 1, "random seed")
 		verify = flag.Bool("verify", true, "verify distances against Dijkstra")
 	)
@@ -95,22 +77,9 @@ func main() {
 		fmt.Printf("wrote %s (n=%d, m=%d)\n", *save, g.N, g.M())
 		return
 	}
-	strategies := map[string]repro.Strategy{
-		"work-stealing": repro.WorkStealing,
-		"centralized":   repro.Centralized,
-		"hybrid":        repro.Hybrid,
-		"relaxed":       repro.Relaxed,
-		"ws-steal-one":  repro.WorkStealingStealOne,
-		"hybrid-no-spy": repro.HybridNoSpy,
-		"global-heap":   repro.GlobalHeap,
-	}
-	st, ok := strategies[*strat]
-	if !ok {
-		log.Fatalf("unknown -strategy %q", *strat)
-	}
-	lq, ok := queues[*queue]
-	if !ok {
-		log.Fatalf("unknown -queue %q (want %s)", *queue, queueNames())
+	st, err := repro.ParseStrategy(*strat)
+	if err != nil {
+		log.Fatalf("-strategy: %v", err)
 	}
 
 	fmt.Printf("graph: %s, n=%d, m=%d undirected edges\n", *kind, g.N, g.M())
@@ -119,12 +88,11 @@ func main() {
 		kmax = *k
 	}
 	res, err := repro.SolveSSSP(g, *src, repro.SSSPOptions{
-		Places:     *places,
-		Strategy:   st,
-		K:          *k,
-		KMax:       kmax,
-		LocalQueue: lq,
-		Seed:       *seed,
+		Places:   *places,
+		Strategy: st,
+		K:        *k,
+		KMax:     kmax,
+		Seed:     *seed,
 	})
 	if err != nil {
 		log.Fatal(err)

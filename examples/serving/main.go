@@ -103,18 +103,10 @@ type flags struct {
 	strategy   string
 }
 
-// strategies is the comparison set the default mode walks, and the
-// -strategy vocabulary of the -metrics mode.
-var strategies = []struct {
-	name string
-	s    repro.Strategy
-}{
-	{"workstealing", repro.WorkStealing},
-	{"centralized", repro.Centralized},
-	{"hybrid", repro.Hybrid},
-	{"globalheap", repro.GlobalHeap},
-	{"relaxed", repro.Relaxed},
-	{"relaxed-two", repro.RelaxedSampleTwo},
+// strategies is the comparison set the default mode walks.
+var strategies = []repro.Strategy{
+	repro.WorkStealing, repro.Centralized, repro.Hybrid,
+	repro.GlobalHeap, repro.Relaxed, repro.RelaxedSampleTwo,
 }
 
 func main() {
@@ -131,7 +123,7 @@ func main() {
 	flag.BoolVar(&f.backpress, "backpressure", false, "shed low-priority requests under overload")
 	flag.IntVar(&f.spin, "spin", 0, "per-request busy-work iterations (use with -backpressure to overload)")
 	flag.StringVar(&f.metrics, "metrics", "", "serve Prometheus metrics on this address (single-strategy mode)")
-	flag.StringVar(&f.strategy, "strategy", "relaxed", "strategy for the -metrics mode")
+	flag.StringVar(&f.strategy, "strategy", "relaxed", fmt.Sprintf("strategy for the -metrics mode, one of %v", repro.Strategies()))
 	flag.Parse()
 
 	if f.metrics != "" {
@@ -140,8 +132,8 @@ func main() {
 	}
 
 	epoch := time.Now()
-	for _, entry := range strategies {
-		runComparisonRow(f, entry.s, epoch)
+	for _, strategy := range strategies {
+		runComparisonRow(f, strategy, epoch)
 	}
 }
 
@@ -308,15 +300,9 @@ func runComparisonRow(f flags, strategy repro.Strategy, epoch time.Time) {
 // a full observability surface over HTTP, and a process that lingers
 // for scrapes after the window is sealed.
 func serveObserved(f flags) {
-	var strategy repro.Strategy
-	found := false
-	for _, entry := range strategies {
-		if entry.name == f.strategy {
-			strategy, found = entry.s, true
-		}
-	}
-	if !found {
-		log.Fatalf("unknown -strategy %q", f.strategy)
+	strategy, err := repro.ParseStrategy(f.strategy)
+	if err != nil {
+		log.Fatalf("-strategy: %v", err)
 	}
 
 	reg := repro.NewMetrics()

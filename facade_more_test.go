@@ -3,11 +3,13 @@ package repro_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/sched"
 )
 
 func TestPublicGraphIO(t *testing.T) {
@@ -90,26 +92,6 @@ func TestPublicSchedulerStatsAccessor(t *testing.T) {
 	}
 	if st := s.Stats(); st.Pushes != 3 || st.Pops != 3 {
 		t.Fatalf("Stats = %+v", st)
-	}
-}
-
-func TestPublicLocalQueueKinds(t *testing.T) {
-	g := repro.ErdosRenyi(150, 0.2, 11)
-	want, _ := repro.Dijkstra(g, 0)
-	for _, lq := range []repro.LocalQueueKind{
-		repro.BinaryHeap, repro.PairingHeap, repro.SkipListQueue,
-	} {
-		res, err := repro.SolveSSSP(g, 0, repro.SSSPOptions{
-			Places: 3, Strategy: repro.Hybrid, K: 32, LocalQueue: lq, Seed: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if res.Dist[i] != want[i] {
-				t.Fatalf("queue kind %d: distance mismatch", lq)
-			}
-		}
 	}
 }
 
@@ -305,5 +287,33 @@ func TestPublicBackpressureServe(t *testing.T) {
 	}
 	if _, ok := plain.BackpressureState(); ok {
 		t.Fatal("BackpressureState ok without backpressure")
+	}
+}
+
+// TestSchedulerConfigMirrorsSched pins the hand-written field-by-field
+// copy in NewScheduler: SchedulerConfig and sched.Config carry the same
+// exported field names, so a knob deleted (or added) on one side cannot
+// silently survive on the other.
+func TestSchedulerConfigMirrorsSched(t *testing.T) {
+	fields := func(typ reflect.Type) map[string]bool {
+		names := map[string]bool{}
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				names[f.Name] = true
+			}
+		}
+		return names
+	}
+	facade := fields(reflect.TypeOf(repro.SchedulerConfig[int]{}))
+	inner := fields(reflect.TypeOf(sched.Config[int]{}))
+	for name := range inner {
+		if !facade[name] {
+			t.Errorf("sched.Config.%s has no repro.SchedulerConfig field", name)
+		}
+	}
+	for name := range facade {
+		if !inner[name] {
+			t.Errorf("repro.SchedulerConfig.%s has no sched.Config field", name)
+		}
 	}
 }

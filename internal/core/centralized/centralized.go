@@ -86,13 +86,12 @@ func New[T any](opts core.Options[T]) (*DS[T], error) {
 	seeds := xrand.New(opts.Seed)
 	d.places = make([]*place[T], opts.Places)
 	for i := range d.places {
-		rng := seeds.Split()
 		d.places[i] = &place[T]{
 			id:  int32(i),
-			rng: rng,
-			pq: core.NewLocalQueue(opts.LocalQueue, opts.Prio != nil, func(a, b pq.Keyed[ref[T]]) bool {
+			rng: seeds.Split(),
+			pq: core.NewLocalQueue(opts.Prio != nil, func(a, b pq.Keyed[ref[T]]) bool {
 				return opts.Less(a.V.it.v, b.V.it.v)
-			}, rng.Uint64()),
+			}),
 			cur: d.arr.NewCursor(),
 		}
 	}

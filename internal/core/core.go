@@ -87,45 +87,20 @@ func PopKIntoViaSingles[T any](d DS[T], place int, out []T) int {
 	return got
 }
 
-// LocalQueueKind selects the sequential priority queue used for the
-// place-local components ("any sequential implementation of a priority
-// queue can be used", §4.1).
-type LocalQueueKind int
-
-const (
-	// BinaryHeap selects the array-backed binary heap (default).
-	BinaryHeap LocalQueueKind = iota
-	// PairingHeap selects the pointer-based pairing heap.
-	PairingHeap
-	// SkipListQueue selects the skip-list queue (O(1) pop-min).
-	SkipListQueue
-)
-
 // NewLocalQueue constructs the sequential priority queue of one place's
-// local component. It is the single place that picks the container.
+// local component ("any sequential implementation of a priority queue
+// can be used", §4.1). It is the single place that picks the container.
 // Entries are references V tagged with their task's key (Options.Key).
-// With a projection (keyed) the queue orders by Key: the default
-// BinaryHeap kind becomes pq.KeyWindow — exact by key like a heap, with
-// a bucket front that pops in O(1) and pq.KeyHeap behind it for the keys
-// outside its window — and the other kinds compare keys through one
-// closure. Without one every key is 0 and the queue orders by less, the
-// structure's Options.Less lifted to its references. The seed drives
-// the skip list's level randomness (unused by the heaps).
-func NewLocalQueue[V any](kind LocalQueueKind, keyed bool, less func(a, b pq.Keyed[V]) bool, seed uint64) pq.Queue[pq.Keyed[V]] {
+// With a projection (keyed) the queue is pq.KeyWindow, ordered by Key —
+// exact like a heap, with a bucket front that pops in O(1) and
+// pq.KeyHeap behind it for the keys outside its window. Without one
+// every key is 0 and the queue is a pq.BinHeap ordered by less, the
+// structure's Options.Less lifted to its references.
+func NewLocalQueue[V any](keyed bool, less func(a, b pq.Keyed[V]) bool) pq.Queue[pq.Keyed[V]] {
 	if keyed {
-		if kind == BinaryHeap {
-			return pq.NewKeyWindow[V]()
-		}
-		less = func(a, b pq.Keyed[V]) bool { return a.Key < b.Key }
+		return pq.NewKeyWindow[V]()
 	}
-	switch kind {
-	case PairingHeap:
-		return pq.NewPairingHeap(less)
-	case SkipListQueue:
-		return pq.NewSkipList(less, seed)
-	default:
-		return pq.NewBinHeap(less)
-	}
+	return pq.NewBinHeap(less)
 }
 
 // Options configures a data structure instance. Less is the paper's
@@ -156,9 +131,6 @@ type Options[T any] struct {
 	// must probe a bounded window past the tail (§4.1.2). Defaults to 512,
 	// the paper's choice.
 	KMax int
-	// LocalQueue selects the sequential priority queue implementation for
-	// the place-local components.
-	LocalQueue LocalQueueKind
 	// Seed makes all internal randomization deterministic.
 	Seed uint64
 }

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/pq"
+)
 
 // stackDS is a trivial DS: one LIFO stack, no synchronization, batch
 // operations via the singles helpers. It exists so the helpers can be
@@ -56,5 +60,28 @@ func TestPopKIntoViaSinglesAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("PopKIntoViaSingles allocs = %v, want 0", allocs)
+	}
+}
+
+// TestNewLocalQueuePicks pins the one container choice: a numeric
+// projection gets pq.KeyWindow, anything else a pq.BinHeap ordered by the
+// supplied less.
+func TestNewLocalQueuePicks(t *testing.T) {
+	descending := func(a, b pq.Keyed[int]) bool { return a.V > b.V }
+	keyed := NewLocalQueue(true, descending)
+	if _, ok := keyed.(*pq.KeyWindow[int]); !ok {
+		t.Errorf("keyed queue is %T, want *pq.KeyWindow[int]", keyed)
+	}
+	q := NewLocalQueue(false, descending)
+	if _, ok := q.(*pq.BinHeap[pq.Keyed[int]]); !ok {
+		t.Fatalf("unkeyed queue is %T, want *pq.BinHeap", q)
+	}
+	for _, v := range []int{2, 9, 4} {
+		q.Push(pq.Keyed[int]{V: v})
+	}
+	for _, want := range []int{9, 4, 2} {
+		if e, ok := q.Pop(); !ok || e.V != want {
+			t.Fatalf("unkeyed Pop = %v,%v want %d: the queue must order by less", e.V, ok, want)
+		}
 	}
 }

@@ -146,9 +146,9 @@ func newDS[T any](opts core.Options[T], noSpy bool) (*DS[T], error) {
 			giter:     cursor[T]{b: sentinel},
 		}
 		p.lastHit.Store(int32((i + 1) % opts.Places))
-		p.pq = core.NewLocalQueue(opts.LocalQueue, opts.Prio != nil, func(a, b pq.Keyed[*item[T]]) bool {
+		p.pq = core.NewLocalQueue(opts.Prio != nil, func(a, b pq.Keyed[*item[T]]) bool {
 			return opts.Less(a.V.v, b.V.v)
-		}, p.rng.Uint64())
+		})
 		p.listTail = &block[T]{owner: p.id}
 		p.listHead.Store(p.listTail)
 		d.places[i] = p

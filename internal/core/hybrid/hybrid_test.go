@@ -11,12 +11,11 @@ import (
 
 // factory builds the structure for the conformance suite, with the
 // values' own integer projection set when keyed.
-func factory(keyed bool, kind core.LocalQueueKind) dstest.Factory {
+func factory(keyed bool) dstest.Factory {
 	return func(opts core.Options[int64]) (core.DS[int64], error) {
 		if keyed {
 			opts.Prio = func(v int64) int64 { return v }
 		}
-		opts.LocalQueue = kind
 		d, err := New(opts)
 		if err != nil {
 			return nil, err
@@ -26,17 +25,14 @@ func factory(keyed bool, kind core.LocalQueueKind) dstest.Factory {
 }
 
 func TestConformance(t *testing.T) {
-	dstest.Run(t, "Hybrid", factory(false, core.BinaryHeap))
+	dstest.Run(t, "Hybrid", factory(false))
 }
 
 // TestConformanceKeyed runs the same suite, fixtures included, on local
-// queues ordered by the cached key — pq.KeyHeap for the default kind,
-// the generic queues comparing keys for the other two. The key agrees
-// with Less, so nothing the contract promises may change.
+// queues ordered by the cached key (pq.KeyWindow). The key agrees with
+// Less, so nothing the contract promises may change.
 func TestConformanceKeyed(t *testing.T) {
-	dstest.Run(t, "HybridKeyHeap", factory(true, core.BinaryHeap))
-	dstest.Run(t, "HybridKeyedPairing", factory(true, core.PairingHeap))
-	dstest.Run(t, "HybridKeyedSkipList", factory(true, core.SkipListQueue))
+	dstest.Run(t, "HybridKeyHeap", factory(true))
 }
 
 // TestNoSpyOwnerDrain pins the no-spy ablation's intentional liveness

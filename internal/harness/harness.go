@@ -197,7 +197,7 @@ func (r Fig3Result) Print(w io.Writer) error {
 
 // SSSPPoint is one measured configuration, averaged over graphs.
 type SSSPPoint struct {
-	Label       string  // series name ("sequential", "work-stealing", ...)
+	Label       string  // series name: "sequential" or the strategy's String
 	X           int     // the swept parameter (P for Fig. 4, k for Fig. 5)
 	TimeMean    float64 // seconds
 	TimeStd     float64

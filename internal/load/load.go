@@ -153,8 +153,6 @@ type Config struct {
 	// paper's default of 512; pass a negative value for strict k = 0,
 	// which zero itself cannot express here.
 	K int
-	// LocalQueue selects the place-local sequential priority queue.
-	LocalQueue core.LocalQueueKind
 	// Producers is the number of submitting goroutines (default 1).
 	Producers int
 	// Duration is how long producers generate traffic (default 1s).
@@ -976,7 +974,6 @@ func Run(cfg Config) (Result, error) {
 			}
 			tr.onExecute(hists[pl], rankHists[pl], bands, tens, t)
 		},
-		LocalQueue:        cfg.LocalQueue,
 		Injectors:         cfg.Producers,
 		Batch:             cfg.Batch,
 		Stickiness:        cfg.Stickiness,

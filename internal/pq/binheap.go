@@ -3,15 +3,24 @@
 //
 // Section 4.1 of the paper notes that "any sequential implementation of a
 // priority queue can be used for the local priority queues, since each
-// priority queue is only accessed in the context of a single place". Two
-// implementations are provided: an array-backed binary heap (the default;
-// cache-friendly, O(log n) push/pop, O(1) arbitrary-half split for
-// steal-half work-stealing) and a pairing heap (pointer-based, O(1)
-// amortized push, useful as an independent oracle in tests). A skip list
-// and, for integer priority domains, a bucket queue are alternatives; and
-// where the priority projects to an integer key, KeyHeap orders Keyed
-// entries by that key without calling a comparator at all, and KeyWindow
-// puts an exact bucket front before it that pops in O(1).
+// priority queue is only accessed in the context of a single place". The
+// package holds four, and the code that builds a structure picks among
+// them (core.NewLocalQueue, relaxed's lanes) — no caller-set option does:
+//
+//   - BinHeap: array-backed binary heap ordered by a Less function. The
+//     general case — the work-stealing and global heaps, the relaxed
+//     lanes, a local queue without an integer key — and the only queue
+//     with the O(1) arbitrary-half split of steal-half work-stealing.
+//   - KeyHeap: 4-ary heap in chunked storage over Keyed entries, ordered
+//     by the cached integer key without calling a comparator. It is
+//     KeyWindow's overflow, and the tests' independent oracle for BinHeap.
+//   - KeyWindow: an exact bucket front over a sliding window of keys that
+//     pops in O(1), with a KeyHeap behind it for the keys outside the
+//     window. The local queue of the k-priority structures whenever the
+//     priority projects to an integer.
+//   - BucketQueue: coarse bands, LIFO within a band — the one queue here
+//     that is not exact. The relaxed lanes use it when a Resolution says
+//     how much rank error a band may add.
 //
 // No implementation is safe for concurrent use; the owning place is
 // the only accessor, exactly as in the paper's data structure model.

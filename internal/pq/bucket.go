@@ -42,9 +42,6 @@ func NewBucketQueue[T any](bands int, band func(T) int) *BucketQueue[T] {
 	}
 }
 
-// Bands returns the configured band count.
-func (q *BucketQueue[T]) Bands() int { return len(q.elems) }
-
 func (q *BucketQueue[T]) clamp(b int) int {
 	if b < 0 {
 		return 0

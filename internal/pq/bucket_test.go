@@ -81,8 +81,8 @@ func TestBucketClamp(t *testing.T) {
 // TestBucketMinBands pins the bands<1 floor.
 func TestBucketMinBands(t *testing.T) {
 	q := NewBucketQueue[int](0, func(v int) int { return v })
-	if q.Bands() != 1 {
-		t.Fatalf("Bands = %d, want 1", q.Bands())
+	if len(q.elems) != 1 {
+		t.Fatalf("bands = %d, want 1", len(q.elems))
 	}
 	q.Push(3)
 	q.Push(9)

@@ -12,10 +12,8 @@ func intLess(a, b int) bool { return a < b }
 
 func makers() map[string]func() Queue[int] {
 	return map[string]func() Queue[int]{
-		"BinHeap":     func() Queue[int] { return NewBinHeap(intLess) },
-		"PairingHeap": func() Queue[int] { return NewPairingHeap(intLess) },
-		"SkipList":    func() Queue[int] { return NewSkipList(intLess, 42) },
-		"KeyHeap":     func() Queue[int] { return keyedInts{NewKeyHeap[int]()} },
+		"BinHeap": func() Queue[int] { return NewBinHeap(intLess) },
+		"KeyHeap": func() Queue[int] { return keyedInts{NewKeyHeap[int]()} },
 		// Fresh, a KeyWindow is its fallback heap; the suite's queues
 		// mostly stay below the size at which the band table is built, so
 		// the second maker hands it out with the bands already in use.
@@ -149,21 +147,21 @@ func TestClear(t *testing.T) {
 }
 
 func TestCrossCheckHeaps(t *testing.T) {
-	// The two implementations must agree on every pop across a long
-	// random mixed workload.
+	// The binary heap and the 4-ary chunked KeyHeap share no code and
+	// must agree on every pop across a long random mixed workload.
 	bh := NewBinHeap(intLess)
-	ph := NewPairingHeap(intLess)
+	kh := keyedInts{NewKeyHeap[int]()}
 	r := xrand.New(99)
 	for step := 0; step < 20000; step++ {
 		if r.Intn(3) != 0 || bh.Len() == 0 {
 			v := r.Intn(1 << 20)
 			bh.Push(v)
-			ph.Push(v)
+			kh.Push(v)
 		} else {
 			a, aok := bh.Pop()
-			b, bok := ph.Pop()
+			b, bok := kh.Pop()
 			if aok != bok || a != b {
-				t.Fatalf("step %d: BinHeap=(%v,%v) PairingHeap=(%v,%v)", step, a, aok, b, bok)
+				t.Fatalf("step %d: BinHeap=(%v,%v) KeyHeap=(%v,%v)", step, a, aok, b, bok)
 			}
 		}
 	}
@@ -254,96 +252,8 @@ func TestStealHalfLootHeapifies(t *testing.T) {
 	}
 }
 
-func TestPairingHeapFreelistReuse(t *testing.T) {
-	// Push/pop cycles should not grow memory unboundedly; this exercises
-	// the freelist path for correctness (values must not leak through).
-	h := NewPairingHeap(intLess)
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 64; i++ {
-			h.Push(i ^ round)
-		}
-		prev := -1
-		for i := 0; i < 64; i++ {
-			v, ok := h.Pop()
-			if !ok || v < prev {
-				t.Fatalf("round %d pop %d = %v,%v prev %v", round, i, v, ok, prev)
-			}
-			prev = v
-		}
-	}
-}
-
-func TestSkipListThreeWayCrossCheck(t *testing.T) {
-	// All three implementations must agree on every pop across a long
-	// random mixed workload.
-	bh := NewBinHeap(intLess)
-	sl := NewSkipList(intLess, 7)
-	r := xrand.New(123)
-	for step := 0; step < 20000; step++ {
-		if r.Intn(3) != 0 || bh.Len() == 0 {
-			v := r.Intn(1 << 20)
-			bh.Push(v)
-			sl.Push(v)
-		} else {
-			a, aok := bh.Pop()
-			b, bok := sl.Pop()
-			if aok != bok || a != b {
-				t.Fatalf("step %d: BinHeap=(%v,%v) SkipList=(%v,%v)", step, a, aok, b, bok)
-			}
-		}
-	}
-}
-
-func TestSkipListFreelistReuse(t *testing.T) {
-	sl := NewSkipList(intLess, 9)
-	for round := 0; round < 100; round++ {
-		for i := 0; i < 128; i++ {
-			sl.Push((i * 37) % 128)
-		}
-		prev := -1
-		for i := 0; i < 128; i++ {
-			v, ok := sl.Pop()
-			if !ok || v < prev {
-				t.Fatalf("round %d pop %d = %v,%v prev %v", round, i, v, ok, prev)
-			}
-			prev = v
-		}
-		if sl.Len() != 0 {
-			t.Fatalf("round %d: Len = %d after drain", round, sl.Len())
-		}
-	}
-}
-
-func BenchmarkSkipListPushPop(b *testing.B) {
-	h := NewSkipList(intLess, 1)
-	r := xrand.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Push(r.Intn(1 << 20))
-		if h.Len() > 1024 {
-			for h.Len() > 512 {
-				h.Pop()
-			}
-		}
-	}
-}
-
 func BenchmarkBinHeapPushPop(b *testing.B) {
 	h := NewBinHeap(intLess)
-	r := xrand.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Push(r.Intn(1 << 20))
-		if h.Len() > 1024 {
-			for h.Len() > 512 {
-				h.Pop()
-			}
-		}
-	}
-}
-
-func BenchmarkPairingHeapPushPop(b *testing.B) {
-	h := NewPairingHeap(intLess)
 	r := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

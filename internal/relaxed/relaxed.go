@@ -175,9 +175,10 @@ type NumericConfig[T any] struct {
 // gigantic occupancy array in every lane.
 const maxResolutionBands = 1 << 16
 
-// emptyPrio is the numeric advertisement of an empty lane. Pushing a
-// task whose Prio is MaxInt64 is indistinguishable from empty, which
-// only delays that task until a sweep — acceptable for a sentinel.
+// emptyPrio is the numeric advertisement of an empty lane. Every
+// sampler and sweep skips a lane that advertises it, so a non-empty
+// lane never does: advertise caps what it publishes at emptyPrio−1,
+// and a task whose Prio is MaxInt64 merely ties with MaxInt64−1 there.
 const emptyPrio = math.MaxInt64
 
 type lane[T any] struct {
@@ -271,17 +272,6 @@ type DS[T any] struct {
 // SampleAll pops and no stickiness.
 func New[T any](opts core.Options[T]) (*DS[T], error) {
 	return NewWithConfig(opts, Config{})
-}
-
-// NewWithLanes constructs the structure with an explicit lane count and
-// sampling mode (and no stickiness). Lane counts below 1 — including 0,
-// which Config would interpret as "use the default" — keep their
-// historical meaning of a single strict lane.
-func NewWithLanes[T any](opts core.Options[T], lanes int, mode SampleMode) (*DS[T], error) {
-	if lanes < 1 {
-		lanes = 1
-	}
-	return NewWithConfig(opts, Config{Lanes: lanes, Mode: mode})
 }
 
 // NewWithConfig constructs the structure with explicit knobs, boxed
@@ -444,16 +434,6 @@ func (d *DS[T]) GroupContention(out []int64) []int64 {
 	return out
 }
 
-// LaneContention appends the per-lane failed-try-lock counts to out and
-// returns it — the per-lane contention sample behind ContentionTotal,
-// exposed for diagnostics (which lanes are hot) and tests.
-func (d *DS[T]) LaneContention(out []int64) []int64 {
-	for _, ln := range d.lanes {
-		out = append(out, ln.contended.Load())
-	}
-	return out
-}
-
 // ContentionTotal returns the total number of failed lane try-locks —
 // the contention signal the adaptive controller samples alongside
 // Stats().PopRetries.
@@ -475,7 +455,7 @@ func (d *DS[T]) ContentionTotal() int64 {
 func (d *DS[T]) advertise(ln *lane[T]) {
 	if d.prio != nil {
 		if v, ok := ln.q.Peek(); ok {
-			ln.minP.Store(d.prio(v))
+			ln.minP.Store(min(d.prio(v), emptyPrio-1))
 		} else {
 			ln.minP.Store(emptyPrio)
 		}

@@ -1,6 +1,7 @@
 package relaxed
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -30,7 +31,7 @@ func TestConformanceSampleTwo(t *testing.T) {
 	// SampleTwo is only probabilistically ordered, so the strict local
 	// ordering check is skipped (see Flags.NoLocalOrdering).
 	dstest.RunFlags(t, "RelaxedSampleTwo", func(opts core.Options[int64]) (core.DS[int64], error) {
-		d, err := NewWithLanes(opts, DefaultLaneFactor*opts.Places, SampleTwo)
+		d, err := NewWithConfig(opts, Config{Mode: SampleTwo})
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +350,7 @@ func TestBatchCounters(t *testing.T) {
 }
 
 func TestSingleLaneIsStrict(t *testing.T) {
-	d, err := NewWithLanes(core.Options[int64]{Places: 1, Less: less, Seed: 1}, 1, SampleTwo)
+	d, err := NewWithConfig(core.Options[int64]{Places: 1, Less: less, Seed: 1}, Config{Lanes: 1, Mode: SampleTwo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +375,7 @@ func TestSingleLaneIsStrict(t *testing.T) {
 // return the exact global minimum across all lanes, for any lane count.
 func TestQuiescentExactness(t *testing.T) {
 	for _, lanes := range []int{1, 2, 4, 16} {
-		d, err := NewWithLanes(core.Options[int64]{Places: 1, Less: less, Seed: uint64(lanes)}, lanes, SampleAll)
+		d, err := NewWithConfig(core.Options[int64]{Places: 1, Less: less, Seed: uint64(lanes)}, Config{Lanes: lanes, Mode: SampleAll})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +409,7 @@ func TestQuiescentExactness(t *testing.T) {
 // mode: average rank error well below the lane count.
 func TestSampleTwoRankErrorIsSmallOnAverage(t *testing.T) {
 	const lanes = 8
-	d, err := NewWithLanes(core.Options[int64]{Places: 1, Less: less, Seed: 6}, lanes, SampleTwo)
+	d, err := NewWithConfig(core.Options[int64]{Places: 1, Less: less, Seed: 6}, Config{Lanes: lanes, Mode: SampleTwo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +453,7 @@ func TestSampleTwoRankErrorIsSmallOnAverage(t *testing.T) {
 // tail advances — and an arbitrarily old, low-priority item is simply
 // returned when it becomes the minimum, exactly once.
 func TestAgeIndependence(t *testing.T) {
-	d, err := NewWithLanes(core.Options[int64]{Places: 1, Less: less, Seed: 5}, 2, SampleAll)
+	d, err := NewWithConfig(core.Options[int64]{Places: 1, Less: less, Seed: 5}, Config{Lanes: 2, Mode: SampleAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,14 +589,14 @@ func TestSetStickinessConcurrent(t *testing.T) {
 	}
 }
 
-// TestLaneContentionSampling pins the per-lane contention counters: a
-// quiescent single-place run never fails a try-lock (all zeros), the
-// slice geometry matches the lane count, and under deliberate cross-
-// place hammering of the same small structure the totals are consistent
-// (sum of per-lane == ContentionTotal, counters only grow).
+// TestLaneContentionSampling pins the contention counters the
+// controllers read: a quiescent single-place run never fails a try-lock
+// (every group zero), the per-group slice matches the group count, and
+// under deliberate cross-place hammering of the same small structure the
+// two views are consistent (sum of per-group == ContentionTotal).
 func TestLaneContentionSampling(t *testing.T) {
-	d, err := NewWithConfig(core.Options[int64]{Places: 1, Less: less, Seed: 11},
-		Config{Lanes: 4})
+	d, err := NewWithConfig(core.Options[int64]{Places: 2, Less: less, Seed: 11},
+		Config{Lanes: 4, Groups: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,23 +604,24 @@ func TestLaneContentionSampling(t *testing.T) {
 		d.Push(0, 0, i)
 		d.Pop(0)
 	}
-	per := d.LaneContention(nil)
-	if len(per) != d.Lanes() {
-		t.Fatalf("LaneContention returned %d lanes, structure has %d", len(per), d.Lanes())
+	per := d.GroupContention(nil)
+	if len(per) != 2 {
+		t.Fatalf("GroupContention returned %d groups, structure has 2", len(per))
 	}
-	for i, c := range per {
+	for g, c := range per {
 		if c != 0 {
-			t.Fatalf("uncontended single-place run recorded contention on lane %d: %d", i, c)
+			t.Fatalf("uncontended single-place run recorded contention in group %d: %d", g, c)
 		}
 	}
 	if d.ContentionTotal() != 0 {
 		t.Fatalf("ContentionTotal = %d on an uncontended run", d.ContentionTotal())
 	}
 
-	// Two places, one lane: every overlapping operation is a try-lock
-	// collision, so heavy concurrent traffic must record some.
+	// Two places sharing two lanes across two groups: overlapping
+	// operations collide on the try-locks, in the home group and on the
+	// cross-group steal sweep.
 	d2, err := NewWithConfig(core.Options[int64]{Places: 2, Less: less, Seed: 12},
-		Config{Lanes: 1, Stickiness: 8})
+		Config{Lanes: 2, Groups: 2, Stickiness: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,13 +637,12 @@ func TestLaneContentionSampling(t *testing.T) {
 		}(pl)
 	}
 	wg.Wait()
-	per2 := d2.LaneContention(nil)
 	var sum int64
-	for _, c := range per2 {
+	for _, c := range d2.GroupContention(nil) {
 		sum += c
 	}
 	if total := d2.ContentionTotal(); total != sum {
-		t.Fatalf("ContentionTotal %d != per-lane sum %d", total, sum)
+		t.Fatalf("ContentionTotal %d != per-group sum %d", total, sum)
 	}
 }
 
@@ -760,6 +761,50 @@ func TestNumericHotPathAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("res %d: batch PopKInto drain allocs = %v, want 0", res, allocs)
+		}
+	}
+}
+
+// TestMaxPrioTaskIsPopped: a task whose numeric priority is MaxInt64 —
+// the value an empty lane advertises — must still be found, by the
+// samplers and by the sweeps, through the single and the batch pop, on
+// exact and on multiresolution lanes. A lane holding it used to read as
+// empty to all of them, so the task was never returned.
+func TestMaxPrioTaskIsPopped(t *testing.T) {
+	for _, mode := range []SampleMode{SampleAll, SampleTwo} {
+		for _, res := range []int64{0, 1 << 48} {
+			for _, batch := range []bool{false, true} {
+				d, err := NewWithNumeric(core.Options[int64]{Places: 1, Less: less, Seed: 3},
+					Config{Mode: mode},
+					NumericConfig[int64]{
+						Prio:       func(v int64) int64 { return v },
+						MaxPrio:    math.MaxInt64,
+						Resolution: res,
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.Push(0, 0, math.MaxInt64)
+				var got int64
+				ok := false
+				// Single-threaded: the sweep after the sampling rounds
+				// finds any advertised lane, so one pop must succeed; the
+				// bound only keeps a regression from looping forever.
+				for try := 0; try < 1000 && !ok; try++ {
+					if batch {
+						var buf [4]int64
+						if n := d.PopKInto(0, buf[:]); n > 0 {
+							got, ok = buf[0], true
+						}
+					} else {
+						got, ok = d.Pop(0)
+					}
+				}
+				if !ok || got != math.MaxInt64 {
+					t.Errorf("mode %v, resolution %d, batch %v: pop = %d, %v; the MaxInt64 task was never returned",
+						mode, res, batch, got, ok)
+				}
+			}
 		}
 	}
 }

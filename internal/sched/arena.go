@@ -16,11 +16,13 @@ import (
 // doubles as the claim token: a slot holds the block while it is free
 // and nil while some caller is using it, so claim and release are
 // single CAS operations and the structure is lock-free. The slot
-// population only ever grows — by CAS-appending segarray segments — up
-// to the peak number of concurrent claimants, and every block's backing
-// buffer is retained across uses, so steady-state traffic allocates
-// nothing. (The segarray cursor/retirement machinery is unused: a pool
-// this size is meant to live as long as the scheduler.)
+// population only ever grows — by CAS-appending segarray segments — to
+// one slot per block a dry get had to mint: the peak number of
+// concurrent claimants, plus the occasional block minted by a get that
+// scanned past a slot just before its block came back. Every block's
+// backing buffer is retained across uses, so steady-state traffic
+// allocates nothing. (The segarray cursor/retirement machinery is
+// unused: a pool this size is meant to live as long as the scheduler.)
 //
 // PushK and Spillway.Offer copy the staged values into the structure,
 // so a released block's buffer is dead data — it is overwritten by the
@@ -75,5 +77,12 @@ func (a *blockArena[E]) put(b *block[E]) {
 			return
 		}
 	}
-	a.slots.Slot(a.n.Add(1) - 1).Store(b)
+	// A put that loaded n after this reservation sees the new slot empty
+	// and may fill it first: reserve again rather than store over that
+	// block and lose it.
+	for {
+		if a.slots.Slot(a.n.Add(1)-1).CompareAndSwap(nil, b) {
+			return
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,12 +37,16 @@ func TestBlockArenaRecycles(t *testing.T) {
 }
 
 // TestBlockArenaConcurrent hammers claim/release from many goroutines
-// under -race: no two concurrent claimants may ever hold the same
-// block, and every released block must remain claimable.
+// under -race and checks what the arena promises: no two concurrent
+// claimants ever hold the same block, a slot is published for exactly
+// the blocks dry gets minted, and every released block stays claimable.
+// It does not bound the population by the goroutine count: a get that
+// scans past a slot just before its block is put back mints a fresh
+// block, so the slots can outnumber the peak claimants.
 func TestBlockArenaConcurrent(t *testing.T) {
 	a := newBlockArena[int64]()
-	const goroutines, rounds = 8, 5000
-	var inUse sync.Map // *block[int64] → struct{}
+	const goroutines, rounds = 32, 1250
+	var inUse, minted sync.Map // *block[int64] → struct{}
 	var double atomic.Int32
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -50,6 +55,7 @@ func TestBlockArenaConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				b := a.get()
+				minted.Store(b, struct{}{})
 				if _, loaded := inUse.LoadOrStore(b, struct{}{}); loaded {
 					double.Add(1)
 					return
@@ -65,6 +71,12 @@ func TestBlockArenaConcurrent(t *testing.T) {
 					}
 				}
 				inUse.Delete(b)
+				if (i+g)%7 == 0 {
+					// Hold some claims across a reschedule, so gets run
+					// dry and puts publish slots throughout the run, not
+					// only while the pool warms up.
+					runtime.Gosched()
+				}
 				a.put(b)
 			}
 		}(g)
@@ -73,8 +85,18 @@ func TestBlockArenaConcurrent(t *testing.T) {
 	if double.Load() != 0 {
 		t.Fatal("a block was claimed by two goroutines at once")
 	}
-	if n := a.n.Load(); n < 1 || n > goroutines {
-		t.Fatalf("pool grew to %d slots with %d peak claimants", n, goroutines)
+	blocks := int64(0)
+	minted.Range(func(_, _ any) bool { blocks++; return true })
+	if n := a.n.Load(); n != blocks {
+		t.Fatalf("%d slots published for %d minted blocks", n, blocks)
+	}
+	// Quiescent now: every minted block is back in a slot, so draining
+	// the pool hands each of them out once before it runs dry.
+	for i := int64(0); i < blocks; i++ {
+		b := a.get()
+		if _, known := minted.LoadAndDelete(b); !known {
+			t.Fatalf("claim %d of %d returned a fresh or repeated block: a released block was lost", i+1, blocks)
+		}
 	}
 }
 

@@ -292,7 +292,8 @@ func TestDrainReadmitsSpillwayUnderOverload(t *testing.T) {
 	}
 }
 
-// TestReadmitRunsPreserveK pins the pure striping helper: the
+// TestReadmitRunsPreserveK pins the striping readmitSpill walks
+// (readmitChunk, then runEnd from one run to the next): the
 // concatenated runs are exactly the input in order, every run is
 // k-uniform (each task is re-pushed with the k its Submit requested),
 // and a large same-k batch is cut into multiple runs so readmission can
@@ -307,7 +308,13 @@ func TestReadmitRunsPreserveK(t *testing.T) {
 	}
 	check := func(t *testing.T, ds []deferredTask[int64], lanes int) [][]deferredTask[int64] {
 		t.Helper()
-		runs := readmitRuns(ds, lanes)
+		chunk := readmitChunk(len(ds), lanes)
+		var runs [][]deferredTask[int64]
+		for start := 0; start < len(ds); {
+			end := runEnd(ds, start, chunk)
+			runs = append(runs, ds[start:end])
+			start = end
+		}
 		var flat []deferredTask[int64]
 		for _, run := range runs {
 			if len(run) == 0 {

@@ -23,6 +23,7 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,28 +95,46 @@ const (
 	RelaxedSampleTwo
 )
 
-// String returns the strategy name used in reports.
+// strategyNames is the one table that names the strategies, indexed by
+// Strategy: String prints from it, ParseStrategy reads it back.
+var strategyNames = [...]string{
+	WorkStealing:         "work-stealing",
+	Centralized:          "centralized",
+	Hybrid:               "hybrid",
+	Relaxed:              "relaxed",
+	WorkStealingStealOne: "ws-steal-one",
+	HybridNoSpy:          "hybrid-no-spy",
+	GlobalHeap:           "global-heap",
+	RelaxedSampleTwo:     "relaxed-two",
+}
+
+// String returns the strategy name used in reports and accepted by
+// ParseStrategy.
 func (s Strategy) String() string {
-	switch s {
-	case WorkStealing:
-		return "work-stealing"
-	case Centralized:
-		return "centralized"
-	case Hybrid:
-		return "hybrid"
-	case Relaxed:
-		return "relaxed"
-	case WorkStealingStealOne:
-		return "ws-steal-one"
-	case HybridNoSpy:
-		return "hybrid-no-spy"
-	case GlobalHeap:
-		return "global-heap"
-	case RelaxedSampleTwo:
-		return "relaxed-two"
-	default:
+	if s < 0 || int(s) >= len(strategyNames) {
 		return fmt.Sprintf("strategy(%d)", int(s))
 	}
+	return strategyNames[s]
+}
+
+// Strategies returns every strategy, in declaration order.
+func Strategies() []Strategy {
+	out := make([]Strategy, len(strategyNames))
+	for i := range out {
+		out[i] = Strategy(i)
+	}
+	return out
+}
+
+// ParseStrategy returns the strategy whose String is name. The error
+// for any other name lists the accepted ones.
+func ParseStrategy(name string) (Strategy, error) {
+	for i, n := range strategyNames {
+		if n == name {
+			return Strategy(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (one of %s)", name, strings.Join(strategyNames[:], ", "))
 }
 
 // Config configures a Scheduler.
@@ -144,8 +163,6 @@ type Config[T any] struct {
 	// from the popping place's goroutine and must be safe to call from
 	// all of them at once.
 	Stale func(T) bool
-	// LocalQueue selects the sequential local priority queue kind.
-	LocalQueue core.LocalQueueKind
 	// Injectors is the number of external submission lanes used by the
 	// open-system serve mode (Start/Submit/Drain/Stop). Submissions from
 	// producer goroutines outside the worker places are pushed through
@@ -604,11 +621,10 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 	}
 
 	opts := core.Options[envelope[T]]{
-		Places:     cfg.Places + cfg.Injectors,
-		Less:       func(a, b envelope[T]) bool { return cfg.Less(a.v, b.v) },
-		KMax:       cfg.KMax,
-		LocalQueue: cfg.LocalQueue,
-		Seed:       cfg.Seed,
+		Places: cfg.Places + cfg.Injectors,
+		Less:   func(a, b envelope[T]) bool { return cfg.Less(a.v, b.v) },
+		KMax:   cfg.KMax,
+		Seed:   cfg.Seed,
 	}
 	if cfg.Stale != nil {
 		opts.Stale = func(e envelope[T]) bool { return cfg.Stale(e.v) }

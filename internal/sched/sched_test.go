@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 var allStrategies = []Strategy{
@@ -417,11 +420,88 @@ func TestStrategyStrings(t *testing.T) {
 		WorkStealingStealOne: "ws-steal-one",
 		HybridNoSpy:          "hybrid-no-spy",
 		GlobalHeap:           "global-heap",
+		RelaxedSampleTwo:     "relaxed-two",
 		Strategy(42):         "strategy(42)",
+		Strategy(-1):         "strategy(-1)",
 	}
 	for s, w := range want {
 		if got := s.String(); got != w {
 			t.Errorf("%d.String() = %q, want %q", int(s), got, w)
+		}
+	}
+}
+
+// TestRunTerminatesOnMaxPriority: a task whose Priority is MaxInt64 —
+// the value an empty relaxed lane advertises — must still be popped, or
+// the ledgers never balance and Run never returns.
+func TestRunTerminatesOnMaxPriority(t *testing.T) {
+	for _, strat := range []Strategy{Relaxed, RelaxedSampleTwo} {
+		var executed atomic.Int64
+		s, err := New(Config[int64]{
+			Places:   2,
+			Strategy: strat,
+			Less:     intLess,
+			Priority: func(int64) int64 { return math.MaxInt64 },
+			Execute: func(ctx *Ctx[int64], v int64) {
+				executed.Add(1)
+				if v > 0 {
+					ctx.Spawn(v - 1)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Run(3)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := executed.Load(); got != 4 {
+				t.Errorf("%v: executed %d tasks, want 4", strat, got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: Run did not return with every task at Priority MaxInt64 (executed %d of 4)", strat, executed.Load())
+		}
+	}
+}
+
+// TestParseStrategyRoundTrip pins the one strategy table: Strategies
+// lists every declared constant, each parses back from the name String
+// prints, and anything else is rejected with the vocabulary in the error.
+func TestParseStrategyRoundTrip(t *testing.T) {
+	got := Strategies()
+	if len(got) != len(allStrategies) {
+		t.Fatalf("Strategies() = %v, want the %d declared constants %v", got, len(allStrategies), allStrategies)
+	}
+	listed := map[Strategy]bool{}
+	for _, s := range got {
+		listed[s] = true
+		back, err := ParseStrategy(s.String())
+		if err != nil || back != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), back, err, s)
+		}
+	}
+	for _, s := range allStrategies {
+		if !listed[s] {
+			t.Errorf("Strategies() misses %v", s)
+		}
+	}
+	for _, name := range []string{"", "workstealing", "Hybrid", " hybrid", "strategy(2)"} {
+		_, err := ParseStrategy(name)
+		if err == nil {
+			t.Errorf("ParseStrategy(%q) accepted", name)
+			continue
+		}
+		for _, s := range got {
+			if !strings.Contains(err.Error(), s.String()) {
+				t.Errorf("ParseStrategy(%q) error %q does not list %q", name, err, s)
+			}
 		}
 	}
 }

@@ -382,32 +382,16 @@ func readmitChunk(n, lanes int) int {
 
 // runEnd returns the exclusive end of the push run starting at start:
 // the longest prefix of consecutive equal-k tasks, capped at chunk.
+// readmitSpill cuts a drained batch with it: tasks of equal k stay
+// together (each run is one PushK with that run's original k), and the
+// cap spreads a batch over the injector lanes instead of serializing it
+// behind a single lane's lock.
 func runEnd[T any](ds []deferredTask[T], start, chunk int) int {
 	end := start + 1
 	for end < len(ds) && end-start < chunk && ds[end].k == ds[start].k {
 		end++
 	}
 	return end
-}
-
-// readmitRuns splits a drained spillway batch into the per-lane push
-// runs readmitSpill issues: consecutive tasks of equal k stay together
-// (each run is one PushK with that run's original k), and runs are
-// additionally cut so a batch spreads over up to lanes injector lanes
-// instead of serializing behind a single lane's lock. Order inside the
-// concatenated runs is exactly the input (oldest-first) order. Pure, so
-// the k-preservation and striping properties are unit-testable;
-// readmitSpill itself walks runEnd in place instead of materializing
-// the slice-of-runs.
-func readmitRuns[T any](ds []deferredTask[T], lanes int) [][]deferredTask[T] {
-	chunk := readmitChunk(len(ds), lanes)
-	var runs [][]deferredTask[T]
-	for start := 0; start < len(ds); {
-		end := runEnd(ds, start, chunk)
-		runs = append(runs, ds[start:end])
-		start = end
-	}
-	return runs
 }
 
 // readmitSpill moves up to max deferred tasks (oldest first) from the

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pq"
 	"repro/internal/sched"
@@ -91,8 +90,6 @@ type Options struct {
 	K int
 	// KMax bounds per-task k in the centralized structure (default 512).
 	KMax int
-	// LocalQueue selects the place-local sequential priority queue.
-	LocalQueue core.LocalQueueKind
 	// Seed drives scheduling randomness.
 	Seed uint64
 	// SpinWork adds artificial computation to every executed relaxation
@@ -123,11 +120,15 @@ type Result struct {
 // data structure) is built once and can solve many sources/graphs of the
 // same node count, which is how the benchmark harness amortizes setup.
 type Solver struct {
-	opt     Options
-	s       *sched.Scheduler[NodeTask]
-	dist    []atomic.Uint64 // Float64bits of the tentative distances
-	g       *graph.Graph
+	opt  Options
+	s    *sched.Scheduler[NodeTask]
+	dist []atomic.Uint64 // Float64bits of the tentative distances
+	g    *graph.Graph
+	// relaxed is written by every place, once per useful task; the pads
+	// keep it off the line of the fields above, which every task reads.
+	_       [64]byte
 	relaxed atomic.Int64
+	_       [56]byte
 }
 
 // NewSolver constructs a solver for graphs with up to n nodes.
@@ -137,14 +138,13 @@ func NewSolver(n int, opt Options) (*Solver, error) {
 	}
 	sv := &Solver{opt: opt, dist: make([]atomic.Uint64, n)}
 	cfg := sched.Config[NodeTask]{
-		Places:     opt.Places,
-		Strategy:   opt.Strategy,
-		K:          opt.K,
-		KMax:       opt.KMax,
-		LocalQueue: opt.LocalQueue,
-		Seed:       opt.Seed,
-		Less:       func(a, b NodeTask) bool { return a.Dist < b.Dist },
-		Priority:   distKey,
+		Places:   opt.Places,
+		Strategy: opt.Strategy,
+		K:        opt.K,
+		KMax:     opt.KMax,
+		Seed:     opt.Seed,
+		Less:     func(a, b NodeTask) bool { return a.Dist < b.Dist },
+		Priority: distKey,
 		// A task is dead iff the node's distance moved on since spawn
 		// (§5.1): it was superseded by a re-inserted improvement.
 		Stale:   func(t NodeTask) bool { return sv.load(t.Node) != t.Dist },

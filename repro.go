@@ -67,21 +67,18 @@ const (
 	RelaxedSampleTwo     = sched.RelaxedSampleTwo
 )
 
+// Strategies returns every strategy, in declaration order; their String
+// forms are the names ParseStrategy accepts.
+func Strategies() []Strategy { return sched.Strategies() }
+
+// ParseStrategy returns the strategy whose String is name; the error
+// for any other name lists the accepted ones.
+func ParseStrategy(name string) (Strategy, error) { return sched.ParseStrategy(name) }
+
 // AdaptiveLimits bounds the adaptive controller's stickiness and batch
 // knobs (SchedulerConfig.Adaptive): MinStickiness/MaxStickiness and
 // MinBatch/MaxBatch, zero fields selecting the defaults.
 type AdaptiveLimits = adapt.Limits
-
-// LocalQueueKind selects the sequential priority queue used for
-// place-local components.
-type LocalQueueKind = core.LocalQueueKind
-
-// Place-local priority queue implementations.
-const (
-	BinaryHeap    = core.BinaryHeap
-	PairingHeap   = core.PairingHeap
-	SkipListQueue = core.SkipListQueue
-)
 
 // DSStats aggregates data structure operation counters.
 type DSStats = core.Stats
@@ -121,8 +118,6 @@ type SchedulerConfig[T any] struct {
 	Execute func(ctx Ctx[T], v T)
 	// Stale optionally marks superseded tasks for lazy elimination.
 	Stale func(T) bool
-	// LocalQueue selects the place-local priority queue implementation.
-	LocalQueue LocalQueueKind
 	// Injectors is the number of external submission lanes for the serve
 	// mode (Start/Submit/Drain/Stop); more lanes reduce contention
 	// between concurrent Submit callers. The default 0 allocates none —
@@ -194,8 +189,8 @@ type SchedulerConfig[T any] struct {
 	// per-lane box recycle — also zero steady-state allocations per lock
 	// episode, at a slightly higher sampling cost). Centralized and
 	// Hybrid key their place-local queues on it: the key is computed
-	// once per queue entry and, with the default BinaryHeap kind, heap
-	// comparisons are inlined integer compares instead of Less calls.
+	// once per queue entry and the queue orders by it with inlined integer
+	// compares instead of Less calls.
 	// Set Priority whenever tasks have a numeric priority, even with
 	// Backpressure off.
 	Priority func(T) int64
@@ -296,7 +291,6 @@ func NewScheduler[T any](cfg SchedulerConfig[T]) (*Scheduler[T], error) {
 		KMax:              cfg.KMax,
 		Less:              cfg.Less,
 		Stale:             cfg.Stale,
-		LocalQueue:        cfg.LocalQueue,
 		Injectors:         cfg.Injectors,
 		Batch:             cfg.Batch,
 		Stickiness:        cfg.Stickiness,
@@ -519,8 +513,6 @@ type DSConfig[T any] struct {
 	OnEliminate func(T)
 	// KMax bounds per-task k (centralized only; default 512).
 	KMax int
-	// LocalQueue selects the place-local priority queue implementation.
-	LocalQueue LocalQueueKind
 	// Stickiness is the relaxed structures' per-place lane stickiness S
 	// (default: re-sample every operation). Ignored by the others.
 	Stickiness int
@@ -539,7 +531,6 @@ func (c DSConfig[T]) options() core.Options[T] {
 		Stale:       c.Stale,
 		OnEliminate: onEliminate,
 		KMax:        c.KMax,
-		LocalQueue:  c.LocalQueue,
 		Seed:        c.Seed,
 	}
 }

@@ -83,8 +83,6 @@ type SSSPOptions struct {
 	K int
 	// KMax bounds per-task k in the centralized structure (default 512).
 	KMax int
-	// LocalQueue selects the place-local priority queue implementation.
-	LocalQueue LocalQueueKind
 	// Seed drives scheduling randomness.
 	Seed uint64
 }
@@ -106,12 +104,11 @@ type SSSPResult struct {
 // A src outside [0, g.N) is an error.
 func SolveSSSP(g Graph, src int, opt SSSPOptions) (SSSPResult, error) {
 	res, err := sssp.Parallel(g.Graph, src, sssp.Options{
-		Places:     opt.Places,
-		Strategy:   opt.Strategy,
-		K:          opt.K,
-		KMax:       opt.KMax,
-		LocalQueue: opt.LocalQueue,
-		Seed:       opt.Seed,
+		Places:   opt.Places,
+		Strategy: opt.Strategy,
+		K:        opt.K,
+		KMax:     opt.KMax,
+		Seed:     opt.Seed,
 	})
 	if err != nil {
 		return SSSPResult{}, err
