@@ -571,16 +571,20 @@ func BenchmarkServeSticky(b *testing.B) {
 			var thr, rank, allocs, bytes float64
 			for i := 0; i < b.N; i++ {
 				res, err := load.Run(load.Config{
-					Strategy:   sched.Strategy(cfg.strat),
+					Sched: sched.Config[load.Task]{
+						Places:     runtime.GOMAXPROCS(0),
+						K:          512,
+						Strategy:   sched.Strategy(cfg.strat),
+						Batch:      cfg.batch,
+						Stickiness: cfg.stick,
+						Resolution: cfg.res,
+						Seed:       uint64(i) + 1,
+					},
 					Producers:  8,
 					Duration:   250 * time.Millisecond,
 					Arrival:    load.ClosedLoop,
 					Window:     64,
-					Batch:      cfg.batch,
-					Stickiness: cfg.stick,
-					Resolution: cfg.res,
 					RankSample: 4,
-					Seed:       uint64(i) + 1,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -610,7 +614,11 @@ func BenchmarkServeSticky(b *testing.B) {
 // shifts. final_S/final_B metrics show where the controller landed.
 func BenchmarkServeAdaptive(b *testing.B) {
 	base := load.Config{
-		Strategy:   sched.Strategy(repro.RelaxedSampleTwo),
+		Sched: sched.Config[load.Task]{
+			Places:   runtime.GOMAXPROCS(0),
+			K:        512,
+			Strategy: sched.Strategy(repro.RelaxedSampleTwo),
+		},
 		Producers:  8,
 		Duration:   250 * time.Millisecond,
 		Arrival:    load.ClosedLoop,
@@ -621,7 +629,7 @@ func BenchmarkServeAdaptive(b *testing.B) {
 		var thr, rank float64
 		for i := 0; i < b.N; i++ {
 			cfg := base
-			cfg.Batch, cfg.Stickiness, cfg.Seed = 8, 4, uint64(i)+1
+			cfg.Sched.Batch, cfg.Sched.Stickiness, cfg.Sched.Seed = 8, 4, uint64(i)+1
 			res, err := load.Run(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -640,11 +648,11 @@ func BenchmarkServeAdaptive(b *testing.B) {
 			// batch; the producers' submit batch is not a controller knob,
 			// so both rows use the same submit batching and the comparison
 			// isolates what adaptation actually controls.
-			cfg.Batch = 8
-			cfg.Adaptive = true
-			cfg.RankErrorBudget = 512
-			cfg.AdaptInterval = 5 * time.Millisecond
-			cfg.Seed = uint64(i) + 1
+			cfg.Sched.Batch = 8
+			cfg.Sched.Adaptive = true
+			cfg.Sched.RankErrorBudget = 512
+			cfg.Sched.AdaptInterval = 5 * time.Millisecond
+			cfg.Sched.Seed = uint64(i) + 1
 			res, err := load.Run(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -699,15 +707,18 @@ func BenchmarkServeGrouped(b *testing.B) {
 			var thr, rank, steal, allocs, bytes float64
 			for i := 0; i < b.N; i++ {
 				res, err := load.Run(load.Config{
-					Strategy:   sched.Strategy(cfg.strat),
-					Places:     places,
+					Sched: sched.Config[load.Task]{
+						K:          512,
+						Strategy:   sched.Strategy(cfg.strat),
+						Places:     places,
+						LaneGroups: cfg.groups,
+						Seed:       uint64(i) + 1,
+					},
 					Producers:  8,
 					Duration:   250 * time.Millisecond,
 					Arrival:    load.ClosedLoop,
 					Window:     64,
-					LaneGroups: cfg.groups,
 					RankSample: 4,
-					Seed:       uint64(i) + 1,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -740,13 +751,17 @@ func BenchmarkServeGrouped(b *testing.B) {
 // against the main-branch baseline (BENCH_observed.json).
 func BenchmarkServeObserved(b *testing.B) {
 	base := load.Config{
-		Strategy:   sched.Strategy(repro.RelaxedSampleTwo),
+		Sched: sched.Config[load.Task]{
+			Places:     runtime.GOMAXPROCS(0),
+			K:          512,
+			Strategy:   sched.Strategy(repro.RelaxedSampleTwo),
+			Batch:      8,
+			Stickiness: 4,
+		},
 		Producers:  8,
 		Duration:   250 * time.Millisecond,
 		Arrival:    load.ClosedLoop,
 		Window:     64,
-		Batch:      8,
-		Stickiness: 4,
 		RankSample: 4,
 	}
 	rows := []struct {
@@ -763,19 +778,19 @@ func BenchmarkServeObserved(b *testing.B) {
 			var thr, rank, allocs, bytes float64
 			for i := 0; i < b.N; i++ {
 				cfg := base
-				cfg.Seed = uint64(i) + 1
+				cfg.Sched.Seed = uint64(i) + 1
 				if row.metrics {
-					cfg.Metrics = obs.NewRegistry()
+					cfg.Sched.Metrics = obs.NewRegistry()
 				}
 				if row.capture {
-					cfg.Recorder = obs.NewRecorder(io.Discard)
+					cfg.Sched.Recorder = obs.NewRecorder(io.Discard)
 				}
 				res, err := load.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if cfg.Recorder != nil {
-					if err := cfg.Recorder.Err(); err != nil {
+				if cfg.Sched.Recorder != nil {
+					if err := cfg.Sched.Recorder.Err(); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -801,12 +816,16 @@ func BenchmarkServeOpenLoop(b *testing.B) {
 		b.Run(strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := load.Run(load.Config{
-					Strategy:  sched.Strategy(strat),
+					Sched: sched.Config[load.Task]{
+						Places:   runtime.GOMAXPROCS(0),
+						K:        512,
+						Strategy: sched.Strategy(strat),
+						Seed:     uint64(i),
+					},
 					Producers: 2,
 					Duration:  200 * time.Millisecond,
 					Arrival:   load.Poisson,
 					Rate:      50000,
-					Seed:      uint64(i),
 				})
 				if err != nil {
 					b.Fatal(err)

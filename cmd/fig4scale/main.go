@@ -25,35 +25,10 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/sched"
 )
-
-func parseStrategies(s string) ([]sched.Strategy, error) {
-	var out []sched.Strategy
-	for _, name := range strings.Split(s, ",") {
-		st, err := sched.ParseStrategy(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -70,11 +45,11 @@ func main() {
 	)
 	flag.Parse()
 
-	placeList, err := parseInts(*places)
+	placeList, err := harness.ParseList(*places, strconv.Atoi)
 	if err != nil {
 		log.Fatalf("bad -places: %v", err)
 	}
-	stratList, err := parseStrategies(*strats)
+	stratList, err := sched.ParseStrategies(*strats)
 	if err != nil {
 		log.Fatal(err)
 	}

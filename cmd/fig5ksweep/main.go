@@ -22,7 +22,6 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/sched"
@@ -45,23 +44,14 @@ func main() {
 	cfg := harness.DefaultFig5()
 	cfg.Common = harness.Common{N: *n, EdgeP: *p, Graphs: *graphs, Seed: *seed}
 	cfg.Places = *places
+	var err error
 	if *ks != "" {
-		cfg.Ks = cfg.Ks[:0]
-		for _, f := range strings.Split(*ks, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				log.Fatalf("bad -ks: %v", err)
-			}
-			cfg.Ks = append(cfg.Ks, v)
+		if cfg.Ks, err = harness.ParseList(*ks, strconv.Atoi); err != nil {
+			log.Fatalf("bad -ks: %v", err)
 		}
 	}
-	cfg.Strategies = cfg.Strategies[:0]
-	for _, name := range strings.Split(*strats, ",") {
-		st, err := sched.ParseStrategy(strings.TrimSpace(name))
-		if err != nil {
-			log.Fatalf("-strategies: %v", err)
-		}
-		cfg.Strategies = append(cfg.Strategies, st)
+	if cfg.Strategies, err = sched.ParseStrategies(*strats); err != nil {
+		log.Fatalf("-strategies: %v", err)
 	}
 
 	fmt.Printf("# Figure 5 k-sweep: n=%d p=%.2f graphs=%d P=%d ks=%v\n\n",

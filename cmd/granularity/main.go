@@ -17,22 +17,9 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"strings"
 
 	"repro/internal/harness"
 )
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -52,10 +39,10 @@ func main() {
 		Places: *places,
 	}
 	var err error
-	if cfg.Ks, err = parseInts(*ks); err != nil {
+	if cfg.Ks, err = harness.ParseList(*ks, strconv.Atoi); err != nil {
 		log.Fatalf("bad -ks: %v", err)
 	}
-	if cfg.SpinWorks, err = parseInts(*spins); err != nil {
+	if cfg.SpinWorks, err = harness.ParseList(*spins, strconv.Atoi); err != nil {
 		log.Fatalf("bad -spins: %v", err)
 	}
 	fmt.Printf("# Granularity: n=%d p=%.2f graphs=%d P=%d\n\n", *n, *p, *graphs, *places)

@@ -22,6 +22,16 @@
 //	        [-tenantfloor 0] [-tenantbudgets D,D,...] [-scenario steady]
 //	        [-capture FILE] [-seed 20140215]
 //
+// The scheduler flags fill load.Config.Sched, a sched.Config handed to
+// sched.New as written, so they mean what the library means: -k is the
+// k-priority strategies' relaxation parameter and -k 0 is strict k = 0;
+// a negative k is refused. -places 0 is resolved to GOMAXPROCS here.
+// -arrival, -dist and -scenario take the names of load's name tables
+// (-h lists them). Sojourn latency of an open-loop arrival (poisson,
+// bursty) is measured from the instant it was due, so a late producer's
+// delay is in the percentiles; closed-loop arrivals are stamped with the
+// clock.
+//
 // -strategy, -rate, -producers, -batch, -stickiness, -groups and
 // -resolution accept comma-separated lists; -strategy takes the names
 // sched.ParseStrategy accepts (-h lists them), and "-strategy all"
@@ -87,10 +97,12 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -109,100 +121,11 @@ func parseStrategies(s string) ([]sched.Strategy, error) {
 	if strings.TrimSpace(s) == "all" {
 		return allStrategies, nil
 	}
-	var out []sched.Strategy
-	for _, name := range strings.Split(s, ",") {
-		st, err := sched.ParseStrategy(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
+	return sched.ParseStrategies(s)
 }
 
-func parseArrival(s string) (load.Arrival, error) {
-	switch s {
-	case "poisson":
-		return load.Poisson, nil
-	case "bursty":
-		return load.Bursty, nil
-	case "closed-loop", "closed":
-		return load.ClosedLoop, nil
-	}
-	return 0, fmt.Errorf("unknown arrival process %q", s)
-}
-
-func parseDist(s string) (load.PrioDist, error) {
-	switch s {
-	case "uniform":
-		return load.UniformPrio, nil
-	case "skewed":
-		return load.SkewedPrio, nil
-	case "ramp":
-		return load.RampPrio, nil
-	}
-	return 0, fmt.Errorf("unknown priority distribution %q", s)
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInt64s(s string) ([]int64, error) {
-	var out []int64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseDurations(s string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, f := range strings.Split(s, ",") {
-		v, err := time.ParseDuration(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseScenario(s string) (load.Scenario, error) {
-	switch s {
-	case "steady", "":
-		return load.SteadyLoad, nil
-	case "diurnal":
-		return load.DiurnalRamp, nil
-	case "inflation":
-		return load.PriorityInflation, nil
-	}
-	return 0, fmt.Errorf("unknown scenario %q", s)
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+func parseInt64(s string) (int64, error)   { return strconv.ParseInt(s, 10, 64) }
 
 func main() {
 	log.SetFlags(0)
@@ -213,9 +136,9 @@ func main() {
 		producers  = flag.String("producers", "4", "producer goroutine counts (comma list)")
 		duration   = flag.Duration("duration", 2*time.Second, "traffic duration per configuration")
 		places     = flag.Int("places", 0, "worker places (0 = GOMAXPROCS)")
-		k          = flag.Int("k", 512, "relaxation parameter (-1 = strict k=0)")
-		arrival    = flag.String("arrival", "poisson", "arrival process: poisson, bursty, closed-loop")
-		dist       = flag.String("dist", "uniform", "priority distribution: uniform, skewed, ramp")
+		k          = flag.Int("k", 512, "relaxation parameter (0 = strict)")
+		arrival    = flag.String("arrival", "poisson", fmt.Sprintf("arrival process, one of %v", load.ArrivalNames()))
+		dist       = flag.String("dist", "uniform", fmt.Sprintf("priority distribution, one of %v", load.DistNames()))
 		window     = flag.Int("window", 64, "closed-loop outstanding tasks per producer")
 		onPeriod   = flag.Duration("on", 10*time.Millisecond, "bursty on-period")
 		offPeriod  = flag.Duration("off", 10*time.Millisecond, "bursty off-period")
@@ -237,62 +160,65 @@ func main() {
 		tenSkew    = flag.Float64("tenantskew", 1, "hot-tenant arrival multiplier: tenant 0 arrives N× as often as each other tenant")
 		tenFloor   = flag.Float64("tenantfloor", 0, "guaranteed-floor capacity fraction (0 = 5% default)")
 		tenBudgets = flag.String("tenantbudgets", "", "per-tenant sojourn budgets / SLO bands (comma duration list; missing or 0 entries inherit -sojournbudget)")
-		scenario   = flag.String("scenario", "steady", "scripted traffic pattern: steady, diurnal, inflation")
+		scenario   = flag.String("scenario", "steady", fmt.Sprintf("scripted traffic pattern, one of %v", load.ScenarioNames()))
 		capture    = flag.String("capture", "", "write a JSONL capture (arrivals + controller decisions) to this file; single-configuration sweeps only, replay with cmd/replay")
 		seed       = flag.Uint64("seed", 20140215, "base random seed")
 	)
 	flag.Parse()
+	if *places == 0 {
+		*places = runtime.GOMAXPROCS(0)
+	}
 
 	stratList, err := parseStrategies(*strategy)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rateList, err := parseFloats(*rates)
+	rateList, err := harness.ParseList(*rates, parseFloat)
 	if err != nil {
 		log.Fatalf("bad -rate: %v", err)
 	}
-	prodList, err := parseInts(*producers)
+	prodList, err := harness.ParseList(*producers, strconv.Atoi)
 	if err != nil {
 		log.Fatalf("bad -producers: %v", err)
 	}
-	arr, err := parseArrival(*arrival)
+	arr, err := load.ParseArrival(*arrival)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pd, err := parseDist(*dist)
+	pd, err := load.ParseDist(*dist)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	batchList, err := parseInts(*batches)
+	batchList, err := harness.ParseList(*batches, strconv.Atoi)
 	if err != nil {
 		log.Fatalf("bad -batch: %v", err)
 	}
-	stickList, err := parseInts(*stickiness)
+	stickList, err := harness.ParseList(*stickiness, strconv.Atoi)
 	if err != nil {
 		log.Fatalf("bad -stickiness: %v", err)
 	}
-	groupList, err := parseInts(*groups)
+	groupList, err := harness.ParseList(*groups, strconv.Atoi)
 	if err != nil {
 		log.Fatalf("bad -groups: %v", err)
 	}
-	resList, err := parseInts(*resolution)
+	resList, err := harness.ParseList(*resolution, strconv.Atoi)
 	if err != nil {
 		log.Fatalf("bad -resolution: %v", err)
 	}
 	var tenWeights []int64
 	if *tenants != "" {
-		if tenWeights, err = parseInt64s(*tenants); err != nil {
+		if tenWeights, err = harness.ParseList(*tenants, parseInt64); err != nil {
 			log.Fatalf("bad -tenants: %v", err)
 		}
 	}
 	var tenBudgetList []time.Duration
 	if *tenBudgets != "" {
-		if tenBudgetList, err = parseDurations(*tenBudgets); err != nil {
+		if tenBudgetList, err = harness.ParseList(*tenBudgets, time.ParseDuration); err != nil {
 			log.Fatalf("bad -tenantbudgets: %v", err)
 		}
 	}
-	scen, err := parseScenario(*scenario)
+	scen, err := load.ParseScenario(*scenario)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -366,43 +292,45 @@ func main() {
 								fmt.Fprintf(os.Stderr, "loadgen: %s producers=%d rate=%.0f batch=%d stickiness=%d groups=%d resolution=%d adaptive=%v arrival=%s dist=%s duration=%s\n",
 									strat, np, rate, batch, stick, grp, reso, *adaptive, arr, pd, *duration)
 								lcfg := load.Config{
-									Strategy:          strat,
-									Places:            *places,
-									K:                 *k,
-									Producers:         np,
-									Duration:          *duration,
-									Arrival:           arr,
-									Rate:              rate,
-									OnPeriod:          *onPeriod,
-									OffPeriod:         *offPeriod,
-									Window:            *window,
-									Dist:              pd,
-									WorkSpin:          *spin,
-									RankSample:        *rankSample,
-									Batch:             batch,
-									Stickiness:        stick,
-									LaneGroups:        grp,
-									Resolution:        int64(reso),
-									AdaptivePlacement: *adaptPlace && grp > 1,
-									Adaptive:          *adaptive,
-									RankErrorBudget:   *rankBudget,
-									AdaptInterval:     *adaptEvery,
-									Backpressure:      *backpress,
-									SojournBudget:     *sojournBud,
-									ProtectedBand:     *protBand,
-									SpillCap:          *spillCap,
-									Scenario:          scen,
-									Recorder:          recorder,
-									Seed:              *seed,
+									Sched: sched.Config[load.Task]{
+										Strategy:          strat,
+										Places:            *places,
+										K:                 *k,
+										Batch:             batch,
+										Stickiness:        stick,
+										LaneGroups:        grp,
+										Resolution:        int64(reso),
+										AdaptivePlacement: *adaptPlace && grp > 1,
+										Adaptive:          *adaptive,
+										RankErrorBudget:   *rankBudget,
+										AdaptInterval:     *adaptEvery,
+										Backpressure:      *backpress,
+										SojournBudget:     *sojournBud,
+										ProtectedBand:     *protBand,
+										SpillCap:          *spillCap,
+										Recorder:          recorder,
+										Seed:              *seed,
+									},
+									Producers:  np,
+									Duration:   *duration,
+									Arrival:    arr,
+									Rate:       rate,
+									OnPeriod:   *onPeriod,
+									OffPeriod:  *offPeriod,
+									Window:     *window,
+									Dist:       pd,
+									WorkSpin:   *spin,
+									RankSample: *rankSample,
+									Scenario:   scen,
 								}
 								if len(tenWeights) > 0 {
 									// The tenant knobs are only forwarded
 									// together with a weight vector — the
-									// generator rejects them on their own.
-									lcfg.TenantWeights = tenWeights
+									// generator rejects a skew on its own.
+									lcfg.Sched.TenantWeights = tenWeights
+									lcfg.Sched.TenantFloorFrac = *tenFloor
+									lcfg.Sched.TenantBudgets = tenBudgetList
 									lcfg.TenantSkew = *tenSkew
-									lcfg.TenantFloorFrac = *tenFloor
-									lcfg.TenantBudgets = tenBudgetList
 								}
 								res, err := load.Run(lcfg)
 								if err != nil {

@@ -217,18 +217,6 @@ func (is *IgnoreSet) Covers(pos token.Pos) bool {
 	return ok
 }
 
-// IgnoredLines exposes the covered file:line set — the hotpath
-// analyzer consults it during fact computation so an audited
-// (ignore-annotated) allocation site does not poison the containing
-// function's safety fact for cross-package callers.
-func (is *IgnoreSet) IgnoredLines() map[string]bool {
-	out := make(map[string]bool, len(is.byLine))
-	for k := range is.byLine {
-		out[k] = true
-	}
-	return out
-}
-
 // SortDiagnostics orders diagnostics by position for deterministic
 // output.
 func SortDiagnostics(fset *token.FileSet, ds []Diagnostic) {

@@ -24,16 +24,6 @@ type GranConfig struct {
 	SpinWorks []int
 }
 
-// DefaultGran returns a moderate default configuration.
-func DefaultGran() GranConfig {
-	return GranConfig{
-		Common:    Common{N: 10000, EdgeP: 0.5, Graphs: 5, Seed: 20140215},
-		Places:    16,
-		Ks:        []int{8, 64, 512, 4096, 32768},
-		SpinWorks: []int{0, 64, 512},
-	}
-}
-
 // GranPoint is one measured (granularity, k) cell.
 type GranPoint struct {
 	SpinWork  int
@@ -42,76 +32,65 @@ type GranPoint struct {
 	HybTime   float64 // hybrid at this k, seconds
 	Ratio     float64 // HybTime / WSTime; ≤ 1 means hybrid matches WS
 	HybWasted float64 // hybrid nodes relaxed − n
+	Verified  bool    // both runs matched Dijkstra on every graph
 }
 
 // Gran runs the granularity experiment.
 func Gran(cfg GranConfig) ([]GranPoint, error) {
-	type key struct{ spin, k int }
-	hyb := map[key]*stats.Sample{}
-	wasted := map[key]*stats.Sample{}
-	ws := map[int]*stats.Sample{}
-	for gi := 0; gi < cfg.Common.Graphs; gi++ {
-		g := cfg.Common.graph(gi)
-		for _, spin := range cfg.SpinWorks {
-			res, err := sssp.Parallel(g, 0, sssp.Options{
-				Places: cfg.Places, Strategy: sched.WorkStealing,
-				K: 512, Seed: cfg.Common.Seed + uint64(gi), SpinWork: spin,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if ws[spin] == nil {
-				ws[spin] = &stats.Sample{}
-			}
-			ws[spin].Add(res.Elapsed.Seconds())
-			for _, k := range cfg.Ks {
-				res, err := sssp.Parallel(g, 0, sssp.Options{
-					Places: cfg.Places, Strategy: sched.Hybrid,
-					K: k, KMax: maxInt(512, k),
-					Seed: cfg.Common.Seed + uint64(gi), SpinWork: spin,
-				})
-				if err != nil {
-					return nil, err
-				}
-				kk := key{spin, k}
-				if hyb[kk] == nil {
-					hyb[kk] = &stats.Sample{}
-					wasted[kk] = &stats.Sample{}
-				}
-				hyb[kk].Add(res.Elapsed.Seconds())
-				wasted[kk].Add(float64(res.NodesRelaxed) - float64(g.N))
-			}
+	// Per spin: the work-stealing reference cell, then one hybrid cell
+	// per k.
+	var cells []cell
+	for _, spin := range cfg.SpinWorks {
+		cells = append(cells, cell{"work-stealing", 512, sssp.Options{
+			Places: cfg.Places, Strategy: sched.WorkStealing, K: 512, SpinWork: spin,
+		}})
+		for _, k := range cfg.Ks {
+			cells = append(cells, cell{"hybrid", k, sssp.Options{
+				Places: cfg.Places, Strategy: sched.Hybrid, K: k, KMax: max(512, k), SpinWork: spin,
+			}})
 		}
 	}
+	_, points, err := sweep(cfg.Common, cells)
+	if err != nil {
+		return nil, err
+	}
 	var out []GranPoint
-	for _, spin := range cfg.SpinWorks {
-		for _, k := range cfg.Ks {
-			kk := key{spin, k}
-			w := ws[spin].Mean()
-			h := hyb[kk].Mean()
+	for si, spin := range cfg.SpinWorks {
+		row := points[si*(1+len(cfg.Ks)):]
+		ws := row[0]
+		for _, hyb := range row[1 : 1+len(cfg.Ks)] {
 			out = append(out, GranPoint{
 				SpinWork:  spin,
-				K:         k,
-				WSTime:    w,
-				HybTime:   h,
-				Ratio:     h / w,
-				HybWasted: wasted[kk].Mean(),
+				K:         hyb.X,
+				WSTime:    ws.TimeMean,
+				HybTime:   hyb.TimeMean,
+				Ratio:     hyb.TimeMean / ws.TimeMean,
+				HybWasted: hyb.RelaxedMean - float64(cfg.Common.N),
+				Verified:  ws.Verified && hyb.Verified,
 			})
 		}
 	}
 	return out, nil
 }
 
-// PrintGran renders the granularity table.
+// PrintGran renders the granularity table. After printing it reports
+// any cell that did not match Dijkstra as an error.
 func PrintGran(w io.Writer, points []GranPoint) error {
 	t := stats.Table{Header: []string{
-		"spin_work", "k", "ws_time_s", "hybrid_time_s", "hybrid/ws", "hybrid_wasted",
+		"spin_work", "k", "ws_time_s", "hybrid_time_s", "hybrid/ws", "hybrid_wasted", "verified",
 	}}
+	bad := 0
 	for _, p := range points {
 		t.AddRow(stats.I(int64(p.SpinWork)), stats.I(int64(p.K)),
 			stats.F(p.WSTime, 4), stats.F(p.HybTime, 4),
-			stats.F(p.Ratio, 3), stats.F(p.HybWasted, 1))
+			stats.F(p.Ratio, 3), stats.F(p.HybWasted, 1), fmt.Sprintf("%v", p.Verified))
+		if !p.Verified {
+			bad++
+		}
 	}
 	fmt.Fprintln(w, "Granularity sweep (hybrid/ws <= 1 means hybrid matches work-stealing):")
-	return t.Fprint(w)
+	if err := t.Fprint(w); err != nil {
+		return err
+	}
+	return unverified(bad, len(points))
 }

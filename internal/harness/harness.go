@@ -13,6 +13,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/graph"
@@ -206,6 +207,53 @@ type SSSPPoint struct {
 	Verified    bool // distances matched Dijkstra on every graph
 }
 
+// cell is one configuration of an SSSP sweep: the series and x it is
+// reported under and the solver options it runs with.
+type cell struct {
+	label string
+	x     int
+	opts  sssp.Options // Seed is set per graph
+}
+
+// sweep is the one experiment body behind Figures 4 and 5 and the
+// granularity table: it solves every cell on every graph of c, in cell
+// order, checks every solve against sequential Dijkstra, and returns
+// one point per cell (means over graphs) plus the Dijkstra reference
+// itself as the "sequential" point.
+func sweep(c Common, cells []cell) (seq SSSPPoint, points []SSSPPoint, err error) {
+	var seqTime, seqRelaxed stats.Sample
+	times := make([]stats.Sample, len(cells))
+	relaxed := make([]stats.Sample, len(cells))
+	wrong := make([]bool, len(cells))
+	for gi := 0; gi < c.Graphs; gi++ {
+		g := c.graph(gi)
+		t0 := time.Now()
+		want, reachable := sssp.Dijkstra(g, 0)
+		seqTime.Add(time.Since(t0).Seconds())
+		seqRelaxed.Add(float64(reachable))
+		for i, cl := range cells {
+			cl.opts.Seed = c.Seed + uint64(gi)
+			res, err := sssp.Parallel(g, 0, cl.opts)
+			if err != nil {
+				return SSSPPoint{}, nil, err
+			}
+			times[i].Add(res.Elapsed.Seconds())
+			relaxed[i].Add(float64(res.NodesRelaxed))
+			if !sssp.Equal(res.Dist, want, 1e-9) {
+				wrong[i] = true
+			}
+		}
+	}
+	point := func(label string, x int, t, r *stats.Sample, ok bool) SSSPPoint {
+		return SSSPPoint{Label: label, X: x, TimeMean: t.Mean(), TimeStd: t.Std(),
+			RelaxedMean: r.Mean(), RelaxedStd: r.Std(), Verified: ok}
+	}
+	for i, cl := range cells {
+		points = append(points, point(cl.label, cl.x, &times[i], &relaxed[i], !wrong[i]))
+	}
+	return point("sequential", 1, &seqTime, &seqRelaxed, true), points, nil
+}
+
 // Fig4Config parameterizes the strong-scaling experiment (Figure 4).
 type Fig4Config struct {
 	Common     Common
@@ -226,73 +274,21 @@ func DefaultFig4() Fig4Config {
 	}
 }
 
-// Fig4 runs the strong-scaling experiment.
+// Fig4 runs the strong-scaling experiment. The X of each point is P.
 func Fig4(cfg Fig4Config) ([]SSSPPoint, error) {
-	var points []SSSPPoint
-	type key struct {
-		label string
-		x     int
-	}
-	timeAcc := map[key]*stats.Sample{}
-	rlxAcc := map[key]*stats.Sample{}
-	verified := map[key]bool{}
-	touch := func(k key) {
-		if timeAcc[k] == nil {
-			timeAcc[k] = &stats.Sample{}
-			rlxAcc[k] = &stats.Sample{}
-			verified[k] = true
+	var cells []cell
+	for _, strat := range cfg.Strategies {
+		for _, places := range cfg.PlacesList {
+			cells = append(cells, cell{strat.String(), places,
+				sssp.Options{Places: places, Strategy: strat, K: cfg.K}})
 		}
 	}
-	order := []key{}
-
-	for gi := 0; gi < cfg.Common.Graphs; gi++ {
-		g := cfg.Common.graph(gi)
-		t0 := time.Now()
-		want, reachable := sssp.Dijkstra(g, 0)
-		seqTime := time.Since(t0).Seconds()
-		if cfg.Sequential {
-			k := key{"sequential", 1}
-			touch(k)
-			if gi == 0 {
-				order = append(order, k)
-			}
-			timeAcc[k].Add(seqTime)
-			rlxAcc[k].Add(float64(reachable))
-		}
-		for _, strat := range cfg.Strategies {
-			for _, places := range cfg.PlacesList {
-				res, err := sssp.Parallel(g, 0, sssp.Options{
-					Places:   places,
-					Strategy: strat,
-					K:        cfg.K,
-					Seed:     cfg.Common.Seed + uint64(gi),
-				})
-				if err != nil {
-					return nil, err
-				}
-				k := key{strat.String(), places}
-				touch(k)
-				if gi == 0 {
-					order = append(order, k)
-				}
-				timeAcc[k].Add(res.Elapsed.Seconds())
-				rlxAcc[k].Add(float64(res.NodesRelaxed))
-				if !sssp.Equal(res.Dist, want, 1e-9) {
-					verified[k] = false
-				}
-			}
-		}
+	seq, points, err := sweep(cfg.Common, cells)
+	if err != nil {
+		return nil, err
 	}
-	for _, k := range order {
-		points = append(points, SSSPPoint{
-			Label:       k.label,
-			X:           k.x,
-			TimeMean:    timeAcc[k].Mean(),
-			TimeStd:     timeAcc[k].Std(),
-			RelaxedMean: rlxAcc[k].Mean(),
-			RelaxedStd:  rlxAcc[k].Std(),
-			Verified:    verified[k],
-		})
+	if cfg.Sequential {
+		points = append([]SSSPPoint{seq}, points...)
 	}
 	return points, nil
 }
@@ -321,83 +317,65 @@ func DefaultFig5() Fig5Config {
 
 // Fig5 runs the k-sweep experiment. The X of each point is k.
 func Fig5(cfg Fig5Config) ([]SSSPPoint, error) {
-	type key struct {
-		label string
-		x     int
-	}
-	timeAcc := map[key]*stats.Sample{}
-	rlxAcc := map[key]*stats.Sample{}
-	verified := map[key]bool{}
-	var order []key
-	touch := func(k key) {
-		if timeAcc[k] == nil {
-			timeAcc[k] = &stats.Sample{}
-			rlxAcc[k] = &stats.Sample{}
-			verified[k] = true
-			order = append(order, k)
+	var cells []cell
+	for _, strat := range cfg.Strategies {
+		for _, k := range cfg.Ks {
+			cells = append(cells, cell{strat.String(), k, sssp.Options{
+				Places: cfg.Places, Strategy: strat, K: k,
+				KMax: max(512, k), // let the sweep exceed the paper's kmax
+			}})
 		}
 	}
-	for gi := 0; gi < cfg.Common.Graphs; gi++ {
-		g := cfg.Common.graph(gi)
-		want, _ := sssp.Dijkstra(g, 0)
-		for _, strat := range cfg.Strategies {
-			for _, kval := range cfg.Ks {
-				res, err := sssp.Parallel(g, 0, sssp.Options{
-					Places:   cfg.Places,
-					Strategy: strat,
-					K:        kval,
-					KMax:     maxInt(512, kval), // let the sweep exceed the paper's kmax
-					Seed:     cfg.Common.Seed + uint64(gi),
-				})
-				if err != nil {
-					return nil, err
-				}
-				k := key{strat.String(), kval}
-				touch(k)
-				timeAcc[k].Add(res.Elapsed.Seconds())
-				rlxAcc[k].Add(float64(res.NodesRelaxed))
-				if !sssp.Equal(res.Dist, want, 1e-9) {
-					verified[k] = false
-				}
-			}
-		}
-	}
-	var points []SSSPPoint
-	for _, k := range order {
-		points = append(points, SSSPPoint{
-			Label:       k.label,
-			X:           k.x,
-			TimeMean:    timeAcc[k].Mean(),
-			TimeStd:     timeAcc[k].Std(),
-			RelaxedMean: rlxAcc[k].Mean(),
-			RelaxedStd:  rlxAcc[k].Std(),
-			Verified:    verified[k],
-		})
-	}
-	return points, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	_, points, err := sweep(cfg.Common, cells)
+	return points, err
 }
 
 // PrintSSSPPoints renders Figure 4/5 style series: one table for total
-// execution time, one for nodes relaxed.
+// execution time, one for nodes relaxed. After printing it reports any
+// point that did not match Dijkstra as an error.
 func PrintSSSPPoints(w io.Writer, xName string, points []SSSPPoint) error {
 	tt := stats.Table{Header: []string{"series", xName, "time_s", "time_std", "verified"}}
 	rt := stats.Table{Header: []string{"series", xName, "nodes_relaxed", "relaxed_std"}}
+	bad := 0
 	for _, p := range points {
 		tt.AddRow(p.Label, stats.I(int64(p.X)), stats.F(p.TimeMean, 4), stats.F(p.TimeStd, 4),
 			fmt.Sprintf("%v", p.Verified))
 		rt.AddRow(p.Label, stats.I(int64(p.X)), stats.F(p.RelaxedMean, 1), stats.F(p.RelaxedStd, 1))
+		if !p.Verified {
+			bad++
+		}
 	}
 	fmt.Fprintln(w, "Total execution time:")
 	if err := tt.Fprint(w); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\nNodes relaxed:")
-	return rt.Fprint(w)
+	if err := rt.Fprint(w); err != nil {
+		return err
+	}
+	return unverified(bad, len(points))
+}
+
+// unverified is the error the printers return, after the table, when
+// bad of n rows did not match sequential Dijkstra — so the figure
+// commands exit non-zero on a wrong distance.
+func unverified(bad, n int) error {
+	if bad == 0 {
+		return nil
+	}
+	return fmt.Errorf("harness: %d of %d rows did not match sequential Dijkstra", bad, n)
+}
+
+// ParseList parses a comma-separated flag value, applying parse to
+// every field with the spaces around it trimmed.
+func ParseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, f := range strings.Split(s, ",") {
+		v, err := parse(strings.TrimSpace(f))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -123,13 +125,42 @@ func TestGranTiny(t *testing.T) {
 		if p.HybWasted < 0 {
 			t.Fatalf("negative waste %+v", p)
 		}
+		if !p.Verified {
+			t.Fatalf("spin=%d k=%d failed verification", p.SpinWork, p.K)
+		}
 	}
 	var buf bytes.Buffer
 	if err := PrintGran(&buf, points); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "hybrid/ws") {
+	if !strings.Contains(buf.String(), "hybrid/ws") || !strings.Contains(buf.String(), "verified") {
 		t.Fatalf("printout missing header:\n%s", buf.String())
+	}
+}
+
+// TestPrintersReportUnverified: a row that did not match Dijkstra is
+// still printed, and then comes back as the error the figure commands
+// exit on.
+func TestPrintersReportUnverified(t *testing.T) {
+	var buf bytes.Buffer
+	err := PrintSSSPPoints(&buf, "P", []SSSPPoint{{Label: "hybrid", X: 2, Verified: true}, {Label: "hybrid", X: 4}})
+	if err == nil || !strings.Contains(buf.String(), "false") {
+		t.Fatalf("PrintSSSPPoints: err = %v, printed:\n%s", err, buf.String())
+	}
+	buf.Reset()
+	err = PrintGran(&buf, []GranPoint{{K: 8}})
+	if err == nil || !strings.Contains(buf.String(), "false") {
+		t.Fatalf("PrintGran: err = %v, printed:\n%s", err, buf.String())
+	}
+}
+
+func TestParseList(t *testing.T) {
+	got, err := ParseList("1, 2,40", strconv.Atoi)
+	if err != nil || !slices.Equal(got, []int{1, 2, 40}) {
+		t.Fatalf("ParseList = %v, %v", got, err)
+	}
+	if _, err := ParseList("1,,2", strconv.Atoi); err == nil {
+		t.Fatal("empty field accepted")
 	}
 }
 

@@ -5,8 +5,12 @@
 // priority scheduling literature trades against each other (Postnikova
 // et al., "Multi-Queues Can Be State-of-the-Art Priority Schedulers"):
 //
-//   - sojourn latency: wall time from submission to execution, reported
-//     as a streaming p50/p95/p99 histogram;
+//   - sojourn latency: wall time from arrival to execution, reported as
+//     a streaming p50/p95/p99 histogram. An open-loop arrival is stamped
+//     with the instant it was due, not the instant the producer got
+//     round to submitting it, so time a late producer spent pacing,
+//     drawing or blocked in Submit counts against the system instead of
+//     vanishing (coordinated omission);
 //   - pop rank error: how many live (submitted, not yet executed) tasks
 //     of strictly better priority existed at the moment a task ran —
 //     zero for a strict priority queue, and the quantity a ρ-relaxed
@@ -25,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,12 +38,30 @@ import (
 	"repro/internal/backpressure"
 	"repro/internal/core"
 	"repro/internal/fair"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
+
+// nameOf and parseName are the only readers of the three name tables
+// below: each String prints from its table and each Parse reads it back,
+// so a name cannot be printed that is not accepted.
+func nameOf(names []string, kind string, i int) string {
+	if i < 0 || i >= len(names) {
+		return fmt.Sprintf("%s(%d)", kind, i)
+	}
+	return names[i]
+}
+
+func parseName(names []string, kind, name string) (int, error) {
+	for i, n := range names {
+		if n == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown %s %q (one of %s)", kind, name, strings.Join(names, ", "))
+}
 
 // Arrival selects the arrival process driving the producers.
 type Arrival int
@@ -56,18 +79,17 @@ const (
 	ClosedLoop
 )
 
-// String returns the arrival process name used in reports.
-func (a Arrival) String() string {
-	switch a {
-	case Poisson:
-		return "poisson"
-	case Bursty:
-		return "bursty"
-	case ClosedLoop:
-		return "closed-loop"
-	default:
-		return fmt.Sprintf("arrival(%d)", int(a))
-	}
+var arrivalNames = [...]string{Poisson: "poisson", Bursty: "bursty", ClosedLoop: "closed-loop"}
+
+// String returns the arrival process name used in reports and accepted
+// by ParseArrival.
+func (a Arrival) String() string { return nameOf(arrivalNames[:], "arrival", int(a)) }
+
+// ParseArrival returns the arrival process whose String is name. The
+// error for any other name lists the accepted ones.
+func ParseArrival(name string) (Arrival, error) {
+	i, err := parseName(arrivalNames[:], "arrival process", name)
+	return Arrival(i), err
 }
 
 // PrioDist selects how task priorities are drawn.
@@ -85,22 +107,21 @@ const (
 	RampPrio
 )
 
-// String returns the distribution name used in reports.
-func (d PrioDist) String() string {
-	switch d {
-	case UniformPrio:
-		return "uniform"
-	case SkewedPrio:
-		return "skewed"
-	case RampPrio:
-		return "ramp"
-	default:
-		return fmt.Sprintf("dist(%d)", int(d))
-	}
+var distNames = [...]string{UniformPrio: "uniform", SkewedPrio: "skewed", RampPrio: "ramp"}
+
+// String returns the distribution name used in reports and accepted by
+// ParseDist.
+func (d PrioDist) String() string { return nameOf(distNames[:], "dist", int(d)) }
+
+// ParseDist returns the priority distribution whose String is name. The
+// error for any other name lists the accepted ones.
+func ParseDist(name string) (PrioDist, error) {
+	i, err := parseName(distNames[:], "priority distribution", name)
+	return PrioDist(i), err
 }
 
 // Scenario selects a scripted traffic pattern layered over the arrival
-// process (multi-tenant runs; see Config.TenantWeights).
+// process (multi-tenant runs; see sched.Config.TenantWeights).
 type Scenario int
 
 const (
@@ -120,39 +141,62 @@ const (
 	PriorityInflation
 )
 
-// String returns the scenario name used in reports.
-func (sc Scenario) String() string {
-	switch sc {
-	case SteadyLoad:
-		return "steady"
-	case DiurnalRamp:
-		return "diurnal"
-	case PriorityInflation:
-		return "inflation"
-	default:
-		return fmt.Sprintf("scenario(%d)", int(sc))
-	}
+var scenarioNames = [...]string{SteadyLoad: "steady", DiurnalRamp: "diurnal", PriorityInflation: "inflation"}
+
+// String returns the scenario name used in reports and accepted by
+// ParseScenario.
+func (sc Scenario) String() string { return nameOf(scenarioNames[:], "scenario", int(sc)) }
+
+// ParseScenario returns the scenario whose String is name. The error
+// for any other name lists the accepted ones.
+func ParseScenario(name string) (Scenario, error) {
+	i, err := parseName(scenarioNames[:], "scenario", name)
+	return Scenario(i), err
 }
 
+// ArrivalNames, DistNames and ScenarioNames list the accepted names in
+// declaration order, for usage texts.
+func ArrivalNames() []string  { return arrivalNames[:] }
+func DistNames() []string     { return distNames[:] }
+func ScenarioNames() []string { return scenarioNames[:] }
+
+// PrioRange bounds task priorities to [0, PrioRange).
+const PrioRange = 1 << 20
+
 // Task is the unit of work the generator submits: a priority, the
-// submission timestamp (nanoseconds since the run's epoch), and — for
-// multi-tenant runs — the submitting tenant.
+// arrival timestamp (nanoseconds since the run's epoch — the due
+// instant for open-loop arrivals, the clock for closed-loop ones), and —
+// for multi-tenant runs — the submitting tenant.
 type Task struct {
 	Prio   int64
 	Enq    int64
 	Tenant int
 }
 
-// Config parameterizes one generator run.
+// Config parameterizes one generator run: the scheduler to build, and
+// the shape of the traffic offered to it.
 type Config struct {
-	// Strategy selects the scheduler's backing data structure.
-	Strategy sched.Strategy
-	// Places is the number of worker places (default GOMAXPROCS).
-	Places int
-	// K is the relaxation parameter. 0 (the zero value) selects the
-	// paper's default of 512; pass a negative value for strict k = 0,
-	// which zero itself cannot express here.
-	K int
+	// Sched configures the scheduler under test and is handed to
+	// sched.New as written — its zero values, defaults and validation
+	// are sched's. Run fills in only what the generator alone can
+	// supply: Less, Priority and MaxPrio (the Task priority order over
+	// [0, PrioRange)), Execute (the instrumentation hook), Tenant, Hash
+	// (enqueue timestamp folded with priority, so replay diffs detect
+	// reordered or substituted payloads), Injectors (= Producers),
+	// RankSignal (the decaying rank-error estimator, when a controller
+	// with a RankErrorBudget reads it), and — because it depends on the
+	// generator's priority range — ProtectedBand = PrioRange/8 when
+	// Backpressure leaves it 0. Seed also drives the producers.
+	//
+	// Batch sets both ends of the pipeline: producers buffer Batch
+	// drawn tasks and submit them through one Scheduler.SubmitAll
+	// injector episode. Tasks keep their arrival-instant timestamps
+	// while buffered, so batching delay shows up in the sojourn
+	// percentiles rather than being hidden. For ClosedLoop, Batch must
+	// not exceed Window (a producer buffering more tasks than its
+	// outstanding budget would deadlock on its own tokens). Under
+	// Adaptive the controller moves only the workers' pop batch.
+	Sched sched.Config[Task]
 	// Producers is the number of submitting goroutines (default 1).
 	Producers int
 	// Duration is how long producers generate traffic (default 1s).
@@ -170,117 +214,23 @@ type Config struct {
 	Window int
 	// Dist selects the priority distribution.
 	Dist PrioDist
-	// PrioRange bounds priorities to [0, PrioRange); must be a power of
-	// two (default 1<<20).
-	PrioRange int64
 	// WorkSpin adds synthetic per-task work: WorkSpin iterations of a
 	// small arithmetic loop (default 0: measure pure scheduling).
 	WorkSpin int
 	// RankSample measures rank error on every RankSample-th executed
 	// task (default 1: every task).
 	RankSample int
-	// Batch is the operation batch size (default 1: unbatched). It sets
-	// both ends of the pipeline: producers buffer Batch drawn tasks and
-	// submit them through Scheduler.SubmitAll in one injector episode,
-	// and workers pop up to Batch tasks per data structure lock episode
-	// (sched.Config.Batch). Tasks keep their arrival-instant timestamps
-	// while buffered, so batching delay shows up in the sojourn
-	// percentiles rather than being hidden. For ClosedLoop, Batch must
-	// not exceed Window (a producer buffering more tasks than its
-	// outstanding budget would deadlock on its own tokens).
-	Batch int
-	// Stickiness is the relaxed strategies' per-place lane stickiness S
-	// (default: re-sample every operation). Ignored by the others.
-	Stickiness int
-	// Resolution, when > 1, selects the relaxed strategies'
-	// multiresolution lane mode (sched.Config.Resolution): the priority
-	// domain is bucketed into bands of this width inside every lane,
-	// trading up to one band's live occupancy of extra rank error for
-	// O(1) lane operations. 0 and 1 keep the exact per-lane heaps.
-	Resolution int64
-	// LaneGroups partitions the relaxed strategies' lanes into
-	// per-producer-group lane groups with group-local sampling and
-	// bounded cross-group stealing (sched.Config.LaneGroups). 0 and 1
-	// select the flat structure; the others ignore it. Grouped runs
-	// report the steal rate, per-group executed/contention stats and —
-	// under AdaptivePlacement — the controller's group-count trace.
-	LaneGroups int
-	// AdaptivePlacement hands the group count to the placement
-	// controller (sched.Config.AdaptivePlacement): LaneGroups becomes
-	// the finest partition and the controller merges/splits from the
-	// steal and contention signals.
-	AdaptivePlacement bool
-	// Adaptive enables the scheduler's runtime S/B controller
-	// (sched.Config.Adaptive): Stickiness and Batch become seeds rather
-	// than fixed settings, and the generator wires a decaying rank-error
-	// estimator (stats.DecayingHist over the sampled pop rank errors)
-	// into the controller as its budget signal. Note Batch keeps setting
-	// the producers' submit batch statically — the controller only moves
-	// the workers' pop batch.
-	Adaptive bool
-	// RankErrorBudget is the controllers' p99 rank-error budget
-	// (0: none). The adaptive controller backs S/B off over it; the
-	// backpressure controller treats a breach as an overload signal.
-	RankErrorBudget float64
-	// AdaptInterval is the controller window (0: adapt.DefaultInterval),
-	// shared by the adaptive and backpressure controllers.
-	AdaptInterval time.Duration
-	// Backpressure enables the scheduler's priority-aware admission
-	// controller (sched.Config.Backpressure): overload sheds or defers
-	// the lowest-priority submissions, and the generator records the
-	// shed rate, goodput by priority band, and the controller's
-	// threshold trace. When RankErrorBudget > 0 the rank-error
-	// estimator is wired as the controller's second overload signal
-	// even for fixed-knob (non-adaptive) runs.
-	Backpressure bool
-	// SojournBudget is the admission controller's target sojourn time
-	// (0: backpressure.DefaultSojournBudget).
-	SojournBudget time.Duration
-	// ProtectedBand is the never-shed priority band [0, ProtectedBand)
-	// (0: PrioRange/8).
-	ProtectedBand int64
-	// SpillCap bounds the deferral spillway (0: the package default).
-	SpillCap int
-	// TenantWeights enables multi-tenant fair scheduling
-	// (sched.Config.TenantWeights): entry t is tenant t's weight in the
-	// weighted-fair capacity split, producers stamp every task with a
-	// drawn tenant id, and the result gains per-tenant goodput/sojourn/
-	// shed reports plus the fairness controller's window trace.
-	// Requires Backpressure.
-	TenantWeights []int64
-	// TenantSkew is the hot-tenant arrival multiplier: tenant 0 draws
-	// TenantSkew× the arrival share of each other tenant (default 1:
-	// uniform arrivals). 10 with four tenants reproduces the paper-eval
-	// "one tenant floods the queue" regime.
+	// TenantSkew is the hot-tenant arrival multiplier of multi-tenant
+	// runs (Sched.TenantWeights set): producers stamp every task with a
+	// drawn tenant id, and tenant 0 draws TenantSkew× the arrival share
+	// of each other tenant (default 1: uniform arrivals). 10 with four
+	// tenants reproduces the paper-eval "one tenant floods the queue"
+	// regime.
 	TenantSkew float64
-	// TenantFloorFrac is the guaranteed-floor capacity fraction
-	// (sched.Config.TenantFloorFrac; 0 = the 5% default).
-	TenantFloorFrac float64
-	// TenantBudgets optionally sets per-tenant sojourn budgets (SLO
-	// bands, sched.Config.TenantBudgets).
-	TenantBudgets []time.Duration
 	// Scenario layers a scripted traffic pattern over the arrival
 	// process; see the Scenario constants.
 	Scenario Scenario
-	// Metrics, when non-nil, is handed to the scheduler as
-	// sched.Config.Metrics: the controller goroutine publishes the serve
-	// series into it at every window boundary. The generator itself never
-	// touches the sink.
-	Metrics obs.Sink
-	// Recorder, when non-nil, is handed to the scheduler as
-	// sched.Config.Recorder: the run's arrival envelopes and controller
-	// decisions are captured to the recorder's destination for offline
-	// replay (cmd/replay). The caller owns Finish-time error checking via
-	// Recorder.Err; Run leaves the recorder sealed after Stop.
-	Recorder *obs.Recorder
-	// Seed drives all randomization.
-	Seed uint64
 }
-
-// rankBuckets is the resolution of the live-set priority tracker
-// (stats.RankTracker, the shared engine also behind the serve-mode
-// rank-error series). A sampled pop scans this many counters.
-const rankBuckets = stats.RankBuckets
 
 // numBands is the resolution of the goodput-by-priority-band report of
 // backpressure runs: band 0 is the protected band, bands 1–3 split the
@@ -429,17 +379,9 @@ type Result struct {
 	DS core.Stats `json:"ds"`
 }
 
-// withDefaults normalizes the zero values and validates.
+// withDefaults normalizes the zero values of the workload shape and
+// validates it. Everything under Sched is sched.New's to check.
 func (c Config) withDefaults() (Config, error) {
-	if c.Places == 0 {
-		c.Places = runtime.GOMAXPROCS(0)
-	}
-	switch {
-	case c.K == 0:
-		c.K = 512 // zero value means "the paper's default"
-	case c.K < 0:
-		c.K = 0 // negative is the explicit request for strict ordering
-	}
 	if c.Producers == 0 {
 		c.Producers = 1
 	}
@@ -458,83 +400,66 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Window == 0 {
 		c.Window = 64
 	}
-	if c.PrioRange == 0 {
-		c.PrioRange = 1 << 20
-	}
 	if c.RankSample == 0 {
 		c.RankSample = 1
 	}
-	if c.Batch == 0 {
-		c.Batch = 1
-	}
-	if c.Places < 1 || c.Producers < 1 {
-		return c, fmt.Errorf("load: Places/Producers must be ≥ 1")
+	if c.Producers < 1 {
+		return c, fmt.Errorf("load: Producers must be ≥ 1")
 	}
 	if c.Rate < 0 || c.Duration < 0 || c.Window < 1 || c.WorkSpin < 0 || c.RankSample < 1 ||
-		c.OnPeriod <= 0 || c.OffPeriod < 0 || c.Batch < 1 || c.Stickiness < 0 {
+		c.OnPeriod <= 0 || c.OffPeriod < 0 {
 		return c, fmt.Errorf("load: negative parameter")
 	}
-	if c.Arrival == ClosedLoop && c.Batch > c.Window {
-		return c, fmt.Errorf("load: Batch %d exceeds closed-loop Window %d (a producer would deadlock on its own tokens)", c.Batch, c.Window)
+	if c.Arrival == ClosedLoop && c.Sched.Batch > c.Window {
+		return c, fmt.Errorf("load: Batch %d exceeds closed-loop Window %d (a producer would deadlock on its own tokens)", c.Sched.Batch, c.Window)
 	}
-	if c.PrioRange&(c.PrioRange-1) != 0 || c.PrioRange < rankBuckets {
-		return c, fmt.Errorf("load: PrioRange %d must be a power of two ≥ %d", c.PrioRange, rankBuckets)
+	if c.Sched.Backpressure && c.Sched.ProtectedBand == 0 {
+		c.Sched.ProtectedBand = PrioRange / 8
 	}
-	if c.RankErrorBudget < 0 || c.AdaptInterval < 0 {
-		return c, fmt.Errorf("load: negative adaptive parameter")
-	}
-	if c.Resolution < 0 {
-		return c, fmt.Errorf("load: negative Resolution")
-	}
-	if c.LaneGroups < 0 {
-		return c, fmt.Errorf("load: negative LaneGroups")
-	}
-	if c.AdaptivePlacement && c.LaneGroups < 2 {
-		return c, fmt.Errorf("load: AdaptivePlacement needs LaneGroups ≥ 2, got %d", c.LaneGroups)
-	}
-	if c.Backpressure {
-		if c.SojournBudget == 0 {
-			c.SojournBudget = backpressure.DefaultSojournBudget
-		}
-		if c.ProtectedBand == 0 {
-			c.ProtectedBand = c.PrioRange / 8
-		}
-		if c.SojournBudget < 0 || c.SpillCap < 0 {
-			return c, fmt.Errorf("load: negative backpressure parameter")
-		}
-		if c.ProtectedBand < 0 || c.ProtectedBand >= c.PrioRange {
-			return c, fmt.Errorf("load: ProtectedBand %d outside the priority range [0, %d)", c.ProtectedBand, c.PrioRange)
-		}
-	}
-	if len(c.TenantWeights) > 0 {
-		if !c.Backpressure {
-			return c, fmt.Errorf("load: TenantWeights requires Backpressure (the tenant gate defers over-quota tasks to its spillway)")
-		}
+	if len(c.Sched.TenantWeights) > 0 {
 		if c.TenantSkew == 0 {
 			c.TenantSkew = 1
 		}
 		if c.TenantSkew < 0 {
 			return c, fmt.Errorf("load: negative TenantSkew")
 		}
-		// The weight vector itself is validated by the scheduler's
-		// fairness config (non-negative, at least one positive).
-	} else if c.TenantSkew != 0 || c.TenantFloorFrac != 0 || len(c.TenantBudgets) > 0 {
-		return c, fmt.Errorf("load: tenant knobs set without TenantWeights")
+	} else if c.TenantSkew != 0 {
+		return c, fmt.Errorf("load: TenantSkew set without Sched.TenantWeights")
 	}
-	if c.Scenario == PriorityInflation && len(c.TenantWeights) < 2 {
+	if c.Scenario == PriorityInflation && len(c.Sched.TenantWeights) < 2 {
 		return c, fmt.Errorf("load: PriorityInflation needs TenantWeights with a hot and at least one cold tenant")
 	}
 	return c, nil
+}
+
+// placeHists is one worker place's private instrumentation, merged
+// across places when the run is over.
+type placeHists struct {
+	sojourn, rank *stats.Histogram
+	// bands and tens are the per-band and per-tenant sojourn histograms
+	// (nil for non-backpressure and single-tenant runs respectively).
+	bands, tens []*stats.Histogram
+}
+
+func newHists(n int) []*stats.Histogram {
+	hs := make([]*stats.Histogram, n)
+	for i := range hs {
+		hs[i] = stats.NewHistogram()
+	}
+	return hs
 }
 
 // tracker is the shared per-run instrumentation state.
 type tracker struct {
 	cfg   Config
 	epoch time.Time
+	// batch is the producers' submit batch: Sched.Batch, at least 1.
+	batch int
 	// rank is the live-set census and rank-error engine: producers
 	// register submissions, workers measure sampled pop rank error, and
 	// the controllers read the decayed p99 through rank.Signal.
-	rank *stats.RankTracker
+	rank  *stats.RankTracker
+	hists []placeHists
 
 	rankSum   atomic.Int64
 	rankMax   atomic.Int64
@@ -550,36 +475,32 @@ type tracker struct {
 
 	// Backpressure-run band accounting (zero-valued when off): per-band
 	// admission outcomes and execution counts, written by the producer
-	// goroutines (flush) and worker places (onExecute) respectively.
+	// goroutines (flush) and worker places (onExecute) respectively. The
+	// per-tenant counterpart is the scheduler's own ledger
+	// (Scheduler.TenantCounters).
 	bandAttempted [numBands]atomic.Int64
 	bandAdmitted  [numBands]atomic.Int64
 	bandDeferred  [numBands]atomic.Int64
 	bandShed      [numBands]atomic.Int64
 	bandExecuted  [numBands]atomic.Int64
 
-	// Multi-tenant accounting (nil slices when off): tenCum is the
-	// cumulative arrival-share distribution the producers draw tenant
-	// ids from (tenant 0 weighted by TenantSkew), the counters mirror
-	// the band ledgers per tenant.
-	tenants      int
-	tenCum       []float64
-	tenAttempted []atomic.Int64
-	tenAdmitted  []atomic.Int64
-	tenDeferred  []atomic.Int64
-	tenShed      []atomic.Int64
-	tenExecuted  []atomic.Int64
+	// tenCum is the cumulative arrival-share distribution the producers
+	// draw tenant ids from (tenant 0 weighted by TenantSkew); nil for
+	// single-tenant runs.
+	tenCum []float64
 }
 
 // drawTenant samples a tenant id from the skewed arrival-share
 // distribution.
 func (tr *tracker) drawTenant(rng *xrand.Rand) int {
-	x := rng.Float64() * tr.tenCum[tr.tenants-1]
+	last := len(tr.tenCum) - 1
+	x := rng.Float64() * tr.tenCum[last]
 	for t, c := range tr.tenCum {
 		if x < c {
 			return t
 		}
 	}
-	return tr.tenants - 1
+	return last
 }
 
 // diurnalFactor maps an arrival instant to the DiurnalRamp rate
@@ -606,11 +527,11 @@ func (tr *tracker) diurnalFactor(at int64) float64 {
 // band maps a priority to its report band: 0 for the protected band,
 // 1–3 for equal thirds of the remaining range.
 func (tr *tracker) band(prio int64) int {
-	pb := tr.cfg.ProtectedBand
+	pb := tr.cfg.Sched.ProtectedBand
 	if prio < pb {
 		return 0
 	}
-	b := 1 + int((prio-pb)*(numBands-1)/(tr.cfg.PrioRange-pb))
+	b := 1 + int((prio-pb)*(numBands-1)/(PrioRange-pb))
 	if b > numBands-1 {
 		b = numBands - 1
 	}
@@ -618,14 +539,17 @@ func (tr *tracker) band(prio int64) int {
 }
 
 func newTracker(cfg Config) (*tracker, error) {
-	rank, err := stats.NewRankTracker(cfg.PrioRange, cfg.RankSample)
+	rank, err := stats.NewRankTracker(PrioRange, cfg.RankSample)
 	if err != nil {
 		return nil, err
 	}
 	tr := &tracker{
 		cfg:   cfg,
 		epoch: time.Now(),
+		batch: max(cfg.Sched.Batch, 1),
 		rank:  rank,
+		// A negative Places must get as far as sched.New, which rejects it.
+		hists: make([]placeHists, max(cfg.Sched.Places, 0)),
 	}
 	if cfg.Arrival == ClosedLoop {
 		tr.tokens = make(chan struct{}, cfg.Producers*cfg.Window)
@@ -633,11 +557,10 @@ func newTracker(cfg Config) (*tracker, error) {
 			tr.tokens <- struct{}{}
 		}
 	}
-	if cfg.LaneGroups > 1 {
-		tr.groupExec = make([]atomic.Int64, cfg.LaneGroups)
+	if cfg.Sched.LaneGroups > 1 {
+		tr.groupExec = make([]atomic.Int64, cfg.Sched.LaneGroups)
 	}
-	if n := len(cfg.TenantWeights); n > 0 {
-		tr.tenants = n
+	if n := len(cfg.Sched.TenantWeights); n > 0 {
 		tr.tenCum = make([]float64, n)
 		acc := 0.0
 		for t := range tr.tenCum {
@@ -648,11 +571,16 @@ func newTracker(cfg Config) (*tracker, error) {
 			acc += share
 			tr.tenCum[t] = acc
 		}
-		tr.tenAttempted = make([]atomic.Int64, n)
-		tr.tenAdmitted = make([]atomic.Int64, n)
-		tr.tenDeferred = make([]atomic.Int64, n)
-		tr.tenShed = make([]atomic.Int64, n)
-		tr.tenExecuted = make([]atomic.Int64, n)
+	}
+	for pl := range tr.hists {
+		h := &tr.hists[pl]
+		h.sojourn, h.rank = stats.NewHistogram(), stats.NewHistogram()
+		if cfg.Sched.Backpressure {
+			h.bands = newHists(numBands)
+		}
+		if tr.tenCum != nil {
+			h.tens = newHists(len(tr.tenCum))
+		}
 	}
 	return tr, nil
 }
@@ -660,25 +588,26 @@ func newTracker(cfg Config) (*tracker, error) {
 // now returns nanoseconds since the run's epoch.
 func (tr *tracker) now() int64 { return int64(time.Since(tr.epoch)) }
 
-// onExecute is the scheduler's Execute hook: latency, rank error,
-// synthetic work, closed-loop completion. bands and tens are the
-// executing place's per-band and per-tenant sojourn histograms (nil for
-// non-backpressure and single-tenant runs respectively).
-func (tr *tracker) onExecute(hist, rankHist *stats.Histogram, bands, tens []*stats.Histogram, t Task) {
+// onExecute is the scheduler's Execute hook, run by worker place pl:
+// latency, rank error, synthetic work, closed-loop completion.
+func (tr *tracker) onExecute(pl int, t Task) {
+	h := &tr.hists[pl]
 	sojourn := float64(tr.now() - t.Enq)
-	hist.Observe(sojourn)
-	if bands != nil {
+	h.sojourn.Observe(sojourn)
+	if h.bands != nil {
 		bd := tr.band(t.Prio)
-		bands[bd].Observe(sojourn)
+		h.bands[bd].Observe(sojourn)
 		tr.bandExecuted[bd].Add(1)
 	}
-	if tens != nil {
-		tens[t.Tenant].Observe(sojourn)
-		tr.tenExecuted[t.Tenant].Add(1)
+	if h.tens != nil {
+		h.tens[t.Tenant].Observe(sojourn)
+	}
+	if tr.groupExec != nil {
+		tr.groupExec[sched.HomeGroup(pl, len(tr.hists), len(tr.groupExec))].Add(1)
 	}
 
 	if better, ok := tr.rank.Executed(t.Prio); ok {
-		rankHist.Observe(float64(better))
+		h.rank.Observe(float64(better))
 		tr.rankSum.Add(better)
 		tr.rankCount.Add(1)
 		for {
@@ -702,7 +631,7 @@ func (tr *tracker) onExecute(hist, rankHist *stats.Histogram, bands, tens []*sta
 
 // drawPrio samples one priority according to the configured distribution.
 func (tr *tracker) drawPrio(rng *xrand.Rand, at int64) int64 {
-	r := tr.cfg.PrioRange
+	const r = PrioRange
 	switch tr.cfg.Dist {
 	case SkewedPrio:
 		u := rng.Float64()
@@ -712,23 +641,19 @@ func (tr *tracker) drawPrio(rng *xrand.Rand, at int64) int64 {
 		if frac > 1 {
 			frac = 1
 		}
-		jitter := rng.Uint64n(uint64(r)/64 + 1)
-		p := int64(frac*float64(r-1)) + int64(jitter)
-		if p >= r {
-			p = r - 1
-		}
-		return p
+		jitter := rng.Uint64n(r/64 + 1)
+		return min(int64(frac*float64(r-1))+int64(jitter), r-1)
 	default:
-		return int64(rng.Uint64n(uint64(r)))
+		return int64(rng.Uint64n(r))
 	}
 }
 
-// enqueue draws a priority at the current arrival instant and buffers
-// the task, flushing when the batch is full. It returns the (possibly
-// reset) buffer. out is the producer's admission-outcome scratch (nil
-// for non-backpressure runs).
-func (tr *tracker) enqueue(s *sched.Scheduler[Task], rng *xrand.Rand, buf []Task, out []sched.Outcome) ([]Task, error) {
-	at := tr.now()
+// enqueue draws a task arriving at instant at — the due instant of an
+// open-loop arrival, however late the producer is, or the clock for a
+// closed-loop one — and buffers it, flushing when the batch is full. It
+// returns the (possibly reset) buffer. out is the producer's
+// admission-outcome scratch (nil for non-backpressure runs).
+func (tr *tracker) enqueue(s *sched.Scheduler[Task], rng *xrand.Rand, buf []Task, out []sched.Outcome, at int64) ([]Task, error) {
 	if tr.cfg.Scenario == DiurnalRamp && rng.Float64() > tr.diurnalFactor(at) {
 		// Thinned arrival: the diurnal profile suppresses this draw. A
 		// closed-loop producer returns the outstanding token it consumed
@@ -739,16 +664,16 @@ func (tr *tracker) enqueue(s *sched.Scheduler[Task], rng *xrand.Rand, buf []Task
 		return buf, nil
 	}
 	t := Task{Prio: tr.drawPrio(rng, at), Enq: at}
-	if tr.tenants > 0 {
+	if tr.tenCum != nil {
 		t.Tenant = tr.drawTenant(rng)
 		if tr.cfg.Scenario == PriorityInflation && t.Tenant == 0 && at >= int64(tr.cfg.Duration)/2 {
 			// The hot tenant turns adversarial: every submission claims a
 			// priority in the most urgent eighth of the range.
-			t.Prio = int64(rng.Uint64n(uint64(tr.cfg.PrioRange / 8)))
+			t.Prio = int64(rng.Uint64n(PrioRange / 8))
 		}
 	}
 	buf = append(buf, t)
-	if len(buf) >= tr.cfg.Batch {
+	if len(buf) >= tr.batch {
 		return tr.flush(s, buf, out)
 	}
 	return buf, nil
@@ -769,7 +694,7 @@ func (tr *tracker) flush(s *sched.Scheduler[Task], buf []Task, out []sched.Outco
 	for _, t := range buf {
 		tr.rank.Submitted(t.Prio)
 	}
-	if !tr.cfg.Backpressure {
+	if !tr.cfg.Sched.Backpressure {
 		if err := s.SubmitAll(buf); err != nil {
 			for _, t := range buf {
 				tr.rank.Retract(t.Prio)
@@ -779,7 +704,7 @@ func (tr *tracker) flush(s *sched.Scheduler[Task], buf []Task, out []sched.Outco
 		tr.submitted.Add(int64(len(buf)))
 		return buf[:0], nil
 	}
-	accepted, err := s.SubmitAllKOutcomes(tr.cfg.K, buf, out)
+	accepted, err := s.SubmitAllKOutcomes(tr.cfg.Sched.K, buf, out)
 	if err != nil && err != sched.ErrShed {
 		for _, t := range buf {
 			tr.rank.Retract(t.Prio)
@@ -789,16 +714,10 @@ func (tr *tracker) flush(s *sched.Scheduler[Task], buf []Task, out []sched.Outco
 	for i, t := range buf {
 		bd := tr.band(t.Prio)
 		tr.bandAttempted[bd].Add(1)
-		if tr.tenants > 0 {
-			tr.tenAttempted[t.Tenant].Add(1)
-		}
 		switch out[i] {
 		case sched.Shed:
 			tr.rank.Retract(t.Prio)
 			tr.bandShed[bd].Add(1)
-			if tr.tenants > 0 {
-				tr.tenShed[t.Tenant].Add(1)
-			}
 			if tr.tokens != nil {
 				// Closed loop: a shed task completes immediately from the
 				// producer's point of view — release its budget token so
@@ -807,14 +726,8 @@ func (tr *tracker) flush(s *sched.Scheduler[Task], buf []Task, out []sched.Outco
 			}
 		case sched.Deferred:
 			tr.bandDeferred[bd].Add(1)
-			if tr.tenants > 0 {
-				tr.tenDeferred[t.Tenant].Add(1)
-			}
 		default:
 			tr.bandAdmitted[bd].Add(1)
-			if tr.tenants > 0 {
-				tr.tenAdmitted[t.Tenant].Add(1)
-			}
 		}
 	}
 	tr.submitted.Add(int64(accepted))
@@ -838,20 +751,38 @@ func (tr *tracker) pace(target int64) {
 	}
 }
 
+// arrivals generates one producer's open-loop due instants: Poisson
+// arrivals at rate on a virtual "on-time" axis, mapped onto the run's
+// clock by inserting an off gap after every on of on-time. Plain
+// Poisson is off = 0, where the mapping is the identity.
+type arrivals struct {
+	rng     *xrand.Rand
+	rate    float64 // events/second
+	on, off int64
+	onTime  float64
+}
+
+// next returns the next due instant, nanoseconds since the epoch.
+func (a *arrivals) next() int64 {
+	u := a.rng.Float64Open() // (0, 1]: log never sees 0
+	a.onTime += -math.Log(u) / a.rate * 1e9
+	t := int64(a.onTime)
+	return (t/a.on)*(a.on+a.off) + t%a.on
+}
+
 // produce runs one producer until the duration deadline, flushing any
 // partially filled batch before returning.
 func (tr *tracker) produce(s *sched.Scheduler[Task], rng *xrand.Rand) error {
 	deadline := int64(tr.cfg.Duration)
-	buf := make([]Task, 0, tr.cfg.Batch)
+	buf := make([]Task, 0, tr.batch)
 	var out []sched.Outcome
-	if tr.cfg.Backpressure {
+	if tr.cfg.Sched.Backpressure {
 		// One admission-outcome scratch per producer, reused across
 		// flushes so the measurement hot path does not allocate.
-		out = make([]sched.Outcome, tr.cfg.Batch)
+		out = make([]sched.Outcome, tr.batch)
 	}
 	var err error
-	switch tr.cfg.Arrival {
-	case ClosedLoop:
+	if tr.cfg.Arrival == ClosedLoop {
 		timeout := time.NewTimer(tr.cfg.Duration)
 		defer timeout.Stop()
 		for {
@@ -860,11 +791,12 @@ func (tr *tracker) produce(s *sched.Scheduler[Task], rng *xrand.Rand) error {
 				// The token is not returned: a buffered task already
 				// counts against the outstanding-task budget (hence the
 				// Batch ≤ Window validation).
-				if tr.now() >= deadline {
+				at := tr.now()
+				if at >= deadline {
 					_, err = tr.flush(s, buf, out)
 					return err
 				}
-				if buf, err = tr.enqueue(s, rng, buf, out); err != nil {
+				if buf, err = tr.enqueue(s, rng, buf, out, at); err != nil {
 					return err
 				}
 			case <-timeout.C:
@@ -872,54 +804,58 @@ func (tr *tracker) produce(s *sched.Scheduler[Task], rng *xrand.Rand) error {
 				return err
 			}
 		}
-	case Bursty:
-		// Arrivals are generated on a virtual "on-time" axis at the
-		// per-producer rate and mapped onto the wall clock by inserting
-		// an OffPeriod gap after every OnPeriod of on-time.
-		rate := tr.cfg.Rate / float64(tr.cfg.Producers)
-		on, off := int64(tr.cfg.OnPeriod), int64(tr.cfg.OffPeriod)
-		var onTime float64
-		for {
-			onTime += expInterval(rng, rate)
-			t := int64(onTime)
-			wall := (t/on)*(on+off) + t%on
-			if wall >= deadline {
-				_, err = tr.flush(s, buf, out)
-				return err
-			}
-			tr.pace(wall)
-			if buf, err = tr.enqueue(s, rng, buf, out); err != nil {
-				return err
-			}
+	}
+	// Open loop. The schedule never looks at the clock: a producer that
+	// falls behind submits its backlog of due arrivals back to back, each
+	// stamped with the instant it should have arrived.
+	arr := arrivals{rng: rng, rate: tr.cfg.Rate / float64(tr.cfg.Producers), on: int64(tr.cfg.OnPeriod)}
+	if tr.cfg.Arrival == Bursty {
+		arr.off = int64(tr.cfg.OffPeriod)
+	}
+	for {
+		due := arr.next()
+		if due >= deadline {
+			_, err = tr.flush(s, buf, out)
+			return err
 		}
-	default: // Poisson
-		rate := tr.cfg.Rate / float64(tr.cfg.Producers)
-		var at float64
-		for {
-			at += expInterval(rng, rate)
-			target := int64(at)
-			if target >= deadline {
-				_, err = tr.flush(s, buf, out)
-				return err
-			}
-			tr.pace(target)
-			if buf, err = tr.enqueue(s, rng, buf, out); err != nil {
-				return err
-			}
+		tr.pace(due)
+		if buf, err = tr.enqueue(s, rng, buf, out, due); err != nil {
+			return err
 		}
 	}
 }
 
-// expInterval draws an exponential inter-arrival time in nanoseconds for
-// the given rate in events/second.
-func expInterval(rng *xrand.Rand, rate float64) float64 {
-	u := rng.Float64Open() // (0, 1]: log never sees 0
-	return -math.Log(u) / rate * 1e9
+// schedConfig returns cfg.Sched with the generator's own fields filled
+// in (see Config.Sched).
+func (tr *tracker) schedConfig() sched.Config[Task] {
+	sc := tr.cfg.Sched
+	sc.Less = func(a, b Task) bool { return a.Prio < b.Prio }
+	sc.Execute = func(ctx *sched.Ctx[Task], t Task) { tr.onExecute(ctx.Place(), t) }
+	sc.Injectors = tr.cfg.Producers
+	// The numeric priority projection is supplied unconditionally — not
+	// just for backpressure runs — so the relaxed lanes advertise their
+	// minima through the allocation-free numeric slots on every
+	// configuration the generator measures.
+	sc.Priority = func(t Task) int64 { return t.Prio }
+	sc.MaxPrio = PrioRange - 1
+	sc.Hash = func(t Task) uint64 { return uint64(t.Enq)<<20 ^ uint64(t.Prio) }
+	if tr.tenCum != nil {
+		sc.Tenant = func(t Task) int { return t.Tenant }
+	}
+	if sc.Adaptive || (sc.Backpressure && sc.RankErrorBudget > 0) {
+		// Both runtime controllers consume the same decaying rank-error
+		// estimator through sched's shared once-per-window signal read:
+		// the tracker's Signal closure reports the decayed p99, then ages
+		// the window, allocating nothing (the controller goroutine is its
+		// only caller).
+		sc.RankSignal = tr.rank.Signal()
+	}
+	return sc
 }
 
 // Run drives one full open-system experiment: it builds a serving
-// scheduler for cfg.Strategy, floods it from cfg.Producers goroutines
-// for cfg.Duration, drains, stops, and returns the instrumented result.
+// scheduler from cfg.Sched, floods it from cfg.Producers goroutines for
+// cfg.Duration, drains, stops, and returns the instrumented result.
 func Run(cfg Config) (Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -929,97 +865,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	hists := make([]*stats.Histogram, cfg.Places)
-	rankHists := make([]*stats.Histogram, cfg.Places)
-	var bandHists, tenHists [][]*stats.Histogram
-	if cfg.Backpressure {
-		bandHists = make([][]*stats.Histogram, cfg.Places)
-	}
-	if tr.tenants > 0 {
-		tenHists = make([][]*stats.Histogram, cfg.Places)
-	}
-	for i := range hists {
-		hists[i] = stats.NewHistogram()
-		rankHists[i] = stats.NewHistogram()
-		if bandHists != nil {
-			bandHists[i] = make([]*stats.Histogram, numBands)
-			for b := range bandHists[i] {
-				bandHists[i][b] = stats.NewHistogram()
-			}
-		}
-		if tenHists != nil {
-			tenHists[i] = make([]*stats.Histogram, tr.tenants)
-			for t := range tenHists[i] {
-				tenHists[i][t] = stats.NewHistogram()
-			}
-		}
-	}
-
-	scfg := sched.Config[Task]{
-		Places:   cfg.Places,
-		Strategy: cfg.Strategy,
-		K:        cfg.K,
-		Less:     func(a, b Task) bool { return a.Prio < b.Prio },
-		Execute: func(ctx *sched.Ctx[Task], t Task) {
-			pl := ctx.Place()
-			var bands, tens []*stats.Histogram
-			if bandHists != nil {
-				bands = bandHists[pl]
-			}
-			if tenHists != nil {
-				tens = tenHists[pl]
-			}
-			if tr.groupExec != nil {
-				tr.groupExec[sched.HomeGroup(pl, cfg.Places, cfg.LaneGroups)].Add(1)
-			}
-			tr.onExecute(hists[pl], rankHists[pl], bands, tens, t)
-		},
-		Injectors:         cfg.Producers,
-		Batch:             cfg.Batch,
-		Stickiness:        cfg.Stickiness,
-		LaneGroups:        cfg.LaneGroups,
-		AdaptivePlacement: cfg.AdaptivePlacement,
-		AdaptInterval:     cfg.AdaptInterval,
-		Seed:              cfg.Seed,
-		// The numeric priority projection is supplied unconditionally —
-		// not just for backpressure runs — so the relaxed lanes advertise
-		// their minima through the allocation-free numeric slots on every
-		// configuration the generator measures.
-		Priority:   func(t Task) int64 { return t.Prio },
-		MaxPrio:    cfg.PrioRange - 1,
-		Resolution: cfg.Resolution,
-		Metrics:    cfg.Metrics,
-		Recorder:   cfg.Recorder,
-		// The capture envelope's payload hash folds the task's enqueue
-		// timestamp with its priority so replay diffs can detect reordered
-		// or substituted payloads, not just count mismatches.
-		Hash: func(t Task) uint64 { return uint64(t.Enq)<<20 ^ uint64(t.Prio) },
-	}
-	if cfg.Adaptive {
-		scfg.Adaptive = true
-	}
-	if cfg.Backpressure {
-		scfg.Backpressure = true
-		scfg.SojournBudget = cfg.SojournBudget
-		scfg.ProtectedBand = cfg.ProtectedBand
-		scfg.SpillCap = cfg.SpillCap
-	}
-	if tr.tenants > 0 {
-		scfg.TenantWeights = cfg.TenantWeights
-		scfg.Tenant = func(t Task) int { return t.Tenant }
-		scfg.TenantFloorFrac = cfg.TenantFloorFrac
-		scfg.TenantBudgets = cfg.TenantBudgets
-	}
-	if cfg.Adaptive || (cfg.Backpressure && cfg.RankErrorBudget > 0) {
-		scfg.RankErrorBudget = cfg.RankErrorBudget
-		// Both runtime controllers consume the same decaying rank-error
-		// estimator through sched's shared once-per-window signal read:
-		// the tracker's Signal closure reports the decayed p99, then ages
-		// the window, allocating nothing (the controller goroutine is its
-		// only caller).
-		scfg.RankSignal = tr.rank.Signal()
-	}
-	s, err := sched.New(scfg)
+	s, err := sched.New(tr.schedConfig())
 	if err != nil {
 		return Result{}, err
 	}
@@ -1031,7 +877,7 @@ func Run(cfg Config) (Result, error) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, cfg.Producers)
-	seeds := xrand.New(cfg.Seed ^ 0x10ad)
+	seeds := xrand.New(cfg.Sched.Seed ^ 0x10ad)
 	for p := 0; p < cfg.Producers; p++ {
 		wg.Add(1)
 		go func(p int, rng *xrand.Rand) {
@@ -1058,27 +904,22 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	merged := stats.NewHistogram()
-	mergedRank := stats.NewHistogram()
-	for i := range hists {
-		merged.Merge(hists[i])
-		mergedRank.Merge(rankHists[i])
-	}
+	sc := cfg.Sched
 	res := Result{
-		Strategy:       cfg.Strategy.String(),
+		Strategy:       sc.Strategy.String(),
 		Arrival:        cfg.Arrival.String(),
 		Dist:           cfg.Dist.String(),
-		Places:         cfg.Places,
+		Places:         sc.Places,
 		Producers:      cfg.Producers,
-		K:              cfg.K,
-		Batch:          cfg.Batch,
-		Stickiness:     cfg.Stickiness,
-		Resolution:     cfg.Resolution,
+		K:              sc.K,
+		Batch:          tr.batch,
+		Stickiness:     sc.Stickiness,
+		Resolution:     sc.Resolution,
 		Submitted:      tr.submitted.Load(),
 		Executed:       st.Executed,
 		ElapsedSec:     st.Elapsed.Seconds(),
-		SojournNs:      merged.Summarize(),
-		RankErr:        mergedRank.Summarize(),
+		SojournNs:      tr.summarize(func(h *placeHists) *stats.Histogram { return h.sojourn }),
+		RankErr:        tr.summarize(func(h *placeHists) *stats.Histogram { return h.rank }),
 		RankErrMax:     tr.rankMax.Load(),
 		RankErrSamples: tr.rankCount.Load(),
 		DS:             st.DS,
@@ -1087,9 +928,9 @@ func Run(cfg Config) (Result, error) {
 		res.AllocsPerTask = float64(mem1.Mallocs-mem0.Mallocs) / float64(st.Executed)
 		res.BytesPerTask = float64(mem1.TotalAlloc-mem0.TotalAlloc) / float64(st.Executed)
 	}
-	if cfg.Adaptive {
+	if sc.Adaptive {
 		res.Adaptive = true
-		res.RankErrorBudget = cfg.RankErrorBudget
+		res.RankErrorBudget = sc.RankErrorBudget
 		if st, b, ok := s.AdaptiveState(); ok {
 			res.FinalStickiness, res.FinalBatch = st, b
 		}
@@ -1099,29 +940,34 @@ func Run(cfg Config) (Result, error) {
 		// Only the relaxed strategies actually group their lanes; the
 		// others ignore LaneGroups, so the grouped extras key off the
 		// scheduler's report rather than the config.
-		res.LaneGroups = cfg.LaneGroups
+		res.LaneGroups = sc.LaneGroups
 		res.FinalGroups = finalGroups
 		if res.DS.Pops > 0 {
 			res.StealRate = float64(res.DS.CrossGroupPops) / float64(res.DS.Pops)
 		}
 		gc := s.GroupContention()
-		for grp := 0; grp < cfg.LaneGroups; grp++ {
+		for grp := range tr.groupExec {
 			gr := GroupResult{Group: grp, Executed: tr.groupExec[grp].Load()}
 			if grp < len(gc) {
 				gr.Contention = gc[grp]
 			}
 			res.Groups = append(res.Groups, gr)
 		}
-		if cfg.AdaptivePlacement {
+		if sc.AdaptivePlacement {
 			res.AdaptivePlacement = true
 			res.PlacementTrace = s.PlacementTrace()
 		}
 	}
-	if cfg.Backpressure {
+	elapsed := res.ElapsedSec
+	if sc.Backpressure {
 		res.Backpressure = true
-		res.RankErrorBudget = cfg.RankErrorBudget
-		res.SojournBudgetMs = float64(cfg.SojournBudget) / 1e6
-		res.ProtectedBand = cfg.ProtectedBand
+		res.RankErrorBudget = sc.RankErrorBudget
+		budget := sc.SojournBudget
+		if budget == 0 {
+			budget = backpressure.DefaultSojournBudget
+		}
+		res.SojournBudgetMs = float64(budget) / 1e6
+		res.ProtectedBand = sc.ProtectedBand
 		res.Shed = st.DS.Shed
 		res.Deferred = st.DS.Deferred
 		res.Readmitted = st.DS.Readmitted
@@ -1133,20 +979,15 @@ func Run(cfg Config) (Result, error) {
 			res.FinalThreshold = bst.Threshold
 		}
 		res.BPTrace = s.BackpressureTrace()
-		elapsed := res.ElapsedSec
 		for b := 0; b < numBands; b++ {
-			lo, hi := int64(0), cfg.ProtectedBand
+			lo, hi := int64(0), sc.ProtectedBand
 			if b > 0 {
 				// The exact inverse of tracker.band's floor division:
 				// band b starts at the smallest priority that floors
 				// into it.
-				span := cfg.PrioRange - cfg.ProtectedBand
-				lo = cfg.ProtectedBand + (int64(b-1)*span+numBands-2)/(numBands-1)
-				hi = cfg.ProtectedBand + (int64(b)*span+numBands-2)/(numBands-1)
-			}
-			merged := stats.NewHistogram()
-			for pl := range bandHists {
-				merged.Merge(bandHists[pl][b])
+				span := PrioRange - sc.ProtectedBand
+				lo = sc.ProtectedBand + (int64(b-1)*span+numBands-2)/(numBands-1)
+				hi = sc.ProtectedBand + (int64(b)*span+numBands-2)/(numBands-1)
 			}
 			br := BandResult{
 				Lo:        lo,
@@ -1157,7 +998,7 @@ func Run(cfg Config) (Result, error) {
 				Deferred:  tr.bandDeferred[b].Load(),
 				Shed:      tr.bandShed[b].Load(),
 				Executed:  tr.bandExecuted[b].Load(),
-				SojournNs: merged.Summarize(),
+				SojournNs: tr.summarize(func(h *placeHists) *stats.Histogram { return h.bands[b] }),
 			}
 			if elapsed > 0 {
 				br.GoodputPerSec = float64(br.Executed) / elapsed
@@ -1165,35 +1006,30 @@ func Run(cfg Config) (Result, error) {
 			res.Bands = append(res.Bands, br)
 		}
 	}
-	if tr.tenants > 0 {
-		res.TenantWeights = cfg.TenantWeights
+	if tr.tenCum != nil {
+		res.TenantWeights = sc.TenantWeights
 		res.TenantSkew = cfg.TenantSkew
 		var wsum int64
-		for _, w := range cfg.TenantWeights {
+		for _, w := range sc.TenantWeights {
 			wsum += w
 		}
-		elapsed := res.ElapsedSec
-		for t := 0; t < tr.tenants; t++ {
-			merged := stats.NewHistogram()
-			for pl := range tenHists {
-				merged.Merge(tenHists[pl][t])
-			}
+		for t, tc := range s.TenantCounters() {
 			tn := TenantResult{
 				Tenant:    t,
-				Weight:    cfg.TenantWeights[t],
-				Attempted: tr.tenAttempted[t].Load(),
-				Admitted:  tr.tenAdmitted[t].Load(),
-				Deferred:  tr.tenDeferred[t].Load(),
-				Shed:      tr.tenShed[t].Load(),
-				Executed:  tr.tenExecuted[t].Load(),
-				SojournNs: merged.Summarize(),
+				Weight:    sc.TenantWeights[t],
+				Attempted: tc.Arrived,
+				Admitted:  tc.Admitted,
+				Deferred:  tc.Deferred,
+				Shed:      tc.Shed,
+				Executed:  tc.Executed,
+				SojournNs: tr.summarize(func(h *placeHists) *stats.Histogram { return h.tens[t] }),
 			}
 			if elapsed > 0 {
 				tn.GoodputPerSec = float64(tn.Executed) / elapsed
 			}
 			if wsum > 0 && elapsed > 0 {
 				tn.FairSharePerSec = float64(res.Executed) / elapsed *
-					float64(cfg.TenantWeights[t]) / float64(wsum)
+					float64(sc.TenantWeights[t]) / float64(wsum)
 			}
 			res.Tenants = append(res.Tenants, tn)
 		}
@@ -1210,11 +1046,20 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Arrival != ClosedLoop {
 		res.TargetRate = cfg.Rate
 	}
-	if res.ElapsedSec > 0 {
-		res.ThroughputPerSec = float64(res.Executed) / res.ElapsedSec
+	if elapsed > 0 {
+		res.ThroughputPerSec = float64(res.Executed) / elapsed
 	}
 	if n := tr.rankCount.Load(); n > 0 {
 		res.RankErrMean = float64(tr.rankSum.Load()) / float64(n)
 	}
 	return res, nil
+}
+
+// summarize merges one histogram of every place and summarizes it.
+func (tr *tracker) summarize(pick func(*placeHists) *stats.Histogram) stats.Summary {
+	merged := stats.NewHistogram()
+	for pl := range tr.hists {
+		merged.Merge(pick(&tr.hists[pl]))
+	}
+	return merged.Summarize()
 }

@@ -1,10 +1,13 @@
 package load
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -27,13 +30,16 @@ func TestRunPoissonAllServingStrategies(t *testing.T) {
 		t.Run(strat.String(), func(t *testing.T) {
 			t.Parallel()
 			res, err := Run(Config{
-				Strategy:  strat,
-				Places:    4,
+				Sched: sched.Config[Task]{
+					Strategy: strat,
+					Places:   4,
+					K:        512,
+					Seed:     1,
+				},
 				Producers: 2,
 				Duration:  shortDur(t),
 				Arrival:   Poisson,
 				Rate:      20000,
-				Seed:      1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -63,8 +69,12 @@ func TestRunPoissonAllServingStrategies(t *testing.T) {
 
 func TestRunBursty(t *testing.T) {
 	res, err := Run(Config{
-		Strategy:  sched.Hybrid,
-		Places:    2,
+		Sched: sched.Config[Task]{
+			Strategy: sched.Hybrid,
+			Places:   2,
+			K:        512,
+			Seed:     2,
+		},
 		Producers: 2,
 		Duration:  shortDur(t),
 		Arrival:   Bursty,
@@ -72,7 +82,6 @@ func TestRunBursty(t *testing.T) {
 		OnPeriod:  5 * time.Millisecond,
 		OffPeriod: 5 * time.Millisecond,
 		Dist:      SkewedPrio,
-		Seed:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,14 +100,17 @@ func TestRunBursty(t *testing.T) {
 func TestRunClosedLoop(t *testing.T) {
 	const producers, window = 3, 16
 	res, err := Run(Config{
-		Strategy:  sched.Centralized,
-		Places:    2,
+		Sched: sched.Config[Task]{
+			Strategy: sched.Centralized,
+			Places:   2,
+			K:        512,
+			Seed:     3,
+		},
 		Producers: producers,
 		Duration:  shortDur(t),
 		Arrival:   ClosedLoop,
 		Window:    window,
 		WorkSpin:  200,
-		Seed:      3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,17 +135,19 @@ func TestRunClosedLoop(t *testing.T) {
 // trace must agree with the reported final state.
 func TestRunAdaptive(t *testing.T) {
 	res, err := Run(Config{
-		Strategy:        sched.RelaxedSampleTwo,
-		Places:          4,
-		Producers:       4,
-		Duration:        2 * shortDur(t),
-		Arrival:         ClosedLoop,
-		Window:          64,
-		Adaptive:        true,
-		RankErrorBudget: 512,
-		AdaptInterval:   2 * time.Millisecond,
-		RankSample:      2,
-		Seed:            9,
+		Sched: sched.Config[Task]{
+			Strategy:        sched.RelaxedSampleTwo,
+			Places:          4,
+			Adaptive:        true,
+			RankErrorBudget: 512,
+			AdaptInterval:   2 * time.Millisecond,
+			Seed:            9,
+		},
+		Producers:  4,
+		Duration:   2 * shortDur(t),
+		Arrival:    ClosedLoop,
+		Window:     64,
+		RankSample: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,13 +182,15 @@ func TestRankErrorZeroWhenSequential(t *testing.T) {
 	// so no popped task can ever have a better-priority task pending and
 	// the rank error is identically zero.
 	res, err := Run(Config{
-		Strategy:  sched.GlobalHeap,
-		Places:    1,
+		Sched: sched.Config[Task]{
+			Strategy: sched.GlobalHeap,
+			Places:   1,
+			Seed:     4,
+		},
 		Producers: 1,
 		Duration:  shortDur(t),
 		Arrival:   ClosedLoop,
 		Window:    1,
-		Seed:      4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,31 +201,27 @@ func TestRankErrorZeroWhenSequential(t *testing.T) {
 }
 
 func TestStrictKSentinel(t *testing.T) {
-	// K < 0 requests strict k = 0 (zero means "default 512"), and the
-	// effective value is what the result reports.
-	cfg, err := Config{K: -1}.withDefaults()
+	// Sched.K reaches the scheduler as written: 0 is the strict k = 0 it
+	// says (it used to be remapped to 512, so `loadgen -k 0` measured
+	// k = 512), and the result reports it. There is no negative alias.
+	cfg, err := Config{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.K != 0 {
-		t.Fatalf("K=-1 normalized to %d, want 0", cfg.K)
+	if cfg.Sched.K != 0 {
+		t.Fatalf("K=0 normalized to %d, want it left alone", cfg.Sched.K)
 	}
-	cfg, err = Config{}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.K != 512 {
-		t.Fatalf("K=0 normalized to %d, want 512", cfg.K)
-	}
-	res, err := Run(Config{
-		Strategy:  sched.Centralized,
-		Places:    2,
+	strict := Config{
+		Sched: sched.Config[Task]{
+			Strategy: sched.Centralized,
+			Places:   2,
+			Seed:     7,
+		},
 		Producers: 1,
 		Duration:  shortDur(t),
 		Rate:      5000,
-		K:         -1,
-		Seed:      7,
-	})
+	}
+	res, err := Run(strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,17 +231,23 @@ func TestStrictKSentinel(t *testing.T) {
 	if res.Executed != res.Submitted || res.Submitted == 0 {
 		t.Fatalf("executed %d / submitted %d", res.Executed, res.Submitted)
 	}
+	strict.Sched.K = -1
+	if _, err := Run(strict); err == nil {
+		t.Fatal("K = -1 accepted")
+	}
 }
 
 func TestRankSampling(t *testing.T) {
 	res, err := Run(Config{
-		Strategy:   sched.WorkStealing,
-		Places:     2,
+		Sched: sched.Config[Task]{
+			Strategy: sched.WorkStealing,
+			Places:   2,
+			Seed:     5,
+		},
 		Producers:  1,
 		Duration:   shortDur(t),
 		Rate:       20000,
 		RankSample: 10,
-		Seed:       5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,26 +271,38 @@ func TestDrawPrioBounds(t *testing.T) {
 		for i := 0; i < 50000; i++ {
 			at := int64(i) * int64(cfg.Duration) / 50000
 			p := tr.drawPrio(rng, at)
-			if p < 0 || p >= cfg.PrioRange {
-				t.Fatalf("%v: priority %d out of [0, %d)", dist, p, cfg.PrioRange)
+			if p < 0 || p >= PrioRange {
+				t.Fatalf("%v: priority %d out of [0, %d)", dist, p, PrioRange)
 			}
 		}
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{PrioRange: 3},  // not a power of two
-		{PrioRange: 64}, // below the rank-bucket resolution
-		{Producers: -1},
-		{WorkSpin: -1},
-		{RankSample: -1},
+// rejects runs base — which must itself be accepted — with each edit
+// applied, and fails for every edit Run lets through.
+func rejects(t *testing.T, base Config, edits ...func(*Config)) {
+	t.Helper()
+	base.Sched.Places, base.Duration = 1, time.Millisecond
+	if _, err := Run(base); err != nil {
+		t.Fatalf("base config rejected: %v", err)
 	}
-	for i, cfg := range bad {
+	for i, edit := range edits {
+		cfg := base
+		edit(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
 	}
+}
+
+func TestConfigValidation(t *testing.T) {
+	rejects(t, Config{},
+		func(c *Config) { c.Producers = -1 },
+		func(c *Config) { c.WorkSpin = -1 },
+		func(c *Config) { c.RankSample = -1 },
+		func(c *Config) { c.Arrival, c.Window, c.Sched.Batch = ClosedLoop, 4, 8 },
+		func(c *Config) { c.Sched.Places = 0 }, // sched.New's check, not remapped
+	)
 }
 
 func TestArrivalAndDistStrings(t *testing.T) {
@@ -295,19 +325,21 @@ func TestArrivalAndDistStrings(t *testing.T) {
 // recorded.
 func TestRunBackpressureOverload(t *testing.T) {
 	res, err := Run(Config{
-		Strategy:      sched.RelaxedSampleTwo,
-		Places:        2,
-		Producers:     4,
-		Duration:      2 * shortDur(t),
-		Arrival:       Poisson,
-		Rate:          400000,
-		WorkSpin:      3000, // throttle the workers so the flood overloads
-		Backpressure:  true,
-		SojournBudget: 5 * time.Millisecond,
-		SpillCap:      256,
-		AdaptInterval: 2 * time.Millisecond,
-		RankSample:    4,
-		Seed:          13,
+		Sched: sched.Config[Task]{
+			Strategy:      sched.RelaxedSampleTwo,
+			Places:        2,
+			Backpressure:  true,
+			SojournBudget: 5 * time.Millisecond,
+			SpillCap:      256,
+			AdaptInterval: 2 * time.Millisecond,
+			Seed:          13,
+		},
+		Producers:  4,
+		Duration:   2 * shortDur(t),
+		Arrival:    Poisson,
+		Rate:       400000,
+		WorkSpin:   3000, // throttle the workers so the flood overloads
+		RankSample: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -374,15 +406,17 @@ func TestRunBackpressureOverload(t *testing.T) {
 // shed and must keep the gate fully open.
 func TestRunBackpressureUnderload(t *testing.T) {
 	res, err := Run(Config{
-		Strategy:     sched.RelaxedSampleTwo,
-		Places:       4,
-		Producers:    2,
-		Duration:     shortDur(t),
-		Arrival:      Poisson,
-		Rate:         20000,
-		Backpressure: true,
-		RankSample:   4,
-		Seed:         17,
+		Sched: sched.Config[Task]{
+			Strategy:     sched.RelaxedSampleTwo,
+			Places:       4,
+			Backpressure: true,
+			Seed:         17,
+		},
+		Producers:  2,
+		Duration:   shortDur(t),
+		Arrival:    Poisson,
+		Rate:       20000,
+		RankSample: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -404,18 +438,20 @@ func TestRunBackpressureUnderload(t *testing.T) {
 // deadlocking on its own tokens.
 func TestRunBackpressureClosedLoop(t *testing.T) {
 	res, err := Run(Config{
-		Strategy:      sched.RelaxedSampleTwo,
-		Places:        2,
-		Producers:     2,
-		Duration:      shortDur(t),
-		Arrival:       ClosedLoop,
-		Window:        32,
-		WorkSpin:      2000,
-		Backpressure:  true,
-		SojournBudget: 5 * time.Millisecond,
-		AdaptInterval: 2 * time.Millisecond,
-		RankSample:    4,
-		Seed:          19,
+		Sched: sched.Config[Task]{
+			Strategy:      sched.RelaxedSampleTwo,
+			Places:        2,
+			Backpressure:  true,
+			SojournBudget: 5 * time.Millisecond,
+			AdaptInterval: 2 * time.Millisecond,
+			Seed:          19,
+		},
+		Producers:  2,
+		Duration:   shortDur(t),
+		Arrival:    ClosedLoop,
+		Window:     32,
+		WorkSpin:   2000,
+		RankSample: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -429,21 +465,16 @@ func TestRunBackpressureClosedLoop(t *testing.T) {
 }
 
 func TestBackpressureConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Backpressure: true, ProtectedBand: 1 << 20}, // == PrioRange
-		{Backpressure: true, ProtectedBand: -1},
-		{Backpressure: true, SpillCap: -1},
-		{Backpressure: true, SojournBudget: -time.Second},
-	}
-	for i, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
-		}
-	}
+	rejects(t, Config{Sched: sched.Config[Task]{Backpressure: true}},
+		func(c *Config) { c.Sched.ProtectedBand = PrioRange },
+		func(c *Config) { c.Sched.ProtectedBand = -1 },
+		func(c *Config) { c.Sched.SpillCap = -1 },
+		func(c *Config) { c.Sched.SojournBudget = -time.Second },
+	)
 }
 
 func TestBandMapping(t *testing.T) {
-	cfg, err := Config{Backpressure: true, Duration: time.Second}.withDefaults()
+	cfg, err := Config{Sched: sched.Config[Task]{Backpressure: true}, Duration: time.Second}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,8 +482,8 @@ func TestBandMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb := cfg.ProtectedBand
-	span := cfg.PrioRange - pb
+	pb := cfg.Sched.ProtectedBand
+	span := PrioRange - pb
 	band2Lo := pb + (span+2)/3 // smallest priority flooring into band 2
 	cases := []struct {
 		prio int64
@@ -461,7 +492,7 @@ func TestBandMapping(t *testing.T) {
 		{0, 0}, {pb - 1, 0}, {pb, 1},
 		{band2Lo - 1, 1},
 		{band2Lo, 2},
-		{cfg.PrioRange - 1, 3},
+		{PrioRange - 1, 3},
 	}
 	for _, tc := range cases {
 		if got := tr.band(tc.prio); got != tc.want {
@@ -477,16 +508,18 @@ func TestBandMapping(t *testing.T) {
 // bounds.
 func TestRunGrouped(t *testing.T) {
 	res, err := Run(Config{
-		Strategy:   sched.Relaxed,
-		Places:     4,
+		Sched: sched.Config[Task]{
+			Strategy:   sched.Relaxed,
+			Places:     4,
+			LaneGroups: 4,
+			Stickiness: 4,
+			Seed:       5,
+		},
 		Producers:  4,
 		Duration:   300 * time.Millisecond,
 		Arrival:    ClosedLoop,
 		Window:     32,
-		LaneGroups: 4,
-		Stickiness: 4,
 		RankSample: 4,
-		Seed:       5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -512,17 +545,19 @@ func TestRunGrouped(t *testing.T) {
 	}
 
 	ares, err := Run(Config{
-		Strategy:          sched.RelaxedSampleTwo,
-		Places:            4,
-		Producers:         4,
-		Duration:          300 * time.Millisecond,
-		Arrival:           ClosedLoop,
-		Window:            32,
-		LaneGroups:        4,
-		AdaptivePlacement: true,
-		AdaptInterval:     5 * time.Millisecond,
-		RankSample:        4,
-		Seed:              6,
+		Sched: sched.Config[Task]{
+			Strategy:          sched.RelaxedSampleTwo,
+			Places:            4,
+			LaneGroups:        4,
+			AdaptivePlacement: true,
+			AdaptInterval:     5 * time.Millisecond,
+			Seed:              6,
+		},
+		Producers:  4,
+		Duration:   300 * time.Millisecond,
+		Arrival:    ClosedLoop,
+		Window:     32,
+		RankSample: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -541,13 +576,15 @@ func TestRunGrouped(t *testing.T) {
 
 	// A flat run must not grow grouped extras.
 	flat, err := Run(Config{
-		Strategy:  sched.Relaxed,
-		Places:    2,
+		Sched: sched.Config[Task]{
+			Strategy: sched.Relaxed,
+			Places:   2,
+			Seed:     7,
+		},
 		Producers: 2,
 		Duration:  100 * time.Millisecond,
 		Arrival:   ClosedLoop,
 		Window:    16,
-		Seed:      7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -567,21 +604,23 @@ func TestRunGrouped(t *testing.T) {
 // fair/simtest and end to end by the CI tenant-skew smoke.
 func TestRunTenantSkew(t *testing.T) {
 	res, err := Run(Config{
-		Strategy:      sched.RelaxedSampleTwo,
-		Places:        2,
-		Producers:     4,
-		Duration:      2 * shortDur(t),
-		Arrival:       Poisson,
-		Rate:          400000,
-		WorkSpin:      3000, // throttle the workers so the flood overloads
-		Backpressure:  true,
-		SojournBudget: 5 * time.Millisecond,
-		SpillCap:      256,
-		AdaptInterval: 2 * time.Millisecond,
-		RankSample:    4,
-		TenantWeights: []int64{1, 1, 1, 1},
-		TenantSkew:    10,
-		Seed:          13,
+		Sched: sched.Config[Task]{
+			Strategy:      sched.RelaxedSampleTwo,
+			Places:        2,
+			Backpressure:  true,
+			SojournBudget: 5 * time.Millisecond,
+			SpillCap:      256,
+			AdaptInterval: 2 * time.Millisecond,
+			TenantWeights: []int64{1, 1, 1, 1},
+			Seed:          13,
+		},
+		Producers:  4,
+		Duration:   2 * shortDur(t),
+		Arrival:    Poisson,
+		Rate:       400000,
+		WorkSpin:   3000, // throttle the workers so the flood overloads
+		RankSample: 4,
+		TenantSkew: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -623,22 +662,24 @@ func TestRunTenantSkew(t *testing.T) {
 func TestRunScenarios(t *testing.T) {
 	for _, sc := range []Scenario{DiurnalRamp, PriorityInflation} {
 		res, err := Run(Config{
-			Strategy:      sched.RelaxedSampleTwo,
-			Places:        2,
-			Producers:     2,
-			Duration:      2 * shortDur(t),
-			Arrival:       Poisson,
-			Rate:          200000,
-			WorkSpin:      2000,
-			Backpressure:  true,
-			SojournBudget: 5 * time.Millisecond,
-			SpillCap:      256,
-			AdaptInterval: 2 * time.Millisecond,
-			RankSample:    4,
-			TenantWeights: []int64{1, 1, 1},
-			TenantSkew:    8,
-			Scenario:      sc,
-			Seed:          23,
+			Sched: sched.Config[Task]{
+				Strategy:      sched.RelaxedSampleTwo,
+				Places:        2,
+				Backpressure:  true,
+				SojournBudget: 5 * time.Millisecond,
+				SpillCap:      256,
+				AdaptInterval: 2 * time.Millisecond,
+				TenantWeights: []int64{1, 1, 1},
+				Seed:          23,
+			},
+			Producers:  2,
+			Duration:   2 * shortDur(t),
+			Arrival:    Poisson,
+			Rate:       200000,
+			WorkSpin:   2000,
+			RankSample: 4,
+			TenantSkew: 8,
+			Scenario:   sc,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", sc, err)
@@ -659,18 +700,18 @@ func TestRunScenarios(t *testing.T) {
 
 // TestTenantLoadConfigValidation pins the tenant knob contract.
 func TestTenantLoadConfigValidation(t *testing.T) {
-	bad := []Config{
-		{TenantWeights: []int64{1, 1}},                                     // no Backpressure
-		{Backpressure: true, TenantWeights: []int64{1, 1}, TenantSkew: -1}, // negative skew
-		{TenantSkew: 4}, // skew without tenants
-		{Backpressure: true, Scenario: PriorityInflation},   // inflation without tenants
-		{Backpressure: true, TenantWeights: []int64{-1, 1}}, // negative weight (sched rejects)
-	}
-	for i, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
-		}
-	}
+	tenants := Config{Sched: sched.Config[Task]{Backpressure: true, TenantWeights: []int64{1, 1}}}
+	rejects(t, tenants,
+		func(c *Config) { c.Sched.Backpressure = false }, // sched rejects
+		func(c *Config) { c.TenantSkew = -1 },
+		func(c *Config) { c.Sched.TenantWeights = []int64{-1, 1} }, // sched rejects
+		// Inflation with a hot tenant and no cold one.
+		func(c *Config) { c.Sched.TenantWeights, c.Scenario = []int64{1}, PriorityInflation },
+	)
+	rejects(t, Config{},
+		func(c *Config) { c.TenantSkew = 4 }, // skew without tenants
+		func(c *Config) { c.Sched.Backpressure, c.Scenario = true, PriorityInflation },
+	)
 }
 
 // TestDiurnalFactorShape pins the ramp profile's endpoints and symmetry.
@@ -694,5 +735,158 @@ func TestDiurnalFactorShape(t *testing.T) {
 	}
 	if up, down := tr.diurnalFactor(3*d/8), tr.diurnalFactor(7*d/8); up != down {
 		t.Errorf("ramp not symmetric: up %v, down %v", up, down)
+	}
+}
+
+// TestArrivalStamp pins what Task.Enq means. Both producers start a
+// full second behind the run's clock. The open-loop one is therefore
+// late for every arrival of its 5ms schedule: each task must carry the
+// instant it was due, so the lateness lands in the recorded sojourn
+// (stamping the clock after pacing, as this generator used to, hid it).
+// The closed-loop one has no schedule to be late for and keeps stamping
+// the clock.
+func TestArrivalStamp(t *testing.T) {
+	const late = time.Second
+	run := func(arrival Arrival, d time.Duration) (enq []int64, sojourn stats.Summary) {
+		cfg, err := Config{
+			Sched:    sched.Config[Task]{Places: 1, Strategy: sched.GlobalHeap, Seed: 11},
+			Arrival:  arrival,
+			Duration: d,
+			Rate:     100000,
+			Window:   4,
+		}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := newTracker(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.epoch = tr.epoch.Add(-late)
+		sc := tr.schedConfig()
+		instrument := sc.Execute
+		sc.Execute = func(ctx *sched.Ctx[Task], task Task) {
+			enq = append(enq, task.Enq) // one place: no concurrent appends
+			instrument(ctx, task)
+		}
+		s, err := sched.New(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.produce(s, xrand.New(11)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if len(enq) == 0 {
+			t.Fatalf("%v: nothing executed", arrival)
+		}
+		return enq, tr.summarize(func(h *placeHists) *stats.Histogram { return h.sojourn })
+	}
+
+	const d = 5 * time.Millisecond
+	enq, sojourn := run(Poisson, d)
+	for _, at := range enq {
+		if at < 0 || at >= int64(d) {
+			t.Fatalf("open-loop task stamped %d, outside its schedule [0, %d)", at, int64(d))
+		}
+	}
+	if sojourn.Min < float64(late-d) {
+		t.Fatalf("open-loop sojourn min %.0fns hides the producer's %v lateness", sojourn.Min, late)
+	}
+	enq, _ = run(ClosedLoop, late+20*time.Millisecond)
+	for _, at := range enq {
+		if at < int64(late) {
+			t.Fatalf("closed-loop task stamped %d, before the clock's first reading %d", at, int64(late))
+		}
+	}
+}
+
+// TestArrivalsSchedulePinned: the one open-loop schedule reproduces,
+// draw for draw, the two loops it replaced. The values are the first
+// due instants those loops computed for seed 42 at 25 000 arrivals/s —
+// the Poisson loop directly, the bursty loop with a 100µs on-period and
+// a 300µs off-period.
+func TestArrivalsSchedulePinned(t *testing.T) {
+	for name, tc := range map[string]struct {
+		off  int64
+		want []int64
+	}{
+		"poisson": {0, []int64{67346, 82703, 247846, 296156, 359255, 394734, 400092, 437259}},
+		"bursty":  {300000, []int64{67346, 82703, 847846, 896156, 1259255, 1294734, 1600092, 1637259}},
+	} {
+		arr := arrivals{rng: xrand.New(42), rate: 25000, on: 100000, off: tc.off}
+		for i, want := range tc.want {
+			if got := arr.next(); got != want {
+				t.Fatalf("%s: due instant %d = %d, want %d", name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestNameTablesRoundTrip: every name a String prints is the name its
+// Parse accepts, and an unknown name is refused with the accepted list.
+func TestNameTablesRoundTrip(t *testing.T) {
+	roundTrip(t, ArrivalNames(), ParseArrival)
+	roundTrip(t, DistNames(), ParseDist)
+	roundTrip(t, ScenarioNames(), ParseScenario)
+}
+
+func roundTrip[E interface {
+	~int
+	String() string
+}](t *testing.T, names []string, parse func(string) (E, error)) {
+	t.Helper()
+	for i, name := range names {
+		if v, err := parse(E(i).String()); err != nil || v != E(i) || v.String() != name {
+			t.Errorf("%q: String %q parses back to %d (%v), want %d", name, E(i).String(), v, err, i)
+		}
+	}
+	_, err := parse("no-such-name")
+	if err == nil {
+		t.Fatalf("unknown name accepted beside %v", names)
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
+	}
+}
+
+// TestResultJSONContract pins the JSON keys the CI smoke steps read
+// with jq (.github/workflows/ci.yml: adaptive, backpressure, grouped
+// placement and tenant-skew serve smokes), so renaming one fails here
+// rather than in CI.
+func TestResultJSONContract(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		keys []string
+	}{
+		{Result{}, []string{
+			"executed",
+			"adaptive", "final_stickiness", "final_batch", "adapt_trace",
+			"backpressure", "shed_rate", "bands", "bp_trace",
+			"lane_groups", "adaptive_placement", "groups", "steal_rate", "final_groups", "placement_trace",
+			"tenants", "fair_trace",
+		}},
+		{BandResult{}, []string{"protected", "shed", "deferred", "goodput_per_sec"}},
+		{TenantResult{}, []string{"tenant", "weight", "executed", "goodput_per_sec", "fair_share_per_sec"}},
+		{GroupResult{}, []string{"executed"}},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		have := map[string]bool{}
+		for i := 0; i < typ.NumField(); i++ {
+			key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			have[key] = true
+		}
+		for _, key := range tc.keys {
+			if !have[key] {
+				t.Errorf("%s has no field with json key %q", typ.Name(), key)
+			}
+		}
 	}
 }

@@ -137,6 +137,20 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("unknown strategy %q (one of %s)", name, strings.Join(strategyNames[:], ", "))
 }
 
+// ParseStrategies parses a comma-separated list of strategy names, as
+// the commands' -strategy/-strategies flags take it.
+func ParseStrategies(list string) ([]Strategy, error) {
+	var out []Strategy
+	for _, name := range strings.Split(list, ",") {
+		st, err := ParseStrategy(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, st)
+	}
+	return out, nil
+}
+
 // Config configures a Scheduler.
 type Config[T any] struct {
 	// Places is the number of worker threads of execution (the paper's P).

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -503,6 +504,13 @@ func TestParseStrategyRoundTrip(t *testing.T) {
 				t.Errorf("ParseStrategy(%q) error %q does not list %q", name, err, s)
 			}
 		}
+	}
+	list, err := ParseStrategies("hybrid, relaxed-two,centralized")
+	if want := []Strategy{Hybrid, RelaxedSampleTwo, Centralized}; err != nil || !slices.Equal(list, want) {
+		t.Errorf("ParseStrategies = %v, %v; want %v", list, err, want)
+	}
+	if _, err := ParseStrategies("hybrid,,relaxed"); err == nil {
+		t.Error("ParseStrategies accepted an empty list element")
 	}
 }
 
