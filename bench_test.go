@@ -237,6 +237,12 @@ func BenchmarkAblationSpy(b *testing.B) {
 // with one — on uniform integer increments, on the bit patterns of
 // float distances (sssp's keys), and on keys so close together that
 // they share one band until the queue narrows its bands to single keys.
+//
+// The lane32 rows price the same pop + push at the shape of a relaxed
+// lane under the serve path instead: 32 entries deep, a 32-byte task
+// held by value, fresh keys uniform over 2^20 — the Less-ordered heap
+// behind pq.Queue, as a lane without a projection calls it, against the
+// keyed heap called directly, as a lane with one does.
 func BenchmarkLocalQueue(b *testing.B) {
 	const depth = 32 << 10
 	type task struct{ prio int64 }
@@ -286,6 +292,42 @@ func BenchmarkLocalQueue(b *testing.B) {
 			})
 		}
 	}
+
+	const laneDepth = 32
+	type envelope struct {
+		due      int64
+		id, prio int32
+		tenant   uint8
+		fin      *task
+	}
+	b.Run("binheap-less/lane32", func(b *testing.B) {
+		var q pq.Queue[envelope] = pq.NewBinHeap(func(x, y envelope) bool { return x.prio < y.prio })
+		r := xrand.New(1)
+		for i := 0; i < laneDepth; i++ {
+			q.Push(envelope{prio: int32(r.Intn(1 << 20))})
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, _ := q.Pop()
+			v.prio = int32(r.Intn(1 << 20))
+			q.Push(v)
+		}
+	})
+	b.Run("keyheap/lane32", func(b *testing.B) {
+		q := pq.NewKeyHeap[envelope]()
+		r := xrand.New(1)
+		for i := 0; i < laneDepth; i++ {
+			k := r.Intn(1 << 20)
+			q.Push(pq.Keyed[envelope]{Key: int64(k), V: envelope{prio: int32(k)}})
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e, _ := q.Pop()
+			e.V.prio = int32(r.Intn(1 << 20))
+			e.Key = int64(e.V.prio)
+			q.Push(e)
+		}
+	})
 }
 
 // BenchmarkSpawnAccounting prices the scheduler's own cost per task —

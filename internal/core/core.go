@@ -89,8 +89,11 @@ func PopKIntoViaSingles[T any](d DS[T], place int, out []T) int {
 
 // NewLocalQueue constructs the sequential priority queue of one place's
 // local component ("any sequential implementation of a priority queue
-// can be used", §4.1). It is the single place that picks the container.
-// Entries are references V tagged with their task's key (Options.Key).
+// can be used", §4.1). It is the single place that picks the container
+// for the k-priority structures (the relaxed lanes, which hold tasks by
+// value and are ≈ 32 deep rather than thousands, pick their own: a bare
+// pq.KeyHeap when keyed). Entries are references V tagged with their
+// task's key (Options.Key).
 // With a projection (keyed) the queue is pq.KeyWindow, ordered by Key —
 // exact like a heap, with a bucket front that pops in O(1) and
 // pq.KeyHeap behind it for the keys outside its window. Without one
@@ -112,10 +115,13 @@ type Options[T any] struct {
 	// Less orders tasks; smaller-first. Required.
 	Less func(a, b T) bool
 	// Prio optionally projects a task to an integer key that agrees with
-	// Less (Prio(a) < Prio(b) implies Less(a, b)). The k-priority
+	// Less: Prio(a) < Prio(b) must imply Less(a, b). The k-priority
 	// structures then order their place-local queues by the key, computed
-	// once per reference, instead of calling Less per heap comparison.
-	// The scheduler fills it from its Priority function.
+	// once per reference, and never call Less there — so tasks with equal
+	// keys pop in unspecified order, whatever Less says about them. The
+	// relaxed structure takes the same function, under the same
+	// contract, as relaxed.NumericConfig.Prio. The scheduler fills both
+	// from its Priority function.
 	Prio func(T) int64
 	// Stale optionally marks dead tasks (§5.1): tasks superseded by a
 	// re-insertion with improved priority. Pop eliminates stale tasks

@@ -8,12 +8,15 @@
 // them (core.NewLocalQueue, relaxed's lanes) — no caller-set option does:
 //
 //   - BinHeap: array-backed binary heap ordered by a Less function. The
-//     general case — the work-stealing and global heaps, the relaxed
-//     lanes, a local queue without an integer key — and the only queue
-//     with the O(1) arbitrary-half split of steal-half work-stealing.
-//   - KeyHeap: 4-ary heap in chunked storage over Keyed entries, ordered
-//     by the cached integer key without calling a comparator. It is
-//     KeyWindow's overflow, and the tests' independent oracle for BinHeap.
+//     general case — the work-stealing and global heaps, a relaxed lane
+//     or a local queue without an integer key — and the only queue with
+//     the O(1) arbitrary-half split of steal-half work-stealing.
+//   - KeyHeap: 4-ary heap in one contiguous slice of Keyed entries,
+//     ordered by the cached integer key without calling a comparator.
+//     It is the relaxed lanes' queue whenever the priority projects to
+//     an integer (a few dozen entries deep, tasks held by value),
+//     KeyWindow's overflow, and the tests' independent oracle for
+//     BinHeap.
 //   - KeyWindow: an exact bucket front over a sliding window of keys that
 //     pops in O(1), with a KeyHeap behind it for the keys outside the
 //     window. The local queue of the k-priority structures whenever the

@@ -84,25 +84,37 @@ func TestKeyHeapMatchesBinHeap(t *testing.T) {
 	}
 }
 
-// TestKeyHeapChunkBoundaries fills one heap to sizes on both sides of a
-// chunk boundary and into a third chunk, draining it to empty in key
-// order between fills, then does it all again on the chunks it kept.
-func TestKeyHeapChunkBoundaries(t *testing.T) {
-	const slots = keyChunkSize - keyRoot // entries the first chunk holds
-	sizes := []int{slots - 1, slots, slots + 1, keyChunkSize - 1, keyChunkSize, keyChunkSize + 1, 2*keyChunkSize + 17}
+// TestKeyHeapGrowsByDoubling fills one heap to sizes on both sides of
+// several capacity doublings, draining it to empty in key order between
+// fills, then does it all again on the backing array it kept. Growth
+// copies the heap, so order must survive it; a heap that has held few
+// entries owns few; everything allocated on the way to n entries stays
+// under 4n (append's own policy reaches 5n and more, see Push); and
+// reuse allocates nothing.
+func TestKeyHeapGrowsByDoubling(t *testing.T) {
+	sizes := []int{1, 3, 4, 5, 63, 64, 65, 1023, 1025, 4096 + 17, 100_000}
 	h := NewKeyHeap[int]()
 	r := xrand.New(11)
+	allocated := 0
 	for round, n := range append(sizes, sizes...) {
+		before := cap(h.a)
 		keys := make([]int64, n)
 		for i := range keys {
-			keys[i] = int64(r.Intn(n / 2)) // duplicates
+			keys[i] = int64(r.Intn(n/2 + 1)) // duplicates
+			was := cap(h.a)
 			h.Push(Keyed[int]{Key: keys[i], V: i})
+			if c := cap(h.a); c != was {
+				allocated += c
+			}
 		}
 		if h.Len() != n {
 			t.Fatalf("round %d: Len = %d, want %d", round, h.Len(), n)
 		}
-		if round < 2 && len(h.c) != 1 || round == 2 && len(h.c) != 2 {
-			t.Fatalf("round %d: %d chunks for %d entries", round, len(h.c), n)
+		if c := cap(h.a); c < n || c > max(before, 3*n+8) {
+			t.Fatalf("round %d: cap %d for %d entries (was %d)", round, c, n, before)
+		}
+		if round >= len(sizes) && cap(h.a) != before {
+			t.Fatalf("round %d: cap %d -> %d on reuse", round, before, cap(h.a))
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for i, want := range keys {
@@ -115,8 +127,8 @@ func TestKeyHeapChunkBoundaries(t *testing.T) {
 			t.Fatalf("round %d: not empty after drain", round)
 		}
 	}
-	if len(h.c) != 3 {
-		t.Fatalf("%d chunks after reuse, want the 3 of the largest fill", len(h.c))
+	if largest := sizes[len(sizes)-1]; allocated > 4*largest {
+		t.Fatalf("%d entries allocated on the way to %d, want at most %d", allocated, largest, 4*largest)
 	}
 }
 
@@ -126,13 +138,13 @@ func TestKeyHeapChunkBoundaries(t *testing.T) {
 func TestKeyHeapZeroesVacatedSlots(t *testing.T) {
 	h := NewKeyHeap[*int]()
 	r := xrand.New(5)
-	const n = keyChunkSize + 100
+	const n = 4096 + 100
 	for i := 0; i < n; i++ {
 		h.Push(Keyed[*int]{Key: int64(r.Intn(1000)), V: new(int)})
 	}
 	for h.Len() > 0 {
 		h.Pop()
-		if e := *h.at(keyRoot + h.Len()); e.V != nil || e.Key != 0 {
+		if e := h.a[:h.Len()+1][h.Len()]; e.V != nil || e.Key != 0 {
 			t.Fatalf("%d entries left: vacated slot still holds %v", h.Len(), e)
 		}
 	}
@@ -140,8 +152,8 @@ func TestKeyHeapZeroesVacatedSlots(t *testing.T) {
 		h.Push(Keyed[*int]{Key: int64(i), V: new(int)})
 	}
 	h.Clear()
-	for i := keyRoot; i < keyRoot+n; i++ {
-		if e := *h.at(i); e.V != nil {
+	for i, e := range h.a[:n] {
+		if e.V != nil {
 			t.Fatalf("Clear left %v in slot %d", e, i)
 		}
 	}

@@ -155,9 +155,9 @@ func (q *KeyWindow[V]) activate() {
 	q.heads = make([]uint32, winBands)
 	//schedlint:ignore the occupancy bitmap, allocated with the band table
 	q.occ = make([]uint64, winBands/64)
-	lo, hi := ukey(q.heap.at(keyRoot).Key), uint64(0)
-	for i := keyRoot; i < q.heap.end; i++ {
-		hi = max(hi, ukey(q.heap.at(i).Key))
+	lo, hi := ukey(q.heap.a[0].Key), uint64(0)
+	for _, e := range q.heap.a {
+		hi = max(hi, ukey(e.Key))
 	}
 	q.shift = fitShift(hi - lo)
 }

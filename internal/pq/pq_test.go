@@ -147,7 +147,7 @@ func TestClear(t *testing.T) {
 }
 
 func TestCrossCheckHeaps(t *testing.T) {
-	// The binary heap and the 4-ary chunked KeyHeap share no code and
+	// The binary heap and the 4-ary KeyHeap share no code and
 	// must agree on every pop across a long random mixed workload.
 	bh := NewBinHeap(intLess)
 	kh := keyedInts{NewKeyHeap[int]()}

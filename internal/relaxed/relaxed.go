@@ -10,7 +10,12 @@
 // try-lock, each advertising its current minimum in a lock-free-readable
 // cache slot. A push inserts into a lane chosen per the stickiness policy.
 // A pop selects a lane by sampling the advertised minima and pops that
-// lane's minimum.
+// lane's minimum. The sequential queue is the paper's free choice
+// (§4.1) and the code makes it from what it is given: with a numeric
+// projection (NumericConfig.Prio) a lane is a pq.KeyHeap ordered by
+// each task's cached int64 key and advertises that key; without one it
+// is a pq.BinHeap ordered by Less and advertises a boxed task; with a
+// Resolution it is a pq.BucketQueue over the projection's bands.
 //
 // Two sampling modes:
 //
@@ -147,15 +152,20 @@ type Config struct {
 }
 
 // NumericConfig carries the optional numeric-priority knobs. Supplying
-// a projection switches the lanes' advertised minima from boxed task
-// copies (one heap allocation per lock episode) to plain atomic int64
-// slots — the allocation-free advertisement the zero-alloc serve path
-// depends on — and unlocks the multiresolution Resolution mode.
+// a projection makes the structure order by it: every lane is a
+// pq.KeyHeap of tasks stored beside their key — taken once, at push —
+// and advertises its top entry's key in a plain atomic int64 slot.
+// Without one a lane is a pq.BinHeap ordered by Options.Less and
+// advertises a boxed copy of its minimum through a hazard-guarded box
+// recycle. The projection also unlocks the multiresolution Resolution
+// mode.
 type NumericConfig[T any] struct {
 	// Prio projects a task to its numeric priority; smaller is served
-	// first. It must agree with Options.Less: Prio(a) < Prio(b) must
-	// imply !Less(b, a), or sampling would chase minima the lane heaps
-	// disagree with. Nil keeps the boxed advertisement.
+	// first. The contract is core.Options.Prio's: Prio(a) < Prio(b) must
+	// imply Less(a, b). With it set, Less is not consulted anywhere in
+	// the structure — lanes and samplers compare keys — so tasks with
+	// equal keys pop in unspecified order. Nil keeps the Less-ordered
+	// lanes and the boxed advertisement.
 	Prio func(T) int64
 	// MaxPrio is the inclusive upper bound of the Prio domain. Required
 	// when Resolution > 1 (it fixes the band count); otherwise unused.
@@ -165,7 +175,7 @@ type NumericConfig[T any] struct {
 	// queue): lane pushes and pops become O(1) band operations instead
 	// of O(log n) heap updates, at the price of arbitrary order within
 	// one band — each pop's rank error grows by at most the band's live
-	// occupancy. 0 and 1 select the exact per-lane heaps. Requires
+	// occupancy. 0 and 1 select the exact keyed per-lane heaps. Requires
 	// Prio and MaxPrio ≥ 1.
 	Resolution int64
 }
@@ -183,7 +193,17 @@ const emptyPrio = math.MaxInt64
 
 type lane[T any] struct {
 	mu sync.Mutex
-	q  pq.Queue[T]
+	// kh is the queue of a numeric exact lane (q == nil): every task sits
+	// beside its key — the projection taken once, at push — and the heap
+	// orders by that integer alone. A concrete field, not a pq.Queue: the
+	// serve hot loop calls it directly, Push and the copy-out half of Pop
+	// inline into pushLocked and popLocked below, and its header shares
+	// the cache line the lock has already pulled.
+	kh pq.KeyHeap[T]
+	// q, when set, is the lane's queue instead: a pq.BinHeap ordered by
+	// Less when there is no projection, a pq.BucketQueue over the
+	// projection's bands when Resolution > 1. Both hold bare tasks.
+	q pq.Queue[T]
 	// min is the boxed advertised minimum: nil when empty, updated under
 	// mu. Only maintained when no numeric projection is configured. The
 	// boxes cycle through a per-lane two-slot recycle (spare) guarded by
@@ -204,6 +224,33 @@ type lane[T any] struct {
 	// uncontended paths never touch it.
 	contended atomic.Int64
 	_         [16]byte // keep lane locks on distinct cache lines
+}
+
+// pushLocked and popLocked are the lane's queue, whichever it is. Tasks
+// travel by pointer: a 32-byte task or 40-byte entry passed or returned
+// by value crosses a call in registers, field by field, and is put back
+// together in memory on the other side — on the serve path that costs
+// more than the heap operation. Behind the pointer the KeyHeap calls
+// inline to plain copies between the caller's variable and a heap slot.
+//
+//schedlint:hotpath
+func (d *DS[T]) pushLocked(ln *lane[T], v *T) {
+	if ln.q != nil {
+		ln.q.Push(*v)
+		return
+	}
+	ln.kh.Push(pq.Keyed[T]{Key: d.prio(*v), V: *v})
+}
+
+//schedlint:hotpath
+func (ln *lane[T]) popLocked(v *T) (ok bool) {
+	if ln.q != nil {
+		*v, ok = ln.q.Pop()
+		return ok
+	}
+	e, ok := ln.kh.Pop()
+	*v = e.V
+	return ok
 }
 
 // hzBox is one place's hazard slot for the boxed advertisement: a
@@ -274,15 +321,15 @@ func New[T any](opts core.Options[T]) (*DS[T], error) {
 	return NewWithConfig(opts, Config{})
 }
 
-// NewWithConfig constructs the structure with explicit knobs, boxed
-// minimum advertisement and the exact per-lane heaps.
+// NewWithConfig constructs the structure with explicit knobs, lanes
+// ordered by Less and the boxed minimum advertisement.
 func NewWithConfig[T any](opts core.Options[T], cfg Config) (*DS[T], error) {
 	return NewWithNumeric(opts, cfg, NumericConfig[T]{})
 }
 
 // NewWithNumeric constructs the structure with explicit knobs plus the
-// numeric-priority extensions (allocation-free advertisement and the
-// multiresolution lanes; see NumericConfig).
+// numeric-priority extensions (keyed lanes with an int64 advertisement,
+// or the multiresolution lanes; see NumericConfig).
 func NewWithNumeric[T any](opts core.Options[T], cfg Config, num NumericConfig[T]) (*DS[T], error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -352,7 +399,7 @@ func NewWithNumeric[T any](opts core.Options[T], cfg Config, num NumericConfig[T
 		if num.Resolution > 1 {
 			res, prio := num.Resolution, num.Prio
 			ln.q = pq.NewBucketQueue[T](int(bands), func(v T) int { return int(prio(v) / res) })
-		} else {
+		} else if num.Prio == nil {
 			ln.q = pq.NewBinHeap(opts.Less)
 		}
 		ln.minP.Store(emptyPrio)
@@ -447,18 +494,24 @@ func (d *DS[T]) ContentionTotal() int64 {
 
 // advertise re-publishes ln's minimum for the lock-free samplers;
 // callers hold ln.mu. With a numeric projection the advertisement is a
-// plain int64 store. The boxed variant copies the minimum into the
-// lane's spare box and swaps it with the published one — hazard slots
-// keep a box from being overwritten under a concurrent sampler, so
-// steady state costs zero allocations; a fresh box is allocated only
-// when a sampler pins the spare mid-read.
+// plain int64 store — of the top entry's cached key on a keyed lane, of
+// the projection of a task in the lowest band on a banded one. The
+// boxed variant copies the minimum into the lane's spare box and swaps
+// it with the published one — hazard slots keep a box from being
+// overwritten under a concurrent sampler, so steady state costs zero
+// allocations; a fresh box is allocated only when a sampler pins the
+// spare mid-read.
 func (d *DS[T]) advertise(ln *lane[T]) {
 	if d.prio != nil {
-		if v, ok := ln.q.Peek(); ok {
-			ln.minP.Store(min(d.prio(v), emptyPrio-1))
-		} else {
-			ln.minP.Store(emptyPrio)
+		key := int64(emptyPrio)
+		if ln.q == nil {
+			if e, ok := ln.kh.Peek(); ok {
+				key = min(e.Key, emptyPrio-1)
+			}
+		} else if v, ok := ln.q.Peek(); ok {
+			key = min(d.prio(v), emptyPrio-1)
 		}
+		ln.minP.Store(key)
 		return
 	}
 	if v, ok := ln.q.Peek(); ok {
@@ -572,7 +625,7 @@ func (d *DS[T]) bestOfTwo(pl, a, b int) int {
 func (d *DS[T]) Push(pl int, k int, v T) {
 	_ = k
 	ln := d.lockPushLane(pl)
-	ln.q.Push(v)
+	d.pushLocked(ln, &v)
 	d.advertise(ln)
 	ln.mu.Unlock()
 	d.ctrs[pl].Pushes.Add(1)
@@ -588,8 +641,8 @@ func (d *DS[T]) PushK(pl int, k int, vs []T) {
 		return
 	}
 	ln := d.lockPushLane(pl)
-	for _, v := range vs {
-		ln.q.Push(v)
+	for i := range vs {
+		d.pushLocked(ln, &vs[i])
 	}
 	d.advertise(ln)
 	ln.mu.Unlock()
@@ -821,9 +874,9 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 func (d *DS[T]) drainLocked(pl int, ln *lane[T], out []T) int {
 	c := &d.ctrs[pl]
 	got := 0
+	var v T
 	for got < len(out) {
-		v, ok := ln.q.Pop()
-		if !ok {
+		if !ln.popLocked(&v) {
 			break
 		}
 		if d.opts.Stale != nil && d.opts.Stale(v) {

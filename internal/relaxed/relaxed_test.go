@@ -662,6 +662,129 @@ func TestConformanceMultires(t *testing.T) {
 	}, dstest.Flags{NoLocalOrdering: true})
 }
 
+// TestConformanceNumeric runs the full suite, strict single-place
+// ordering included, over the keyed lanes: a projection and no
+// Resolution, so every lane is a pq.KeyHeap ordered by the cached key
+// and Less is never consulted.
+func TestConformanceNumeric(t *testing.T) {
+	dstest.Run(t, "RelaxedNumeric", func(opts core.Options[int64]) (core.DS[int64], error) {
+		return NewWithNumeric(opts, Config{}, NumericConfig[int64]{Prio: func(v int64) int64 { return v }})
+	})
+}
+
+// TestKeyedLanesMatchLessLanes drives a Less-only structure and a keyed
+// one, same seed, through one scripted single-goroutine mix of Push,
+// PushK, Pop and PopKInto over two places. With distinct priorities the
+// two orders agree everywhere — lane heaps, advertised minima, sampling
+// — and both draw the same random numbers, so every pop must return the
+// same tasks and the counters must end identical.
+func TestKeyedLanesMatchLessLanes(t *testing.T) {
+	for _, mode := range []SampleMode{SampleAll, SampleTwo} {
+		for _, stick := range []int{1, 4} {
+			opts := core.Options[int64]{Places: 2, Less: less, Seed: 17}
+			cfg := Config{Mode: mode, Stickiness: stick}
+			lessOnly, err := NewWithConfig(opts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyed, err := NewWithNumeric(opts, cfg, NumericConfig[int64]{Prio: func(v int64) int64 { return v }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := xrand.New(23)
+			// Distinct priorities, negative ones included: a shuffled run
+			// of integers around zero.
+			prios := make([]int64, 6000)
+			for i := range prios {
+				prios[i] = int64(i) - 3000
+			}
+			for i := len(prios) - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
+				prios[i], prios[j] = prios[j], prios[i]
+			}
+			var a, b [8]int64
+			for step := 0; len(prios) > 0 || step < 20000; step++ {
+				pl := r.Intn(2)
+				switch op := r.Intn(5); {
+				case op == 0 && len(prios) > 0:
+					lessOnly.Push(pl, 0, prios[0])
+					keyed.Push(pl, 0, prios[0])
+					prios = prios[1:]
+				case op == 1 && len(prios) > 0:
+					n := min(1+r.Intn(8), len(prios))
+					lessOnly.PushK(pl, 0, prios[:n])
+					keyed.PushK(pl, 0, prios[:n])
+					prios = prios[n:]
+				case op == 2:
+					va, oka := lessOnly.Pop(pl)
+					vb, okb := keyed.Pop(pl)
+					if va != vb || oka != okb {
+						t.Fatalf("mode %v, stickiness %d, step %d: Pop = %d,%v on Less lanes, %d,%v on keyed lanes",
+							mode, stick, step, va, oka, vb, okb)
+					}
+				case op >= 3:
+					n := 1 + r.Intn(8)
+					na, nb := lessOnly.PopKInto(pl, a[:n]), keyed.PopKInto(pl, b[:n])
+					if na != nb || a != b {
+						t.Fatalf("mode %v, stickiness %d, step %d: PopKInto = %v on Less lanes, %v on keyed lanes",
+							mode, stick, step, a[:na], b[:nb])
+					}
+				}
+			}
+			if sa, sb := lessOnly.Stats(), keyed.Stats(); sa != sb {
+				t.Errorf("mode %v, stickiness %d: Stats differ:\nLess  %+v\nkeyed %+v", mode, stick, sa, sb)
+			} else if sa.Pops == 0 || sa.BatchPops == 0 || sa.PopFailures == 0 {
+				t.Errorf("mode %v, stickiness %d: script missed a path: %+v", mode, stick, sa)
+			}
+		}
+	}
+}
+
+// TestIdleLanesStaySmall pins what an idle lane costs: a keyed 8-lane
+// structure that has never held more than 4 tasks per lane owns under
+// 16 KB of lane storage. (A lane heap that reserved its first chunk on
+// the first push — 160 KB a lane at 40-byte entries — put 60 % on the
+// peak heap of a lightly loaded server.)
+func TestIdleLanesStaySmall(t *testing.T) {
+	type task struct {
+		due      int64
+		id, prio int32
+		fin      *int
+		_        [8]byte
+	}
+	d, err := NewWithNumeric(core.Options[task]{Places: 2, Less: func(a, b task) bool { return a.prio < b.prio }, Seed: 1},
+		Config{Mode: SampleTwo, Stickiness: 4},
+		NumericConfig[task]{Prio: func(v task) int64 { return int64(v.prio) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Lanes() != 8 {
+		t.Fatalf("%d lanes, want 8", d.Lanes())
+	}
+	buf := make([]task, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for round := 0; round < 200; round++ {
+		pl := round % 2
+		for i := range buf {
+			buf[i] = task{prio: int32(round*4 + i)}
+		}
+		d.PushK(pl, 0, buf)
+		for got, spin := 0, 0; got < len(buf) && spin < 1000; spin++ {
+			got += d.PopKInto(pl, buf[got:])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// Everything allocated since construction is lane storage: the loop
+	// itself allocates nothing.
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 16<<10 {
+		t.Errorf("8 lanes that held at most 4 tasks each allocated %d bytes, want < 16 KB", grown)
+	}
+	if st := d.Stats(); st.Pops != 800 {
+		t.Fatalf("popped %d of 800", st.Pops)
+	}
+}
+
 // TestNumericConfigValidation pins the NumericConfig error cases.
 func TestNumericConfigValidation(t *testing.T) {
 	opts := core.Options[int64]{Places: 1, Less: less, Seed: 1}
@@ -716,9 +839,11 @@ func warmNumeric(t *testing.T, res int64) *DS[int64] {
 }
 
 // TestNumericHotPathAllocFree pins the zero-allocation contract of the
-// numeric serve path: steady-state Push + PopKInto allocates nothing —
-// for the exact heaps and for the multiresolution bucket lanes — and
-// neither does an empty or a multi-task PopKInto. (The boxed
+// numeric serve path: once warmNumeric has grown every lane's storage —
+// the keyed heaps' backing arrays, the band stacks — steady-state Push +
+// PopKInto allocates nothing, for the exact heaps and for the
+// multiresolution bucket lanes, and neither does an empty or a
+// multi-task PopKInto. (The boxed
 // Less-only path advertises minima through pointer stores and is
 // allowed to allocate; it is not under test.)
 func TestNumericHotPathAllocFree(t *testing.T) {
@@ -769,40 +894,44 @@ func TestNumericHotPathAllocFree(t *testing.T) {
 // the value an empty lane advertises — must still be found, by the
 // samplers and by the sweeps, through the single and the batch pop, on
 // exact and on multiresolution lanes. A lane holding it used to read as
-// empty to all of them, so the task was never returned.
+// empty to all of them, so the task was never returned. The keyed lanes
+// order by the projection as it stands, so the other end of the domain
+// is covered too: a negative key and MinInt64.
 func TestMaxPrioTaskIsPopped(t *testing.T) {
 	for _, mode := range []SampleMode{SampleAll, SampleTwo} {
 		for _, res := range []int64{0, 1 << 48} {
 			for _, batch := range []bool{false, true} {
-				d, err := NewWithNumeric(core.Options[int64]{Places: 1, Less: less, Seed: 3},
-					Config{Mode: mode},
-					NumericConfig[int64]{
-						Prio:       func(v int64) int64 { return v },
-						MaxPrio:    math.MaxInt64,
-						Resolution: res,
-					})
-				if err != nil {
-					t.Fatal(err)
-				}
-				d.Push(0, 0, math.MaxInt64)
-				var got int64
-				ok := false
-				// Single-threaded: the sweep after the sampling rounds
-				// finds any advertised lane, so one pop must succeed; the
-				// bound only keeps a regression from looping forever.
-				for try := 0; try < 1000 && !ok; try++ {
-					if batch {
-						var buf [4]int64
-						if n := d.PopKInto(0, buf[:]); n > 0 {
-							got, ok = buf[0], true
-						}
-					} else {
-						got, ok = d.Pop(0)
+				for _, key := range []int64{math.MaxInt64, -1, math.MinInt64} {
+					d, err := NewWithNumeric(core.Options[int64]{Places: 1, Less: less, Seed: 3},
+						Config{Mode: mode},
+						NumericConfig[int64]{
+							Prio:       func(v int64) int64 { return v },
+							MaxPrio:    math.MaxInt64,
+							Resolution: res,
+						})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if !ok || got != math.MaxInt64 {
-					t.Errorf("mode %v, resolution %d, batch %v: pop = %d, %v; the MaxInt64 task was never returned",
-						mode, res, batch, got, ok)
+					d.Push(0, 0, key)
+					var got int64
+					ok := false
+					// Single-threaded: the sweep after the sampling rounds
+					// finds any advertised lane, so one pop must succeed; the
+					// bound only keeps a regression from looping forever.
+					for try := 0; try < 1000 && !ok; try++ {
+						if batch {
+							var buf [4]int64
+							if n := d.PopKInto(0, buf[:]); n > 0 {
+								got, ok = buf[0], true
+							}
+						} else {
+							got, ok = d.Pop(0)
+						}
+					}
+					if !ok || got != key {
+						t.Errorf("mode %v, resolution %d, batch %v: pop = %d, %v; the task with key %d was never returned",
+							mode, res, batch, got, ok, key)
+					}
 				}
 			}
 		}

@@ -262,14 +262,16 @@ type Config[T any] struct {
 	Backpressure bool
 	// Priority maps a task to its numeric priority (smaller is more
 	// urgent). It is the one numeric projection of the order: the relaxed
-	// strategies' lanes advertise their minima with it, the k-priority
-	// strategies (Centralized, Hybrid) key their place-local queues on it
-	// — computed once per reference instead of one Less call per heap
-	// comparison — and the admission threshold is compared against it at
-	// Submit time. Optional except with Backpressure and Resolution; it
-	// must agree with Less (Priority(a) < Priority(b) implies Less(a, b))
-	// or the queues and the gate follow a different order than Less
-	// describes. Tasks with equal Priority run in unspecified order.
+	// strategies key their lanes on it and advertise each lane's minimum
+	// as that key, the k-priority strategies (Centralized, Hybrid) key
+	// their place-local queues on it — in both the key is computed once
+	// per queue entry and compared as an integer, and Less is not called
+	// — and the admission threshold is compared against it at Submit
+	// time. Optional except with Backpressure and Resolution; it must
+	// agree with Less (Priority(a) < Priority(b) implies Less(a, b)) or
+	// the queues and the gate follow a different order than Less
+	// describes. Tasks with equal Priority run in unspecified order, also
+	// where Less would tell them apart.
 	Priority func(T) int64
 	// MaxPrio is the inclusive upper bound of the Priority domain
 	// (required ≥ 1 with Backpressure, and with Resolution > 1).

@@ -183,14 +183,16 @@ type SchedulerConfig[T any] struct {
 	// equal Priority run in unspecified order.
 	//
 	// It is the one numeric projection of the order, and every strategy
-	// with a queue to key uses it. The relaxed strategies advertise each
-	// lane's minimum as a plain atomic int64 (the Less-only fallback
-	// advertises a boxed copy of the task through a hazard-guarded
-	// per-lane box recycle — also zero steady-state allocations per lock
-	// episode, at a slightly higher sampling cost). Centralized and
-	// Hybrid key their place-local queues on it: the key is computed
-	// once per queue entry and the queue orders by it with inlined integer
-	// compares instead of Less calls.
+	// with a queue to key uses it. The relaxed strategies key their lanes
+	// on it and advertise each lane's minimum as a plain atomic int64
+	// (the Less-only fallback orders its lanes by Less and advertises a
+	// boxed copy of the task through a hazard-guarded per-lane box
+	// recycle — also zero steady-state allocations per lock episode, at
+	// a higher cost per push, pop and sample). Centralized and Hybrid
+	// key their place-local queues on it. In all of them the key is
+	// computed once per queue entry and the queue orders by it with
+	// inlined integer compares; Less is not called there, which is why
+	// equal priorities are unordered even if Less tells them apart.
 	// Set Priority whenever tasks have a numeric priority, even with
 	// Backpressure off.
 	Priority func(T) int64
