@@ -241,8 +241,8 @@ func BenchmarkAblationSpy(b *testing.B) {
 // The lane32 rows price the same pop + push at the shape of a relaxed
 // lane under the serve path instead: 32 entries deep, a 32-byte task
 // held by value, fresh keys uniform over 2^20 — the Less-ordered heap
-// behind pq.Queue, as a lane without a projection calls it, against the
-// keyed heap called directly, as a lane with one does.
+// of a lane without a projection against the keyed heap of a lane with
+// one, both called directly, as the lanes call them.
 func BenchmarkLocalQueue(b *testing.B) {
 	const depth = 32 << 10
 	type task struct{ prio int64 }
@@ -301,7 +301,7 @@ func BenchmarkLocalQueue(b *testing.B) {
 		fin      *task
 	}
 	b.Run("binheap-less/lane32", func(b *testing.B) {
-		var q pq.Queue[envelope] = pq.NewBinHeap(func(x, y envelope) bool { return x.prio < y.prio })
+		q := pq.NewBinHeap(func(x, y envelope) bool { return x.prio < y.prio })
 		r := xrand.New(1)
 		for i := 0; i < laneDepth; i++ {
 			q.Push(envelope{prio: int32(r.Intn(1 << 20))})
@@ -584,13 +584,12 @@ func BenchmarkServeMode(b *testing.B) {
 // BenchmarkServeSticky quantifies the sticky, batched MultiQueue hot
 // path (SERVE): closed-loop saturation traffic from 8 producers through
 // the relaxed strategies, unsticky/unbatched versus stickiness 4 with
-// batch 8, plus a multiresolution row (band width 4096 over the 2^20
-// priority domain) on top of the tuned knobs. Reported metrics:
-// sustained throughput (tasks/s), the p99 sampled pop rank error
-// (rank_p99) — the two sides of the trade-off, so a throughput win that
-// silently wrecks ordering quality is visible in the same row — and the
-// measured per-task allocation cost (allocs/op, B/op: process-wide
-// MemStats deltas over the serve window divided by executed tasks;
+// batch 8. Reported metrics: sustained throughput (tasks/s), the p99
+// sampled pop rank error (rank_p99) — the two sides of the trade-off,
+// so a throughput win that silently wrecks ordering quality is visible
+// in the same row — and the measured per-task allocation cost
+// (allocs/op, B/op: process-wide MemStats deltas over the serve window
+// divided by executed tasks;
 // these override the -benchmem columns, whose per-b.N accounting would
 // smear one whole serve run across its task count). The CI bench job
 // gates the relaxed rows of this benchmark, allocation columns
@@ -600,13 +599,11 @@ func BenchmarkServeSticky(b *testing.B) {
 		name         string
 		strat        repro.Strategy
 		stick, batch int
-		res          int64
 	}{
-		{"relaxed-two/baseline", repro.RelaxedSampleTwo, 1, 1, 0},
-		{"relaxed-two/sticky4-batch8", repro.RelaxedSampleTwo, 4, 8, 0},
-		{"relaxed/baseline", repro.Relaxed, 1, 1, 0},
-		{"relaxed/sticky4-batch8", repro.Relaxed, 4, 8, 0},
-		{"relaxed/sticky4-batch8-res4096", repro.Relaxed, 4, 8, 4096},
+		{"relaxed-two/baseline", repro.RelaxedSampleTwo, 1, 1},
+		{"relaxed-two/sticky4-batch8", repro.RelaxedSampleTwo, 4, 8},
+		{"relaxed/baseline", repro.Relaxed, 1, 1},
+		{"relaxed/sticky4-batch8", repro.Relaxed, 4, 8},
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
@@ -619,7 +616,6 @@ func BenchmarkServeSticky(b *testing.B) {
 						Strategy:   sched.Strategy(cfg.strat),
 						Batch:      cfg.batch,
 						Stickiness: cfg.stick,
-						Resolution: cfg.res,
 						Seed:       uint64(i) + 1,
 					},
 					Producers:  8,

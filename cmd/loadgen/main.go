@@ -15,7 +15,7 @@
 //	        [-places N] [-k 512] [-arrival poisson|bursty|closed-loop]
 //	        [-dist uniform|skewed|ramp] [-window 64] [-on 10ms] [-off 10ms]
 //	        [-spin 0] [-ranksample 1] [-batch 1] [-stickiness 0]
-//	        [-groups 0] [-resolution 0] [-adaptiveplacement]
+//	        [-groups 0] [-adaptiveplacement]
 //	        [-adaptive] [-rankbudget 0] [-adaptinterval 10ms]
 //	        [-backpressure] [-sojournbudget 50ms] [-protectedband 0]
 //	        [-spillcap 0] [-tenants W,W,...] [-tenantskew 1]
@@ -32,18 +32,14 @@
 // delay is in the percentiles; closed-loop arrivals are stamped with the
 // clock.
 //
-// -strategy, -rate, -producers, -batch, -stickiness, -groups and
-// -resolution accept comma-separated lists; -strategy takes the names
-// sched.ParseStrategy accepts (-h lists them), and "-strategy all"
-// expands to the six headline strategies (work-stealing, centralized,
-// hybrid, global-heap, relaxed, relaxed-two). -batch sets both the
-// producers' submit batch and the workers' pop batch; -stickiness sets
-// the relaxed strategies' lane stickiness S — together they sweep the
-// MultiQueue throughput vs. rank-error trade-off. -resolution sweeps
-// the relaxed strategies' multiresolution band width (0/1 = exact
-// per-lane heaps): coarser bands buy O(1) lane operations for up to a
-// band's worth of extra rank error, tracing the rank-error-vs-throughput
-// frontier.
+// -strategy, -rate, -producers, -batch, -stickiness and -groups accept
+// comma-separated lists; -strategy takes the names sched.ParseStrategy
+// accepts (-h lists them), and "-strategy all" expands to the six
+// headline strategies (work-stealing, centralized, hybrid, global-heap,
+// relaxed, relaxed-two). -batch sets both the producers' submit batch
+// and the workers' pop batch; -stickiness sets the relaxed strategies'
+// lane stickiness S — together they sweep the MultiQueue throughput vs.
+// rank-error trade-off.
 //
 // -groups partitions the relaxed strategies' lanes into per-producer-
 // group lane groups (0/1 = flat): sampling and stickiness stay
@@ -147,7 +143,6 @@ func main() {
 		batches    = flag.String("batch", "1", "operation batch sizes: producer submit + worker pop batch (comma list)")
 		stickiness = flag.String("stickiness", "0", "relaxed lane stickiness S values, 0 = unsticky (comma list)")
 		groups     = flag.String("groups", "0", "relaxed lane-group counts, 0 = flat (comma list)")
-		resolution = flag.String("resolution", "0", "relaxed multiresolution band widths, 0/1 = exact (comma list)")
 		adaptPlace = flag.Bool("adaptiveplacement", false, "let the placement controller resize the lane groups (-groups becomes the ceiling)")
 		adaptive   = flag.Bool("adaptive", false, "let the runtime controller tune S and the pop batch (batch/stickiness become seeds)")
 		rankBudget = flag.Float64("rankbudget", 0, "p99 rank-error budget for the runtime controllers (0 = none)")
@@ -202,10 +197,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("bad -groups: %v", err)
 	}
-	resList, err := harness.ParseList(*resolution, strconv.Atoi)
-	if err != nil {
-		log.Fatalf("bad -resolution: %v", err)
-	}
 	var tenWeights []int64
 	if *tenants != "" {
 		if tenWeights, err = harness.ParseList(*tenants, parseInt64); err != nil {
@@ -251,7 +242,7 @@ func main() {
 	if *capture != "" {
 		// A capture is one session's story; refuse to interleave a sweep.
 		runs := len(stratList) * len(rateList) * len(prodList) * len(batchList) *
-			len(stickList) * len(groupList) * len(resList)
+			len(stickList) * len(groupList)
 		if runs != 1 {
 			log.Fatalf("-capture records a single configuration; this sweep has %d", runs)
 		}
@@ -265,7 +256,7 @@ func main() {
 
 	var results []load.Result
 	table := &stats.Table{Header: []string{
-		"strategy", "producers", "rate", "batch", "stick", "groups", "res", "S/B-final", "throughput/s",
+		"strategy", "producers", "rate", "batch", "stick", "groups", "S/B-final", "throughput/s",
 		"p50(us)", "p95(us)", "p99(us)", "rank-err-mean", "rank-err-p99", "rank-err-max",
 		"allocs/task", "steal%", "shed%", "prot-p99(us)", "gated-w", "min-fair%",
 	}}
@@ -282,130 +273,122 @@ func main() {
 					// relaxed strategy), so a mixed "-strategy all"
 					// sweep with -groups must run the other strategies
 					// flat rather than abort.
-					sticks, grps, resos := stickList, groupList, resList
+					sticks, grps := stickList, groupList
 					if strat != sched.Relaxed && strat != sched.RelaxedSampleTwo {
-						sticks, grps, resos = stickList[:1], []int{0}, []int{0}
+						sticks, grps = stickList[:1], []int{0}
 					}
 					for _, stick := range sticks {
 						for _, grp := range grps {
-							for _, reso := range resos {
-								fmt.Fprintf(os.Stderr, "loadgen: %s producers=%d rate=%.0f batch=%d stickiness=%d groups=%d resolution=%d adaptive=%v arrival=%s dist=%s duration=%s\n",
-									strat, np, rate, batch, stick, grp, reso, *adaptive, arr, pd, *duration)
-								lcfg := load.Config{
-									Sched: sched.Config[load.Task]{
-										Strategy:          strat,
-										Places:            *places,
-										K:                 *k,
-										Batch:             batch,
-										Stickiness:        stick,
-										LaneGroups:        grp,
-										Resolution:        int64(reso),
-										AdaptivePlacement: *adaptPlace && grp > 1,
-										Adaptive:          *adaptive,
-										RankErrorBudget:   *rankBudget,
-										AdaptInterval:     *adaptEvery,
-										Backpressure:      *backpress,
-										SojournBudget:     *sojournBud,
-										ProtectedBand:     *protBand,
-										SpillCap:          *spillCap,
-										Recorder:          recorder,
-										Seed:              *seed,
-									},
-									Producers:  np,
-									Duration:   *duration,
-									Arrival:    arr,
-									Rate:       rate,
-									OnPeriod:   *onPeriod,
-									OffPeriod:  *offPeriod,
-									Window:     *window,
-									Dist:       pd,
-									WorkSpin:   *spin,
-									RankSample: *rankSample,
-									Scenario:   scen,
-								}
-								if len(tenWeights) > 0 {
-									// The tenant knobs are only forwarded
-									// together with a weight vector — the
-									// generator rejects a skew on its own.
-									lcfg.Sched.TenantWeights = tenWeights
-									lcfg.Sched.TenantFloorFrac = *tenFloor
-									lcfg.Sched.TenantBudgets = tenBudgetList
-									lcfg.TenantSkew = *tenSkew
-								}
-								res, err := load.Run(lcfg)
-								if err != nil {
-									log.Fatalf("%s: %v", strat, err)
-								}
-								results = append(results, res)
-								rateCell := stats.F(rate, 0)
-								if arr == load.ClosedLoop {
-									rateCell = "closed" // the rate flag is ignored
-								}
-								finalCell := "-"
-								if res.Adaptive {
-									finalCell = fmt.Sprintf("%d/%d", res.FinalStickiness, res.FinalBatch)
-								}
-								groupCell, stealCell := "-", "-"
-								if res.LaneGroups > 1 {
-									groupCell = fmt.Sprintf("%d", res.LaneGroups)
-									if res.AdaptivePlacement {
-										// ASCII arrow: the table pads by byte width.
-										groupCell = fmt.Sprintf("%d->%d", res.LaneGroups, res.FinalGroups)
-									}
-									stealCell = stats.F(res.StealRate*100, 2)
-								}
-								resoCell := "-"
-								if res.Resolution > 1 {
-									resoCell = stats.I(res.Resolution)
-								}
-								shedCell, protCell := "-", "-"
-								if res.Backpressure {
-									shedCell = stats.F(res.ShedRate*100, 2)
-									protCell = stats.F(res.Bands[0].SojournNs.P99/1e3, 1)
-								}
-								gatedCell, fairCell := "-", "-"
-								if len(res.Tenants) > 0 {
-									gatedCell = stats.I(int64(res.FairGatedWindows))
-									// The headline fairness number: the worst
-									// tenant's goodput as a percentage of its
-									// weight-fair share.
-									minFair := -1.0
-									for _, tn := range res.Tenants {
-										if tn.FairSharePerSec <= 0 {
-											continue
-										}
-										if f := tn.GoodputPerSec / tn.FairSharePerSec; minFair < 0 || f < minFair {
-											minFair = f
-										}
-									}
-									if minFair >= 0 {
-										fairCell = stats.F(minFair*100, 1)
-									}
-								}
-								table.AddRow(
-									res.Strategy,
-									stats.I(int64(res.Producers)),
-									rateCell,
-									stats.I(int64(res.Batch)),
-									stats.I(int64(res.Stickiness)),
-									groupCell,
-									resoCell,
-									finalCell,
-									stats.F(res.ThroughputPerSec, 0),
-									stats.F(res.SojournNs.P50/1e3, 1),
-									stats.F(res.SojournNs.P95/1e3, 1),
-									stats.F(res.SojournNs.P99/1e3, 1),
-									stats.F(res.RankErrMean, 1),
-									stats.F(res.RankErr.P99, 0),
-									stats.I(res.RankErrMax),
-									stats.F(res.AllocsPerTask, 2),
-									stealCell,
-									shedCell,
-									protCell,
-									gatedCell,
-									fairCell,
-								)
+							fmt.Fprintf(os.Stderr, "loadgen: %s producers=%d rate=%.0f batch=%d stickiness=%d groups=%d adaptive=%v arrival=%s dist=%s duration=%s\n",
+								strat, np, rate, batch, stick, grp, *adaptive, arr, pd, *duration)
+							lcfg := load.Config{
+								Sched: sched.Config[load.Task]{
+									Strategy:          strat,
+									Places:            *places,
+									K:                 *k,
+									Batch:             batch,
+									Stickiness:        stick,
+									LaneGroups:        grp,
+									AdaptivePlacement: *adaptPlace && grp > 1,
+									Adaptive:          *adaptive,
+									RankErrorBudget:   *rankBudget,
+									AdaptInterval:     *adaptEvery,
+									Backpressure:      *backpress,
+									SojournBudget:     *sojournBud,
+									ProtectedBand:     *protBand,
+									SpillCap:          *spillCap,
+									Recorder:          recorder,
+									Seed:              *seed,
+								},
+								Producers:  np,
+								Duration:   *duration,
+								Arrival:    arr,
+								Rate:       rate,
+								OnPeriod:   *onPeriod,
+								OffPeriod:  *offPeriod,
+								Window:     *window,
+								Dist:       pd,
+								WorkSpin:   *spin,
+								RankSample: *rankSample,
+								Scenario:   scen,
 							}
+							if len(tenWeights) > 0 {
+								// The tenant knobs are only forwarded
+								// together with a weight vector — the
+								// generator rejects a skew on its own.
+								lcfg.Sched.TenantWeights = tenWeights
+								lcfg.Sched.TenantFloorFrac = *tenFloor
+								lcfg.Sched.TenantBudgets = tenBudgetList
+								lcfg.TenantSkew = *tenSkew
+							}
+							res, err := load.Run(lcfg)
+							if err != nil {
+								log.Fatalf("%s: %v", strat, err)
+							}
+							results = append(results, res)
+							rateCell := stats.F(rate, 0)
+							if arr == load.ClosedLoop {
+								rateCell = "closed" // the rate flag is ignored
+							}
+							finalCell := "-"
+							if res.Adaptive {
+								finalCell = fmt.Sprintf("%d/%d", res.FinalStickiness, res.FinalBatch)
+							}
+							groupCell, stealCell := "-", "-"
+							if res.LaneGroups > 1 {
+								groupCell = fmt.Sprintf("%d", res.LaneGroups)
+								if res.AdaptivePlacement {
+									// ASCII arrow: the table pads by byte width.
+									groupCell = fmt.Sprintf("%d->%d", res.LaneGroups, res.FinalGroups)
+								}
+								stealCell = stats.F(res.StealRate*100, 2)
+							}
+							shedCell, protCell := "-", "-"
+							if res.Backpressure {
+								shedCell = stats.F(res.ShedRate*100, 2)
+								protCell = stats.F(res.Bands[0].SojournNs.P99/1e3, 1)
+							}
+							gatedCell, fairCell := "-", "-"
+							if len(res.Tenants) > 0 {
+								gatedCell = stats.I(int64(res.FairGatedWindows))
+								// The headline fairness number: the worst
+								// tenant's goodput as a percentage of its
+								// weight-fair share.
+								minFair := -1.0
+								for _, tn := range res.Tenants {
+									if tn.FairSharePerSec <= 0 {
+										continue
+									}
+									if f := tn.GoodputPerSec / tn.FairSharePerSec; minFair < 0 || f < minFair {
+										minFair = f
+									}
+								}
+								if minFair >= 0 {
+									fairCell = stats.F(minFair*100, 1)
+								}
+							}
+							table.AddRow(
+								res.Strategy,
+								stats.I(int64(res.Producers)),
+								rateCell,
+								stats.I(int64(res.Batch)),
+								stats.I(int64(res.Stickiness)),
+								groupCell,
+								finalCell,
+								stats.F(res.ThroughputPerSec, 0),
+								stats.F(res.SojournNs.P50/1e3, 1),
+								stats.F(res.SojournNs.P95/1e3, 1),
+								stats.F(res.SojournNs.P99/1e3, 1),
+								stats.F(res.RankErrMean, 1),
+								stats.F(res.RankErr.P99, 0),
+								stats.I(res.RankErrMax),
+								stats.F(res.AllocsPerTask, 2),
+								stealCell,
+								shedCell,
+								protCell,
+								gatedCell,
+								fairCell,
+							)
 						}
 					}
 				}

@@ -48,3 +48,58 @@ func TestDocsRelativeLinksResolve(t *testing.T) {
 		}
 	}
 }
+
+var (
+	// flagDef matches a flag definition in a main package: flag.Int("name", …
+	flagDef = regexp.MustCompile(`flag\.\w+\("([a-z0-9]+)"`)
+	// shellContinuation matches a backslash line continuation.
+	shellContinuation = regexp.MustCompile(`\\\n\s*`)
+	// loadgenCmd matches a loadgen invocation up to the end of its line,
+	// its inline code span or its shell command, whichever comes first.
+	loadgenCmd = regexp.MustCompile("\\bloadgen(?:-vocab)?(\\s+-[^`\n|;>)]*)")
+	// cmdFlag matches one -flag token of such an invocation.
+	cmdFlag = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9]*)\b`)
+)
+
+// TestDocsLoadgenFlagsExist keeps deleted flags out of the docs: every
+// -flag on a loadgen command line in README.md, docs/*.md, the CI
+// workflow and the verify skill (backslash continuations joined) must
+// be one cmd/loadgen/main.go defines, so removing a flag from the
+// command fails here until the last documented use is gone too.
+func TestDocsLoadgenFlagsExist(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("cmd", "loadgen", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{"h": true, "help": true} // the flag package's own
+	for _, m := range flagDef.FindAllSubmatch(src, -1) {
+		defined[string(m[1])] = true
+	}
+	if len(defined) < 10 {
+		t.Fatalf("found only %d flag definitions in cmd/loadgen/main.go; has the flag idiom changed?", len(defined))
+	}
+	files := []string{"README.md", filepath.Join(".github", "workflows", "ci.yml"), filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, f := range append(files, docs...) {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := shellContinuation.ReplaceAllString(string(raw), " ")
+		for _, cmd := range loadgenCmd.FindAllStringSubmatch(text, -1) {
+			for _, m := range cmdFlag.FindAllStringSubmatch(cmd[1], -1) {
+				checked++
+				if !defined[m[1]] {
+					t.Errorf("%s: `loadgen%s` uses -%s, which cmd/loadgen does not define", f, strings.TrimRight(cmd[1], " "), m[1])
+				}
+			}
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("checked only %d documented loadgen flags; the command-line pattern no longer matches the docs", checked)
+	}
+}

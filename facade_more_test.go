@@ -294,6 +294,16 @@ func TestPublicBackpressureServe(t *testing.T) {
 // copy in NewScheduler: SchedulerConfig and sched.Config carry the same
 // exported field names, so a knob deleted (or added) on one side cannot
 // silently survive on the other.
+//
+// Why the copy is not an alias or an embedding (ROADMAP 6 (iii), closed):
+// SchedulerConfig[T] = sched.Config[T] is a generic alias, which needs
+// go ≥ 1.24 in go.mod while bench/go.mod pins 1.22 and CI builds with
+// 1.23; embedding sched.Config would break the keyed literals that
+// bench/serve.go and every example write (promoted fields cannot be
+// named in a composite literal); and Execute and Metrics differ in type
+// between the two structs (repro.Ctx / *repro.Metrics against *sched.Ctx
+// / obs.Sink), so two of the fields must be converted in any case.
+// RunStats has none of these obstacles and is an alias.
 func TestSchedulerConfigMirrorsSched(t *testing.T) {
 	fields := func(typ reflect.Type) map[string]bool {
 		names := map[string]bool{}

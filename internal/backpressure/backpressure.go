@@ -417,35 +417,9 @@ func (s *Spillway[T]) Offer(v T) bool {
 	return true
 }
 
-// DrainUpTo removes and returns up to max tasks, oldest first. Nil when
-// empty or max < 1.
-func (s *Spillway[T]) DrainUpTo(max int) []T {
-	if max < 1 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return nil
-	}
-	if max > s.n {
-		max = s.n
-	}
-	out := make([]T, 0, max)
-	var zero T
-	for i := 0; i < max; i++ {
-		out = append(out, s.buf[s.head])
-		s.buf[s.head] = zero // drop the reference for the GC
-		s.head = (s.head + 1) % len(s.buf)
-	}
-	s.n -= max
-	return out
-}
-
-// DrainUpToInto is DrainUpTo with a caller-owned buffer: it fills out
-// with up to len(out) tasks, oldest first, and returns the count — the
-// allocation-free drain the scheduler's readmission path reuses one
-// scratch buffer for.
+// DrainUpToInto removes up to len(out) tasks, oldest first, into the
+// caller-owned out and returns the count — an allocation-free drain the
+// scheduler's readmission path reuses one scratch buffer for.
 func (s *Spillway[T]) DrainUpToInto(out []T) int {
 	if len(out) == 0 {
 		return 0

@@ -330,24 +330,28 @@ func TestSpillwayFIFOAndBounds(t *testing.T) {
 	if s.Offer(4) {
 		t.Fatal("Offer accepted past capacity")
 	}
-	if got := s.DrainUpTo(2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("DrainUpTo(2) = %v, want [1 2]", got)
+	out := make([]int, 100)
+	if n := s.DrainUpToInto(out[:2]); n != 2 || out[0] != 1 || out[1] != 2 {
+		t.Fatalf("DrainUpToInto(2 slots) = %v, want [1 2]", out[:n])
 	}
 	if !s.Offer(4) || !s.Offer(5) {
 		t.Fatal("Offer refused after drain made room")
 	}
-	if got := s.DrainUpTo(100); len(got) != 3 || got[0] != 3 || got[1] != 4 || got[2] != 5 {
-		t.Fatalf("final drain = %v, want [3 4 5]", got)
+	if n := s.DrainUpToInto(out); n != 3 || out[0] != 3 || out[1] != 4 || out[2] != 5 {
+		t.Fatalf("final drain = %v, want [3 4 5]", out[:n])
 	}
-	if got := s.DrainUpTo(1); got != nil {
-		t.Fatalf("drain of empty spillway = %v", got)
+	if n := s.DrainUpToInto(out[:1]); n != 0 {
+		t.Fatalf("drain of empty spillway obtained %d tasks", n)
 	}
-	if got := s.DrainUpTo(0); got != nil {
-		t.Fatalf("DrainUpTo(0) = %v", got)
+	if !s.Offer(6) {
+		t.Fatal("Offer refused on an empty spillway")
+	}
+	if n := s.DrainUpToInto(nil); n != 0 || s.Len() != 1 {
+		t.Fatalf("DrainUpToInto(no slots) = %d with %d left, want 0 with 1 left", n, s.Len())
 	}
 }
 
-// TestSpillwayConcurrent: concurrent Offer/DrainUpTo must neither lose
+// TestSpillwayConcurrent: concurrent Offer/DrainUpToInto must neither lose
 // nor duplicate tasks (runs under CI's -race lane).
 func TestSpillwayConcurrent(t *testing.T) {
 	const producers, perProducer = 4, 5000
@@ -362,8 +366,9 @@ func TestSpillwayConcurrent(t *testing.T) {
 	dwg.Add(1)
 	go func() {
 		defer dwg.Done()
+		var buf [17]int
 		for {
-			got := s.DrainUpTo(17)
+			got := buf[:s.DrainUpToInto(buf[:])]
 			mu.Lock()
 			for _, v := range got {
 				if drained[v] {
@@ -398,7 +403,8 @@ func TestSpillwayConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	dwg.Wait()
-	for _, v := range s.DrainUpTo(1 << 20) {
+	rest := make([]int, s.Cap())
+	for _, v := range rest[:s.DrainUpToInto(rest)] {
 		mu.Lock()
 		if drained[v] {
 			t.Errorf("value %d drained twice", v)

@@ -89,6 +89,7 @@ func Run(cfg backpressure.Config, phases []Phase) (Result, error) {
 		return Result{}, err
 	}
 	spill := backpressure.NewSpillway[int64](cfg.SpillCap)
+	drained := make([]int64, spill.Cap()) // readmission scratch
 	res := Result{
 		AdmittedByPrio: map[int64]int64{},
 		DeferredByPrio: map[int64]int64{},
@@ -151,10 +152,10 @@ func Run(cfg backpressure.Config, phases []Phase) (Result, error) {
 			// the quota the closed window allows moves the oldest spilled
 			// tasks back into the structure.
 			if q := backpressure.ReadmitQuota(cfg, rec.Sample); q > 0 {
-				got := spill.DrainUpTo(int(q))
-				backlog += int64(len(got))
-				cum.Readmitted += int64(len(got))
-				res.Readmitted += int64(len(got))
+				got := int64(spill.DrainUpToInto(drained[:min(q, int64(len(drained)))]))
+				backlog += got
+				cum.Readmitted += got
+				res.Readmitted += got
 			}
 
 			res.Windows = append(res.Windows, WindowResult{

@@ -123,6 +123,7 @@ func Run(cfg fair.Config, phases []Phase) (Result, error) {
 		Shed: mk(), Readmitted: mk(), Executed: mk(),
 	}
 	spill := backpressure.NewSpillway[spilled](spillCap)
+	drained := make([]spilled, spill.Cap()) // drain scratch
 	cum := fair.Cumulative{
 		Arrived: mk(), Admitted: mk(), Deferred: mk(),
 		Shed: mk(), Readmitted: mk(), Executed: mk(),
@@ -176,7 +177,7 @@ func Run(cfg fair.Config, phases []Phase) (Result, error) {
 			// re-offered under the fresh quotas, oldest first, before new
 			// arrivals consume them — mirroring the scheduler's tick
 			// draining the spillway at the window boundary.
-			for _, s := range spill.DrainUpTo(readmitChunk) {
+			for _, s := range drained[:spill.DrainUpToInto(drained[:min(readmitChunk, len(drained))])] {
 				ok, re := admit(s.tenant, s.prio)
 				switch {
 				case ok:
@@ -255,7 +256,7 @@ func Run(cfg fair.Config, phases []Phase) (Result, error) {
 			// Spilled tasks count toward their tenant's outstanding work,
 			// like the scheduler's Pending includes its spillway.
 			spillByTenant := mk()
-			for _, s := range spill.DrainUpTo(spill.Len()) {
+			for _, s := range drained[:spill.DrainUpToInto(drained)] {
 				spillByTenant[s.tenant]++
 				spill.Offer(s)
 			}

@@ -303,7 +303,6 @@ type Result struct {
 	K          int    `json:"k"`
 	Batch      int    `json:"batch"`
 	Stickiness int    `json:"stickiness"`
-	Resolution int64  `json:"resolution,omitempty"`
 
 	TargetRate float64 `json:"target_rate"` // tasks/s requested (0 for closed-loop)
 	Submitted  int64   `json:"submitted"`
@@ -914,7 +913,6 @@ func Run(cfg Config) (Result, error) {
 		K:              sc.K,
 		Batch:          tr.batch,
 		Stickiness:     sc.Stickiness,
-		Resolution:     sc.Resolution,
 		Submitted:      tr.submitted.Load(),
 		Executed:       st.Executed,
 		ElapsedSec:     st.Elapsed.Seconds(),

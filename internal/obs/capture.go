@@ -79,6 +79,7 @@ type Recorder struct {
 	flushed int64        // next slot to serialize (flusher goroutine only)
 	dropped atomic.Int64
 	written int64
+	begun   atomic.Bool // Begin was called
 
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -123,8 +124,13 @@ func (r *Recorder) writeJSON(v any) {
 	r.err = r.w.WriteByte('\n')
 }
 
+// Begun reports whether Begin has been called: the Recorder holds, or
+// is taking, its one session and cannot serve another.
+func (r *Recorder) Begun() bool { return r.begun.Load() }
+
 // Begin writes the header line. h.V is forced to CaptureVersion.
 func (r *Recorder) Begin(h Header) {
+	r.begun.Store(true)
 	h.V = CaptureVersion
 	r.writeJSON(struct {
 		T string `json:"t"`

@@ -22,8 +22,8 @@
 //     window. The local queue of the k-priority structures whenever the
 //     priority projects to an integer.
 //   - BucketQueue: coarse bands, LIFO within a band — the one queue here
-//     that is not exact. The relaxed lanes use it when a Resolution says
-//     how much rank error a band may add.
+//     that is not exact. It has no product caller; it is priced by
+//     bench/ledger.go as pq.bucket_ns until ROADMAP item 1 (i).
 //
 // No implementation is safe for concurrent use; the owning place is
 // the only accessor, exactly as in the paper's data structure model.

@@ -18,6 +18,9 @@ import "math/bits"
 //
 // Like the other pq implementations it is sequential — the owning place
 // is the only accessor.
+//
+// No product code builds one; the type stays because bench/ledger.go
+// prices it as pq.bucket_ns, until ROADMAP item 1 (i) drops that row.
 type BucketQueue[T any] struct {
 	band  func(T) int // element → band index; clamped to [0, bands)
 	elems [][]T       // per-band LIFO stacks; backing arrays are retained

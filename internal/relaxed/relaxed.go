@@ -14,8 +14,7 @@
 // (§4.1) and the code makes it from what it is given: with a numeric
 // projection (NumericConfig.Prio) a lane is a pq.KeyHeap ordered by
 // each task's cached int64 key and advertises that key; without one it
-// is a pq.BinHeap ordered by Less and advertises a boxed task; with a
-// Resolution it is a pq.BucketQueue over the projection's bands.
+// is a pq.BinHeap ordered by Less and advertises a boxed task.
 //
 // Two sampling modes:
 //
@@ -151,14 +150,12 @@ type Config struct {
 	PlaceGroup func(place int) int
 }
 
-// NumericConfig carries the optional numeric-priority knobs. Supplying
-// a projection makes the structure order by it: every lane is a
-// pq.KeyHeap of tasks stored beside their key — taken once, at push —
-// and advertises its top entry's key in a plain atomic int64 slot.
-// Without one a lane is a pq.BinHeap ordered by Options.Less and
-// advertises a boxed copy of its minimum through a hazard-guarded box
-// recycle. The projection also unlocks the multiresolution Resolution
-// mode.
+// NumericConfig carries the optional numeric projection. Supplying one
+// makes the structure order by it: every lane is a pq.KeyHeap of tasks
+// stored beside their key — taken once, at push — and advertises its
+// top entry's key in a plain atomic int64 slot. Without one a lane is a
+// pq.BinHeap ordered by Options.Less and advertises a boxed copy of its
+// minimum through a hazard-guarded box recycle.
 type NumericConfig[T any] struct {
 	// Prio projects a task to its numeric priority; smaller is served
 	// first. The contract is core.Options.Prio's: Prio(a) < Prio(b) must
@@ -167,23 +164,12 @@ type NumericConfig[T any] struct {
 	// equal keys pop in unspecified order. Nil keeps the Less-ordered
 	// lanes and the boxed advertisement.
 	Prio func(T) int64
-	// MaxPrio is the inclusive upper bound of the Prio domain. Required
-	// when Resolution > 1 (it fixes the band count); otherwise unused.
+	// MaxPrio is the inclusive upper bound of the Prio domain. Nothing in
+	// the structure reads it: the field stays because bench/ledger.go's
+	// literal names it, until ROADMAP item 1 lets this type fold into
+	// core.Options.Prio.
 	MaxPrio int64
-	// Resolution, when > 1, buckets the priority domain into coarse
-	// bands of this width inside every lane (a multiresolution priority
-	// queue): lane pushes and pops become O(1) band operations instead
-	// of O(log n) heap updates, at the price of arbitrary order within
-	// one band — each pop's rank error grows by at most the band's live
-	// occupancy. 0 and 1 select the exact keyed per-lane heaps. Requires
-	// Prio and MaxPrio ≥ 1.
-	Resolution int64
 }
-
-// maxResolutionBands bounds the per-lane band count Resolution may
-// induce, so a tiny Resolution against a huge MaxPrio cannot demand a
-// gigantic occupancy array in every lane.
-const maxResolutionBands = 1 << 16
 
 // emptyPrio is the numeric advertisement of an empty lane. Every
 // sampler and sweep skips a lane that advertises it, so a non-empty
@@ -193,17 +179,16 @@ const emptyPrio = math.MaxInt64
 
 type lane[T any] struct {
 	mu sync.Mutex
-	// kh is the queue of a numeric exact lane (q == nil): every task sits
+	// kh is the queue of a numeric lane (q == nil): every task sits
 	// beside its key — the projection taken once, at push — and the heap
 	// orders by that integer alone. A concrete field, not a pq.Queue: the
 	// serve hot loop calls it directly, Push and the copy-out half of Pop
 	// inline into pushLocked and popLocked below, and its header shares
 	// the cache line the lock has already pulled.
 	kh pq.KeyHeap[T]
-	// q, when set, is the lane's queue instead: a pq.BinHeap ordered by
-	// Less when there is no projection, a pq.BucketQueue over the
-	// projection's bands when Resolution > 1. Both hold bare tasks.
-	q pq.Queue[T]
+	// q, set when there is no projection, is the lane's queue instead:
+	// bare tasks ordered by Less.
+	q *pq.BinHeap[T]
 	// min is the boxed advertised minimum: nil when empty, updated under
 	// mu. Only maintained when no numeric projection is configured. The
 	// boxes cycle through a per-lane two-slot recycle (spare) guarded by
@@ -328,27 +313,11 @@ func NewWithConfig[T any](opts core.Options[T], cfg Config) (*DS[T], error) {
 }
 
 // NewWithNumeric constructs the structure with explicit knobs plus the
-// numeric-priority extensions (keyed lanes with an int64 advertisement,
-// or the multiresolution lanes; see NumericConfig).
+// optional numeric projection (keyed lanes with an int64 advertisement;
+// see NumericConfig).
 func NewWithNumeric[T any](opts core.Options[T], cfg Config, num NumericConfig[T]) (*DS[T], error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if num.Resolution < 0 {
-		return nil, fmt.Errorf("relaxed: Resolution = %d, must be non-negative", num.Resolution)
-	}
-	var bands int64
-	if num.Resolution > 1 {
-		if num.Prio == nil {
-			return nil, fmt.Errorf("relaxed: Resolution = %d requires a Prio projection", num.Resolution)
-		}
-		if num.MaxPrio < 1 {
-			return nil, fmt.Errorf("relaxed: Resolution = %d requires MaxPrio ≥ 1, got %d", num.Resolution, num.MaxPrio)
-		}
-		bands = num.MaxPrio/num.Resolution + 1
-		if bands > maxResolutionBands {
-			return nil, fmt.Errorf("relaxed: Resolution = %d over MaxPrio = %d needs %d bands per lane, above the %d cap", num.Resolution, num.MaxPrio, bands, maxResolutionBands)
-		}
 	}
 	if cfg.Stickiness < 0 {
 		return nil, fmt.Errorf("relaxed: Stickiness = %d, must be non-negative", cfg.Stickiness)
@@ -396,10 +365,7 @@ func NewWithNumeric[T any](opts core.Options[T], cfg Config, num NumericConfig[T
 	}
 	for i := range d.lanes {
 		ln := &lane[T]{}
-		if num.Resolution > 1 {
-			res, prio := num.Resolution, num.Prio
-			ln.q = pq.NewBucketQueue[T](int(bands), func(v T) int { return int(prio(v) / res) })
-		} else if num.Prio == nil {
+		if num.Prio == nil {
 			ln.q = pq.NewBinHeap(opts.Less)
 		}
 		ln.minP.Store(emptyPrio)
@@ -494,22 +460,16 @@ func (d *DS[T]) ContentionTotal() int64 {
 
 // advertise re-publishes ln's minimum for the lock-free samplers;
 // callers hold ln.mu. With a numeric projection the advertisement is a
-// plain int64 store — of the top entry's cached key on a keyed lane, of
-// the projection of a task in the lowest band on a banded one. The
-// boxed variant copies the minimum into the lane's spare box and swaps
-// it with the published one — hazard slots keep a box from being
-// overwritten under a concurrent sampler, so steady state costs zero
-// allocations; a fresh box is allocated only when a sampler pins the
-// spare mid-read.
+// plain int64 store of the top entry's cached key. The boxed variant
+// copies the minimum into the lane's spare box and swaps it with the
+// published one — hazard slots keep a box from being overwritten under
+// a concurrent sampler, so steady state costs zero allocations; a fresh
+// box is allocated only when a sampler pins the spare mid-read.
 func (d *DS[T]) advertise(ln *lane[T]) {
 	if d.prio != nil {
 		key := int64(emptyPrio)
-		if ln.q == nil {
-			if e, ok := ln.kh.Peek(); ok {
-				key = min(e.Key, emptyPrio-1)
-			}
-		} else if v, ok := ln.q.Peek(); ok {
-			key = min(d.prio(v), emptyPrio-1)
+		if e, ok := ln.kh.Peek(); ok {
+			key = min(e.Key, emptyPrio-1)
 		}
 		ln.minP.Store(key)
 		return

@@ -646,26 +646,10 @@ func TestLaneContentionSampling(t *testing.T) {
 	}
 }
 
-// TestConformanceMultires runs the full exactly-once suite over the
-// multiresolution configuration: numeric advertisement plus coarse
-// per-lane bucket queues (band width 64 over a 1<<10 domain). Ordering
-// inside a band is intentionally relaxed, so strict local ordering is
-// waived like the other relaxed configurations.
-func TestConformanceMultires(t *testing.T) {
-	dstest.RunFlags(t, "RelaxedMultires", func(opts core.Options[int64]) (core.DS[int64], error) {
-		return NewWithNumeric(opts, Config{Mode: SampleTwo, Stickiness: 4},
-			NumericConfig[int64]{
-				Prio:       func(v int64) int64 { return v },
-				MaxPrio:    1<<10 - 1,
-				Resolution: 64,
-			})
-	}, dstest.Flags{NoLocalOrdering: true})
-}
-
 // TestConformanceNumeric runs the full suite, strict single-place
-// ordering included, over the keyed lanes: a projection and no
-// Resolution, so every lane is a pq.KeyHeap ordered by the cached key
-// and Less is never consulted.
+// ordering included, over the keyed lanes: with a projection every lane
+// is a pq.KeyHeap ordered by the cached key and Less is never
+// consulted.
 func TestConformanceNumeric(t *testing.T) {
 	dstest.Run(t, "RelaxedNumeric", func(opts core.Options[int64]) (core.DS[int64], error) {
 		return NewWithNumeric(opts, Config{}, NumericConfig[int64]{Prio: func(v int64) int64 { return v }})
@@ -785,40 +769,32 @@ func TestIdleLanesStaySmall(t *testing.T) {
 	}
 }
 
-// TestNumericConfigValidation pins the NumericConfig error cases.
+// TestNumericConfigValidation pins that NumericConfig has no error
+// case of its own: MaxPrio is read by nothing, so no bound on the
+// projection's domain — none, a huge one, or one without a projection —
+// keeps the structure from being built.
 func TestNumericConfigValidation(t *testing.T) {
 	opts := core.Options[int64]{Places: 1, Less: less, Seed: 1}
 	id := func(v int64) int64 { return v }
-	if _, err := NewWithNumeric(opts, Config{}, NumericConfig[int64]{Resolution: -1, Prio: id, MaxPrio: 10}); err == nil {
-		t.Fatal("negative Resolution accepted")
-	}
-	if _, err := NewWithNumeric(opts, Config{}, NumericConfig[int64]{Resolution: 2}); err == nil {
-		t.Fatal("Resolution > 1 without Prio accepted")
-	}
-	if _, err := NewWithNumeric(opts, Config{}, NumericConfig[int64]{Resolution: 2, Prio: id}); err == nil {
-		t.Fatal("Resolution > 1 without MaxPrio accepted")
-	}
-	// Band explosion: MaxPrio/Resolution + 1 over the per-lane cap.
-	if _, err := NewWithNumeric(opts, Config{}, NumericConfig[int64]{Resolution: 1, Prio: id, MaxPrio: 1 << 40}); err != nil {
-		t.Fatalf("Resolution 1 (exact heaps) must not hit the band cap: %v", err)
-	}
-	if _, err := NewWithNumeric(opts, Config{}, NumericConfig[int64]{Resolution: 2, Prio: id, MaxPrio: 1 << 40}); err == nil {
-		t.Fatal("band count above the cap accepted")
+	for _, num := range []NumericConfig[int64]{
+		{Prio: id},
+		{Prio: id, MaxPrio: 1 << 40},
+		{MaxPrio: 10},
+	} {
+		if _, err := NewWithNumeric(opts, Config{}, num); err != nil {
+			t.Fatalf("Prio set: %v, MaxPrio %d: %v", num.Prio != nil, num.MaxPrio, err)
+		}
 	}
 }
 
 // warmNumeric builds a single-place numeric structure and runs enough
-// push/pop traffic through every configuration knob that all lane
-// storage reaches steady-state capacity.
-func warmNumeric(t *testing.T, res int64) *DS[int64] {
+// push/pop traffic through it that all lane storage reaches
+// steady-state capacity.
+func warmNumeric(t *testing.T) *DS[int64] {
 	t.Helper()
 	d, err := NewWithNumeric(core.Options[int64]{Places: 1, Less: less, Seed: 9},
 		Config{Mode: SampleAll, Stickiness: 4},
-		NumericConfig[int64]{
-			Prio:       func(v int64) int64 { return v },
-			MaxPrio:    1<<10 - 1,
-			Resolution: res,
-		})
+		NumericConfig[int64]{Prio: func(v int64) int64 { return v }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -839,99 +815,89 @@ func warmNumeric(t *testing.T, res int64) *DS[int64] {
 }
 
 // TestNumericHotPathAllocFree pins the zero-allocation contract of the
-// numeric serve path: once warmNumeric has grown every lane's storage —
-// the keyed heaps' backing arrays, the band stacks — steady-state Push +
-// PopKInto allocates nothing, for the exact heaps and for the
-// multiresolution bucket lanes, and neither does an empty or a
-// multi-task PopKInto. (The boxed
-// Less-only path advertises minima through pointer stores and is
-// allowed to allocate; it is not under test.)
+// numeric serve path: once warmNumeric has grown the keyed heaps'
+// backing arrays, steady-state Push + PopKInto allocates nothing, and
+// neither does an empty or a multi-task PopKInto. (The boxed Less-only
+// path advertises minima through pointer stores and is allowed to
+// allocate; it is not under test.)
 func TestNumericHotPathAllocFree(t *testing.T) {
-	for _, res := range []int64{0, 64} {
-		d := warmNumeric(t, res)
-		buf := make([]int64, 8)
-		// Single-threaded, so pops cannot fail spuriously: the pushed
-		// element is advertised and every try-lock is free.
-		allocs := testing.AllocsPerRun(1000, func() {
-			d.Push(0, 0, 512)
-			if got := d.PopKInto(0, buf[:1]); got != 1 {
-				t.Fatalf("res %d: PopKInto got %d", res, got)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("res %d: Push+PopKInto allocs = %v, want 0", res, allocs)
+	d := warmNumeric(t)
+	buf := make([]int64, 8)
+	// Single-threaded, so pops cannot fail spuriously: the pushed
+	// element is advertised and every try-lock is free.
+	allocs := testing.AllocsPerRun(1000, func() {
+		d.Push(0, 0, 512)
+		if got := d.PopKInto(0, buf[:1]); got != 1 {
+			t.Fatalf("PopKInto got %d", got)
 		}
-		allocs = testing.AllocsPerRun(1000, func() {
-			if got := d.PopKInto(0, buf); got != 0 {
-				t.Fatalf("res %d: PopKInto on empty obtained %d tasks", res, got)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("res %d: empty PopKInto allocs = %v, want 0", res, allocs)
+	})
+	if allocs != 0 {
+		t.Errorf("Push+PopKInto allocs = %v, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		if got := d.PopKInto(0, buf); got != 0 {
+			t.Fatalf("PopKInto on empty obtained %d tasks", got)
 		}
-		// Stickiness 4 spreads 8 pushes over 2–3 lanes and PopKInto
-		// drains one lane per call; the whole multi-call drain through
-		// one reused buffer allocates nothing.
-		allocs = testing.AllocsPerRun(1000, func() {
-			for i := 0; i < 8; i++ {
-				d.Push(0, 0, int64(i))
-			}
-			got := 0
-			for spin := 0; got < 8 && spin < 1000; spin++ {
-				got += d.PopKInto(0, buf)
-			}
-			if got != 8 {
-				t.Fatalf("res %d: drained %d of 8", res, got)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("res %d: batch PopKInto drain allocs = %v, want 0", res, allocs)
+	})
+	if allocs != 0 {
+		t.Errorf("empty PopKInto allocs = %v, want 0", allocs)
+	}
+	// Stickiness 4 spreads 8 pushes over 2–3 lanes and PopKInto
+	// drains one lane per call; the whole multi-call drain through
+	// one reused buffer allocates nothing.
+	allocs = testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 8; i++ {
+			d.Push(0, 0, int64(i))
 		}
+		got := 0
+		for spin := 0; got < 8 && spin < 1000; spin++ {
+			got += d.PopKInto(0, buf)
+		}
+		if got != 8 {
+			t.Fatalf("drained %d of 8", got)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("batch PopKInto drain allocs = %v, want 0", allocs)
 	}
 }
 
 // TestMaxPrioTaskIsPopped: a task whose numeric priority is MaxInt64 —
 // the value an empty lane advertises — must still be found, by the
-// samplers and by the sweeps, through the single and the batch pop, on
-// exact and on multiresolution lanes. A lane holding it used to read as
-// empty to all of them, so the task was never returned. The keyed lanes
-// order by the projection as it stands, so the other end of the domain
-// is covered too: a negative key and MinInt64.
+// samplers and by the sweeps, through the single and the batch pop. A
+// lane holding it used to read as empty to all of them, so the task was
+// never returned. The keyed lanes order by the projection as it stands,
+// so the other end of the domain is covered too: a negative key and
+// MinInt64.
 func TestMaxPrioTaskIsPopped(t *testing.T) {
 	for _, mode := range []SampleMode{SampleAll, SampleTwo} {
-		for _, res := range []int64{0, 1 << 48} {
-			for _, batch := range []bool{false, true} {
-				for _, key := range []int64{math.MaxInt64, -1, math.MinInt64} {
-					d, err := NewWithNumeric(core.Options[int64]{Places: 1, Less: less, Seed: 3},
-						Config{Mode: mode},
-						NumericConfig[int64]{
-							Prio:       func(v int64) int64 { return v },
-							MaxPrio:    math.MaxInt64,
-							Resolution: res,
-						})
-					if err != nil {
-						t.Fatal(err)
-					}
-					d.Push(0, 0, key)
-					var got int64
-					ok := false
-					// Single-threaded: the sweep after the sampling rounds
-					// finds any advertised lane, so one pop must succeed; the
-					// bound only keeps a regression from looping forever.
-					for try := 0; try < 1000 && !ok; try++ {
-						if batch {
-							var buf [4]int64
-							if n := d.PopKInto(0, buf[:]); n > 0 {
-								got, ok = buf[0], true
-							}
-						} else {
-							got, ok = d.Pop(0)
+		for _, batch := range []bool{false, true} {
+			for _, key := range []int64{math.MaxInt64, -1, math.MinInt64} {
+				d, err := NewWithNumeric(core.Options[int64]{Places: 1, Less: less, Seed: 3},
+					Config{Mode: mode},
+					NumericConfig[int64]{Prio: func(v int64) int64 { return v }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.Push(0, 0, key)
+				var got int64
+				ok := false
+				// Single-threaded: the sweep after the sampling rounds
+				// finds any advertised lane, so one pop must succeed; the
+				// bound only keeps a regression from looping forever.
+				for try := 0; try < 1000 && !ok; try++ {
+					if batch {
+						var buf [4]int64
+						if n := d.PopKInto(0, buf[:]); n > 0 {
+							got, ok = buf[0], true
 						}
+					} else {
+						got, ok = d.Pop(0)
 					}
-					if !ok || got != key {
-						t.Errorf("mode %v, resolution %d, batch %v: pop = %d, %v; the task with key %d was never returned",
-							mode, res, batch, got, ok, key)
-					}
+				}
+				if !ok || got != key {
+					t.Errorf("mode %v, batch %v: pop = %d, %v; the task with key %d was never returned",
+						mode, batch, got, ok, key)
 				}
 			}
 		}

@@ -207,8 +207,9 @@ func TestServeBackpressureStopFlushesSpill(t *testing.T) {
 	if got := s.spill.Len(); got != deferred {
 		t.Fatalf("spillway holds %d tasks, want %d", got, deferred)
 	}
-	if head := s.spill.DrainUpTo(1); len(head) != 1 || head[0].k != 7 {
-		t.Fatalf("spillway dropped the caller's k: %+v", head)
+	var head [1]deferredTask[int64]
+	if n := s.spill.DrainUpToInto(head[:]); n != 1 || head[0].k != 7 {
+		t.Fatalf("spillway dropped the caller's k: %+v", head[:n])
 	} else if !s.spill.Offer(head[0]) {
 		t.Fatal("could not return the inspected task to the spillway")
 	}

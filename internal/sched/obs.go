@@ -271,7 +271,7 @@ func (s *Scheduler[T]) recBegin(rec *obs.Recorder) {
 			"strategy":  s.cfg.Strategy.String(),
 			"places":    strconv.Itoa(s.cfg.Places),
 			"injectors": strconv.Itoa(s.cfg.Injectors),
-			"interval":  s.obsInterval.String(),
+			"interval":  s.cfg.AdaptInterval.String(),
 		},
 	})
 	if s.cfg.Backpressure {

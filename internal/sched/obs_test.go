@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -299,23 +300,140 @@ func TestServeCaptureReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeObsIntervalValidation pins the config rule: an explicit
-// sub-millisecond controller window is rejected when only observability
-// asked for the controller goroutine.
+// TestServeRecorderServesOneSession: Config.Recorder captures one
+// Start/Stop. The first session's capture reads back sealed and replays
+// bit-identically; a second Start on the same scheduler fails before
+// anything is launched or written — it used to append a second header
+// and config block after the end record, and a reader then re-decided
+// session one's windows from session two's seeds — and leaves the
+// scheduler idle, so Run still works. Without a recorder a scheduler
+// restarts as before.
+func TestServeRecorderServesOneSession(t *testing.T) {
+	session := func(s *Scheduler[int64]) {
+		t.Helper()
+		for i := int64(0); i < 4000; i++ {
+			if err := s.Submit(i * 257 % (1 << 20)); err != nil && !errors.Is(err, ErrShed) {
+				t.Fatalf("Submit: %v", err)
+			}
+		}
+		// Stay open until the controller has closed a couple of its 2ms
+		// windows, so the capture has decisions to replay.
+		for deadline := time.Now().Add(10 * time.Second); len(s.BackpressureTrace()) < 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Stop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	rec := obs.NewRecorder(&buf)
+	cfg := bpConfig(func(ctx *Ctx[int64], v int64) {})
+	cfg.Recorder = rec
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	session(s)
+	if err := rec.Err(); err != nil {
+		t.Fatalf("recorder error: %v", err)
+	}
+	first := buf.String()
+
+	if err := s.Start(); err == nil {
+		t.Error("second Start on a scheduler whose Recorder is sealed succeeded")
+		session(s)
+	} else if !strings.Contains(err.Error(), "Recorder") {
+		t.Errorf("second Start failed without naming the Recorder: %v", err)
+	}
+	if s.Serving() {
+		t.Error("scheduler reports Serving after the refused Start")
+	}
+	if _, err := s.Run(1); err != nil {
+		t.Errorf("Run after the refused Start: %v", err)
+	}
+	if got := buf.String(); got != first {
+		t.Errorf("capture grew by %d bytes after its end record; it now holds %d hdr lines",
+			len(got)-len(first), strings.Count(got, `"t":"hdr"`))
+	}
+
+	c, err := obs.ReadCapture(strings.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.End == nil {
+		t.Fatal("first session's capture is not sealed")
+	}
+	if diffs := ctl.Diff("bp", c.BP, s.BackpressureTrace()); len(c.BP) == 0 || len(diffs) != 0 {
+		t.Fatalf("capture holds %d windows, %d differ from the live trace", len(c.BP), len(diffs))
+	}
+	vs, err := c.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 1 || !vs[0].Identical {
+		t.Fatalf("replay verdicts = %+v, want one identical backpressure verdict", vs)
+	}
+
+	cfg.Recorder = nil
+	plain, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := plain.Start(); err != nil {
+			t.Fatalf("session %d without a recorder: %v", i+1, err)
+		}
+		session(plain)
+	}
+}
+
+// TestServeObsIntervalValidation pins the config rule: New resolves
+// and checks the one control window for every configuration, so an
+// explicit sub-millisecond AdaptInterval is rejected by name whichever
+// consumer — a controller, the metrics window, or none — would tick on
+// it, and the zero value selects the default everywhere.
 func TestServeObsIntervalValidation(t *testing.T) {
-	cfg := Config[int64]{
-		Places:        2,
-		Less:          intLess,
-		Execute:       func(ctx *Ctx[int64], v int64) {},
-		Injectors:     1,
-		Metrics:       obs.NewRegistry(),
-		AdaptInterval: 100 * time.Microsecond,
+	base := Config[int64]{
+		Places:    2,
+		Strategy:  RelaxedSampleTwo,
+		Less:      intLess,
+		Execute:   func(ctx *Ctx[int64], v int64) {},
+		Injectors: 1,
 	}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sub-ms AdaptInterval accepted for a metrics-only session")
+	gated := func(c *Config[int64]) {
+		c.Backpressure = true
+		c.Priority = func(v int64) int64 { return v }
+		c.MaxPrio = 1 << 10
 	}
-	cfg.AdaptInterval = 0
-	if _, err := New(cfg); err != nil {
-		t.Fatalf("default interval rejected: %v", err)
+	for _, tc := range []struct {
+		name string
+		set  func(c *Config[int64])
+	}{
+		{"no controller", func(c *Config[int64]) {}},
+		{"adaptive", func(c *Config[int64]) { c.Adaptive = true }},
+		{"backpressure", gated},
+		{"tenants", func(c *Config[int64]) {
+			gated(c)
+			c.TenantWeights = []int64{1, 1}
+			c.Tenant = func(v int64) int { return int(v & 1) }
+		}},
+		{"placement", func(c *Config[int64]) { c.LaneGroups, c.AdaptivePlacement = 2, true }},
+		{"metrics-only", func(c *Config[int64]) { c.Metrics = obs.NewRegistry() }},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		if _, err := New(cfg); err != nil {
+			t.Errorf("%s: default interval rejected: %v", tc.name, err)
+		}
+		cfg.AdaptInterval = 500 * time.Microsecond
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "AdaptInterval") {
+			t.Errorf("%s: New with a 500µs window = %v, want an error naming AdaptInterval", tc.name, err)
+		}
 	}
 }

@@ -244,10 +244,10 @@ type Config[T any] struct {
 	// return means "no signal this window" and skips the budget check.
 	// Nil behaves like a permanently absent signal.
 	RankSignal func() float64
-	// AdaptInterval is the sampling window shared by the runtime
-	// controllers — the adaptive S/B tuner and the backpressure
-	// admission controller tick on the same cadence (0 selects
-	// adapt.DefaultInterval).
+	// AdaptInterval is the one control window of a serve session: every
+	// runtime controller, the metrics publication and the recorder tick
+	// on it. 0 selects adapt.DefaultInterval; anything else must be at
+	// least 1ms, whichever of them is configured.
 	AdaptInterval time.Duration
 	// Backpressure enables priority-aware admission control in serve
 	// mode (internal/backpressure): every AdaptInterval the controller
@@ -267,25 +267,15 @@ type Config[T any] struct {
 	// their place-local queues on it — in both the key is computed once
 	// per queue entry and compared as an integer, and Less is not called
 	// — and the admission threshold is compared against it at Submit
-	// time. Optional except with Backpressure and Resolution; it must
-	// agree with Less (Priority(a) < Priority(b) implies Less(a, b)) or
-	// the queues and the gate follow a different order than Less
-	// describes. Tasks with equal Priority run in unspecified order, also
-	// where Less would tell them apart.
+	// time. Optional except with Backpressure; it must agree with Less
+	// (Priority(a) < Priority(b) implies Less(a, b)) or the queues and
+	// the gate follow a different order than Less describes. Tasks with
+	// equal Priority run in unspecified order, also where Less would tell
+	// them apart.
 	Priority func(T) int64
 	// MaxPrio is the inclusive upper bound of the Priority domain
-	// (required ≥ 1 with Backpressure, and with Resolution > 1).
+	// (required ≥ 1 with Backpressure; nothing else reads it).
 	MaxPrio int64
-	// Resolution, when > 1, buckets the relaxed strategies' numeric
-	// priority domain into coarse bands of this width inside every lane
-	// (a multiresolution priority queue, relaxed.NumericConfig): lane
-	// pushes and pops become O(1) band operations instead of O(log n)
-	// heap updates, at the price of arbitrary order within one band —
-	// each pop's rank error grows by at most the band's live occupancy,
-	// so size the bands against RankErrorBudget. 0 and 1 keep the exact
-	// per-lane heaps. Requires Priority and MaxPrio ≥ 1; strategies
-	// without lanes ignore it.
-	Resolution int64
 	// SojournBudget is the target sojourn time backpressure polices
 	// (0 selects backpressure.DefaultSojournBudget).
 	SojournBudget time.Duration
@@ -338,7 +328,8 @@ type Config[T any] struct {
 	// payload hash) up to the recorder's ring capacity. The capture
 	// replays deterministically offline (cmd/replay, obs.ReadCapture).
 	// The scheduler writes the capture header at Start and finishes the
-	// capture at Stop; a Recorder serves one session.
+	// capture at Stop; a Recorder serves one session, and a Start that
+	// finds it already used fails.
 	Recorder *obs.Recorder
 	// Hash optionally fingerprints task payloads for the Recorder's
 	// arrival envelopes — a tenant-opaque identity that lets an
@@ -470,11 +461,8 @@ type Scheduler[T any] struct {
 
 	// Observability state (see obs.go): the registered metric
 	// instruments and the previous window's counter snapshot (nil
-	// without Config.Metrics), plus the controller-loop interval in
-	// force when no controller supplies one (metrics/recorder-only
-	// sessions still tick the loop).
-	metrics     *serveMetrics
-	obsInterval time.Duration
+	// without Config.Metrics).
+	metrics *serveMetrics
 }
 
 // HomeGroup is the contiguous-block place→group mapping the scheduler
@@ -535,19 +523,13 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 	if cfg.RankErrorBudget < 0 {
 		return nil, fmt.Errorf("sched: RankErrorBudget = %v, must be non-negative", cfg.RankErrorBudget)
 	}
-	if cfg.Resolution < 0 {
-		return nil, fmt.Errorf("sched: Resolution = %d, must be non-negative", cfg.Resolution)
+	// One control interval, resolved here for every configuration: the
+	// controller configs below receive it and ctlLoop ticks on it.
+	if cfg.AdaptInterval == 0 {
+		cfg.AdaptInterval = adapt.DefaultInterval
 	}
-	if cfg.Resolution > 1 {
-		if cfg.Strategy != Relaxed && cfg.Strategy != RelaxedSampleTwo {
-			return nil, fmt.Errorf("sched: Resolution = %d requires a relaxed strategy (%s has no lanes to coarsen)", cfg.Resolution, cfg.Strategy)
-		}
-		if cfg.Priority == nil {
-			return nil, fmt.Errorf("sched: Resolution = %d requires a Priority function (the bands partition its domain)", cfg.Resolution)
-		}
-		if cfg.MaxPrio < 1 {
-			return nil, fmt.Errorf("sched: Resolution = %d requires MaxPrio ≥ 1, got %d", cfg.Resolution, cfg.MaxPrio)
-		}
+	if cfg.AdaptInterval < time.Millisecond {
+		return nil, fmt.Errorf("sched: AdaptInterval = %v, must be at least 1ms", cfg.AdaptInterval)
 	}
 	s := &Scheduler[T]{cfg: cfg, led: make([]placeLedger, cfg.Places)}
 	s.maxBatch = cfg.Batch
@@ -676,8 +658,6 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		pr := cfg.Priority
 		opts.Prio = func(e envelope[T]) int64 { return pr(e.v) }
 		num.Prio = opts.Prio
-		num.MaxPrio = cfg.MaxPrio
-		num.Resolution = cfg.Resolution
 	}
 
 	var (
@@ -721,18 +701,6 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		}
 		s.plCfg = pcfg
 		s.plCtl = ctl.NewSession[placement.Cumulative, placement.Sample](placement.State{Groups: cfg.LaneGroups}, maxTraceWindows)
-	}
-	if cfg.Metrics != nil || cfg.Recorder != nil {
-		// Metrics/recorder-only sessions run the controller loop too (it
-		// is where window sampling lives), so the interval needs the same
-		// floor the controllers enforce.
-		if cfg.AdaptInterval != 0 && cfg.AdaptInterval < time.Millisecond {
-			return nil, fmt.Errorf("sched: AdaptInterval = %v, must be at least 1ms (the observability window)", cfg.AdaptInterval)
-		}
-	}
-	s.obsInterval = cfg.AdaptInterval
-	if s.obsInterval == 0 {
-		s.obsInterval = adapt.DefaultInterval
 	}
 	if cfg.Metrics != nil {
 		s.metrics = s.newServeMetrics(cfg.Metrics)

@@ -97,6 +97,11 @@ func (s *Scheduler[T]) Start() error {
 		// so submitted tasks would be stranded forever.
 		return fmt.Errorf("sched: strategy %s cannot serve: injected tasks are only visible to their birth place", s.cfg.Strategy)
 	}
+	if rec := s.cfg.Recorder; rec != nil && rec.Begun() {
+		// A second header after the end record would make a reader
+		// re-decide the first session's windows from this one's seeds.
+		return fmt.Errorf("sched: Config.Recorder already holds a session; a Recorder serves one Start/Stop")
+	}
 	if !s.active.CompareAndSwap(false, true) {
 		return fmt.Errorf("sched: cannot Start while Run is in progress")
 	}
@@ -176,16 +181,7 @@ func fresh[L any](loop *L, err error) *L {
 // fanned out to the consumers.
 func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	interval := s.obsInterval
-	switch {
-	case s.cfg.Adaptive:
-		interval = s.adaptCfg.Interval
-	case s.cfg.Backpressure:
-		interval = s.bpCfg.Interval
-	case s.cfg.AdaptivePlacement:
-		interval = s.plCfg.Interval
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(s.cfg.AdaptInterval)
 	defer t.Stop()
 	for {
 		select {

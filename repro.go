@@ -197,16 +197,8 @@ type SchedulerConfig[T any] struct {
 	// Backpressure off.
 	Priority func(T) int64
 	// MaxPrio is the inclusive upper bound of the Priority domain
-	// (required ≥ 1 with Backpressure, and with Resolution > 1).
+	// (required ≥ 1 with Backpressure; nothing else reads it).
 	MaxPrio int64
-	// Resolution, when > 1, buckets the relaxed strategies' priority
-	// domain into coarse bands of this width inside every lane
-	// (multiresolution priority queue): lane operations become O(1)
-	// band updates instead of O(log n) heap updates, with arbitrary
-	// order inside one band — the rank error grows by at most a band's
-	// live occupancy. 0 and 1 keep the exact per-lane heaps. Requires
-	// Priority and MaxPrio ≥ 1; other strategies ignore it.
-	Resolution int64
 	// SojournBudget is the target sojourn time backpressure polices
 	// (0 = the 50ms default).
 	SojournBudget time.Duration
@@ -248,7 +240,8 @@ type SchedulerConfig[T any] struct {
 	Metrics *Metrics
 	// Recorder optionally captures the serve session to a versioned
 	// JSONL trace for deterministic offline replay (cmd/replay). The
-	// capture is sealed at Stop; a Recorder serves one session.
+	// capture is sealed at Stop; a Recorder serves one session, and a
+	// second Start with it fails.
 	Recorder *Recorder
 	// Hash optionally fingerprints task payloads for the Recorder's
 	// arrival envelopes, so an incident's traffic mix can be analyzed
@@ -258,19 +251,11 @@ type SchedulerConfig[T any] struct {
 	Seed uint64
 }
 
-// RunStats summarizes a completed Run.
-type RunStats struct {
-	// Elapsed is the wall-clock duration of the run.
-	Elapsed time.Duration
-	// Executed counts tasks that ran.
-	Executed int64
-	// Eliminated counts stale tasks retired without running.
-	Eliminated int64
-	// Spawned counts all tasks pushed (roots included).
-	Spawned int64
-	// DS carries the data structure's operation counters for the run.
-	DS DSStats
-}
+// RunStats summarizes a completed Run or serve session: Elapsed
+// (wall clock; Start to Stop for a session), Executed, Eliminated
+// (stale tasks retired without running), Spawned (all tasks pushed,
+// roots included) and DS, the data structure's operation counters.
+type RunStats = sched.RunStats
 
 // Scheduler executes priority-scheduled task-parallel computations.
 type Scheduler[T any] struct {
@@ -306,7 +291,6 @@ func NewScheduler[T any](cfg SchedulerConfig[T]) (*Scheduler[T], error) {
 		Backpressure:      cfg.Backpressure,
 		Priority:          cfg.Priority,
 		MaxPrio:           cfg.MaxPrio,
-		Resolution:        cfg.Resolution,
 		SojournBudget:     cfg.SojournBudget,
 		ProtectedBand:     cfg.ProtectedBand,
 		SpillCap:          cfg.SpillCap,
@@ -329,19 +313,7 @@ func NewScheduler[T any](cfg SchedulerConfig[T]) (*Scheduler[T], error) {
 
 // Run executes the computation seeded by roots and blocks until every
 // transitively spawned task has finished. Sequential reuse is allowed.
-func (s *Scheduler[T]) Run(roots ...T) (RunStats, error) {
-	st, err := s.inner.Run(roots...)
-	if err != nil {
-		return RunStats{}, err
-	}
-	return RunStats{
-		Elapsed:    st.Elapsed,
-		Executed:   st.Executed,
-		Eliminated: st.Eliminated,
-		Spawned:    st.Spawned,
-		DS:         st.DS,
-	}, nil
-}
+func (s *Scheduler[T]) Run(roots ...T) (RunStats, error) { return s.inner.Run(roots...) }
 
 // Stats returns the backing data structure's cumulative counters.
 func (s *Scheduler[T]) Stats() DSStats { return s.inner.Stats() }
@@ -391,19 +363,7 @@ func (s *Scheduler[T]) Drain() error { return s.inner.Drain() }
 
 // Stop closes the submission gate, executes all accepted tasks, shuts
 // the workers down and reports the serve session's stats. Idempotent.
-func (s *Scheduler[T]) Stop() (RunStats, error) {
-	st, err := s.inner.Stop()
-	if err != nil {
-		return RunStats{}, err
-	}
-	return RunStats{
-		Elapsed:    st.Elapsed,
-		Executed:   st.Executed,
-		Eliminated: st.Eliminated,
-		Spawned:    st.Spawned,
-		DS:         st.DS,
-	}, nil
-}
+func (s *Scheduler[T]) Stop() (RunStats, error) { return s.inner.Stop() }
 
 // Serving reports whether the scheduler is between Start and Stop.
 func (s *Scheduler[T]) Serving() bool { return s.inner.Serving() }
