@@ -707,75 +707,6 @@ func BenchmarkServeAdaptive(b *testing.B) {
 	})
 }
 
-// BenchmarkServeGrouped quantifies group-local lane placement in the
-// high-place-count regime the partition exists for (SERVE): 16 worker
-// places (paper-style oversubscription when GOMAXPROCS is lower; the
-// real place count when it is higher), closed-loop saturation from 8
-// producers, flat lanes versus 8 lane groups, unbatched/unsticky so the
-// per-pop lane-selection cost the grouping attacks is on the critical
-// path. The relaxed (SampleAll) pair is the headline: a flat pop scans
-// every lane's advertised minimum — 96 lanes at this scale — while a
-// grouped pop scans its home group's 12, and the measured gain is well
-// over the 10% acceptance bar with rank_p99 inside the 512 budget the
-// adaptive benchmarks police. The relaxed-two pair documents the other
-// side: two-choice sampling is already O(1) per pop, so on a single
-// socket grouping buys nothing and costs steal-reluctance latency —
-// lane groups are a SampleAll/NUMA tool, not a universal win. Like
-// BenchmarkServeSticky, each row overrides allocs/op and B/op with the
-// measured per-task figures. The CI bench job tracks all four rows
-// (BENCH_grouped.json) against the main-branch baseline.
-func BenchmarkServeGrouped(b *testing.B) {
-	places := 16
-	if g := runtime.GOMAXPROCS(0); g > places {
-		places = g
-	}
-	groups := 8
-	configs := []struct {
-		name   string
-		strat  repro.Strategy
-		groups int
-	}{
-		{"relaxed/flat", repro.Relaxed, 0},
-		{"relaxed/grouped8", repro.Relaxed, groups},
-		{"relaxed-two/flat", repro.RelaxedSampleTwo, 0},
-		{"relaxed-two/grouped8", repro.RelaxedSampleTwo, groups},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			var thr, rank, steal, allocs, bytes float64
-			for i := 0; i < b.N; i++ {
-				res, err := load.Run(load.Config{
-					Sched: sched.Config[load.Task]{
-						K:          512,
-						Strategy:   sched.Strategy(cfg.strat),
-						Places:     places,
-						LaneGroups: cfg.groups,
-						Seed:       uint64(i) + 1,
-					},
-					Producers:  8,
-					Duration:   250 * time.Millisecond,
-					Arrival:    load.ClosedLoop,
-					Window:     64,
-					RankSample: 4,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr += res.ThroughputPerSec
-				rank += res.RankErr.P99
-				steal += res.StealRate
-				allocs += res.AllocsPerTask
-				bytes += res.BytesPerTask
-			}
-			b.ReportMetric(thr/float64(b.N), "tasks/s")
-			b.ReportMetric(rank/float64(b.N), "rank_p99")
-			b.ReportMetric(steal/float64(b.N)*100, "steal_pct")
-			b.ReportMetric(allocs/float64(b.N), "allocs/op")
-			b.ReportMetric(bytes/float64(b.N), "B/op")
-		})
-	}
-}
-
 // BenchmarkServeObserved prices the observability layer on the tuned
 // sticky hot path (SERVE): the BenchmarkServeSticky closed-loop
 // saturation workload, once bare, once publishing the full metrics

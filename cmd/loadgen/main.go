@@ -15,7 +15,6 @@
 //	        [-places N] [-k 512] [-arrival poisson|bursty|closed-loop]
 //	        [-dist uniform|skewed|ramp] [-window 64] [-on 10ms] [-off 10ms]
 //	        [-spin 0] [-ranksample 1] [-batch 1] [-stickiness 0]
-//	        [-groups 0] [-adaptiveplacement]
 //	        [-adaptive] [-rankbudget 0] [-adaptinterval 10ms]
 //	        [-backpressure] [-sojournbudget 50ms] [-protectedband 0]
 //	        [-spillcap 0] [-tenants W,W,...] [-tenantskew 1]
@@ -32,7 +31,7 @@
 // delay is in the percentiles; closed-loop arrivals are stamped with the
 // clock.
 //
-// -strategy, -rate, -producers, -batch, -stickiness and -groups accept
+// -strategy, -rate, -producers, -batch and -stickiness accept
 // comma-separated lists; -strategy takes the names sched.ParseStrategy
 // accepts (-h lists them), and "-strategy all" expands to the six
 // headline strategies (work-stealing, centralized, hybrid, global-heap,
@@ -40,14 +39,6 @@
 // and the workers' pop batch; -stickiness sets the relaxed strategies'
 // lane stickiness S — together they sweep the MultiQueue throughput vs.
 // rank-error trade-off.
-//
-// -groups partitions the relaxed strategies' lanes into per-producer-
-// group lane groups (0/1 = flat): sampling and stickiness stay
-// group-local, with a bounded cross-group steal when a home group runs
-// dry. Grouped rows report the steal rate and per-group stats
-// (steal_rate, groups in the JSON); -adaptiveplacement hands the group
-// count to the placement controller (-groups becomes the ceiling) and
-// adds its per-window trace (placement_trace).
 //
 // -adaptive hands both knobs to the runtime controller instead
 // (internal/adapt): -stickiness and -batch become seeds, -rankbudget is
@@ -120,6 +111,28 @@ func parseStrategies(s string) ([]sched.Strategy, error) {
 	return sched.ParseStrategies(s)
 }
 
+// sticksFor is the stickiness values the sweep runs strat at. Only the
+// relaxed strategies consume the knob; for the others a stickiness
+// sweep would re-run bit-identical configurations and emit rows that
+// look like a measured tradeoff where none exists, so they run at the
+// first value only.
+func sticksFor(strat sched.Strategy, stickList []int) []int {
+	if strat != sched.Relaxed && strat != sched.RelaxedSampleTwo {
+		return stickList[:1]
+	}
+	return stickList
+}
+
+// sweepRuns is the number of configurations the sweep runs: perStrategy
+// (producers × rates × batches) times each strategy's stickiness values.
+func sweepRuns(stratList []sched.Strategy, perStrategy int, stickList []int) int {
+	runs := 0
+	for _, strat := range stratList {
+		runs += perStrategy * len(sticksFor(strat, stickList))
+	}
+	return runs
+}
+
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 func parseInt64(s string) (int64, error)   { return strconv.ParseInt(s, 10, 64) }
 
@@ -142,8 +155,6 @@ func main() {
 		rankSample = flag.Int("ranksample", 1, "measure rank error on every Nth task")
 		batches    = flag.String("batch", "1", "operation batch sizes: producer submit + worker pop batch (comma list)")
 		stickiness = flag.String("stickiness", "0", "relaxed lane stickiness S values, 0 = unsticky (comma list)")
-		groups     = flag.String("groups", "0", "relaxed lane-group counts, 0 = flat (comma list)")
-		adaptPlace = flag.Bool("adaptiveplacement", false, "let the placement controller resize the lane groups (-groups becomes the ceiling)")
 		adaptive   = flag.Bool("adaptive", false, "let the runtime controller tune S and the pop batch (batch/stickiness become seeds)")
 		rankBudget = flag.Float64("rankbudget", 0, "p99 rank-error budget for the runtime controllers (0 = none)")
 		adaptEvery = flag.Duration("adaptinterval", 0, "runtime controllers' window (0 = default)")
@@ -193,10 +204,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("bad -stickiness: %v", err)
 	}
-	groupList, err := harness.ParseList(*groups, strconv.Atoi)
-	if err != nil {
-		log.Fatalf("bad -groups: %v", err)
-	}
 	var tenWeights []int64
 	if *tenants != "" {
 		if tenWeights, err = harness.ParseList(*tenants, parseInt64); err != nil {
@@ -213,36 +220,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *adaptPlace {
-		// Refuse rather than silently measuring a flat, non-adaptive
-		// run: the placement controller needs a partition to resize and
-		// a relaxed strategy to resize it on.
-		usable := false
-		for _, g := range groupList {
-			if g > 1 {
-				usable = true
-			}
-		}
-		if !usable {
-			log.Fatalf("-adaptiveplacement needs a -groups value ≥ 2 (the controller's ceiling); got -groups %s", *groups)
-		}
-		relaxedSwept := false
-		for _, st := range stratList {
-			if st == sched.Relaxed || st == sched.RelaxedSampleTwo {
-				relaxedSwept = true
-			}
-		}
-		if !relaxedSwept {
-			log.Fatalf("-adaptiveplacement applies only to the relaxed strategies; none in -strategy %s", *strategy)
-		}
-	}
-
 	var recorder *obs.Recorder
 	var captureFile *os.File
 	if *capture != "" {
 		// A capture is one session's story; refuse to interleave a sweep.
-		runs := len(stratList) * len(rateList) * len(prodList) * len(batchList) *
-			len(stickList) * len(groupList)
+		runs := sweepRuns(stratList, len(prodList)*len(rateList)*len(batchList), stickList)
 		if runs != 1 {
 			log.Fatalf("-capture records a single configuration; this sweep has %d", runs)
 		}
@@ -256,140 +238,112 @@ func main() {
 
 	var results []load.Result
 	table := &stats.Table{Header: []string{
-		"strategy", "producers", "rate", "batch", "stick", "groups", "S/B-final", "throughput/s",
+		"strategy", "producers", "rate", "batch", "stick", "S/B-final", "throughput/s",
 		"p50(us)", "p95(us)", "p99(us)", "rank-err-mean", "rank-err-p99", "rank-err-max",
-		"allocs/task", "steal%", "shed%", "prot-p99(us)", "gated-w", "min-fair%",
+		"allocs/task", "shed%", "prot-p99(us)", "gated-w", "min-fair%",
 	}}
 	for _, strat := range stratList {
 		for _, np := range prodList {
 			for _, rate := range rateList {
 				for _, batch := range batchList {
-					// Only the relaxed strategies consume the stickiness
-					// and lane-group knobs; for the others such sweeps
-					// would re-run bit-identical configurations and emit
-					// rows that look like a measured tradeoff where none
-					// exists — and the placement knobs are outright
-					// config errors there (AdaptivePlacement requires a
-					// relaxed strategy), so a mixed "-strategy all"
-					// sweep with -groups must run the other strategies
-					// flat rather than abort.
-					sticks, grps := stickList, groupList
-					if strat != sched.Relaxed && strat != sched.RelaxedSampleTwo {
-						sticks, grps = stickList[:1], []int{0}
-					}
-					for _, stick := range sticks {
-						for _, grp := range grps {
-							fmt.Fprintf(os.Stderr, "loadgen: %s producers=%d rate=%.0f batch=%d stickiness=%d groups=%d adaptive=%v arrival=%s dist=%s duration=%s\n",
-								strat, np, rate, batch, stick, grp, *adaptive, arr, pd, *duration)
-							lcfg := load.Config{
-								Sched: sched.Config[load.Task]{
-									Strategy:          strat,
-									Places:            *places,
-									K:                 *k,
-									Batch:             batch,
-									Stickiness:        stick,
-									LaneGroups:        grp,
-									AdaptivePlacement: *adaptPlace && grp > 1,
-									Adaptive:          *adaptive,
-									RankErrorBudget:   *rankBudget,
-									AdaptInterval:     *adaptEvery,
-									Backpressure:      *backpress,
-									SojournBudget:     *sojournBud,
-									ProtectedBand:     *protBand,
-									SpillCap:          *spillCap,
-									Recorder:          recorder,
-									Seed:              *seed,
-								},
-								Producers:  np,
-								Duration:   *duration,
-								Arrival:    arr,
-								Rate:       rate,
-								OnPeriod:   *onPeriod,
-								OffPeriod:  *offPeriod,
-								Window:     *window,
-								Dist:       pd,
-								WorkSpin:   *spin,
-								RankSample: *rankSample,
-								Scenario:   scen,
-							}
-							if len(tenWeights) > 0 {
-								// The tenant knobs are only forwarded
-								// together with a weight vector — the
-								// generator rejects a skew on its own.
-								lcfg.Sched.TenantWeights = tenWeights
-								lcfg.Sched.TenantFloorFrac = *tenFloor
-								lcfg.Sched.TenantBudgets = tenBudgetList
-								lcfg.TenantSkew = *tenSkew
-							}
-							res, err := load.Run(lcfg)
-							if err != nil {
-								log.Fatalf("%s: %v", strat, err)
-							}
-							results = append(results, res)
-							rateCell := stats.F(rate, 0)
-							if arr == load.ClosedLoop {
-								rateCell = "closed" // the rate flag is ignored
-							}
-							finalCell := "-"
-							if res.Adaptive {
-								finalCell = fmt.Sprintf("%d/%d", res.FinalStickiness, res.FinalBatch)
-							}
-							groupCell, stealCell := "-", "-"
-							if res.LaneGroups > 1 {
-								groupCell = fmt.Sprintf("%d", res.LaneGroups)
-								if res.AdaptivePlacement {
-									// ASCII arrow: the table pads by byte width.
-									groupCell = fmt.Sprintf("%d->%d", res.LaneGroups, res.FinalGroups)
-								}
-								stealCell = stats.F(res.StealRate*100, 2)
-							}
-							shedCell, protCell := "-", "-"
-							if res.Backpressure {
-								shedCell = stats.F(res.ShedRate*100, 2)
-								protCell = stats.F(res.Bands[0].SojournNs.P99/1e3, 1)
-							}
-							gatedCell, fairCell := "-", "-"
-							if len(res.Tenants) > 0 {
-								gatedCell = stats.I(int64(res.FairGatedWindows))
-								// The headline fairness number: the worst
-								// tenant's goodput as a percentage of its
-								// weight-fair share.
-								minFair := -1.0
-								for _, tn := range res.Tenants {
-									if tn.FairSharePerSec <= 0 {
-										continue
-									}
-									if f := tn.GoodputPerSec / tn.FairSharePerSec; minFair < 0 || f < minFair {
-										minFair = f
-									}
-								}
-								if minFair >= 0 {
-									fairCell = stats.F(minFair*100, 1)
-								}
-							}
-							table.AddRow(
-								res.Strategy,
-								stats.I(int64(res.Producers)),
-								rateCell,
-								stats.I(int64(res.Batch)),
-								stats.I(int64(res.Stickiness)),
-								groupCell,
-								finalCell,
-								stats.F(res.ThroughputPerSec, 0),
-								stats.F(res.SojournNs.P50/1e3, 1),
-								stats.F(res.SojournNs.P95/1e3, 1),
-								stats.F(res.SojournNs.P99/1e3, 1),
-								stats.F(res.RankErrMean, 1),
-								stats.F(res.RankErr.P99, 0),
-								stats.I(res.RankErrMax),
-								stats.F(res.AllocsPerTask, 2),
-								stealCell,
-								shedCell,
-								protCell,
-								gatedCell,
-								fairCell,
-							)
+					for _, stick := range sticksFor(strat, stickList) {
+						fmt.Fprintf(os.Stderr, "loadgen: %s producers=%d rate=%.0f batch=%d stickiness=%d adaptive=%v arrival=%s dist=%s duration=%s\n",
+							strat, np, rate, batch, stick, *adaptive, arr, pd, *duration)
+						lcfg := load.Config{
+							Sched: sched.Config[load.Task]{
+								Strategy:        strat,
+								Places:          *places,
+								K:               *k,
+								Batch:           batch,
+								Stickiness:      stick,
+								Adaptive:        *adaptive,
+								RankErrorBudget: *rankBudget,
+								AdaptInterval:   *adaptEvery,
+								Backpressure:    *backpress,
+								SojournBudget:   *sojournBud,
+								ProtectedBand:   *protBand,
+								SpillCap:        *spillCap,
+								Recorder:        recorder,
+								Seed:            *seed,
+							},
+							Producers:  np,
+							Duration:   *duration,
+							Arrival:    arr,
+							Rate:       rate,
+							OnPeriod:   *onPeriod,
+							OffPeriod:  *offPeriod,
+							Window:     *window,
+							Dist:       pd,
+							WorkSpin:   *spin,
+							RankSample: *rankSample,
+							Scenario:   scen,
 						}
+						if len(tenWeights) > 0 {
+							// The tenant knobs are only forwarded
+							// together with a weight vector — the
+							// generator rejects a skew on its own.
+							lcfg.Sched.TenantWeights = tenWeights
+							lcfg.Sched.TenantFloorFrac = *tenFloor
+							lcfg.Sched.TenantBudgets = tenBudgetList
+							lcfg.TenantSkew = *tenSkew
+						}
+						res, err := load.Run(lcfg)
+						if err != nil {
+							log.Fatalf("%s: %v", strat, err)
+						}
+						results = append(results, res)
+						rateCell := stats.F(rate, 0)
+						if arr == load.ClosedLoop {
+							rateCell = "closed" // the rate flag is ignored
+						}
+						finalCell := "-"
+						if res.Adaptive {
+							finalCell = fmt.Sprintf("%d/%d", res.FinalStickiness, res.FinalBatch)
+						}
+						shedCell, protCell := "-", "-"
+						if res.Backpressure {
+							shedCell = stats.F(res.ShedRate*100, 2)
+							protCell = stats.F(res.Bands[0].SojournNs.P99/1e3, 1)
+						}
+						gatedCell, fairCell := "-", "-"
+						if len(res.Tenants) > 0 {
+							gatedCell = stats.I(int64(res.FairGatedWindows))
+							// The headline fairness number: the worst
+							// tenant's goodput as a percentage of its
+							// weight-fair share.
+							minFair := -1.0
+							for _, tn := range res.Tenants {
+								if tn.FairSharePerSec <= 0 {
+									continue
+								}
+								if f := tn.GoodputPerSec / tn.FairSharePerSec; minFair < 0 || f < minFair {
+									minFair = f
+								}
+							}
+							if minFair >= 0 {
+								fairCell = stats.F(minFair*100, 1)
+							}
+						}
+						table.AddRow(
+							res.Strategy,
+							stats.I(int64(res.Producers)),
+							rateCell,
+							stats.I(int64(res.Batch)),
+							stats.I(int64(res.Stickiness)),
+							finalCell,
+							stats.F(res.ThroughputPerSec, 0),
+							stats.F(res.SojournNs.P50/1e3, 1),
+							stats.F(res.SojournNs.P95/1e3, 1),
+							stats.F(res.SojournNs.P99/1e3, 1),
+							stats.F(res.RankErrMean, 1),
+							stats.F(res.RankErr.P99, 0),
+							stats.I(res.RankErrMax),
+							stats.F(res.AllocsPerTask, 2),
+							shedCell,
+							protCell,
+							gatedCell,
+							fairCell,
+						)
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package repro
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -101,5 +102,39 @@ func TestDocsLoadgenFlagsExist(t *testing.T) {
 	}
 	if checked < 50 {
 		t.Fatalf("checked only %d documented loadgen flags; the command-line pattern no longer matches the docs", checked)
+	}
+}
+
+// configField matches a scheduler config field named in prose:
+// SchedulerConfig.Name or sched.Config.Name.
+var configField = regexp.MustCompile(`\b(?:SchedulerConfig|sched\.Config)\.([A-Z]\w*)`)
+
+// TestDocsConfigFieldsExist keeps deleted options out of the docs: every
+// SchedulerConfig.Name / sched.Config.Name in README.md, docs/*.md and
+// the verify skill must be a field of repro.SchedulerConfig (which
+// TestSchedulerConfigMirrorsSched holds to sched.Config), so removing a
+// field fails here until the last documented use is gone too.
+func TestDocsConfigFieldsExist(t *testing.T) {
+	typ := reflect.TypeOf(SchedulerConfig[int]{})
+	files := []string{"README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, f := range append(files, docs...) {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range configField.FindAllSubmatch(raw, -1) {
+			checked++
+			if _, ok := typ.FieldByName(string(m[1])); !ok {
+				t.Errorf("%s: names %s, which is not a field of SchedulerConfig", f, m[0])
+			}
+		}
+	}
+	if checked < 5 {
+		t.Fatalf("checked only %d documented config fields; the prose pattern no longer matches the docs", checked)
 	}
 }

@@ -14,8 +14,7 @@
 // Run with:
 //
 //	go run ./examples/serving [-rate 20000] [-producers 4] [-duration 1s]
-//	                          [-batch 1] [-stickiness 0] [-groups 0]
-//	                          [-adaptiveplacement] [-adaptive]
+//	                          [-batch 1] [-stickiness 0] [-adaptive]
 //	                          [-backpressure] [-spin 0]
 //	                          [-metrics :9090] [-strategy relaxed]
 //
@@ -24,12 +23,6 @@
 // lock episode; -stickiness S makes the relaxed strategies reuse a lane
 // for S consecutive operations. Both trade priority adherence for
 // throughput — compare the relaxed rows as the knobs change.
-//
-// -groups G partitions the relaxed strategies' lanes into G lane groups
-// with group-local sampling and bounded cross-group stealing — the
-// locality knob for high place counts; -adaptiveplacement lets the
-// placement controller merge and split the partition at runtime (the
-// relaxed rows then report where it landed).
 //
 // -adaptive hands both knobs to the runtime controller instead: the
 // flags become seeds, and each row reports where the controller drove
@@ -94,8 +87,6 @@ type flags struct {
 	duration   time.Duration
 	batch      int
 	stickiness int
-	groups     int
-	adaptPlace bool
 	adaptive   bool
 	backpress  bool
 	spin       int
@@ -117,8 +108,6 @@ func main() {
 	flag.DurationVar(&f.duration, "duration", time.Second, "traffic duration")
 	flag.IntVar(&f.batch, "batch", 1, "submit/pop batch size (1 = unbatched)")
 	flag.IntVar(&f.stickiness, "stickiness", 0, "relaxed lane stickiness S (0 = unsticky)")
-	flag.IntVar(&f.groups, "groups", 0, "relaxed lane groups (0 = flat)")
-	flag.BoolVar(&f.adaptPlace, "adaptiveplacement", false, "auto-resize the lane groups at runtime (-groups is the ceiling)")
 	flag.BoolVar(&f.adaptive, "adaptive", false, "auto-tune S and the pop batch at runtime (flags become seeds)")
 	flag.BoolVar(&f.backpress, "backpressure", false, "shed low-priority requests under overload")
 	flag.IntVar(&f.spin, "spin", 0, "per-request busy-work iterations (use with -backpressure to overload)")
@@ -155,12 +144,6 @@ func buildConfig(f flags, strategy repro.Strategy, execute func(ctx repro.Ctx[re
 		MaxPrio:    maxPrio,
 		Execute:    execute,
 		Seed:       1,
-	}
-	if f.groups > 1 && (strategy == repro.Relaxed || strategy == repro.RelaxedSampleTwo) {
-		// Only the relaxed strategies have lanes to place; setting
-		// AdaptivePlacement on the others is a config error.
-		cfg.LaneGroups = f.groups
-		cfg.AdaptivePlacement = f.adaptPlace
 	}
 	if f.backpress {
 		cfg.Backpressure = true
@@ -268,9 +251,6 @@ func runComparisonRow(f flags, strategy repro.Strategy, epoch time.Time) {
 	if err := s.Drain(); err != nil {
 		log.Fatal(err)
 	}
-	// Read the live partition before Stop restores the configured one —
-	// under -adaptiveplacement this is where the controller landed.
-	liveGroups, grouped := s.PlacementState()
 	st, err := s.Stop()
 	if err != nil {
 		log.Fatal(err)
@@ -284,9 +264,6 @@ func runComparisonRow(f flags, strategy repro.Strategy, epoch time.Time) {
 	adapted := ""
 	if stick, b, ok := s.AdaptiveState(); ok {
 		adapted = fmt.Sprintf("   adapted S=%d B=%d", stick, b)
-	}
-	if grouped {
-		adapted += fmt.Sprintf("   groups=%d", liveGroups)
 	}
 	if f.backpress {
 		adapted += fmt.Sprintf("   shed %d deferred %d", st.DS.Shed, st.DS.Deferred)

@@ -196,18 +196,9 @@ type Stats struct {
 	Publishes    int64 // hybrid: local lists appended to the global list
 	Spies        int64 // hybrid: spy attempts
 	SpyHits      int64 // hybrid: spy attempts that found tasks
-	Steals       int64 // work-stealing / grouped relaxed: steal attempts
+	Steals       int64 // work-stealing: steal attempts
 	StealHits    int64 // work-stealing: steals that obtained tasks
 	StolenTasks  int64 // work-stealing: tasks moved by successful steals
-	// CrossGroupPops counts tasks a grouped relaxed structure obtained
-	// from lanes outside the popping place's home lane group — the
-	// success side of the bounded cross-group steal a place falls back
-	// to when its home group is empty or fully contended. Flat (single
-	// group) structures never move it. Together with Steals (attempts,
-	// shared with the work-stealing structure whose steals are the same
-	// concept one layer down) it is the locality signal the placement
-	// controller samples.
-	CrossGroupPops int64 // grouped relaxed: tasks popped from out-of-group lanes
 
 	// The admission-control counters are written by the scheduler layer
 	// (sched serve-mode backpressure), never by a data structure: a shed
@@ -248,7 +239,6 @@ func (s Stats) Sub(other Stats) Stats {
 		Steals:         s.Steals - other.Steals,
 		StealHits:      s.StealHits - other.StealHits,
 		StolenTasks:    s.StolenTasks - other.StolenTasks,
-		CrossGroupPops: s.CrossGroupPops - other.CrossGroupPops,
 		Shed:           s.Shed - other.Shed,
 		Deferred:       s.Deferred - other.Deferred,
 		Readmitted:     s.Readmitted - other.Readmitted,
@@ -276,7 +266,6 @@ func (s *Stats) Add(other Stats) {
 	s.Steals += other.Steals
 	s.StealHits += other.StealHits
 	s.StolenTasks += other.StolenTasks
-	s.CrossGroupPops += other.CrossGroupPops
 	s.Shed += other.Shed
 	s.Deferred += other.Deferred
 	s.Readmitted += other.Readmitted
@@ -287,10 +276,10 @@ func (s *Stats) Add(other Stats) {
 // String renders the non-zero counters compactly.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"pushes=%d pops=%d popFail=%d batchPush=%d batchPop=%d popRetry=%d restick=%d elim=%d tailAdv=%d probes=%d/%d publishes=%d spies=%d/%d steals=%d/%d stolen=%d xgroup=%d shed=%d deferred=%d readmit=%d tenShed=%d tenDefer=%d",
+		"pushes=%d pops=%d popFail=%d batchPush=%d batchPop=%d popRetry=%d restick=%d elim=%d tailAdv=%d probes=%d/%d publishes=%d spies=%d/%d steals=%d/%d stolen=%d shed=%d deferred=%d readmit=%d tenShed=%d tenDefer=%d",
 		s.Pushes, s.Pops, s.PopFailures, s.BatchPushes, s.BatchPops,
 		s.PopRetries, s.Resticks, s.Eliminated, s.TailAdvances,
 		s.ProbeHits, s.Probes, s.Publishes, s.SpyHits, s.Spies,
-		s.StealHits, s.Steals, s.StolenTasks, s.CrossGroupPops,
+		s.StealHits, s.Steals, s.StolenTasks,
 		s.Shed, s.Deferred, s.Readmitted, s.TenantShed, s.TenantDeferred)
 }

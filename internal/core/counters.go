@@ -12,48 +12,46 @@ import "sync/atomic"
 // block where an undersized stride would put them right behind the
 // previous place's tail.
 type Counters struct {
-	Pushes         atomic.Int64
-	Pops           atomic.Int64
-	PopFailures    atomic.Int64
-	BatchPushes    atomic.Int64
-	BatchPops      atomic.Int64
-	PopRetries     atomic.Int64
-	Resticks       atomic.Int64
-	Eliminated     atomic.Int64
-	TailAdvances   atomic.Int64
-	Probes         atomic.Int64
-	ProbeHits      atomic.Int64
-	Publishes      atomic.Int64
-	Spies          atomic.Int64
-	SpyHits        atomic.Int64
-	Steals         atomic.Int64
-	StealHits      atomic.Int64
-	StolenTasks    atomic.Int64
-	CrossGroupPops atomic.Int64
-	_              [112]byte
+	Pushes       atomic.Int64
+	Pops         atomic.Int64
+	PopFailures  atomic.Int64
+	BatchPushes  atomic.Int64
+	BatchPops    atomic.Int64
+	PopRetries   atomic.Int64
+	Resticks     atomic.Int64
+	Eliminated   atomic.Int64
+	TailAdvances atomic.Int64
+	Probes       atomic.Int64
+	ProbeHits    atomic.Int64
+	Publishes    atomic.Int64
+	Spies        atomic.Int64
+	SpyHits      atomic.Int64
+	Steals       atomic.Int64
+	StealHits    atomic.Int64
+	StolenTasks  atomic.Int64
+	_            [120]byte
 }
 
 // Snapshot converts the counter block into a Stats value.
 func (c *Counters) Snapshot() Stats {
 	return Stats{
-		Pushes:         c.Pushes.Load(),
-		Pops:           c.Pops.Load(),
-		PopFailures:    c.PopFailures.Load(),
-		BatchPushes:    c.BatchPushes.Load(),
-		BatchPops:      c.BatchPops.Load(),
-		PopRetries:     c.PopRetries.Load(),
-		Resticks:       c.Resticks.Load(),
-		Eliminated:     c.Eliminated.Load(),
-		TailAdvances:   c.TailAdvances.Load(),
-		Probes:         c.Probes.Load(),
-		ProbeHits:      c.ProbeHits.Load(),
-		Publishes:      c.Publishes.Load(),
-		Spies:          c.Spies.Load(),
-		SpyHits:        c.SpyHits.Load(),
-		Steals:         c.Steals.Load(),
-		StealHits:      c.StealHits.Load(),
-		StolenTasks:    c.StolenTasks.Load(),
-		CrossGroupPops: c.CrossGroupPops.Load(),
+		Pushes:       c.Pushes.Load(),
+		Pops:         c.Pops.Load(),
+		PopFailures:  c.PopFailures.Load(),
+		BatchPushes:  c.BatchPushes.Load(),
+		BatchPops:    c.BatchPops.Load(),
+		PopRetries:   c.PopRetries.Load(),
+		Resticks:     c.Resticks.Load(),
+		Eliminated:   c.Eliminated.Load(),
+		TailAdvances: c.TailAdvances.Load(),
+		Probes:       c.Probes.Load(),
+		ProbeHits:    c.ProbeHits.Load(),
+		Publishes:    c.Publishes.Load(),
+		Spies:        c.Spies.Load(),
+		SpyHits:      c.SpyHits.Load(),
+		Steals:       c.Steals.Load(),
+		StealHits:    c.StealHits.Load(),
+		StolenTasks:  c.StolenTasks.Load(),
 	}
 }
 

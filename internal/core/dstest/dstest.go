@@ -63,7 +63,6 @@ func RunFlags(t *testing.T, name string, mk Factory, f Flags) {
 	t.Run(name+"/CounterConsistency", func(t *testing.T) { counterConsistency(t, mk) })
 	t.Run(name+"/ShedNeverPopped", func(t *testing.T) { shedNeverPopped(t, mk) })
 	t.Run(name+"/TenantQuotaNeverStarves", func(t *testing.T) { tenantQuotaNeverStarves(t, mk) })
-	t.Run(name+"/GroupedPlacement", func(t *testing.T) { groupedPlacement(t, mk) })
 	t.Run(name+"/SmallLiveSetChurn", func(t *testing.T) { smallLiveSetChurn(t, mk) })
 	t.Run(name+"/BurstDrainCycles", func(t *testing.T) { burstDrainCycles(t, mk) })
 	t.Run(name+"/ManyPlacesSmoke", func(t *testing.T) { manyPlacesSmoke(t, mk) })
@@ -908,7 +907,6 @@ var monotoneCounters = []struct {
 	{"Resticks", func(s core.Stats) int64 { return s.Resticks }},
 	{"Eliminated", func(s core.Stats) int64 { return s.Eliminated }},
 	{"Steals", func(s core.Stats) int64 { return s.Steals }},
-	{"CrossGroupPops", func(s core.Stats) int64 { return s.CrossGroupPops }},
 	{"Shed", func(s core.Stats) int64 { return s.Shed }},
 	{"Deferred", func(s core.Stats) int64 { return s.Deferred }},
 	{"Readmitted", func(s core.Stats) int64 { return s.Readmitted }},
@@ -1056,153 +1054,6 @@ func counterConsistency(t *testing.T, mk Factory) {
 	}
 	if s.PopFailures == 0 {
 		t.Fatal("Stats.PopFailures = 0: the final failed drain loops went uncounted")
-	}
-}
-
-// grouper is the optional lane-group hook set of the structurally
-// relaxed queue (live partition resize). Structures without lane groups
-// run groupedPlacement with no-op groups: the traffic and the item-flow
-// checks still apply, the resize goroutine simply has nothing to drive.
-type grouper interface {
-	SetGroups(int)
-	ActiveGroups() int
-	MaxGroups() int
-}
-
-// groupedPlacement extends the exactly-once contract to grouped lane
-// placement: while concurrent places push and pop — every pop
-// potentially a cross-group steal — and a regrouper goroutine resizes
-// the active partition across its whole range, no task may be lost or
-// delivered twice; the group counters (Steals, CrossGroupPops) must
-// stay monotone under concurrent Stats reads (pinned by the
-// counterConsistency monitor's counter list, re-checked here across
-// resizes); and at quiescence the item-flow equation must hold exactly,
-// with CrossGroupPops bounded by Pops and identically zero on
-// structures without groups.
-func groupedPlacement(t *testing.T, mk Factory) {
-	places := 6
-	perPlace := 8000
-	if testing.Short() {
-		perPlace = 2000
-	}
-	d := mustNew(t, mk, core.Options[int64]{Places: places, Seed: 35})
-	g, grouped := d.(grouper)
-	if grouped {
-		// SetGroups clamps into [1, MaxGroups] rather than faulting.
-		g.SetGroups(0)
-		if got := g.ActiveGroups(); got != 1 {
-			t.Fatalf("SetGroups(0) left %d active groups, want clamp to 1", got)
-		}
-		g.SetGroups(1 << 20)
-		if got := g.ActiveGroups(); got != g.MaxGroups() {
-			t.Fatalf("SetGroups(huge) left %d active groups, want clamp to MaxGroups %d", got, g.MaxGroups())
-		}
-	}
-
-	stopRegroup := make(chan struct{})
-	regroupDone := make(chan struct{})
-	go func() {
-		defer close(regroupDone)
-		n := 1
-		var prev core.Stats
-		for {
-			select {
-			case <-stopRegroup:
-				return
-			default:
-			}
-			if grouped {
-				n = n%g.MaxGroups() + 1
-				g.SetGroups(n)
-			}
-			s := d.Stats()
-			if s.Steals < prev.Steals || s.CrossGroupPops < prev.CrossGroupPops {
-				t.Errorf("group counters shrank across a resize: steals %d->%d xgroup %d->%d",
-					prev.Steals, s.Steals, prev.CrossGroupPops, s.CrossGroupPops)
-				return
-			}
-			prev = s
-			runtime.Gosched()
-		}
-	}()
-
-	var produced atomic.Int64
-	var wg sync.WaitGroup
-	results := make([][]int64, places)
-	for pl := 0; pl < places; pl++ {
-		wg.Add(1)
-		go func(pl int) {
-			defer wg.Done()
-			r := xrand.New(uint64(pl)*517 + 3)
-			var mine []int64
-			pushed := 0
-			fails := 0
-			for {
-				if pushed < perPlace && r.Intn(2) == 0 {
-					d.Push(pl, 1+r.Intn(512), int64(pl*perPlace+pushed))
-					produced.Add(1)
-					pushed++
-					continue
-				}
-				if v, ok := d.Pop(pl); ok {
-					mine = append(mine, v)
-					fails = 0
-					continue
-				}
-				if pushed < perPlace {
-					continue
-				}
-				fails++
-				if fails > 1<<14 {
-					break
-				}
-			}
-			results[pl] = mine
-		}(pl)
-	}
-	wg.Wait()
-	close(stopRegroup)
-	<-regroupDone
-
-	// Quiescent drain from one place: with the partition parked at its
-	// finest, the drain crosses every other group's lanes — work parked
-	// anywhere must surface through steals.
-	if grouped {
-		g.SetGroups(g.MaxGroups())
-	}
-	leftovers := popAll(d, 0, 1<<15)
-	seen := map[int64]int{}
-	total := 0
-	for _, res := range results {
-		for _, v := range res {
-			seen[v]++
-			total++
-		}
-	}
-	for _, v := range leftovers {
-		seen[v]++
-		total++
-	}
-	if int64(total) != produced.Load() {
-		t.Fatalf("popped %d tasks, produced %d across regroups", total, produced.Load())
-	}
-	for v, c := range seen {
-		if c != 1 {
-			t.Fatalf("task %d delivered %d times", v, c)
-		}
-	}
-	s := d.Stats()
-	if s.Pops != s.Pushes {
-		t.Fatalf("item flow broken at quiescence: pushed %d, popped %d", s.Pushes, s.Pops)
-	}
-	if s.CrossGroupPops > s.Pops {
-		t.Fatalf("CrossGroupPops %d exceeds Pops %d", s.CrossGroupPops, s.Pops)
-	}
-	if !grouped && s.CrossGroupPops != 0 {
-		t.Fatalf("ungrouped structure reported %d cross-group pops", s.CrossGroupPops)
-	}
-	if grouped && g.MaxGroups() > 1 && s.CrossGroupPops > 0 && s.Steals == 0 {
-		t.Fatalf("cross-group pops %d without a recorded steal attempt", s.CrossGroupPops)
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"repro/internal/backpressure"
 	"repro/internal/core"
 	"repro/internal/fair"
-	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/xrand"
@@ -237,16 +236,6 @@ type Config struct {
 // rest of the priority range into equal thirds (most to least urgent).
 const numBands = 4
 
-// GroupResult is one lane group's placement report.
-type GroupResult struct {
-	// Group is the home-group index in [0, LaneGroups).
-	Group int `json:"group"`
-	// Executed counts the tasks run by the group's worker places.
-	Executed int64 `json:"executed"`
-	// Contention is the group's cumulative failed lane try-locks.
-	Contention int64 `json:"contention"`
-}
-
 // BandResult is one priority band's admission and goodput report.
 type BandResult struct {
 	// Lo (inclusive) and Hi (exclusive) bound the band's priorities.
@@ -337,17 +326,6 @@ type Result struct {
 	FinalStickiness int            `json:"final_stickiness,omitempty"`
 	FinalBatch      int            `json:"final_batch,omitempty"`
 	AdaptTrace      []adapt.Window `json:"adapt_trace,omitempty"`
-
-	// Grouped-placement extras: the configured partition, the active
-	// group count at the end of the run (== LaneGroups for fixed runs),
-	// the cross-group steal fraction of all pops, per-group stats, and —
-	// for AdaptivePlacement runs — the controller's per-window trace.
-	LaneGroups        int                `json:"lane_groups,omitempty"`
-	AdaptivePlacement bool               `json:"adaptive_placement,omitempty"`
-	FinalGroups       int                `json:"final_groups,omitempty"`
-	StealRate         float64            `json:"steal_rate,omitempty"`
-	Groups            []GroupResult      `json:"groups,omitempty"`
-	PlacementTrace    []placement.Window `json:"placement_trace,omitempty"`
 
 	// Backpressure-run extras: the admission totals (Attempted =
 	// Submitted + Shed), the shed rate, goodput by priority band, the
@@ -467,11 +445,6 @@ type tracker struct {
 	spinSink  atomic.Uint64 // defeats elision of the synthetic work loop
 	tokens    chan struct{} // closed-loop completion semaphore (nil otherwise)
 
-	// groupExec tallies executed tasks per worker home group (grouped
-	// runs only; nil otherwise), attributed via sched.HomeGroup — the
-	// same mapping the scheduler partitions the worker places by.
-	groupExec []atomic.Int64
-
 	// Backpressure-run band accounting (zero-valued when off): per-band
 	// admission outcomes and execution counts, written by the producer
 	// goroutines (flush) and worker places (onExecute) respectively. The
@@ -556,9 +529,6 @@ func newTracker(cfg Config) (*tracker, error) {
 			tr.tokens <- struct{}{}
 		}
 	}
-	if cfg.Sched.LaneGroups > 1 {
-		tr.groupExec = make([]atomic.Int64, cfg.Sched.LaneGroups)
-	}
 	if n := len(cfg.Sched.TenantWeights); n > 0 {
 		tr.tenCum = make([]float64, n)
 		acc := 0.0
@@ -600,9 +570,6 @@ func (tr *tracker) onExecute(pl int, t Task) {
 	}
 	if h.tens != nil {
 		h.tens[t.Tenant].Observe(sojourn)
-	}
-	if tr.groupExec != nil {
-		tr.groupExec[sched.HomeGroup(pl, len(tr.hists), len(tr.groupExec))].Add(1)
 	}
 
 	if better, ok := tr.rank.Executed(t.Prio); ok {
@@ -888,9 +855,6 @@ func Run(cfg Config) (Result, error) {
 	if err := s.Drain(); err != nil {
 		return Result{}, err
 	}
-	// Read the live partition before Stop restores the configured one;
-	// for AdaptivePlacement runs this is where the controller landed.
-	finalGroups, grouped := s.PlacementState()
 	st, err := s.Stop()
 	if err != nil {
 		return Result{}, err
@@ -933,28 +897,6 @@ func Run(cfg Config) (Result, error) {
 			res.FinalStickiness, res.FinalBatch = st, b
 		}
 		res.AdaptTrace = s.AdaptiveTrace()
-	}
-	if grouped {
-		// Only the relaxed strategies actually group their lanes; the
-		// others ignore LaneGroups, so the grouped extras key off the
-		// scheduler's report rather than the config.
-		res.LaneGroups = sc.LaneGroups
-		res.FinalGroups = finalGroups
-		if res.DS.Pops > 0 {
-			res.StealRate = float64(res.DS.CrossGroupPops) / float64(res.DS.Pops)
-		}
-		gc := s.GroupContention()
-		for grp := range tr.groupExec {
-			gr := GroupResult{Group: grp, Executed: tr.groupExec[grp].Load()}
-			if grp < len(gc) {
-				gr.Contention = gc[grp]
-			}
-			res.Groups = append(res.Groups, gr)
-		}
-		if sc.AdaptivePlacement {
-			res.AdaptivePlacement = true
-			res.PlacementTrace = s.PlacementTrace()
-		}
 	}
 	elapsed := res.ElapsedSec
 	if sc.Backpressure {

@@ -501,99 +501,6 @@ func TestBandMapping(t *testing.T) {
 	}
 }
 
-// TestRunGrouped drives a grouped run end to end: the result must carry
-// the grouped extras (lane_groups, per-group stats summing to the
-// executed total, a bounded steal rate), and an adaptive-placement run
-// must additionally carry the controller's trace with every decision in
-// bounds.
-func TestRunGrouped(t *testing.T) {
-	res, err := Run(Config{
-		Sched: sched.Config[Task]{
-			Strategy:   sched.Relaxed,
-			Places:     4,
-			LaneGroups: 4,
-			Stickiness: 4,
-			Seed:       5,
-		},
-		Producers:  4,
-		Duration:   300 * time.Millisecond,
-		Arrival:    ClosedLoop,
-		Window:     32,
-		RankSample: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LaneGroups != 4 || res.FinalGroups != 4 {
-		t.Fatalf("grouped extras missing: lane_groups=%d final=%d", res.LaneGroups, res.FinalGroups)
-	}
-	if len(res.Groups) != 4 {
-		t.Fatalf("per-group stats: %d groups, want 4", len(res.Groups))
-	}
-	var groupExec int64
-	for _, g := range res.Groups {
-		groupExec += g.Executed
-	}
-	if groupExec != res.Executed {
-		t.Fatalf("per-group executed sums to %d, run executed %d", groupExec, res.Executed)
-	}
-	if res.StealRate < 0 || res.StealRate > 1 {
-		t.Fatalf("steal rate %v outside [0, 1]", res.StealRate)
-	}
-	if res.AdaptivePlacement || res.PlacementTrace != nil {
-		t.Fatal("fixed grouped run reported adaptive-placement extras")
-	}
-
-	ares, err := Run(Config{
-		Sched: sched.Config[Task]{
-			Strategy:          sched.RelaxedSampleTwo,
-			Places:            4,
-			LaneGroups:        4,
-			AdaptivePlacement: true,
-			AdaptInterval:     5 * time.Millisecond,
-			Seed:              6,
-		},
-		Producers:  4,
-		Duration:   300 * time.Millisecond,
-		Arrival:    ClosedLoop,
-		Window:     32,
-		RankSample: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ares.AdaptivePlacement || len(ares.PlacementTrace) == 0 {
-		t.Fatalf("adaptive placement run missing trace (%d windows)", len(ares.PlacementTrace))
-	}
-	for i, w := range ares.PlacementTrace {
-		if w.State.Groups < 1 || w.State.Groups > 4 {
-			t.Fatalf("trace window %d: groups %d outside [1, 4]", i, w.State.Groups)
-		}
-	}
-	if ares.FinalGroups < 1 || ares.FinalGroups > 4 {
-		t.Fatalf("final groups %d outside [1, 4]", ares.FinalGroups)
-	}
-
-	// A flat run must not grow grouped extras.
-	flat, err := Run(Config{
-		Sched: sched.Config[Task]{
-			Strategy: sched.Relaxed,
-			Places:   2,
-			Seed:     7,
-		},
-		Producers: 2,
-		Duration:  100 * time.Millisecond,
-		Arrival:   ClosedLoop,
-		Window:    16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.LaneGroups != 0 || flat.Groups != nil {
-		t.Fatalf("flat run reported grouped extras: %+v", flat.Groups)
-	}
-}
-
 // TestRunTenantSkew floods a throttled scheduler with a 10×-skewed
 // four-tenant mix and checks the tenant instrumentation end to end:
 // per-tenant ledgers conserving task flow, every tenant making
@@ -858,9 +765,9 @@ func roundTrip[E interface {
 }
 
 // TestResultJSONContract pins the JSON keys the CI smoke steps read
-// with jq (.github/workflows/ci.yml: adaptive, backpressure, grouped
-// placement and tenant-skew serve smokes), so renaming one fails here
-// rather than in CI.
+// with jq (.github/workflows/ci.yml: adaptive, backpressure and
+// tenant-skew serve smokes), so renaming one fails here rather than in
+// CI.
 func TestResultJSONContract(t *testing.T) {
 	for _, tc := range []struct {
 		v    any
@@ -870,12 +777,10 @@ func TestResultJSONContract(t *testing.T) {
 			"executed",
 			"adaptive", "final_stickiness", "final_batch", "adapt_trace",
 			"backpressure", "shed_rate", "bands", "bp_trace",
-			"lane_groups", "adaptive_placement", "groups", "steal_rate", "final_groups", "placement_trace",
 			"tenants", "fair_trace",
 		}},
 		{BandResult{}, []string{"protected", "shed", "deferred", "goodput_per_sec"}},
 		{TenantResult{}, []string{"tenant", "weight", "executed", "goodput_per_sec", "fair_share_per_sec"}},
-		{GroupResult{}, []string{"executed"}},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		have := map[string]bool{}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/backpressure"
 	"repro/internal/fair"
-	"repro/internal/placement"
 )
 
 // CaptureVersion is the JSONL schema version Recorder writes and
@@ -158,12 +157,6 @@ func (r *Recorder) ConfigAdapt(cfg adapt.Config, seed adapt.State) {
 	r.writeJSON(cfgRecord[adapt.Config, adapt.State]{T: "cfg_adapt", Cfg: cfg, Seed: seed})
 }
 
-// ConfigPlacement records the placement controller's config and
-// starting state.
-func (r *Recorder) ConfigPlacement(cfg placement.Config, seed placement.State) {
-	r.writeJSON(cfgRecord[placement.Config, placement.State]{T: "cfg_pl", Cfg: cfg, Seed: seed})
-}
-
 // ConfigFair records the tenant-fairness controller's config and
 // starting state.
 func (r *Recorder) ConfigFair(cfg fair.Config, seed fair.State) {
@@ -241,11 +234,6 @@ func (r *Recorder) BackpressureWindow(w backpressure.Window) {
 // AdaptWindow records one adaptive-tuning decision.
 func (r *Recorder) AdaptWindow(w adapt.Window) {
 	r.writeJSON(windowRecord[adapt.Window]{T: "adapt", W: w})
-}
-
-// PlacementWindow records one placement decision.
-func (r *Recorder) PlacementWindow(w placement.Window) {
-	r.writeJSON(windowRecord[placement.Window]{T: "pl", W: w})
 }
 
 // FairWindow records one tenant-fairness decision (the "ten" envelope:

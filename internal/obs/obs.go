@@ -37,7 +37,7 @@ import (
 )
 
 // Label is one key/value pair attached to a series. Labels distinguish
-// series within a family (e.g. per-group contention counters); the
+// series within a family (e.g. the per-tenant admission counters); the
 // family name stays shared so Prometheus TYPE/HELP lines render once.
 type Label struct {
 	Key   string

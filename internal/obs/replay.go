@@ -11,7 +11,6 @@ import (
 	"repro/internal/backpressure"
 	"repro/internal/ctl"
 	"repro/internal/fair"
-	"repro/internal/placement"
 )
 
 // Capture is a parsed JSONL capture file: the header, whichever
@@ -22,20 +21,17 @@ type Capture struct {
 
 	// Controller configs and their seed states, nil when the capture's
 	// producer did not run that controller.
-	BPConfig        *backpressure.Config
-	BPSeed          backpressure.State
-	AdaptConfig     *adapt.Config
-	AdaptSeed       adapt.State
-	PlacementConfig *placement.Config
-	PlacementSeed   placement.State
-	FairConfig      *fair.Config
-	FairSeed        fair.State
+	BPConfig    *backpressure.Config
+	BPSeed      backpressure.State
+	AdaptConfig *adapt.Config
+	AdaptSeed   adapt.State
+	FairConfig  *fair.Config
+	FairSeed    fair.State
 
-	Arrivals  []Arrival
-	BP        []backpressure.Window
-	Adapt     []adapt.Window
-	Placement []placement.Window
-	Fair      []fair.Window
+	Arrivals []Arrival
+	BP       []backpressure.Window
+	Adapt    []adapt.Window
+	Fair     []fair.Window
 
 	// End is non-nil when the capture was Finished cleanly.
 	End *End
@@ -90,11 +86,6 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 			if err = json.Unmarshal(raw, &rec); err == nil {
 				c.AdaptConfig, c.AdaptSeed = &rec.Cfg, rec.Seed
 			}
-		case "cfg_pl":
-			var rec cfgRecord[placement.Config, placement.State]
-			if err = json.Unmarshal(raw, &rec); err == nil {
-				c.PlacementConfig, c.PlacementSeed = &rec.Cfg, rec.Seed
-			}
 		case "cfg_fair":
 			var rec cfgRecord[fair.Config, fair.State]
 			if err = json.Unmarshal(raw, &rec); err == nil {
@@ -114,11 +105,6 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 			var rec windowRecord[adapt.Window]
 			if err = json.Unmarshal(raw, &rec); err == nil {
 				c.Adapt = append(c.Adapt, rec.W)
-			}
-		case "pl":
-			var rec windowRecord[placement.Window]
-			if err = json.Unmarshal(raw, &rec); err == nil {
-				c.Placement = append(c.Placement, rec.W)
 			}
 		case "ten":
 			var rec windowRecord[fair.Window]
@@ -165,7 +151,7 @@ type Verdict struct {
 // each from its recorded seed, through its package's pure Decide, over
 // the recorded samples (ctl.Replay) — and diffs the result against the
 // record (ctl.Diff). One verdict per recorded config, in the order
-// backpressure, adapt, placement, fair; none when the capture recorded
+// backpressure, adapt, fair; none when the capture recorded
 // no controller. Identical everywhere means the capture, its configs
 // and the current decision logic still agree. An error means the
 // capture cannot be replayed at all: windows without their config
@@ -184,7 +170,6 @@ func (c *Capture) Replay() ([]Verdict, error) {
 	err := errors.Join(
 		replayOne(&vs, "backpressure", "bp", c.BPConfig, c.BPSeed, c.BP, backpressure.Decide),
 		replayOne(&vs, "adapt", "adapt", c.AdaptConfig, c.AdaptSeed, c.Adapt, adapt.Decide),
-		replayOne(&vs, "placement", "pl", c.PlacementConfig, c.PlacementSeed, c.Placement, placement.Decide),
 		replayOne(&vs, "fair", "ten", c.FairConfig, c.FairSeed, c.Fair, fair.Decide),
 	)
 	if err != nil {

@@ -78,9 +78,15 @@ func TestReplayBothControllers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Splice the fair session's records (minus its header) after the
-	// backpressure session's: one file, two controllers.
+	// backpressure session's: one file, two controllers. The two lines
+	// in between are the kinds of record a capture from before the lane
+	// groups went away carries for its placement controller; they are
+	// skipped like any unknown record, not verified.
+	const oldPlacement = `{"t":"cfg_pl","cfg":{"StealFrac":0.1,"ContendFrac":0.05,"Interval":10000000},"seed":{"groups":2}}
+{"t":"pl","w":{"at_ns":10429387,"sample":{"pops":1144,"pop_failures":25464,"lane_contention":27,"steals":263,"cross_group_pops":21,"pending":0},"state":{"groups":2}}}
+`
 	_, fairBody, _ := strings.Cut(fr.String(), "\n")
-	c, err := obs.ReadCapture(strings.NewReader(bp.String() + fairBody))
+	c, err := obs.ReadCapture(strings.NewReader(bp.String() + oldPlacement + fairBody))
 	if err != nil {
 		t.Fatal(err)
 	}

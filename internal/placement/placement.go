@@ -1,47 +1,37 @@
-// Package placement implements the lane-placement controller for the
-// grouped relaxed MultiQueue: it tunes how many lane groups the
-// structure is partitioned into, at runtime, from the structure's own
-// locality counters.
+// Package placement is the lane-placement controller the grouped
+// relaxed MultiQueue had: it tuned, at runtime, how many lane groups
+// the structure was partitioned into, from the structure's own locality
+// counters. The lane groups are gone (PR 22: on the one machine
+// available no grouped row beat flat two-choice sampling, README "Why
+// the lanes are flat"), and with them every product caller of this
+// package. Like internal/pq/bucket.go and internal/kfifo it is priced
+// by the ledger, no product caller: bench/ledger.go times
+// NewController and Decide as placement.decide_us, so the code stays,
+// unchanged, until ROADMAP item 1 (i) drops that row; then the package
+// and its simtest go.
 //
-// The grouped structure (internal/relaxed, Config.Groups) trades two
-// costs against each other. A fine partition keeps every place's
-// sampling, stickiness and lock traffic inside a handful of lanes its
-// group mates share — the cache- and core-locality the structural
-// relaxation needs to keep paying off at high place counts (Wimmer et
-// al. identify cross-group lane migration as the locality cliff;
-// Postnikova et al. address it with locality-aware queue selection).
-// But a partition finer than the traffic is balanced makes home groups
-// run dry, and every dry pop becomes a cross-group steal sweep over
-// the whole remaining array — strictly worse than the flat structure
-// it was supposed to beat. Neither side is knowable statically: it
-// depends on how the workload spreads over producer groups, phase by
-// phase.
+// What it decided. A fine partition kept every place's sampling,
+// stickiness and lock traffic inside a handful of lanes its group mates
+// shared; a partition finer than the traffic was balanced made home
+// groups run dry, and every dry pop became a cross-group steal sweep.
+// On the sample → decide → apply pattern (internal/ctl):
 //
-// This package closes the loop as the repo's fourth controller on the
-// sample → decide → apply pattern (internal/ctl):
-//
-//   - every window the scheduler samples the structure's cumulative
+//   - every window the scheduler sampled the structure's cumulative
 //     counters: pops, failed pop episodes, failed lane try-locks, and
 //     the two locality counters — cross-group steal attempts (Steals)
 //     and tasks actually obtained out-of-group (CrossGroupPops) — plus
 //     the outstanding-task count;
 //   - the pure Decide function maintains the active group count: a
 //     window whose cross-group pop fraction exceeds Config.StealFrac
-//     merges (halves the group count — the partition is finer than the
-//     traffic is balanced), a window whose lane-contention rate exceeds
-//     Config.ContendFrac with a quiet steal signal splits (doubles the
-//     group count — too many places are sharing each lane set), and
-//     anything else holds;
-//   - moves are one step per window within [1, Config.MaxGroups], so
-//     every decision's effect is observable in the next window's sample
-//     before the controller compounds it, exactly like the adapt and
-//     backpressure loops.
+//     merges (halves the group count), a window whose lane-contention
+//     rate exceeds Config.ContendFrac with a quiet steal signal splits
+//     (doubles it), and anything else holds;
+//   - moves are one step per window within [1, Config.MaxGroups].
 //
 // The decision function is pure and the controller clock-free, so the
 // simtest subpackage replays whole scripted load scenarios (balanced
 // contention, producer-group imbalance, drain) against an analytic
-// plant on a virtual clock, bit-identically — the validation the
-// ROADMAP requires before any real-hardware (NUMA) counters are wired.
+// plant on a virtual clock, bit-identically.
 package placement
 
 import (

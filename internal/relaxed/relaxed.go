@@ -34,7 +34,7 @@
 //     this mode trades the paper's provable bounds for raw throughput.
 //     The EXT-STRUCT benchmarks quantify the difference.
 //
-// Two further MultiQueue optimizations (Postnikova, Kokorin, Alistarh,
+// Two MultiQueue optimizations (Postnikova, Kokorin, Alistarh,
 // Aksenov, "Multi-Queues Can Be State-of-the-Art Priority Schedulers")
 // are implemented on top:
 //
@@ -49,23 +49,6 @@
 //     drains up to a buffer's worth of items under a single lane lock
 //     acquisition, amortizing the lock and the minimum re-advertisement
 //     across the batch.
-//
-//   - Lane groups (Config.Groups): the lanes are partitioned into
-//     contiguous per-producer-group segments and every place gets a home
-//     group (Config.PlaceGroup). Push and pop sampling — and with it the
-//     stickiness — stay inside the home group, so at high place counts a
-//     place's working set is a handful of lanes its group mates share
-//     instead of the whole array (the locality-aware queue selection of
-//     Postnikova et al., and the natural NUMA/shard partition: map each
-//     socket's places to one group). A pop that finds its home group
-//     empty or fully contended falls back to one bounded cross-group
-//     steal sweep over the remaining lanes — work is never stranded in
-//     another group — surfaced through the Steals (attempts) and
-//     CrossGroupPops (tasks obtained) counters, the signal the placement
-//     controller (internal/placement) feeds on. The active group count
-//     can be retuned live (SetGroups) between 1 (flat) and the
-//     configured partition; adjacent groups merge contiguously, so
-//     coarsening preserves whatever locality the mapping had.
 //
 // Failed try-locks and empty samples surface as spurious pop failures,
 // which the scheduling model explicitly allows (§2.1); the number of
@@ -106,19 +89,6 @@ const maxPopRetries = 3
 // an unbounded drain.
 const MaxPopBatch = 256
 
-// stealPatience is the steal-reluctance bound of the grouped
-// structure: a pop that finds its home group empty fails spuriously
-// (which the scheduling model explicitly allows, §2.1) this many times
-// before one cross-group steal sweep is paid for. Without it a single
-// worker whose group momentarily runs dry — or, worse, a worker whose
-// scheduling quantum outlives its group's backlog on an oversubscribed
-// machine — immediately strips every other group's lanes and turns the
-// partition into an all-steal flat structure. The reluctance window
-// gives the group's producers a beat to refill; work parked in a
-// foreign group is still found after at most stealPatience failed
-// pops, so progress and termination are preserved.
-const stealPatience = 32
-
 // SampleMode selects how pops choose a lane.
 type SampleMode int
 
@@ -139,15 +109,6 @@ type Config struct {
 	// at one lane before re-sampling (S above); 0 selects
 	// DefaultStickiness, i.e. re-sample every operation.
 	Stickiness int
-	// Groups partitions the lanes into this many contiguous lane groups
-	// with group-local sampling and bounded cross-group stealing (see
-	// the package comment). 0 and 1 select the flat structure. Must not
-	// exceed the lane count (each group needs at least one lane).
-	Groups int
-	// PlaceGroup maps a place to its home group in [0, Groups). Nil
-	// selects the contiguous default pl·Groups/Places — right when place
-	// ids are assigned socket by socket. Ignored when Groups ≤ 1.
-	PlaceGroup func(place int) int
 }
 
 // NumericConfig carries the optional numeric projection. Supplying one
@@ -264,11 +225,7 @@ type hzBox[T any] struct {
 type sticky struct {
 	pushLane, pushLeft int
 	popLane, popLeft   int
-	// homeMiss counts consecutive pops that found the home group empty
-	// (grouped structures only): the steal-reluctance state behind
-	// stealPatience.
-	homeMiss int
-	_        [88]byte
+	_                  [96]byte
 }
 
 // DS is the structurally relaxed priority queue. It implements core.DS
@@ -281,23 +238,13 @@ type DS[T any] struct {
 	// places operate: a place picks up the new S at its next lane
 	// (re-)selection; budgets already granted under the old S run out
 	// naturally.
-	stick atomic.Int64
-	// agroups is the live active-group count in [1, maxGroups], atomic
-	// for the same reason stick is: the placement controller
-	// (internal/placement via the scheduler) retunes it while places
-	// operate. Places pick the new partition up at their next lane
-	// selection; maxGroups is the configured (finest) partition and
-	// fixes the home-group mapping, so resizing is pure index
-	// arithmetic — no lane or item ever moves.
-	agroups   atomic.Int64
-	maxGroups int
-	prio      func(T) int64 // nil: boxed advertisement
-	home      []int32       // per place: home group in [0, maxGroups)
-	hz        []hzBox[T]    // per place: hazard slot (boxed mode only)
-	lanes     []*lane[T]
-	rngs      []*xrand.Rand // one per place
-	sticky    []sticky      // one per place
-	ctrs      []core.Counters
+	stick  atomic.Int64
+	prio   func(T) int64 // nil: boxed advertisement
+	hz     []hzBox[T]    // per place: hazard slot (boxed mode only)
+	lanes  []*lane[T]
+	rngs   []*xrand.Rand // one per place
+	sticky []sticky      // one per place
+	ctrs   []core.Counters
 }
 
 // New constructs the structure with DefaultLaneFactor lanes per place,
@@ -331,38 +278,19 @@ func NewWithNumeric[T any](opts core.Options[T], cfg Config, num NumericConfig[T
 	if cfg.Lanes < 1 {
 		cfg.Lanes = 1
 	}
-	if cfg.Groups < 1 {
-		cfg.Groups = 1
-	}
-	if cfg.Groups > cfg.Lanes {
-		return nil, fmt.Errorf("relaxed: Groups = %d exceeds the %d lanes; every group needs at least one lane", cfg.Groups, cfg.Lanes)
-	}
 	d := &DS[T]{
-		opts:      opts,
-		mode:      cfg.Mode,
-		maxGroups: cfg.Groups,
-		prio:      num.Prio,
-		home:      make([]int32, opts.Places),
-		lanes:     make([]*lane[T], cfg.Lanes),
-		rngs:      make([]*xrand.Rand, opts.Places),
-		sticky:    make([]sticky, opts.Places),
-		ctrs:      make([]core.Counters, opts.Places),
+		opts:   opts,
+		mode:   cfg.Mode,
+		prio:   num.Prio,
+		lanes:  make([]*lane[T], cfg.Lanes),
+		rngs:   make([]*xrand.Rand, opts.Places),
+		sticky: make([]sticky, opts.Places),
+		ctrs:   make([]core.Counters, opts.Places),
 	}
 	if num.Prio == nil {
 		d.hz = make([]hzBox[T], opts.Places)
 	}
 	d.stick.Store(int64(cfg.Stickiness))
-	d.agroups.Store(int64(cfg.Groups))
-	for pl := range d.home {
-		g := pl * cfg.Groups / opts.Places
-		if cfg.Groups > 1 && cfg.PlaceGroup != nil {
-			g = cfg.PlaceGroup(pl)
-			if g < 0 || g >= cfg.Groups {
-				return nil, fmt.Errorf("relaxed: PlaceGroup(%d) = %d outside [0, %d)", pl, g, cfg.Groups)
-			}
-		}
-		d.home[pl] = int32(g)
-	}
 	for i := range d.lanes {
 		ln := &lane[T]{}
 		if num.Prio == nil {
@@ -393,58 +321,6 @@ func (d *DS[T]) SetStickiness(s int) {
 		s = 1
 	}
 	d.stick.Store(int64(s))
-}
-
-// MaxGroups returns the configured (finest) lane-group partition.
-func (d *DS[T]) MaxGroups() int { return d.maxGroups }
-
-// ActiveGroups returns the lane-group count currently in force.
-func (d *DS[T]) ActiveGroups() int { return int(d.agroups.Load()) }
-
-// SetGroups retunes the active lane-group count live, clamped into
-// [1, MaxGroups]. Safe to call from any goroutine concurrently with
-// operations; each place adopts the new partition at its next lane
-// selection (a sticky lane granted under the old partition runs out its
-// budget first). Merging is contiguous — active group g under a groups
-// is the coalescence of the configured home groups with ⌊home·a/max⌋ ==
-// g — so places that shared a group keep sharing one.
-func (d *DS[T]) SetGroups(g int) {
-	if g < 1 {
-		g = 1
-	}
-	if g > d.maxGroups {
-		g = d.maxGroups
-	}
-	d.agroups.Store(int64(g))
-}
-
-// groupSpan returns the half-open lane index range [lo, hi) of pl's
-// home group under the active partition — the whole array when flat.
-func (d *DS[T]) groupSpan(pl int) (lo, hi int) {
-	a := int(d.agroups.Load())
-	n := len(d.lanes)
-	if a <= 1 {
-		return 0, n
-	}
-	g := int(d.home[pl]) * a / d.maxGroups
-	return g * n / a, (g + 1) * n / a
-}
-
-// GroupContention appends the per-active-group failed-try-lock totals
-// to out and returns it — the per-group contention sample the placement
-// controller and the load generator's per-group stats read. Group g
-// owns the lanes of span [g·n/a, (g+1)·n/a).
-func (d *DS[T]) GroupContention(out []int64) []int64 {
-	a := int(d.agroups.Load())
-	n := len(d.lanes)
-	for g := 0; g < a; g++ {
-		var sum int64
-		for i := g * n / a; i < (g+1)*n/a; i++ {
-			sum += d.lanes[i].contended.Load()
-		}
-		out = append(out, sum)
-	}
-	return out
 }
 
 // ContentionTotal returns the total number of failed lane try-locks —
@@ -533,30 +409,30 @@ func (d *DS[T]) laneEmpty(ln *lane[T]) bool {
 	return ln.min.Load() == nil
 }
 
-// bestOfSpan returns the lane in [lo, hi) advertising the best minimum,
-// or -1 when every lane advertises empty. pl selects the sampling
-// place's hazard slot in boxed mode.
-func (d *DS[T]) bestOfSpan(pl, lo, hi int) int {
+// bestOfAll returns the lane advertising the best minimum, or -1 when
+// every lane advertises empty. pl selects the sampling place's hazard
+// slot in boxed mode.
+func (d *DS[T]) bestOfAll(pl int) int {
 	best := -1
 	if d.prio != nil {
 		bestK := int64(emptyPrio)
-		for i := lo; i < hi; i++ {
-			if k := d.lanes[i].minP.Load(); k < bestK {
+		for i, ln := range d.lanes {
+			if k := ln.minP.Load(); k < bestK {
 				best, bestK = i, k
 			}
 		}
 		return best
 	}
 	var bestV T
-	for i := lo; i < hi; i++ {
-		if v, ok := d.loadMin(pl, d.lanes[i]); ok && (best < 0 || d.opts.Less(v, bestV)) {
+	for i, ln := range d.lanes {
+		if v, ok := d.loadMin(pl, ln); ok && (best < 0 || d.opts.Less(v, bestV)) {
 			best, bestV = i, v
 		}
 	}
 	return best
 }
 
-// bestOfTwo is bestOfSpan over exactly the lanes a and b.
+// bestOfTwo is bestOfAll over exactly the lanes a and b.
 func (d *DS[T]) bestOfTwo(pl, a, b int) int {
 	best := -1
 	if d.prio != nil {
@@ -613,13 +489,9 @@ func (d *DS[T]) PushK(pl int, k int, vs []T) {
 
 // lockPushLane returns a locked lane for pl's next push episode. The
 // sticky lane is reused while its budget lasts and it is uncontended;
-// otherwise a fresh lane is sampled from the place's home group
-// (counted as a restick), preferring try-locks and blocking on a random
-// group lane only when every group lane is contended, to guarantee
-// progress. Pushes never leave the home group — spilling them would
-// scatter a producer group's tasks across the array and forfeit the
-// locality the partition exists for; the blocking fallback keeps the
-// invariant at worst-case cost one lock wait.
+// otherwise a fresh lane is sampled (counted as a restick), preferring
+// try-locks and blocking on a random lane only when every lane is
+// contended, to guarantee progress.
 func (d *DS[T]) lockPushLane(pl int) *lane[T] {
 	st := &d.sticky[pl]
 	if st.pushLeft > 0 {
@@ -634,9 +506,8 @@ func (d *DS[T]) lockPushLane(pl int) *lane[T] {
 	r := d.rngs[pl]
 	d.ctrs[pl].Resticks.Add(1)
 	stick := int(d.stick.Load())
-	lo, hi := d.groupSpan(pl)
-	n := hi - lo
-	i := lo + r.Intn(n)
+	n := len(d.lanes)
+	i := r.Intn(n)
 	for attempts := 0; ; attempts++ {
 		ln := d.lanes[i]
 		if ln.mu.TryLock() {
@@ -645,13 +516,12 @@ func (d *DS[T]) lockPushLane(pl int) *lane[T] {
 		}
 		ln.contended.Add(1)
 		i++
-		if i == hi {
-			i = lo
+		if i == n {
+			i = 0
 		}
 		if attempts == n {
-			// Every group lane contended: block on one to guarantee
-			// progress.
-			i = lo + r.Intn(n)
+			// Every lane contended: block on one to guarantee progress.
+			i = r.Intn(n)
 			ln = d.lanes[i]
 			ln.mu.Lock()
 			st.pushLane, st.pushLeft = i, stick-1
@@ -694,30 +564,24 @@ func (d *DS[T]) PopKInto(pl int, out []T) int {
 
 // popInto fills out with up to len(out) popped tasks and returns how
 // many it obtained. Lane selection: sticky lane first, then up to
-// maxPopRetries+1 sampling rounds per the mode over the place's home
-// lane group, then one deterministic group sweep so a nearly drained
-// group still empties promptly, then — grouped structures only — one
-// bounded cross-group steal sweep over the remaining lanes, so work is
-// never stranded in a group whose own places have gone quiet.
+// maxPopRetries+1 sampling rounds per the mode, then one sweep over
+// every lane from a random start, so a nearly drained structure still
+// empties promptly and a task in any lane is found by any place.
 func (d *DS[T]) popInto(pl int, out []T) int {
 	r := d.rngs[pl]
 	c := &d.ctrs[pl]
 	st := &d.sticky[pl]
-	lo, hi := d.groupSpan(pl)
-	n := hi - lo
+	n := len(d.lanes)
 	stick := int(d.stick.Load())
 
 	// Sticky fast path: reuse the previously sampled lane while its
-	// budget lasts, it advertises work, and its lock is free. After a
-	// live SetGroups the lane may sit outside the current span; the
-	// budget simply runs out and the next selection is group-local.
+	// budget lasts, it advertises work, and its lock is free.
 	if st.popLeft > 0 {
 		ln := d.lanes[st.popLane]
 		if !d.laneEmpty(ln) {
 			if ln.mu.TryLock() {
 				st.popLeft--
 				if got := d.drainLocked(pl, ln, out); got > 0 {
-					st.homeMiss = 0
 					return got
 				}
 			} else {
@@ -733,17 +597,17 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 		}
 		var best int
 		if d.mode == SampleTwo {
-			a := lo + r.Intn(n)
+			a := r.Intn(n)
 			b := a
 			if n > 1 {
-				b = lo + r.Intn(n-1)
+				b = r.Intn(n - 1)
 				if b >= a {
 					b++
 				}
 			}
 			best = d.bestOfTwo(pl, a, b)
 		} else { // SampleAll
-			best = d.bestOfSpan(pl, lo, hi)
+			best = d.bestOfAll(pl)
 		}
 		if best < 0 {
 			break // sampled lanes advertise empty: go sweep
@@ -755,18 +619,17 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 		}
 		if got := d.drainLocked(pl, ln, out); got > 0 {
 			st.popLane, st.popLeft = best, stick-1
-			st.homeMiss = 0
 			c.Resticks.Add(1)
 			return got
 		}
 		// Lost the race to a concurrent pop that emptied the lane.
 	}
 
-	// Sampled lanes empty or contended: sweep the home group once.
-	start := lo + r.Intn(n)
+	// Sampled lanes empty or contended: sweep every lane once.
+	start := r.Intn(n)
 	for off := 0; off < n; off++ {
 		i := start + off
-		if i >= hi {
+		if i >= n {
 			i -= n
 		}
 		ln := d.lanes[i]
@@ -779,50 +642,8 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 		}
 		if got := d.drainLocked(pl, ln, out); got > 0 {
 			st.popLane, st.popLeft = i, stick-1
-			st.homeMiss = 0
 			c.Resticks.Add(1)
 			return got
-		}
-	}
-
-	// Home group empty or fully contended: after stealPatience
-	// consecutive misses (spurious failures that give the group's
-	// producers a beat to refill), one bounded cross-group steal sweep
-	// over the lanes outside the span. The popping place does NOT stick
-	// to a stolen lane — camping cross-group for S operations would
-	// quietly undo the partition; the next pop samples its home group
-	// again.
-	if total := len(d.lanes); n < total {
-		st.homeMiss++
-		if st.homeMiss <= stealPatience {
-			c.PopFailures.Add(1)
-			return 0
-		}
-		st.homeMiss = 0
-		c.Steals.Add(1)
-		rest := total - n
-		start := r.Intn(rest)
-		for off := 0; off < rest; off++ {
-			j := start + off
-			if j >= rest {
-				j -= rest
-			}
-			i := j
-			if i >= lo {
-				i += n // skip the home span: [0,lo) ∪ [hi,total)
-			}
-			ln := d.lanes[i]
-			if d.laneEmpty(ln) {
-				continue
-			}
-			if !ln.mu.TryLock() {
-				ln.contended.Add(1)
-				continue
-			}
-			if got := d.drainLocked(pl, ln, out); got > 0 {
-				c.CrossGroupPops.Add(int64(got))
-				return got
-			}
 		}
 	}
 	c.PopFailures.Add(1)

@@ -53,233 +53,6 @@ func TestConformanceStickyBatched(t *testing.T) {
 	}, dstest.Flags{NoLocalOrdering: true})
 }
 
-func TestConformanceGrouped(t *testing.T) {
-	// The grouped partition must still satisfy the full exactly-once
-	// contract — cross-group steals included (crossPlaceVisibility and
-	// externalInjection pop from places whose home groups never saw the
-	// pushes). Strict local ordering is waived like the other relaxed
-	// configurations: even one place spreads its pushes over lanes.
-	dstest.RunFlags(t, "RelaxedGrouped", func(opts core.Options[int64]) (core.DS[int64], error) {
-		g := opts.Places
-		if g > 4 {
-			g = 4
-		}
-		return NewWithConfig(opts, Config{Mode: SampleTwo, Stickiness: 4, Groups: g})
-	}, dstest.Flags{NoLocalOrdering: true})
-}
-
-// TestGroupGeometry pins the partition arithmetic: the group spans
-// tile the lane array contiguously at every active group count, and
-// GroupContention reports one entry per active group.
-func TestGroupGeometry(t *testing.T) {
-	d, err := NewWithConfig(core.Options[int64]{Places: 8, Less: less, Seed: 13},
-		Config{Lanes: 24, Groups: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.MaxGroups() != 4 || d.ActiveGroups() != 4 {
-		t.Fatalf("groups = %d/%d, want 4/4", d.ActiveGroups(), d.MaxGroups())
-	}
-	for _, a := range []int{4, 2, 1, 3} {
-		d.SetGroups(a)
-		if got := d.ActiveGroups(); got != a {
-			t.Fatalf("SetGroups(%d): active = %d", a, got)
-		}
-		covered := make([]int, d.Lanes())
-		for pl := 0; pl < 8; pl++ {
-			lo, hi := d.groupSpan(pl)
-			if lo < 0 || hi > d.Lanes() || lo >= hi {
-				t.Fatalf("a=%d place %d: span [%d, %d) invalid", a, pl, lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				covered[i]++
-			}
-		}
-		// Places 0..7 over 4 home groups: every active group has homes,
-		// so every lane is covered by at least one place's span and no
-		// span overlaps another group's lanes (counts are uniform per
-		// span).
-		for i, c := range covered {
-			if c == 0 {
-				t.Fatalf("a=%d: lane %d belongs to no place's span", a, i)
-			}
-		}
-		if got := len(d.GroupContention(nil)); got != a {
-			t.Fatalf("a=%d: GroupContention reported %d groups", a, got)
-		}
-	}
-	// Out-of-range requests clamp.
-	d.SetGroups(99)
-	if got := d.ActiveGroups(); got != 4 {
-		t.Fatalf("SetGroups(99) clamped to %d, want 4", got)
-	}
-	d.SetGroups(-1)
-	if got := d.ActiveGroups(); got != 1 {
-		t.Fatalf("SetGroups(-1) clamped to %d, want 1", got)
-	}
-}
-
-// TestGroupsRejectedBeyondLanes: each group needs at least one lane.
-func TestGroupsRejectedBeyondLanes(t *testing.T) {
-	_, err := NewWithConfig(core.Options[int64]{Places: 2, Less: less},
-		Config{Lanes: 2, Groups: 3})
-	if err == nil {
-		t.Fatal("Groups > Lanes accepted")
-	}
-	_, err = NewWithConfig(core.Options[int64]{Places: 2, Less: less},
-		Config{Groups: 2, PlaceGroup: func(pl int) int { return 7 }})
-	if err == nil {
-		t.Fatal("out-of-range PlaceGroup accepted")
-	}
-}
-
-// TestCrossGroupStealFindsWork pins the steal fallback and its
-// counters: a place whose home group is empty must still obtain work
-// parked in another group, counting one steal attempt and the stolen
-// tasks as cross-group pops — and a pop served from the home group
-// must count neither.
-func TestCrossGroupStealFindsWork(t *testing.T) {
-	// Two places, two groups, one place per group.
-	d, err := NewWithConfig(core.Options[int64]{Places: 2, Less: less, Seed: 15},
-		Config{Lanes: 8, Groups: 2, Mode: SampleAll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Push(0, 0, 42) // lands in group 0's lanes
-	// Place 1's home group 1 is empty: the first stealPatience pops fail
-	// spuriously (steal reluctance), then one steal sweep must find the
-	// task.
-	var (
-		v  int64
-		ok bool
-	)
-	fails := 0
-	for !ok && fails < 64 {
-		if v, ok = d.Pop(1); !ok {
-			fails++
-		}
-	}
-	if !ok || v != 42 {
-		t.Fatalf("Pop(1) = %v,%v after %d tries, want 42 via cross-group steal", v, ok, fails)
-	}
-	if fails == 0 {
-		t.Fatal("steal fired without reluctance: want a few spurious failures before the sweep")
-	}
-	s := d.Stats()
-	if s.Steals == 0 || s.CrossGroupPops != 1 {
-		t.Fatalf("steal counters: steals=%d xgroup=%d, want ≥1 and 1", s.Steals, s.CrossGroupPops)
-	}
-
-	// Home-group service moves neither counter.
-	d.Push(0, 0, 7)
-	if v, ok := d.Pop(0); !ok || v != 7 {
-		t.Fatalf("Pop(0) = %v,%v want 7,true from the home group", v, ok)
-	}
-	s2 := d.Stats()
-	if s2.Steals != s.Steals || s2.CrossGroupPops != s.CrossGroupPops {
-		t.Fatalf("home-group pop moved the steal counters: %+v -> %+v", s, s2)
-	}
-}
-
-// TestGroupLocalPushAndPop pins group locality: with every group
-// loaded, a place's pushes and pops stay inside its home group's lane
-// span and CrossGroupPops stays zero.
-func TestGroupLocalPushAndPop(t *testing.T) {
-	d, err := NewWithConfig(core.Options[int64]{Places: 4, Less: less, Seed: 16},
-		Config{Lanes: 16, Groups: 4, Mode: SampleTwo, Stickiness: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(17)
-	for round := 0; round < 2000; round++ {
-		pl := r.Intn(4)
-		d.Push(pl, 0, int64(r.Intn(1<<16)))
-		if r.Intn(2) == 0 {
-			d.Pop(pl)
-		}
-	}
-	// Drain each place's group through its own pops; with all groups
-	// still holding work no steal should ever have fired.
-	if s := d.Stats(); s.CrossGroupPops != 0 {
-		t.Fatalf("balanced group-local traffic recorded %d cross-group pops", s.CrossGroupPops)
-	}
-	// Per-group contention report covers exactly the active partition.
-	if got := len(d.GroupContention(nil)); got != 4 {
-		t.Fatalf("GroupContention reported %d groups, want 4", got)
-	}
-}
-
-// TestSetGroupsConcurrent resizes the partition from a controller
-// goroutine while places push and pop — the -race proof of the
-// placement apply path, plus exactly-once delivery across resizes.
-func TestSetGroupsConcurrent(t *testing.T) {
-	const places = 4
-	perPlace := 20000
-	if testing.Short() {
-		perPlace = 5000
-	}
-	d, err := NewWithConfig(core.Options[int64]{Places: places, Less: less, Seed: 18},
-		Config{Mode: SampleTwo, Stickiness: 4, Groups: places})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		g := 1
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				g = g%places + 1
-				d.SetGroups(g)
-				_ = d.GroupContention(nil)
-				runtime.Gosched()
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	var popped atomic.Int64
-	for pl := 0; pl < places; pl++ {
-		wg.Add(1)
-		go func(pl int) {
-			defer wg.Done()
-			r := xrand.New(uint64(pl) + 91)
-			sent, fails := 0, 0
-			for sent < perPlace || fails < 1<<13 {
-				if sent < perPlace && r.Intn(2) == 0 {
-					d.Push(pl, 0, int64(pl*perPlace+sent))
-					sent++
-					continue
-				}
-				if _, ok := d.Pop(pl); ok {
-					popped.Add(1)
-					fails = 0
-				} else {
-					fails++
-				}
-			}
-		}(pl)
-	}
-	wg.Wait()
-	close(stop)
-	<-done
-	fails := 0
-	for fails < 1<<14 {
-		if _, ok := d.Pop(0); ok {
-			popped.Add(1)
-			fails = 0
-		} else {
-			fails++
-		}
-	}
-	if got := popped.Load(); got != int64(places*perPlace) {
-		t.Fatalf("delivered %d of %d across live regroups", got, places*perPlace)
-	}
-}
-
 // TestStickyPushAffinity pins the stickiness mechanics: with stickiness
 // S, a place's first S pushes land in one lane (a single restick), so a
 // single PopKInto drains them all, in order, under one lock acquisition.
@@ -400,6 +173,44 @@ func TestQuiescentExactness(t *testing.T) {
 					}
 				}
 				delete(live, v)
+			}
+		}
+	}
+}
+
+// TestLoneTaskFoundFromEveryPlace pins "work is never stranded" with no
+// concurrency to hide behind: one task pushed by place 0 is returned by
+// the first Pop of any other place — when the sampled lanes advertise
+// empty, the sweep over every lane finds it — so no pop ever fails.
+func TestLoneTaskFoundFromEveryPlace(t *testing.T) {
+	for _, places := range []int{2, 7} {
+		for _, mode := range []SampleMode{SampleAll, SampleTwo} {
+			for _, keyed := range []bool{false, true} {
+				for _, stick := range []int{1, 8} {
+					for seed := uint64(1); seed <= 64; seed++ {
+						var num NumericConfig[int64]
+						if keyed {
+							num.Prio = func(v int64) int64 { return v }
+						}
+						d, err := NewWithNumeric(core.Options[int64]{Places: places, Less: less, Seed: seed},
+							Config{Mode: mode, Stickiness: stick}, num)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for pl := 1; pl < places; pl++ {
+							want := int64(pl)
+							d.Push(0, 0, want)
+							if v, ok := d.Pop(pl); !ok || v != want {
+								t.Fatalf("P=%d mode=%d keyed=%v S=%d seed=%d: first Pop(%d) = %v,%v, want %d",
+									places, mode, keyed, stick, seed, pl, v, ok, want)
+							}
+						}
+						if f := d.Stats().PopFailures; f != 0 {
+							t.Fatalf("P=%d mode=%d keyed=%v S=%d seed=%d: PopFailures = %d, want 0",
+								places, mode, keyed, stick, seed, f)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -589,14 +400,12 @@ func TestSetStickinessConcurrent(t *testing.T) {
 	}
 }
 
-// TestLaneContentionSampling pins the contention counters the
-// controllers read: a quiescent single-place run never fails a try-lock
-// (every group zero), the per-group slice matches the group count, and
-// under deliberate cross-place hammering of the same small structure the
-// two views are consistent (sum of per-group == ContentionTotal).
+// TestLaneContentionSampling pins the contention counter the adaptive
+// controller reads: a quiescent single-place run never fails a
+// try-lock.
 func TestLaneContentionSampling(t *testing.T) {
 	d, err := NewWithConfig(core.Options[int64]{Places: 2, Less: less, Seed: 11},
-		Config{Lanes: 4, Groups: 2})
+		Config{Lanes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,45 +413,8 @@ func TestLaneContentionSampling(t *testing.T) {
 		d.Push(0, 0, i)
 		d.Pop(0)
 	}
-	per := d.GroupContention(nil)
-	if len(per) != 2 {
-		t.Fatalf("GroupContention returned %d groups, structure has 2", len(per))
-	}
-	for g, c := range per {
-		if c != 0 {
-			t.Fatalf("uncontended single-place run recorded contention in group %d: %d", g, c)
-		}
-	}
 	if d.ContentionTotal() != 0 {
 		t.Fatalf("ContentionTotal = %d on an uncontended run", d.ContentionTotal())
-	}
-
-	// Two places sharing two lanes across two groups: overlapping
-	// operations collide on the try-locks, in the home group and on the
-	// cross-group steal sweep.
-	d2, err := NewWithConfig(core.Options[int64]{Places: 2, Less: less, Seed: 12},
-		Config{Lanes: 2, Groups: 2, Stickiness: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for pl := 0; pl < 2; pl++ {
-		wg.Add(1)
-		go func(pl int) {
-			defer wg.Done()
-			for i := 0; i < 50000; i++ {
-				d2.Push(pl, 0, int64(i))
-				d2.Pop(pl)
-			}
-		}(pl)
-	}
-	wg.Wait()
-	var sum int64
-	for _, c := range d2.GroupContention(nil) {
-		sum += c
-	}
-	if total := d2.ContentionTotal(); total != sum {
-		t.Fatalf("ContentionTotal %d != per-group sum %d", total, sum)
 	}
 }
 

@@ -24,10 +24,8 @@ type serveMetrics struct {
 	popFail    obs.Counter
 	batchPops  obs.Counter
 	steals     obs.Counter
-	crossGroup obs.Counter
 	laneCont   obs.Counter
 	resticks   obs.Counter
-	groupCont  []obs.Counter // per lane group; nil when ungrouped
 
 	// Gauges (instantaneous, set every window).
 	pending     obs.Gauge
@@ -36,7 +34,6 @@ type serveMetrics struct {
 	threshold   obs.Gauge // nil without Backpressure
 	spillOcc    obs.Gauge // nil without Backpressure
 	stickiness  obs.Gauge // nil without Adaptive
-	laneGroups  obs.Gauge // nil when ungrouped
 	rankP99     obs.Gauge // nil without RankSignal
 
 	// Per-tenant series (nil without TenantWeights), indexed by tenant,
@@ -44,10 +41,8 @@ type serveMetrics struct {
 	tenSeries []tenantSeries
 	fairGated obs.Gauge
 
-	prev     obsCum
-	prevG    []int64 // previous per-group contention totals
-	scratchG []int64 // retained GroupContention buffer
-	lastAt   time.Duration
+	prev   obsCum
+	lastAt time.Duration
 }
 
 // tenantSeries is one tenant's registered instruments plus the
@@ -62,15 +57,15 @@ type tenantSeries struct {
 // obsCum is one snapshot of every cumulative counter the metric
 // exporter differences into window deltas.
 type obsCum struct {
-	executed, spawned, shed, deferred, readmitted              int64
-	pops, popFailures, batchPops, steals, crossGroup, resticks int64
-	laneCont                                                   int64
+	executed, spawned, shed, deferred, readmitted  int64
+	pops, popFailures, batchPops, steals, resticks int64
+	laneCont                                       int64
 }
 
 // newServeMetrics registers the scheduler's series on the sink. Which
 // series exist depends on the configuration: admission series need
-// Backpressure, the stickiness gauge needs Adaptive, per-group series
-// need lane groups, the rank-error gauge needs a RankSignal. Counters
+// Backpressure, the stickiness gauge needs Adaptive, the rank-error
+// gauge needs a RankSignal. Counters
 // are registered unconditionally — a shed counter pinned at 0 is
 // information, a missing one is a scrape error.
 func (s *Scheduler[T]) newServeMetrics(sink obs.Sink) *serveMetrics {
@@ -84,7 +79,6 @@ func (s *Scheduler[T]) newServeMetrics(sink obs.Sink) *serveMetrics {
 		popFail:     sink.Counter(obs.Desc{Name: "sched_pop_failures_total", Help: "failed pop episodes", Unit: "ops"}),
 		batchPops:   sink.Counter(obs.Desc{Name: "sched_batch_pops_total", Help: "multi-task pop episodes", Unit: "ops"}),
 		steals:      sink.Counter(obs.Desc{Name: "sched_steals_total", Help: "steal sweeps attempted", Unit: "ops"}),
-		crossGroup:  sink.Counter(obs.Desc{Name: "sched_cross_group_pops_total", Help: "tasks obtained from out-of-group lanes", Unit: "tasks"}),
 		laneCont:    sink.Counter(obs.Desc{Name: "sched_lane_contention_total", Help: "failed lane try-locks", Unit: "ops"}),
 		resticks:    sink.Counter(obs.Desc{Name: "sched_resticks_total", Help: "sticky lane re-selections", Unit: "ops"}),
 		pending:     sink.Gauge(obs.Desc{Name: "sched_pending_tasks", Help: "outstanding tasks (spillway included)", Unit: "tasks"}),
@@ -97,21 +91,6 @@ func (s *Scheduler[T]) newServeMetrics(sink obs.Sink) *serveMetrics {
 	}
 	if s.cfg.Adaptive {
 		m.stickiness = sink.Gauge(obs.Desc{Name: "sched_effective_stickiness", Help: "lane stickiness S in force (AdaptiveTrace state)"})
-	}
-	if s.rlx != nil && s.rlx.MaxGroups() > 1 {
-		m.laneGroups = sink.Gauge(obs.Desc{Name: "sched_lane_groups", Help: "active lane-group partition (PlacementTrace state)"})
-		n := s.rlx.MaxGroups()
-		m.groupCont = make([]obs.Counter, n)
-		for g := 0; g < n; g++ {
-			m.groupCont[g] = sink.Counter(obs.Desc{
-				Name:   "sched_group_contention_total",
-				Help:   "failed lane try-locks per lane group",
-				Unit:   "ops",
-				Labels: []obs.Label{{Key: "group", Value: strconv.Itoa(g)}},
-			})
-		}
-		m.prevG = make([]int64, n)
-		m.scratchG = make([]int64, 0, n)
 	}
 	if s.cfg.RankSignal != nil {
 		m.rankP99 = sink.Gauge(obs.Desc{Name: "sched_rank_error_p99", Help: "windowed pop rank-error p99 from RankSignal (-1: no signal)", Unit: "tasks"})
@@ -137,7 +116,7 @@ func (s *Scheduler[T]) newServeMetrics(sink obs.Sink) *serveMetrics {
 }
 
 // obsCumNow snapshots every cumulative counter the exporter publishes.
-// Same sources as the controller snapshots (bpSnapshot, plSnapshot):
+// Same sources as the controller snapshots (snapshot, bpSnapshot):
 // the structure's counters plus the scheduler-level admission atomics.
 func (s *Scheduler[T]) obsCumNow() obsCum {
 	st, now := s.ds.Stats(), s.scan(nil)
@@ -151,7 +130,6 @@ func (s *Scheduler[T]) obsCumNow() obsCum {
 		popFailures: st.PopFailures,
 		batchPops:   st.BatchPops,
 		steals:      st.Steals,
-		crossGroup:  st.CrossGroupPops,
 		resticks:    st.Resticks,
 	}
 	if s.rlx != nil {
@@ -170,13 +148,6 @@ func (s *Scheduler[T]) primeMetrics() {
 	for t := range m.tenSeries {
 		m.tenSeries[t].prev = s.ten[t].counters()
 	}
-	if m.groupCont != nil {
-		m.scratchG = s.rlx.GroupContention(m.scratchG[:0])
-		copy(m.prevG, m.scratchG)
-		for i := len(m.scratchG); i < len(m.prevG); i++ {
-			m.prevG[i] = 0
-		}
-	}
 }
 
 // obsTick publishes one window: counter deltas since the previous
@@ -194,7 +165,6 @@ func (s *Scheduler[T]) obsTick(at time.Duration, rank float64) {
 	m.popFail.Add(cur.popFailures - m.prev.popFailures)
 	m.batchPops.Add(cur.batchPops - m.prev.batchPops)
 	m.steals.Add(cur.steals - m.prev.steals)
-	m.crossGroup.Add(cur.crossGroup - m.prev.crossGroup)
 	m.laneCont.Add(cur.laneCont - m.prev.laneCont)
 	m.resticks.Add(cur.resticks - m.prev.resticks)
 
@@ -209,22 +179,6 @@ func (s *Scheduler[T]) obsTick(at time.Duration, rank float64) {
 	}
 	if m.stickiness != nil {
 		m.stickiness.Set(float64(s.adaptCtl.State().Stickiness))
-	}
-	if m.laneGroups != nil {
-		m.laneGroups.Set(float64(s.rlx.ActiveGroups()))
-	}
-	if m.groupCont != nil {
-		m.scratchG = s.rlx.GroupContention(m.scratchG[:0])
-		for g, tot := range m.scratchG {
-			// The group→lane-span mapping moves when the placement
-			// controller re-partitions, so a group's total can step
-			// backwards across a resize; clamp rather than shrink a
-			// counter.
-			if d := tot - m.prevG[g]; d > 0 {
-				m.groupCont[g].Add(d)
-			}
-			m.prevG[g] = tot
-		}
 	}
 	if m.rankP99 != nil {
 		m.rankP99.Set(rank)
@@ -279,9 +233,6 @@ func (s *Scheduler[T]) recBegin(rec *obs.Recorder) {
 	}
 	if s.cfg.Adaptive {
 		rec.ConfigAdapt(s.adaptCfg, s.adaptCtl.State())
-	}
-	if s.cfg.AdaptivePlacement {
-		rec.ConfigPlacement(s.plCfg, s.plCtl.State())
 	}
 	if s.tenants > 0 {
 		rec.ConfigFair(s.fairCfg, s.fairCtl.State())

@@ -118,16 +118,15 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 
 // TestServeObsTickAllocationFree pins the exporter's core property: a
 // window publish allocates nothing, on the fullest configuration the
-// scheduler supports (admission control + adaptive tuning + grouped
-// lanes + rank signal). The per-task hot path never touches the
-// exporter at all, so zero allocations per window is zero allocations
-// per task at any throughput.
+// scheduler supports (admission control + adaptive tuning + rank
+// signal). The per-task hot path never touches the exporter at all, so
+// zero allocations per window is zero allocations per task at any
+// throughput.
 func TestServeObsTickAllocationFree(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := bpConfig(func(ctx *Ctx[int64], v int64) {})
 	cfg.Places = 4
 	cfg.Strategy = Relaxed
-	cfg.LaneGroups = 2
 	cfg.Adaptive = true
 	cfg.Metrics = reg
 	cfg.RankSignal = func() float64 { return 42 }
@@ -423,7 +422,6 @@ func TestServeObsIntervalValidation(t *testing.T) {
 			c.TenantWeights = []int64{1, 1}
 			c.Tenant = func(v int64) int { return int(v & 1) }
 		}},
-		{"placement", func(c *Config[int64]) { c.LaneGroups, c.AdaptivePlacement = 2, true }},
 		{"metrics-only", func(c *Config[int64]) { c.Metrics = obs.NewRegistry() }},
 	} {
 		cfg := base

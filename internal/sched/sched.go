@@ -38,7 +38,6 @@ import (
 	"repro/internal/ctl"
 	"repro/internal/fair"
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/relaxed"
 	"repro/internal/xrand"
 )
@@ -200,27 +199,6 @@ type Config[T any] struct {
 	// lane for up to S consecutive operations before re-sampling. 0
 	// selects the unsticky default (S = 1); other strategies ignore it.
 	Stickiness int
-	// LaneGroups partitions the relaxed strategies' lanes into this many
-	// contiguous per-producer-group lane groups: push/pop sampling and
-	// stickiness stay inside a place's home group (worker places are
-	// assigned to groups in contiguous blocks — pin places to cores
-	// socket by socket and a group is a NUMA node — and the injector
-	// lanes are spread over the groups the same way), with a bounded
-	// cross-group steal when the home group runs empty. 0 and 1 select
-	// the flat structure; other strategies ignore it. For serve mode,
-	// keep Injectors ≥ LaneGroups so every group receives external
-	// submissions — a group no injector maps to is fed only by worker
-	// spawns and steals.
-	LaneGroups int
-	// AdaptivePlacement enables the lane-placement controller
-	// (internal/placement) in serve mode: LaneGroups becomes the finest
-	// partition (the controller's ceiling and starting point), and
-	// every AdaptInterval the controller merges or splits the active
-	// group count one step from the structure's cross-group steal rate
-	// and lane contention. Requires LaneGroups ≥ 2 and a relaxed
-	// strategy. Closed-world Run is not adapted — it keeps the
-	// configured partition.
-	AdaptivePlacement bool
 	// Adaptive enables the runtime feedback controller (internal/adapt)
 	// in serve mode: every AdaptInterval it samples the structure's
 	// counters (pop retries, lane contention, batch pops, pending) plus
@@ -369,7 +347,7 @@ type Scheduler[T any] struct {
 	ds  core.DS[envelope[T]]
 	// rlx is ds again as the concrete relaxed structure (nil for the
 	// other strategies): the live-retuning and sampling surface the
-	// controllers drive — stickiness, lane contention, lane groups.
+	// adaptive controller drives — stickiness, lane contention.
 	rlx    *relaxed.DS[envelope[T]]
 	active atomic.Bool
 	// Task accounting (see ledger.go): one ledger per worker place, plus
@@ -403,7 +381,7 @@ type Scheduler[T any] struct {
 	// Adaptive-controller state (see serve.go). maxBatch is the worker
 	// pop buffer capacity (the batch ceiling); effBatch is the batch in
 	// force, re-read every pop episode so the controller's moves
-	// propagate live. Each of the four window controllers is held the
+	// propagate live. Each of the three window controllers is held the
 	// same way: its validated config, and a ctl.Session (nil when the
 	// controller is off) carrying the per-serve-session loop, the state
 	// in force and the decision trace for concurrent observers.
@@ -415,11 +393,6 @@ type Scheduler[T any] struct {
 	adaptCtl  *ctl.Session[adapt.Cumulative, adapt.Sample, adapt.State]
 	ctrlStop  chan struct{}
 	ctrlDone  chan struct{}
-
-	// Placement-controller state (see serve.go): the lane-group resize
-	// loop over rlx.
-	plCfg placement.Config
-	plCtl *ctl.Session[placement.Cumulative, placement.Sample, placement.State]
 
 	// Backpressure state (see serve.go). bpGate is the admission
 	// threshold in force — one atomic load on every Submit; spill is
@@ -465,14 +438,6 @@ type Scheduler[T any] struct {
 	metrics *serveMetrics
 }
 
-// HomeGroup is the contiguous-block place→group mapping the scheduler
-// installs for its worker places (and, index-shifted, its injector
-// lanes) when Config.LaneGroups > 1: member i of n gets group
-// i·groups/n. Exported so per-group reporting (internal/load's
-// executed-per-group tally) attributes work with the same arithmetic
-// the structure partitions by, rather than re-deriving it.
-func HomeGroup(i, n, groups int) int { return i * groups / n }
-
 // New constructs a scheduler. The data structure instance is created here
 // and reused across sequential Run calls.
 func New[T any](cfg Config[T]) (*Scheduler[T], error) {
@@ -505,20 +470,6 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 	}
 	if cfg.Stickiness > MaxStickiness {
 		return nil, fmt.Errorf("sched: Stickiness = %d exceeds %d; a place would never meaningfully re-sample its lane", cfg.Stickiness, MaxStickiness)
-	}
-	if cfg.LaneGroups < 0 {
-		return nil, fmt.Errorf("sched: LaneGroups = %d, must be non-negative", cfg.LaneGroups)
-	}
-	if cfg.LaneGroups > cfg.Places {
-		return nil, fmt.Errorf("sched: LaneGroups = %d exceeds Places = %d; a group with no worker homes can only be drained by steals", cfg.LaneGroups, cfg.Places)
-	}
-	if cfg.AdaptivePlacement {
-		if cfg.LaneGroups < 2 {
-			return nil, fmt.Errorf("sched: AdaptivePlacement needs LaneGroups ≥ 2 (the configured partition is the controller's ceiling), got %d", cfg.LaneGroups)
-		}
-		if cfg.Strategy != Relaxed && cfg.Strategy != RelaxedSampleTwo {
-			return nil, fmt.Errorf("sched: AdaptivePlacement requires a relaxed strategy (%s has no lanes to place)", cfg.Strategy)
-		}
 	}
 	if cfg.RankErrorBudget < 0 {
 		return nil, fmt.Errorf("sched: RankErrorBudget = %v, must be non-negative", cfg.RankErrorBudget)
@@ -629,22 +580,6 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		opts.OnEliminate = s.onEliminate
 	}
 
-	// The relaxed construction knobs, shared by both sampling modes:
-	// stickiness plus the lane-group partition. Worker places get
-	// contiguous home-group blocks; injector places are spread over the
-	// groups the same way, so every group receives its share of
-	// external submissions.
-	rcfg := relaxed.Config{Stickiness: cfg.Stickiness}
-	if cfg.LaneGroups > 1 {
-		rcfg.Groups = cfg.LaneGroups
-		g, p, inj := cfg.LaneGroups, cfg.Places, cfg.Injectors
-		rcfg.PlaceGroup = func(pl int) int {
-			if pl < p {
-				return HomeGroup(pl, p, g)
-			}
-			return HomeGroup(pl-p, inj, g)
-		}
-	}
 	// Whenever the caller supplies a numeric Priority, hand the
 	// structures its projection. The relaxed lanes then advertise their
 	// minima as plain atomic integers instead of boxed task copies — one
@@ -676,7 +611,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 	case HybridNoSpy:
 		ds, err = hybrid.NewNoSpy(opts)
 	case Relaxed, RelaxedSampleTwo:
-		rcfg.Mode = relaxed.SampleAll
+		rcfg := relaxed.Config{Mode: relaxed.SampleAll, Stickiness: cfg.Stickiness}
 		if cfg.Strategy == RelaxedSampleTwo {
 			rcfg.Mode = relaxed.SampleTwo
 		}
@@ -691,17 +626,6 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		return nil, err
 	}
 	s.ds = ds
-	if cfg.AdaptivePlacement {
-		pcfg := placement.Config{
-			MaxGroups: cfg.LaneGroups,
-			Interval:  cfg.AdaptInterval,
-		}
-		if err := pcfg.Validate(); err != nil {
-			return nil, err
-		}
-		s.plCfg = pcfg
-		s.plCtl = ctl.NewSession[placement.Cumulative, placement.Sample](placement.State{Groups: cfg.LaneGroups}, maxTraceWindows)
-	}
 	if cfg.Metrics != nil {
 		s.metrics = s.newServeMetrics(cfg.Metrics)
 	}

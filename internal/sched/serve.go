@@ -26,7 +26,6 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/backpressure"
 	"repro/internal/fair"
-	"repro/internal/placement"
 	"repro/internal/xrand"
 )
 
@@ -137,11 +136,6 @@ func (s *Scheduler[T]) Start() error {
 		loop := fresh(fair.NewController(s.fairCfg))
 		s.applyFair(s.fairCtl.Begin(loop, s.fairSnapshot()))
 	}
-	if s.cfg.AdaptivePlacement {
-		// Seeded at the finest partition: start local, merge on evidence.
-		loop := fresh(placement.NewController(s.plCfg, placement.State{Groups: s.cfg.LaneGroups}))
-		s.rlx.SetGroups(s.plCtl.Begin(loop, s.plSnapshot()).Groups)
-	}
 	if s.cfg.Recorder != nil {
 		// Header + controller configs first, so the capture is
 		// self-contained before the first window record lands.
@@ -150,8 +144,7 @@ func (s *Scheduler[T]) Start() error {
 	if s.metrics != nil {
 		s.primeMetrics()
 	}
-	if s.cfg.Adaptive || s.cfg.Backpressure || s.cfg.AdaptivePlacement ||
-		s.metrics != nil || s.cfg.Recorder != nil {
+	if s.cfg.Adaptive || s.cfg.Backpressure || s.metrics != nil || s.cfg.Recorder != nil {
 		// The loop runs for metrics/recorder-only sessions too: window
 		// sampling lives there even when no controller consumes it.
 		s.ctrlStop = make(chan struct{})
@@ -175,7 +168,7 @@ func fresh[L any](loop *L, err error) *L {
 // ctlLoop is the controller goroutine: one tick per interval until Stop
 // closes the stop channel. It lives strictly inside a serve session —
 // Start creates it and Stop joins it before returning. All the runtime
-// controllers (adaptive S/B, backpressure admission, lane placement)
+// controllers (adaptive S/B, backpressure admission, tenant fairness)
 // share the loop: Config.RankSignal reads have a side effect (the
 // estimator decays), so a single read per window is taken here and
 // fanned out to the consumers.
@@ -227,12 +220,6 @@ func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 				w := s.fairTick(at)
 				if rec != nil {
 					rec.FairWindow(w)
-				}
-			}
-			if s.cfg.AdaptivePlacement {
-				w := s.plTick(at)
-				if rec != nil {
-					rec.PlacementWindow(w)
 				}
 			}
 			if s.metrics != nil {
@@ -330,33 +317,6 @@ func (s *Scheduler[T]) bpTick(at time.Duration, rank float64) backpressure.Windo
 	return w
 }
 
-// plSnapshot collects the cumulative locality totals the placement
-// controller differences into window samples.
-func (s *Scheduler[T]) plSnapshot() placement.Cumulative {
-	st := s.ds.Stats()
-	cum := placement.Cumulative{
-		Pops:           st.Pops,
-		PopFailures:    st.PopFailures,
-		Steals:         st.Steals,
-		CrossGroupPops: st.CrossGroupPops,
-		Pending:        s.Pending(),
-	}
-	if s.rlx != nil {
-		cum.LaneContention = s.rlx.ContentionTotal()
-	}
-	return cum
-}
-
-// plTick closes one placement control window: sample the locality
-// counters, step the controller, and apply its group-count decision to
-// the structure (places pick the new partition up at their next lane
-// selection).
-func (s *Scheduler[T]) plTick(at time.Duration) placement.Window {
-	w := s.plCtl.Step(at, s.plSnapshot())
-	s.rlx.SetGroups(w.State.Groups)
-	return w
-}
-
 // minReadmitRun is the smallest batch worth its own injector-lane lock
 // episode when a readmitted spillway batch is striped over the lanes: a
 // handful of tasks gains nothing from fanning out and would pay one
@@ -396,8 +356,7 @@ func runEnd[T any](ds []deferredTask[T], start, chunk int) int {
 // originally requested (runs of equal k share one batch push), and the
 // batch striped over multiple injector lanes rather than funneled
 // through one: a single lane per tick serialized the whole readmission
-// burst behind one lane lock (and, on the grouped relaxed structures,
-// landed it all in one lane group) while the other lanes sat idle.
+// burst behind one lane lock while the other lanes sat idle.
 // They were counted as created when their Submit accepted them, so only
 // the Readmitted counter moves here. Reports whether anything drained.
 // Safe for concurrent callers (the controller tick, Stop's flush, the
@@ -553,40 +512,6 @@ func (s *Scheduler[T]) BackpressureTrace() []backpressure.Window {
 		return nil
 	}
 	return s.bpCtl.Trace()
-}
-
-// PlacementState reports the active lane-group count currently in
-// force: the configured LaneGroups partition for a fixed grouped
-// scheduler, the controller's latest decision under
-// Config.AdaptivePlacement. ok is false when the scheduler's structure
-// has no lane groups (LaneGroups ≤ 1 or a non-relaxed strategy).
-func (s *Scheduler[T]) PlacementState() (groups int, ok bool) {
-	if s.rlx == nil || s.rlx.MaxGroups() <= 1 {
-		return 0, false
-	}
-	return s.rlx.ActiveGroups(), true
-}
-
-// PlacementTrace returns a copy of the placement controller's
-// per-window decision trace of the current (or most recent) serve
-// session, oldest window first. Only the most recent maxTraceWindows
-// windows are retained. Nil when Config.AdaptivePlacement is off.
-func (s *Scheduler[T]) PlacementTrace() []placement.Window {
-	if s.plCtl == nil {
-		return nil
-	}
-	return s.plCtl.Trace()
-}
-
-// GroupContention returns the per-active-group failed-try-lock totals
-// of the relaxed structure's lanes — the per-group half of the
-// placement signal, exposed for per-group reporting (internal/load) and
-// diagnostics. Nil for ungrouped structures and other strategies.
-func (s *Scheduler[T]) GroupContention() []int64 {
-	if s.rlx == nil || s.rlx.MaxGroups() <= 1 {
-		return nil
-	}
-	return s.rlx.GroupContention(nil)
 }
 
 // Submit stores v for execution by the serving workers with the
@@ -826,12 +751,6 @@ func (s *Scheduler[T]) Stop() (RunStats, error) {
 			// Disengage the tenant gate too; FairState keeps reporting
 			// the session's final decision.
 			s.tenGated.Store(false)
-		}
-		if s.cfg.AdaptivePlacement {
-			// Restore the configured partition, so a closed-world Run
-			// behaves identically before and after a serve session.
-			// PlacementTrace keeps reporting the session's trajectory.
-			s.rlx.SetGroups(s.cfg.LaneGroups)
 		}
 	}
 	if rec := s.cfg.Recorder; rec != nil {

@@ -131,23 +131,6 @@ type SchedulerConfig[T any] struct {
 	// Stickiness is the relaxed strategies' per-place lane stickiness S
 	// (default: re-sample every operation). Ignored by other strategies.
 	Stickiness int
-	// LaneGroups partitions the relaxed strategies' lanes into this many
-	// per-producer-group lane groups: push/pop sampling and stickiness
-	// stay inside a place's home group (places are assigned to groups in
-	// contiguous blocks — on a NUMA machine, pin places to cores socket
-	// by socket and a group is a socket), with a bounded cross-group
-	// steal when a home group runs empty. 0 and 1 select the flat
-	// structure; other strategies ignore it. Keep Injectors ≥ LaneGroups
-	// in serve mode so every group receives external submissions.
-	LaneGroups int
-	// AdaptivePlacement hands the group count to a runtime placement
-	// controller in serve mode: LaneGroups becomes the finest partition,
-	// and every AdaptInterval the controller merges groups when the
-	// cross-group steal rate says the partition is finer than the
-	// traffic is balanced, and splits them back when lane contention
-	// says too many places share each lane set. Requires LaneGroups ≥ 2
-	// and a relaxed strategy. Observe with PlacementState.
-	AdaptivePlacement bool
 	// Adaptive hands Stickiness and Batch to a runtime feedback
 	// controller in serve mode: the configured values become seeds, and
 	// every AdaptInterval (default 10ms) the controller grows the
@@ -271,36 +254,34 @@ func NewScheduler[T any](cfg SchedulerConfig[T]) (*Scheduler[T], error) {
 		sink = cfg.Metrics
 	}
 	inner, err := sched.New(sched.Config[T]{
-		Metrics:           sink,
-		Places:            cfg.Places,
-		Strategy:          cfg.Strategy,
-		K:                 cfg.K,
-		KMax:              cfg.KMax,
-		Less:              cfg.Less,
-		Stale:             cfg.Stale,
-		Injectors:         cfg.Injectors,
-		Batch:             cfg.Batch,
-		Stickiness:        cfg.Stickiness,
-		LaneGroups:        cfg.LaneGroups,
-		AdaptivePlacement: cfg.AdaptivePlacement,
-		Adaptive:          cfg.Adaptive,
-		AdaptiveLimits:    cfg.AdaptiveLimits,
-		RankErrorBudget:   cfg.RankErrorBudget,
-		RankSignal:        cfg.RankSignal,
-		AdaptInterval:     cfg.AdaptInterval,
-		Backpressure:      cfg.Backpressure,
-		Priority:          cfg.Priority,
-		MaxPrio:           cfg.MaxPrio,
-		SojournBudget:     cfg.SojournBudget,
-		ProtectedBand:     cfg.ProtectedBand,
-		SpillCap:          cfg.SpillCap,
-		TenantWeights:     cfg.TenantWeights,
-		Tenant:            cfg.Tenant,
-		TenantFloorFrac:   cfg.TenantFloorFrac,
-		TenantBudgets:     cfg.TenantBudgets,
-		Recorder:          cfg.Recorder,
-		Hash:              cfg.Hash,
-		Seed:              cfg.Seed,
+		Metrics:         sink,
+		Places:          cfg.Places,
+		Strategy:        cfg.Strategy,
+		K:               cfg.K,
+		KMax:            cfg.KMax,
+		Less:            cfg.Less,
+		Stale:           cfg.Stale,
+		Injectors:       cfg.Injectors,
+		Batch:           cfg.Batch,
+		Stickiness:      cfg.Stickiness,
+		Adaptive:        cfg.Adaptive,
+		AdaptiveLimits:  cfg.AdaptiveLimits,
+		RankErrorBudget: cfg.RankErrorBudget,
+		RankSignal:      cfg.RankSignal,
+		AdaptInterval:   cfg.AdaptInterval,
+		Backpressure:    cfg.Backpressure,
+		Priority:        cfg.Priority,
+		MaxPrio:         cfg.MaxPrio,
+		SojournBudget:   cfg.SojournBudget,
+		ProtectedBand:   cfg.ProtectedBand,
+		SpillCap:        cfg.SpillCap,
+		TenantWeights:   cfg.TenantWeights,
+		Tenant:          cfg.Tenant,
+		TenantFloorFrac: cfg.TenantFloorFrac,
+		TenantBudgets:   cfg.TenantBudgets,
+		Recorder:        cfg.Recorder,
+		Hash:            cfg.Hash,
+		Seed:            cfg.Seed,
 		Execute: func(ic *sched.Ctx[T], v T) {
 			cfg.Execute(Ctx[T]{inner: ic}, v)
 		},
@@ -417,15 +398,6 @@ func (s *Scheduler[T]) FairTrace() []FairnessWindow {
 // current or last serve session. Nil when tenancy is not configured.
 func (s *Scheduler[T]) TenantCounters() []TenantCounters {
 	return s.inner.TenantCounters()
-}
-
-// PlacementState reports the active lane-group count currently in
-// force: the configured LaneGroups partition for a fixed grouped
-// scheduler, the placement controller's latest decision under
-// AdaptivePlacement. ok is false when the scheduler's structure has no
-// lane groups.
-func (s *Scheduler[T]) PlacementState() (groups int, ok bool) {
-	return s.inner.PlacementState()
 }
 
 // Pending returns the number of submitted-or-spawned tasks not yet
