@@ -12,9 +12,19 @@
 // A pop selects a lane by sampling the advertised minima and pops that
 // lane's minimum. The sequential queue is the paper's free choice
 // (§4.1) and the code makes it from what it is given: with a numeric
-// projection (NumericConfig.Prio) a lane is a pq.KeyHeap ordered by
-// each task's cached int64 key and advertises that key; without one it
-// is a pq.BinHeap ordered by Less and advertises a boxed task.
+// projection (NumericConfig.Prio) a lane orders by each task's cached
+// int64 key — its smallest entries, up to frontCap of them, as one
+// sorted contiguous run with the minimum last, everything else in a
+// pq.KeyHeap behind it (front.go) — and advertises the run's last key;
+// without one it is a pq.BinHeap ordered by Less and advertises a boxed
+// task. Either way a lane pops its exact minimum. A batch pop from the
+// sorted run is a copy off its end and a batch push one merge pass, so
+// the shallow lanes of a keeping-up server never sift; the heap carries
+// a lane only past frontCap.
+//
+// A lane is two cache lines laid out by who writes what (see lane): the
+// lock with the queue state only its holder touches, and the
+// advertisement every sampling place polls.
 //
 // Two sampling modes:
 //
@@ -112,11 +122,12 @@ type Config struct {
 }
 
 // NumericConfig carries the optional numeric projection. Supplying one
-// makes the structure order by it: every lane is a pq.KeyHeap of tasks
-// stored beside their key — taken once, at push — and advertises its
-// top entry's key in a plain atomic int64 slot. Without one a lane is a
-// pq.BinHeap ordered by Options.Less and advertises a boxed copy of its
-// minimum through a hazard-guarded box recycle.
+// makes the structure order by it: every lane stores its tasks beside
+// their key — taken once, at push — in a sorted front with a pq.KeyHeap
+// behind it, and advertises its smallest key in a plain atomic int64
+// slot. Without one a lane is a pq.BinHeap ordered by Options.Less and
+// advertises a boxed copy of its minimum through a hazard-guarded box
+// recycle.
 type NumericConfig[T any] struct {
 	// Prio projects a task to its numeric priority; smaller is served
 	// first. The contract is core.Options.Prio's: Prio(a) < Prio(b) must
@@ -138,18 +149,36 @@ type NumericConfig[T any] struct {
 // and a task whose Prio is MaxInt64 merely ties with MaxInt64−1 there.
 const emptyPrio = math.MaxInt64
 
+// lane is one sequential queue with its lock and its advertisement, laid
+// out by who writes what, one 64-byte line each (lanes are allocated one
+// by one, 128 bytes each, so the allocator's size class aligns them):
+// the first line is touched only by whoever holds — or tries — the lock,
+// the second is what every sampling place polls. With both on one line
+// a producer rewriting the queue's slice headers invalidated the line an
+// idle worker was polling for work, on every push.
+//
+//schedlint:padded
 type lane[T any] struct {
+	// Lock-holder group: mu and the state only its holder touches.
 	mu sync.Mutex
-	// kh is the queue of a numeric lane (q == nil): every task sits
-	// beside its key — the projection taken once, at push — and the heap
-	// orders by that integer alone. A concrete field, not a pq.Queue: the
-	// serve hot loop calls it directly, Push and the copy-out half of Pop
-	// inline into pushLocked and popLocked below, and its header shares
-	// the cache line the lock has already pulled.
-	kh pq.KeyHeap[T]
+	// front and kh are the queue of a numeric lane (q == nil): every
+	// task sits beside its key — the projection taken once, at push —
+	// the lane's smallest entries as a sorted run in front, the rest in
+	// kh; see front.go. Concrete fields, not a pq.Queue: the serve hot
+	// loop works on them directly.
+	front []pq.Keyed[T]
+	kh    pq.KeyHeap[T]
 	// q, set when there is no projection, is the lane's queue instead:
 	// bare tasks ordered by Less.
 	q *pq.BinHeap[T]
+
+	// Advertisement group: written by the lock holder once per lock
+	// episode, read lock-free by every sampler.
+	//
+	// minP is the numeric advertised minimum (emptyPrio when empty),
+	// updated under mu. Only maintained when a numeric projection is
+	// configured.
+	minP atomic.Int64
 	// min is the boxed advertised minimum: nil when empty, updated under
 	// mu. Only maintained when no numeric projection is configured. The
 	// boxes cycle through a per-lane two-slot recycle (spare) guarded by
@@ -160,43 +189,12 @@ type lane[T any] struct {
 	// a sampler's hazard slot still pins it (then a fresh box is
 	// allocated — a rare race, not the steady state).
 	spare *T
-	// minP is the numeric advertised minimum (emptyPrio when empty),
-	// updated under mu. Only maintained when a numeric projection is
-	// configured.
-	minP atomic.Int64
 	// contended counts failed try-lock acquisitions on this lane — the
 	// per-lane contention sample the adaptive stickiness controller
 	// reads. Written only on the try-lock miss path, so the hot
 	// uncontended paths never touch it.
 	contended atomic.Int64
-	_         [16]byte // keep lane locks on distinct cache lines
-}
-
-// pushLocked and popLocked are the lane's queue, whichever it is. Tasks
-// travel by pointer: a 32-byte task or 40-byte entry passed or returned
-// by value crosses a call in registers, field by field, and is put back
-// together in memory on the other side — on the serve path that costs
-// more than the heap operation. Behind the pointer the KeyHeap calls
-// inline to plain copies between the caller's variable and a heap slot.
-//
-//schedlint:hotpath
-func (d *DS[T]) pushLocked(ln *lane[T], v *T) {
-	if ln.q != nil {
-		ln.q.Push(*v)
-		return
-	}
-	ln.kh.Push(pq.Keyed[T]{Key: d.prio(*v), V: *v})
-}
-
-//schedlint:hotpath
-func (ln *lane[T]) popLocked(v *T) (ok bool) {
-	if ln.q != nil {
-		*v, ok = ln.q.Pop()
-		return ok
-	}
-	e, ok := ln.kh.Pop()
-	*v = e.V
-	return ok
+	_         [32]byte
 }
 
 // hzBox is one place's hazard slot for the boxed advertisement: a
@@ -336,16 +334,17 @@ func (d *DS[T]) ContentionTotal() int64 {
 
 // advertise re-publishes ln's minimum for the lock-free samplers;
 // callers hold ln.mu. With a numeric projection the advertisement is a
-// plain int64 store of the top entry's cached key. The boxed variant
-// copies the minimum into the lane's spare box and swaps it with the
-// published one — hazard slots keep a box from being overwritten under
-// a concurrent sampler, so steady state costs zero allocations; a fresh
-// box is allocated only when a sampler pins the spare mid-read.
+// plain int64 store of the cached key at the end of the front. The
+// boxed variant copies the minimum into the lane's spare box and swaps
+// it with the published one — hazard slots keep a box from being
+// overwritten under a concurrent sampler, so steady state costs zero
+// allocations; a fresh box is allocated only when a sampler pins the
+// spare mid-read.
 func (d *DS[T]) advertise(ln *lane[T]) {
 	if d.prio != nil {
 		key := int64(emptyPrio)
-		if e, ok := ln.kh.Peek(); ok {
-			key = min(e.Key, emptyPrio-1)
+		if n := len(ln.front); n > 0 {
+			key = min(ln.front[n-1].Key, emptyPrio-1)
 		}
 		ln.minP.Store(key)
 		return
@@ -461,7 +460,11 @@ func (d *DS[T]) bestOfTwo(pl, a, b int) int {
 func (d *DS[T]) Push(pl int, k int, v T) {
 	_ = k
 	ln := d.lockPushLane(pl)
-	d.pushLocked(ln, &v)
+	if ln.q != nil {
+		ln.q.Push(v)
+	} else {
+		ln.push1(d.prio(v), &v)
+	}
 	d.advertise(ln)
 	ln.mu.Unlock()
 	d.ctrs[pl].Pushes.Add(1)
@@ -477,8 +480,16 @@ func (d *DS[T]) PushK(pl int, k int, vs []T) {
 		return
 	}
 	ln := d.lockPushLane(pl)
-	for i := range vs {
-		d.pushLocked(ln, &vs[i])
+	if ln.q != nil {
+		for i := range vs {
+			ln.q.Push(vs[i])
+		}
+	} else {
+		for rest := vs; len(rest) > 0; {
+			b := min(len(rest), pushChunk)
+			ln.merge(d.prio, rest[:b])
+			rest = rest[b:]
+		}
 	}
 	d.advertise(ln)
 	ln.mu.Unlock()
@@ -652,30 +663,62 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 
 // drainLocked pops up to len(out) non-stale tasks from ln, which the
 // caller holds locked, then re-advertises the minimum once and unlocks.
+// From a numeric lane that is a copy off the end of the front, refilled
+// from the heap when it runs empty — and once more before the lock goes,
+// so that an empty front always means an empty lane.
+//
+//schedlint:hotpath
 func (d *DS[T]) drainLocked(pl int, ln *lane[T], out []T) int {
-	c := &d.ctrs[pl]
 	got := 0
-	var v T
-	for got < len(out) {
-		if !ln.popLocked(&v) {
-			break
-		}
-		if d.opts.Stale != nil && d.opts.Stale(v) {
-			c.Eliminated.Add(1)
-			if d.opts.OnEliminate != nil {
-				d.opts.OnEliminate(pl, v)
+	if ln.q != nil {
+		for got < len(out) {
+			v, ok := ln.q.Pop()
+			if !ok {
+				break
 			}
-			continue
+			if d.live(pl, &v) {
+				out[got] = v
+				got++
+			}
 		}
-		out[got] = v
-		got++
+	} else {
+		for got < len(out) && (len(ln.front) > 0 || ln.refill()) {
+			f := ln.front
+			end := len(f) - min(len(f), len(out)-got)
+			for i := len(f) - 1; i >= end; i-- {
+				if v := &f[i].V; d.live(pl, v) {
+					out[got] = *v
+					got++
+				}
+			}
+			clear(f[end:]) // release the references for GC
+			ln.front = f[:end]
+		}
+		if len(ln.front) == 0 {
+			ln.refill()
+		}
 	}
 	d.advertise(ln)
 	ln.mu.Unlock()
 	if got > 0 {
-		c.Pops.Add(int64(got))
+		d.ctrs[pl].Pops.Add(int64(got))
 	}
 	return got
+}
+
+// live reports whether the popped task *v is to be handed out; a stale
+// one is counted and reported as eliminated instead.
+//
+//schedlint:hotpath
+func (d *DS[T]) live(pl int, v *T) bool {
+	if d.opts.Stale == nil || !d.opts.Stale(*v) {
+		return true
+	}
+	d.ctrs[pl].Eliminated.Add(1)
+	if d.opts.OnEliminate != nil {
+		d.opts.OnEliminate(pl, *v)
+	}
+	return false
 }
 
 // Stats aggregates the per-place counters.

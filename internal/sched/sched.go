@@ -350,10 +350,10 @@ type Scheduler[T any] struct {
 	// adaptive controller drives — stickiness, lane contention.
 	rlx    *relaxed.DS[envelope[T]]
 	active atomic.Bool
-	// Task accounting (see ledger.go): one ledger per worker place, plus
-	// the count of tasks created outside the worker places.
-	led      []placeLedger
-	injected atomic.Int64
+	// Task accounting (see ledger.go): one ledger per worker place; the
+	// count of tasks created outside the worker places is injected, in
+	// the submit group at the end.
+	led []placeLedger
 
 	// Serve-mode state (see serve.go). serveMu guards the Start/Stop
 	// lifecycle; accepting gates the Submit hot path without taking it.
@@ -366,7 +366,6 @@ type Scheduler[T any] struct {
 	stopping  atomic.Bool
 	workers   sync.WaitGroup
 	injectors []*injector
-	nextInj   atomic.Uint64
 	serveT0   time.Time
 	// serveBase/serveBaseDS are the totals at Start; Stop reports the
 	// session as the difference.
@@ -396,31 +395,24 @@ type Scheduler[T any] struct {
 
 	// Backpressure state (see serve.go). bpGate is the admission
 	// threshold in force — one atomic load on every Submit; spill is
-	// the bounded deferral buffer between the gate and ErrShed;
-	// shed/deferredN/readmitted/admittedN are the scheduler-level
-	// admission counters merged into Stats().
-	bpCfg      backpressure.Config
-	bpCtl      *ctl.Session[backpressure.Cumulative, backpressure.Sample, backpressure.State]
-	bpGate     atomic.Int64
-	spill      *backpressure.Spillway[deferredTask[T]]
-	shed       atomic.Int64
-	deferredN  atomic.Int64
-	readmitted atomic.Int64
-	admittedN  atomic.Int64
+	// the bounded deferral buffer between the gate and ErrShed. The
+	// admission counters are in the submit group at the end.
+	bpCfg  backpressure.Config
+	bpCtl  *ctl.Session[backpressure.Cumulative, backpressure.Sample, backpressure.State]
+	bpGate atomic.Int64
+	spill  *backpressure.Spillway[deferredTask[T]]
 
 	// Tenant-fairness state (see fair.go). tenants is the tenant count
 	// (0: tenancy off); tenGated plus the per-tenant ledger's
 	// quota/floor/win are the admission gate's view of the controller's
 	// last decision; fairCum is the controller goroutine's snapshot
 	// scratch (the controller keeps its own copy).
-	fairCfg       fair.Config
-	fairCtl       *ctl.Session[fair.Cumulative, fair.Sample, fair.State]
-	tenants       int
-	fairCum       fair.Cumulative
-	tenGated      atomic.Bool
-	ten           []tenantLedger
-	quotaShed     atomic.Int64
-	quotaDeferred atomic.Int64
+	fairCfg  fair.Config
+	fairCtl  *ctl.Session[fair.Cumulative, fair.Sample, fair.State]
+	tenants  int
+	fairCum  fair.Cumulative
+	tenGated atomic.Bool
+	ten      []tenantLedger
 	// quotaHold parks spillway tasks a controller-tick readmission
 	// drained but could not admit within their tenant's window quota:
 	// re-offering them to the ring races with producers refilling it,
@@ -436,6 +428,30 @@ type Scheduler[T any] struct {
 	// instruments and the previous window's counter snapshot (nil
 	// without Config.Metrics).
 	metrics *serveMetrics
+
+	// Submit group: the counters producers read-modify-write on every
+	// Submit — injected (tasks created outside the worker places, see
+	// ledger.go), nextInj (the injector round-robin) and the
+	// scheduler-level admission counters merged into Stats(). Everything
+	// above is written at Start, Stop or a controller tick and otherwise
+	// only read, much of it by the workers on every pop episode and every
+	// failed pop (cfg.Execute, ds, effBatch, stopping, tenants): with a
+	// counter on one of those lines each Submit took the line from an
+	// idle, polling worker, and got it taken back. So the group keeps
+	// 128 bytes — the pair of lines the spatial prefetcher pulls together
+	// — clear on both sides, wherever the allocator puts the struct.
+	// TestSubmitCountersKeepTheirDistance holds the layout until
+	// ROADMAP item 6 (ii) can.
+	_             [128]byte
+	injected      atomic.Int64
+	nextInj       atomic.Uint64
+	admittedN     atomic.Int64
+	deferredN     atomic.Int64
+	shed          atomic.Int64
+	readmitted    atomic.Int64
+	quotaShed     atomic.Int64
+	quotaDeferred atomic.Int64
+	_             [128]byte
 }
 
 // New constructs a scheduler. The data structure instance is created here
