@@ -12,12 +12,18 @@ import (
 // mdLink matches inline markdown links; the capture is the target.
 var mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// machinePath matches every occurrence of /root/ with the path that
+// follows it, up to whitespace or the quote, bracket or backtick that
+// closes it.
+var machinePath = regexp.MustCompile("/root/[^\\s`'\")\\]]*")
+
 // TestDocsRelativeLinksResolve is the docs lint: every relative link in
 // README.md, ROADMAP.md and docs/*.md must point at a file that exists,
 // so a rename or deletion cannot silently orphan the documentation
 // cross-references (external URLs and pure #fragment anchors are out of
-// scope). ROADMAP.md is also checked for absolute paths: it must cite
-// external material descriptively, never by machine-local path.
+// scope). Every one of those files is also checked for machine-local
+// /root/ paths, each reported with its line: the docs must cite external
+// material descriptively, never by where it sits on one machine.
 func TestDocsRelativeLinksResolve(t *testing.T) {
 	files := []string{"README.md", "ROADMAP.md"}
 	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
@@ -33,8 +39,10 @@ func TestDocsRelativeLinksResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(string(raw), "/root/") {
-			t.Errorf("%s: references a machine-local /root/... path; cite descriptively instead", f)
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, p := range machinePath.FindAllString(line, -1) {
+				t.Errorf("%s:%d: references the machine-local path %q; cite descriptively instead", f, i+1, p)
+			}
 		}
 		for _, m := range mdLink.FindAllStringSubmatch(string(raw), -1) {
 			target := m[1]

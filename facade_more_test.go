@@ -234,7 +234,7 @@ func TestPublicBackpressureServe(t *testing.T) {
 // exported field names, so a knob deleted (or added) on one side cannot
 // silently survive on the other.
 //
-// Why the copy is not an alias or an embedding (ROADMAP 6 (iii), closed):
+// Why the copy is not an alias or an embedding (ROADMAP item 8, not to reopen):
 // SchedulerConfig[T] = sched.Config[T] is a generic alias, which needs
 // go ≥ 1.24 in go.mod while bench/go.mod pins 1.22 and CI builds with
 // 1.23; embedding sched.Config would break the keyed literals that

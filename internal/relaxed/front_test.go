@@ -153,7 +153,7 @@ func TestLaneOrderProperty(t *testing.T) {
 }
 
 // TestLaneLayout holds the lane's two cache-line groups (see lane) until
-// ROADMAP item 6 (ii) makes field placement an analyzer: the lock and
+// ROADMAP item 8 (ii) makes field placement an analyzer: the lock and
 // the queue state its holder rewrites share the first 64-byte line, the
 // advertisement every sampler polls sits on the second, and a lane is a
 // whole number of 128-byte pairs, so the allocator's size class keeps

@@ -138,7 +138,7 @@ type NumericConfig[T any] struct {
 	Prio func(T) int64
 	// MaxPrio is the inclusive upper bound of the Prio domain. Nothing in
 	// the structure reads it: the field stays because bench/ledger.go's
-	// literal names it, until ROADMAP item 1 lets this type fold into
+	// literal names it, until ROADMAP item 2 lets this type fold into
 	// core.Options.Prio.
 	MaxPrio int64
 }

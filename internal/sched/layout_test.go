@@ -6,7 +6,7 @@ import (
 )
 
 // TestSubmitCountersKeepTheirDistance holds Scheduler's submit group
-// (see the struct) until ROADMAP item 6 (ii) makes field placement an
+// (see the struct) until ROADMAP item 8 (ii) makes field placement an
 // analyzer: the counters every Submit read-modify-writes sit together
 // within 128 bytes, and no other field — cfg (Execute), ds, stopping and
 // tenants, which the workers read on every pop episode and every failed

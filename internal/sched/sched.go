@@ -420,7 +420,7 @@ type Scheduler[T any] struct {
 	// 128 bytes — the pair of lines the spatial prefetcher pulls together
 	// — clear on both sides, wherever the allocator puts the struct.
 	// TestSubmitCountersKeepTheirDistance holds the layout until
-	// ROADMAP item 6 (ii) can.
+	// ROADMAP item 8 (ii) can.
 	_             [128]byte
 	injected      atomic.Int64
 	nextInj       atomic.Uint64
