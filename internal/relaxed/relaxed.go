@@ -93,6 +93,17 @@ const DefaultStickiness = 1
 // cap, a pop racing a faster popper could re-sample indefinitely.
 const maxPopRetries = 3
 
+// heldLanePause is how many iterations of an empty loop a pop spins
+// after a failed lane try-lock, before it examines the next lane. The
+// lane is held, on a saturated server most often by the producer
+// merging a batch into it; looking again at once pulls the lane's lock
+// and advertisement lines away from the holder mid-merge and stalls
+// the very push the pop is waiting for. The loop runs on registers
+// alone, so the pause costs the popping core and no other. It is the
+// relaxed structure's own: the scheduler's idle backoff does not pause
+// (the same spin there slowed the hybrid's SSSP runs).
+const heldLanePause = 256
+
 // MaxPopBatch is the largest pop batch schedulers may configure: they
 // validate their batch knobs (and size their per-worker PopKInto
 // buffers) against it, so one pop episode never holds a lane lock for
@@ -557,7 +568,8 @@ func (d *DS[T]) PopKInto(pl int, out []T) int {
 // many it obtained. Lane selection: sticky lane first, then up to
 // maxPopRetries+1 sampling rounds per the mode, then one sweep over
 // every lane from a random start, so a nearly drained structure still
-// empties promptly and a task in any lane is found by any place.
+// empties promptly and a task in any lane is found by any place. Every
+// failed try-lock on the way is counted once and followed by pauseHeld.
 func (d *DS[T]) popInto(pl int, out []T) int {
 	r := d.rngs[pl]
 	c := &d.ctrs[pl]
@@ -576,6 +588,7 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 				}
 			} else {
 				ln.contended.Add(1)
+				pauseHeld()
 			}
 		}
 		st.popLeft = 0
@@ -605,6 +618,7 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 		ln := d.lanes[best]
 		if !ln.mu.TryLock() {
 			ln.contended.Add(1)
+			pauseHeld()
 			continue
 		}
 		if got := d.drainLocked(pl, ln, out); got > 0 {
@@ -628,6 +642,7 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 		}
 		if !ln.mu.TryLock() {
 			ln.contended.Add(1)
+			pauseHeld()
 			continue
 		}
 		if got := d.drainLocked(pl, ln, out); got > 0 {
@@ -638,6 +653,15 @@ func (d *DS[T]) popInto(pl int, out []T) int {
 	}
 	c.PopFailures.Add(1)
 	return 0
+}
+
+// pauseHeld is the pause after a failed pop try-lock: heldLanePause
+// iterations with no load or store (see heldLanePause).
+//
+//go:noinline
+func pauseHeld() {
+	for i := 0; i < heldLanePause; i++ {
+	}
 }
 
 // drainLocked pops up to len(out) non-stale tasks from ln, which the

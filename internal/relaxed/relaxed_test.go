@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/dstest"
@@ -309,6 +310,79 @@ func TestLaneContentionSampling(t *testing.T) {
 	}
 	if d.ContentionTotal() != 0 {
 		t.Fatalf("ContentionTotal = %d on an uncontended run", d.ContentionTotal())
+	}
+}
+
+// TestHeldLanePause holds one lane's lock, with work in it, the way a
+// producer merging into the lane does, and pops from a place whose
+// sticky lane it is. The pop must come back empty rather than wait for
+// the lock; ContentionTotal must count every failed try-lock once —
+// the sticky one, one per sampling round and the sweep's; and work in
+// another lane must be taken even while the held lane advertises the
+// better key. Nothing here is timed: the pause only delays.
+func TestHeldLanePause(t *testing.T) {
+	d, err := NewWithNumeric(core.Options[int64]{Places: 1, Less: less, Seed: 5},
+		Config{Lanes: 4, Stickiness: 2}, NumericConfig[int64]{Prio: func(v int64) int64 { return v }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(lane int, v int64) {
+		ln := d.lanes[lane]
+		ln.mu.Lock()
+		ln.push1(v, &v)
+		d.advertise(ln)
+		ln.mu.Unlock()
+	}
+	// pop runs PopKInto for at most a few seconds: a pop that waited
+	// for the held lock would never return.
+	pop := func() (int, int64) {
+		t.Helper()
+		var out [1]int64
+		got := make(chan int, 1)
+		go func() { got <- d.PopKInto(0, out[:]) }()
+		select {
+		case n := <-got:
+			return n, out[0]
+		case <-time.After(5 * time.Second):
+			t.Fatal("PopKInto blocked on a held lane")
+			return 0, 0
+		}
+	}
+	put(0, 10)
+	put(0, 11)
+	if n, v := pop(); n != 1 || v != 10 {
+		t.Fatalf("first pop got (%d, %d), want (1, 10)", n, v)
+	}
+	if c := d.ContentionTotal(); c != 0 {
+		t.Fatalf("ContentionTotal = %d before any lane was held", c)
+	}
+
+	held := d.lanes[0]
+	held.mu.Lock()
+	if n, _ := pop(); n != 0 {
+		t.Fatalf("pop took %d tasks from a held lane", n)
+	}
+	// The sticky lane, maxPopRetries+1 sampling rounds, one sweep.
+	if c, want := d.ContentionTotal(), int64(maxPopRetries+3); c != want {
+		t.Fatalf("ContentionTotal = %d after one pop past a held lane, want %d", c, want)
+	}
+	if st := d.Stats(); st.PopFailures != 1 || st.PopRetries != maxPopRetries {
+		t.Fatalf("PopFailures = %d, PopRetries = %d, want 1 and %d", st.PopFailures, st.PopRetries, maxPopRetries)
+	}
+
+	put(2, 20)
+	before := d.ContentionTotal()
+	if n, v := pop(); n != 1 || v != 20 {
+		t.Fatalf("pop with work in a free lane got (%d, %d), want (1, 20)", n, v)
+	}
+	// Every sampling round picks the held lane's better key; the sweep
+	// meets it too when it starts before lane 2.
+	if c := d.ContentionTotal() - before; c != maxPopRetries+1 && c != maxPopRetries+2 {
+		t.Fatalf("ContentionTotal rose by %d, want %d or %d", c, maxPopRetries+1, maxPopRetries+2)
+	}
+	held.mu.Unlock()
+	if n, v := pop(); n != 1 || v != 11 {
+		t.Fatalf("pop after the release got (%d, %d), want (1, 11)", n, v)
 	}
 }
 

@@ -345,24 +345,21 @@ type Scheduler[T any] struct {
 	// Serve-mode state (see serve.go). serveMu guards the Start/Stop
 	// lifecycle; accepting gates the Submit hot path without taking it.
 	// stopping lets the workers exit at the next quiescent instant: set
-	// for the whole of a closed-world Run, and by Stop.
+	// for the whole of a closed-world Run, and by Stop. injectors are the
+	// external submission lanes, each a place id, its lock and the
+	// retained buffer a batch is staged in under that lock.
 	serveMu   sync.Mutex
 	started   bool
 	serving   atomic.Bool
 	accepting atomic.Bool
 	stopping  atomic.Bool
 	workers   sync.WaitGroup
-	injectors []*injector
+	injectors []*injector[T]
 	serveT0   time.Time
 	// serveBase/serveBaseDS are the totals at Start; Stop reports the
 	// session as the difference.
 	serveBase   taskTotals
 	serveBaseDS core.Stats
-	// envArena pools the envelope staging buffers of the SubmitAllK
-	// paths; defArena pools the spillway drain scratch of readmitSpill
-	// (nil without Backpressure). See blockArena.
-	envArena *blockArena[envelope[T]]
-	defArena *blockArena[deferredTask[T]]
 
 	// Each of the two window controllers is held the same way: its
 	// validated config, and a ctl.Session (nil when the controller is
@@ -392,6 +389,11 @@ type Scheduler[T any] struct {
 	fairCum  fair.Cumulative
 	tenGated atomic.Bool
 	ten      []tenantLedger
+	// readmitMu serializes readmitSpill and guards what it keeps between
+	// calls: readmitBuf, the retained scratch it drains the spillway
+	// into, and quotaHold. Readmission runs per window, per Stop and per
+	// Drain round, never per task, so the lock is off the submit path.
+	//
 	// quotaHold parks spillway tasks a controller-tick readmission
 	// drained but could not admit within their tenant's window quota:
 	// re-offering them to the ring races with producers refilling it,
@@ -400,8 +402,9 @@ type Scheduler[T any] struct {
 	// its fair share. Held tasks go first on the next readmission tick
 	// (they are the oldest accepted work) and the spillway is only
 	// drained again once the hold is empty, bounding it to one chunk.
-	holdMu    sync.Mutex
-	quotaHold []deferredTask[T]
+	readmitMu  sync.Mutex
+	readmitBuf []deferredTask[T]
+	quotaHold  []deferredTask[T]
 
 	// Observability state (see obs.go): the registered metric
 	// instruments and the previous window's counter snapshot (nil
@@ -410,13 +413,14 @@ type Scheduler[T any] struct {
 
 	// Submit group: the counters producers read-modify-write on every
 	// Submit — injected (tasks created outside the worker places, see
-	// ledger.go), nextInj (the injector round-robin) and the
-	// scheduler-level admission counters merged into Stats(). Everything
-	// above is written at Start, Stop or a controller tick and otherwise
-	// only read, much of it by the workers on every pop episode and every
-	// failed pop (cfg.Execute, ds, stopping, tenants): with a
-	// counter on one of those lines each Submit took the line from an
-	// idle, polling worker, and got it taken back. So the group keeps
+	// ledger.go), nextInj (the injector round-robin, untouched with one
+	// injector) and the scheduler-level admission counters merged into
+	// Stats(). Everything above is written at Start, Stop or a controller
+	// tick and otherwise only read, much of it by the workers on every
+	// pop episode and every failed pop (cfg.Execute, ds, stopping,
+	// tenants): with a counter on one of those lines each Submit took the
+	// line from an idle, polling worker, and got it taken back. So the
+	// group keeps
 	// 128 bytes — the pair of lines the spatial prefetcher pulls together
 	// — clear on both sides, wherever the allocator puts the struct.
 	// TestSubmitCountersKeepTheirDistance holds the layout until
@@ -530,13 +534,9 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 			Pending: make([]int64, n),
 		}
 	}
-	s.envArena = newBlockArena[envelope[T]]()
-	if cfg.Backpressure {
-		s.defArena = newBlockArena[deferredTask[T]]()
-	}
 	for i := 0; i < cfg.Injectors; i++ {
 		// Injector lanes occupy the place ids past the worker places.
-		s.injectors = append(s.injectors, &injector{place: cfg.Places + i})
+		s.injectors = append(s.injectors, &injector[T]{place: cfg.Places + i})
 	}
 
 	opts := core.Options[envelope[T]]{

@@ -14,7 +14,8 @@
 // makes each place single-owner, so producers cannot push on the
 // workers' place ids); each injector lane is a mutex-guarded place id
 // past the worker places, and Submit rotates over the lanes so
-// concurrent producers mostly hit different locks.
+// concurrent producers mostly hit different locks. A batch is staged in
+// its lane's own buffer under the lock the push already takes.
 package sched
 
 import (
@@ -62,10 +63,35 @@ const (
 
 // injector is one external submission lane: a mutex-guarded place id.
 // The mutex serializes concurrent producers on the same lane, restoring
-// the single-owner-per-place contract for external pushes.
-type injector struct {
+// the single-owner-per-place contract for external pushes, and guards
+// envs, the buffer a batch push stages its envelopes in. PushK copies
+// what it is handed, so the staged envelopes are dead once it returns
+// and the buffer, retained across pushes at its high-water mark, is the
+// next batch's: staging costs no allocation and no lock of its own.
+type injector[T any] struct {
 	mu    sync.Mutex
 	place int
+	envs  []envelope[T]
+}
+
+// stage returns the lane's staging buffer resized to n; callers hold mu.
+func (inj *injector[T]) stage(n int) []envelope[T] {
+	if cap(inj.envs) < n {
+		//schedlint:ignore staging growth is a retained high-water mark; steady state re-uses the buffer
+		inj.envs = make([]envelope[T], n)
+	}
+	return inj.envs[:n]
+}
+
+// nextInjector returns the injector lane for the next push: the only one, or
+// the next in the round-robin over several.
+//
+//schedlint:hotpath
+func (s *Scheduler[T]) nextInjector() *injector[T] {
+	if len(s.injectors) == 1 {
+		return s.injectors[0]
+	}
+	return s.injectors[s.nextInj.Add(1)%uint64(len(s.injectors))]
 }
 
 // Start switches the scheduler into serving mode: the worker places
@@ -300,7 +326,10 @@ func runEnd[T any](ds []deferredTask[T], start, chunk int) int {
 // They were counted as created when their Submit accepted them, so only
 // the Readmitted counter moves here. Reports whether anything drained.
 // Safe for concurrent callers (the controller tick, Stop's flush, the
-// Submit re-flush race and Drain's nudge may overlap).
+// Submit re-flush race and Drain's nudge may overlap): readmitMu
+// serializes them over the drain scratch and the quota hold. It is
+// taken before any injector lock and never under one — the Submit
+// paths call park, which may come here, only after releasing theirs.
 //
 // respectQuota makes readmission honor the tenant gate: while it is
 // engaged, a drained task consumes its tenant's window sequence like a
@@ -315,17 +344,14 @@ func runEnd[T any](ds []deferredTask[T], start, chunk int) int {
 // flush and Drain's nudge bypass them — they exist to reach
 // quiescence, and every parked task was accepted and must execute.
 func (s *Scheduler[T]) readmitSpill(max int, respectQuota bool) bool {
+	s.readmitMu.Lock()
+	defer s.readmitMu.Unlock()
 	// Quota-held tasks go first: they are the oldest accepted work.
-	var held []deferredTask[T]
-	if s.tenants > 0 {
-		s.holdMu.Lock()
-		held = s.quotaHold
-		s.quotaHold = nil
-		s.holdMu.Unlock()
-	}
+	held := s.quotaHold
+	s.quotaHold = held[:0] // held is copied into the scratch below
 	// Clamp the drain scratch to the spillway's current occupancy: the
-	// quota can far exceed what is parked, and the arena retains the
-	// largest buffer ever grown.
+	// quota can far exceed what is parked, and the scratch is retained
+	// at the largest size ever grown.
 	if l := s.spill.Len(); max > l {
 		max = l
 	}
@@ -340,35 +366,29 @@ func (s *Scheduler[T]) readmitSpill(max int, respectQuota bool) bool {
 	if len(held) == 0 && max < 1 {
 		return false
 	}
-	dblk := s.defArena.get()
-	dbuf := dblk.grow(len(held) + max)
+	if cap(s.readmitBuf) < len(held)+max {
+		s.readmitBuf = make([]deferredTask[T], len(held)+max)
+	}
+	dbuf := s.readmitBuf[:len(held)+max]
 	got := copy(dbuf, held)
 	if max > 0 {
 		got += s.spill.DrainUpToInto(dbuf[len(held):])
 	}
 	if got == 0 {
-		s.defArena.put(dblk)
 		return false
 	}
 	ds := dbuf[:got]
 	if respectQuota && s.tenants > 0 && s.tenGated.Load() {
 		kept := ds[:0]
-		var over []deferredTask[T]
 		for _, d := range ds {
 			if _, overQuota := s.ten[s.tenantOf(d.env.v)].gate(); overQuota {
-				over = append(over, d)
+				s.quotaHold = append(s.quotaHold, d)
 				continue
 			}
 			kept = append(kept, d)
 		}
-		if len(over) > 0 {
-			s.holdMu.Lock()
-			s.quotaHold = append(s.quotaHold, over...)
-			s.holdMu.Unlock()
-		}
 		ds = kept
 		if len(ds) == 0 {
-			s.defArena.put(dblk)
 			return false
 		}
 		got = len(ds)
@@ -380,22 +400,19 @@ func (s *Scheduler[T]) readmitSpill(max int, respectQuota bool) bool {
 	}
 	s.readmitted.Add(int64(got))
 	chunk := readmitChunk(got, len(s.injectors))
-	eblk := s.envArena.get()
 	for start := 0; start < got; {
 		end := runEnd(ds, start, chunk)
 		run := ds[start:end]
-		envs := eblk.grow(len(run))
+		inj := s.nextInjector()
+		inj.mu.Lock()
+		envs := inj.stage(len(run))
 		for i, d := range run {
 			envs[i] = d.env
 		}
-		inj := s.injectors[s.nextInj.Add(1)%uint64(len(s.injectors))]
-		inj.mu.Lock()
 		s.ds.PushK(inj.place, run[0].k, envs)
 		inj.mu.Unlock()
 		start = end
 	}
-	s.envArena.put(eblk)
-	s.defArena.put(dblk)
 	return true
 }
 
@@ -467,7 +484,7 @@ func (s *Scheduler[T]) SubmitK(k int, v T) error {
 		}
 		s.admittedN.Add(1)
 	}
-	inj := s.injectors[s.nextInj.Add(1)%uint64(len(s.injectors))]
+	inj := s.nextInjector()
 	inj.mu.Lock()
 	s.ds.Push(inj.place, k, envelope[T]{v: v})
 	inj.mu.Unlock()
@@ -492,18 +509,19 @@ func (s *Scheduler[T]) SubmitAllOutcomes(vs []T, out []Outcome) (int, error) {
 // is accepted (nil) or none is (ErrNotServing). Under
 // Config.Backpressure the admission gate decides per task, so a batch
 // can be partially accepted: the admitted subset is still pushed as one
-// batch, the rest is deferred or shed, and ErrShed reports that at
-// least one task was dropped — callers needing per-task results use
-// SubmitAllKOutcomes. Tasks of one batch land in the structure
+// batch per gatedRun tasks, the rest is deferred or shed, and ErrShed
+// reports that at least one task was dropped — callers needing per-task
+// results use SubmitAllKOutcomes, which pushes the admitted subset of
+// the whole call as one batch. Tasks of one batch land in the structure
 // together, so producers trading latency for throughput should keep
 // batches small relative to their latency budget.
 //
 //schedlint:hotpath
 func (s *Scheduler[T]) SubmitAllK(k int, vs []T) error {
 	if len(vs) == 1 {
-		// The singles path skips the envelope-slice allocation — this
-		// matters because SubmitAll with a 1-element buffer is exactly
-		// what an unbatched producer loop degenerates to.
+		// The singles path skips the staging — this matters because
+		// SubmitAll with a 1-element buffer is exactly what an unbatched
+		// producer loop degenerates to.
 		return s.SubmitK(k, vs[0])
 	}
 	_, err := s.SubmitAllKOutcomes(k, vs, nil)
@@ -541,47 +559,86 @@ func (s *Scheduler[T]) SubmitAllKOutcomes(k int, vs []T, out []Outcome) (int, er
 	if s.cfg.Recorder != nil {
 		s.recArrivalBatch(k, vs)
 	}
-	// Under backpressure one read of the gate state decides the whole
-	// batch, so a batch is internally consistent even while the
-	// controllers move the gates (the tenant window counters stay
-	// per-task sequence numbers). The admitted subset — everything,
-	// without backpressure — is staged and pushed as one batch.
-	gated := s.spill != nil
-	threshold, tenGated := s.bpGate.Load(), s.tenGated.Load()
-	blk := s.envArena.get()
-	envs := blk.grow(len(vs))[:0]
-	shedN := 0
-	for i, v := range vs {
-		o := Admitted
-		if gated {
-			if ten, ok, byQuota := s.admit(v, threshold, tenGated); !ok {
-				if o = s.park(k, v, ten, byQuota); o == Shed {
-					shedN++
-				}
-			}
-		}
-		if o == Admitted {
-			//schedlint:ignore envs was arena-grown to len(vs) above; append stays within capacity
-			envs = append(envs, envelope[T]{v: v})
-		}
-		if out != nil {
-			out[i] = o
-		}
-	}
-	if n := int64(len(envs)); n > 0 {
-		if gated {
-			s.admittedN.Add(n)
-		}
-		inj := s.injectors[s.nextInj.Add(1)%uint64(len(s.injectors))]
+	if s.spill == nil {
+		// Ungated: everything is admitted, staged and pushed as one batch
+		// under the one injector lock.
+		inj := s.nextInjector()
 		inj.mu.Lock()
+		envs := inj.stage(len(vs))
+		for i, v := range vs {
+			envs[i] = envelope[T]{v: v}
+		}
 		s.ds.PushK(inj.place, k, envs)
 		inj.mu.Unlock()
+		if out != nil {
+			for i := range vs {
+				out[i] = Admitted
+			}
+		}
+		return len(vs), nil
 	}
-	s.envArena.put(blk) // PushK copied the admitted envelopes; the buffer is dead
-	if shedN > 0 {
+	if shedN := s.submitGated(k, vs, out); shedN > 0 {
 		return len(vs) - shedN, ErrShed
 	}
 	return len(vs), nil
+}
+
+// gatedRun bounds how many tasks the gated batch path decides before it
+// pushes, when the caller passes no out slice to hold the outcomes:
+// they are held on the stack instead, a run at a time.
+const gatedRun = 256
+
+// submitGated is the Config.Backpressure half of SubmitAllKOutcomes and
+// returns how many tasks it shed. One read of the gate state decides
+// the whole batch, so a batch is internally consistent even while the
+// controllers move the gates (the tenant window counters stay per-task
+// sequence numbers). Each run's admission pass finishes before any
+// injector lock is taken — park may flush the spillway, which locks
+// injectors, and a Go mutex is not reentrant — and the run's admitted
+// subset is then staged and pushed as one batch. A run is the whole
+// batch when out is given, else at most gatedRun tasks.
+//
+//schedlint:hotpath
+func (s *Scheduler[T]) submitGated(k int, vs []T, out []Outcome) (shedN int) {
+	threshold, tenGated := s.bpGate.Load(), s.tenGated.Load()
+	var scratch [gatedRun]Outcome
+	for len(vs) > 0 {
+		n, o := len(vs), out
+		if out == nil {
+			n = min(n, gatedRun)
+			o = scratch[:n]
+		}
+		admitted := 0
+		for i, v := range vs[:n] {
+			o[i] = Admitted
+			if ten, ok, byQuota := s.admit(v, threshold, tenGated); !ok {
+				if o[i] = s.park(k, v, ten, byQuota); o[i] == Shed {
+					shedN++
+				}
+				continue
+			}
+			admitted++
+		}
+		if admitted > 0 {
+			s.admittedN.Add(int64(admitted))
+			inj := s.nextInjector()
+			inj.mu.Lock()
+			envs, j := inj.stage(admitted), 0
+			for i, v := range vs[:n] {
+				if o[i] == Admitted {
+					envs[j] = envelope[T]{v: v}
+					j++
+				}
+			}
+			s.ds.PushK(inj.place, k, envs)
+			inj.mu.Unlock()
+		}
+		vs = vs[n:]
+		if out != nil {
+			out = out[n:]
+		}
+	}
+	return shedN
 }
 
 // Drain blocks until the scheduler observes a quiescent instant: every
@@ -619,8 +676,8 @@ func (s *Scheduler[T]) holdLen() int {
 	if s.tenants == 0 {
 		return 0
 	}
-	s.holdMu.Lock()
-	defer s.holdMu.Unlock()
+	s.readmitMu.Lock()
+	defer s.readmitMu.Unlock()
 	return len(s.quotaHold)
 }
 
