@@ -146,12 +146,8 @@ func BenchmarkFig5KSweep(b *testing.B) {
 	for _, strat := range []repro.Strategy{repro.Centralized, repro.Hybrid} {
 		for _, k := range []int{0, 4, 32, 256, 512, 4096, 32768} {
 			b.Run(fmt.Sprintf("%s/k=%d", strat, k), func(b *testing.B) {
-				kmax := 512
-				if k > kmax {
-					kmax = k
-				}
 				sv, err := sssp.NewSolver(g.N, sssp.Options{
-					Places: places, Strategy: strat, K: k, KMax: kmax, Seed: common.Seed,
+					Places: places, Strategy: strat, K: k, Seed: common.Seed,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -210,7 +206,7 @@ func BenchmarkAblationSpy(b *testing.B) {
 	for _, strat := range []repro.Strategy{repro.Hybrid, repro.HybridNoSpy} {
 		b.Run(strat.String(), func(b *testing.B) {
 			sv, err := sssp.NewSolver(g.N, sssp.Options{
-				Places: 8, Strategy: strat, K: 8192, KMax: 8192, Seed: common.Seed,
+				Places: 8, Strategy: strat, K: 8192, Seed: common.Seed,
 			})
 			if err != nil {
 				b.Fatal(err)

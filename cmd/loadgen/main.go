@@ -15,11 +15,9 @@
 //	        [-places N] [-k 512] [-arrival poisson|bursty|closed-loop]
 //	        [-dist uniform|skewed|ramp] [-window 64] [-on 10ms] [-off 10ms]
 //	        [-spin 0] [-ranksample 1] [-batch 1] [-stickiness 0]
-//	        [-adaptinterval 10ms] [-backpressure] [-rankbudget 0]
-//	        [-sojournbudget 50ms] [-protectedband 0]
+//	        [-adaptinterval 10ms] [-backpressure] [-sojournbudget 50ms]
 //	        [-spillcap 0] [-tenants W,W,...] [-tenantskew 1]
-//	        [-tenantfloor 0] [-tenantbudgets D,D,...] [-scenario steady]
-//	        [-capture FILE] [-seed 20140215]
+//	        [-scenario steady] [-capture FILE] [-seed 20140215]
 //
 // The scheduler flags fill load.Config.Sched, a sched.Config handed to
 // sched.New as written, so they mean what the library means: -k is the
@@ -43,12 +41,11 @@
 //
 // -backpressure puts the admission controller in front of the
 // scheduler (internal/backpressure): under overload the lowest-priority
-// submissions are deferred or shed while priorities below
-// -protectedband (default: an eighth of the priority range) are never
-// gated. Each JSON result then carries the shed rate, per-band
-// admission and goodput (bands), the final threshold, and the
-// controller's trace (bp_trace); -rankbudget additionally wires the
-// rank-error estimate as a second overload signal.
+// submissions are deferred or shed while the most urgent eighth of the
+// priority range (the protected band) is never gated. Each JSON result
+// then carries the shed rate, per-band admission and goodput (bands),
+// the final threshold, and the controller's trace (bp_trace). Rank
+// error is measured and reported, never an admission input.
 //
 // -tenants enables multi-tenant fair scheduling (requires
 // -backpressure): its comma list is the per-tenant fair-share weight
@@ -57,8 +54,8 @@
 // as each other tenant), and each JSON result carries per-tenant
 // admission/goodput/sojourn reports (tenants), the fairness
 // controller's window trace (fair_trace) and the gated-window count.
-// -tenantfloor sets the guaranteed-floor capacity fraction and
-// -tenantbudgets per-tenant sojourn budgets (SLO bands). -scenario
+// Every tenant's backlog is policed against -sojournbudget, and the
+// guaranteed floors share 5 % of the measured capacity. -scenario
 // layers a scripted traffic pattern on top: "diurnal" ramps the
 // arrival rate through a day-shaped profile, "inflation" has the hot
 // tenant claim top priorities from the run's midpoint — the
@@ -149,16 +146,12 @@ func main() {
 		rankSample = flag.Int("ranksample", 1, "measure rank error on every Nth task")
 		batches    = flag.String("batch", "1", "operation batch sizes: producer submit + worker pop batch (comma list)")
 		stickiness = flag.String("stickiness", "0", "relaxed lane stickiness S values, 0 = unsticky (comma list)")
-		rankBudget = flag.Float64("rankbudget", 0, "backpressure: p99 rank-error budget, a second overload signal (0 = none; requires -backpressure)")
 		adaptEvery = flag.Duration("adaptinterval", 0, "runtime controllers' window (0 = default)")
 		backpress  = flag.Bool("backpressure", false, "shed/defer low-priority submits under overload (admission controller)")
 		sojournBud = flag.Duration("sojournbudget", 0, "backpressure: target sojourn time (0 = 50ms default)")
-		protBand   = flag.Int64("protectedband", 0, "backpressure: never-shed priority band [0, N) (0 = range/8)")
 		spillCap   = flag.Int("spillcap", 0, "backpressure: deferral spillway capacity (0 = default)")
 		tenants    = flag.String("tenants", "", "multi-tenant fair scheduling: per-tenant weight vector (comma list; requires -backpressure)")
 		tenSkew    = flag.Float64("tenantskew", 1, "hot-tenant arrival multiplier: tenant 0 arrives N× as often as each other tenant")
-		tenFloor   = flag.Float64("tenantfloor", 0, "guaranteed-floor capacity fraction (0 = 5% default)")
-		tenBudgets = flag.String("tenantbudgets", "", "per-tenant sojourn budgets / SLO bands (comma duration list; missing or 0 entries inherit -sojournbudget)")
 		scenario   = flag.String("scenario", "steady", fmt.Sprintf("scripted traffic pattern, one of %v", load.ScenarioNames()))
 		capture    = flag.String("capture", "", "write a JSONL capture (arrivals + controller decisions) to this file; single-configuration sweeps only, replay with cmd/replay")
 		seed       = flag.Uint64("seed", 20140215, "base random seed")
@@ -203,12 +196,6 @@ func main() {
 			log.Fatalf("bad -tenants: %v", err)
 		}
 	}
-	var tenBudgetList []time.Duration
-	if *tenBudgets != "" {
-		if tenBudgetList, err = harness.ParseList(*tenBudgets, time.ParseDuration); err != nil {
-			log.Fatalf("bad -tenantbudgets: %v", err)
-		}
-	}
 	scen, err := load.ParseScenario(*scenario)
 	if err != nil {
 		log.Fatal(err)
@@ -244,19 +231,17 @@ func main() {
 							strat, np, rate, batch, stick, arr, pd, *duration)
 						lcfg := load.Config{
 							Sched: sched.Config[load.Task]{
-								Strategy:        strat,
-								Places:          *places,
-								K:               *k,
-								Batch:           batch,
-								Stickiness:      stick,
-								RankErrorBudget: *rankBudget,
-								AdaptInterval:   *adaptEvery,
-								Backpressure:    *backpress,
-								SojournBudget:   *sojournBud,
-								ProtectedBand:   *protBand,
-								SpillCap:        *spillCap,
-								Recorder:        recorder,
-								Seed:            *seed,
+								Strategy:      strat,
+								Places:        *places,
+								K:             *k,
+								Batch:         batch,
+								Stickiness:    stick,
+								AdaptInterval: *adaptEvery,
+								Backpressure:  *backpress,
+								SojournBudget: *sojournBud,
+								SpillCap:      *spillCap,
+								Recorder:      recorder,
+								Seed:          *seed,
 							},
 							Producers:  np,
 							Duration:   *duration,
@@ -271,12 +256,10 @@ func main() {
 							Scenario:   scen,
 						}
 						if len(tenWeights) > 0 {
-							// The tenant knobs are only forwarded
-							// together with a weight vector — the
-							// generator rejects a skew on its own.
+							// The skew is only forwarded together with
+							// a weight vector — the generator rejects a
+							// skew on its own.
 							lcfg.Sched.TenantWeights = tenWeights
-							lcfg.Sched.TenantFloorFrac = *tenFloor
-							lcfg.Sched.TenantBudgets = tenBudgetList
 							lcfg.TenantSkew = *tenSkew
 						}
 						res, err := load.Run(lcfg)

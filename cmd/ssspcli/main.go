@@ -83,15 +83,10 @@ func main() {
 	}
 
 	fmt.Printf("graph: %s, n=%d, m=%d undirected edges\n", *kind, g.N, g.M())
-	kmax := 512
-	if *k > kmax {
-		kmax = *k
-	}
 	res, err := repro.SolveSSSP(g, *src, repro.SSSPOptions{
 		Places:   *places,
 		Strategy: st,
 		K:        *k,
-		KMax:     kmax,
 		Seed:     *seed,
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -68,15 +70,22 @@ var (
 	loadgenCmd = regexp.MustCompile("\\bloadgen(?:-vocab)?(\\s+-[^`\n|;>)]*)")
 	// cmdFlag matches one -flag token of such an invocation.
 	cmdFlag = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9]*)\b`)
+	// docFlag matches a -flag token in prose or a usage synopsis: a dash
+	// not joined to a word, so "[-k 512]" and "(-h" count and
+	// "k-priority" does not.
+	docFlag = regexp.MustCompile(`(?:^|[^\w-])-([a-z][a-z0-9]*)\b`)
 )
 
 // TestDocsLoadgenFlagsExist keeps deleted flags out of the docs: every
 // -flag on a loadgen command line in README.md, docs/*.md, the CI
-// workflow and the verify skill (backslash continuations joined) must
-// be one cmd/loadgen/main.go defines, so removing a flag from the
-// command fails here until the last documented use is gone too.
+// workflow and the verify skill (backslash continuations joined), and
+// every -flag in cmd/loadgen's own package doc (its Usage block and
+// prose), must be one cmd/loadgen/main.go defines, so removing a flag
+// from the command fails here until the last documented use is gone
+// too.
 func TestDocsLoadgenFlagsExist(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("cmd", "loadgen", "main.go"))
+	path := filepath.Join("cmd", "loadgen", "main.go")
+	src, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +100,19 @@ func TestDocsLoadgenFlagsExist(t *testing.T) {
 	docs, err := filepath.Glob(filepath.Join("docs", "*.md"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	pkg, err := parser.ParseFile(token.NewFileSet(), path, src, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil || pkg.Doc == nil {
+		t.Fatalf("%s: no package doc (%v)", path, err)
+	}
+	inDoc := docFlag.FindAllStringSubmatch(pkg.Doc.Text(), -1)
+	for _, m := range inDoc {
+		if !defined[m[1]] {
+			t.Errorf("%s: the package doc names -%s, which cmd/loadgen does not define", path, m[1])
+		}
+	}
+	if len(inDoc) < 30 {
+		t.Fatalf("checked only %d flags in the %s package doc; the pattern no longer matches its Usage block", len(inDoc), path)
 	}
 	checked := 0
 	for _, f := range append(files, docs...) {

@@ -9,22 +9,20 @@
 // sojourn time grows with it, and the relaxation error compounds on top
 // (Postnikova et al. use rank error as exactly this quality signal).
 // A production scheduler therefore needs an admission policy in front
-// of the structure. This package provides it as the repo's third
-// controller on the sample → decide → apply pattern (internal/ctl):
+// of the structure. This package provides it as one of the scheduler's
+// two controllers on the sample → decide → apply pattern (internal/ctl):
 //
 //   - the scheduler samples, per window, its cumulative admission
 //     counters plus two instantaneous signals: the outstanding-task
-//     count (Scheduler.Pending) and the windowed rank-error p99
-//     estimate (sched.Config.RankSignal, shared with the metrics);
+//     count (Scheduler.Pending) and the spillway occupancy;
 //   - the pure Decide function maintains an admission threshold over
 //     the numeric priority domain: tasks with priority at or below the
 //     threshold (smaller = more urgent) are admitted, the rest are
 //     deferred to a bounded spillway or shed outright;
 //   - overload — the structure's backlog exceeding what the observed
-//     service rate clears within the sojourn budget, or a rank-error
-//     budget breach — tightens the threshold one geometric step per
-//     window; clear headroom relaxes it one step, so the loop is
-//     AIMD-shaped like the adapt controller's;
+//     service rate clears within the sojourn budget — tightens the
+//     threshold one geometric step per window; clear headroom relaxes
+//     it one step, so the loop is AIMD-shaped;
 //   - the threshold never tightens into the protected band: priorities
 //     below Config.ProtectedBand are admitted unconditionally, the
 //     "never shed" guarantee serving systems give their control-plane
@@ -84,10 +82,6 @@ type Config struct {
 	// against Executed·(SojournBudget/Interval), the number of tasks the
 	// observed per-window service rate clears within the budget.
 	SojournBudget time.Duration
-	// RankErrorBudget optionally adds the windowed rank-error p99 as a
-	// second overload signal: a sample whose RankErrP99 exceeds it
-	// tightens admission even with backlog headroom. 0 disables it.
-	RankErrorBudget float64
 	// Interval is the sampling window (0 selects DefaultInterval).
 	// The controller itself is clock-free — Interval only scales the
 	// sojourn-budget arithmetic and is consumed by whoever drives Step.
@@ -129,9 +123,6 @@ func (c *Config) Validate() error {
 	}
 	if c.SojournBudget < time.Millisecond {
 		return fmt.Errorf("backpressure: SojournBudget = %v, must be at least 1ms", c.SojournBudget)
-	}
-	if c.RankErrorBudget < 0 {
-		return fmt.Errorf("backpressure: RankErrorBudget = %v, must be non-negative", c.RankErrorBudget)
 	}
 	if c.Interval < time.Millisecond {
 		return fmt.Errorf("backpressure: Interval = %v, must be at least 1ms", c.Interval)
@@ -177,8 +168,8 @@ type State struct {
 func (st State) Admits(prio int64) bool { return prio <= st.Threshold }
 
 // Sample is one window's observed signals: admission counter deltas
-// over the window plus the instantaneous backlog, spillway occupancy
-// and rank-error estimate.
+// over the window plus the instantaneous backlog and spillway
+// occupancy.
 type Sample struct {
 	// Admitted is the number of tasks accepted past the gate.
 	Admitted int64 `json:"admitted"`
@@ -195,9 +186,6 @@ type Sample struct {
 	Pending int64 `json:"pending"`
 	// Spill is the spillway occupancy at the window's end.
 	Spill int64 `json:"spill"`
-	// RankErrP99 is the windowed rank-error p99 estimate (< 0 when no
-	// signal is wired; the rank budget check is then skipped).
-	RankErrP99 float64 `json:"rank_err_p99"`
 }
 
 // depth is the structure's own backlog: outstanding tasks minus the
@@ -223,13 +211,10 @@ func (c Config) DepthBudget(executed int64) int64 {
 }
 
 // overloaded reports whether the window demands tightening: the backlog
-// exceeds the depth budget, or the rank-error estimate breached its
-// budget while tasks flowed.
+// exceeds the depth budget.
 func (s Sample) overloaded(c Config) bool {
-	if d := s.depth(); d > 0 && d > c.DepthBudget(s.Executed) {
-		return true
-	}
-	return c.RankErrorBudget > 0 && s.RankErrP99 >= 0 && s.RankErrP99 > c.RankErrorBudget
+	d := s.depth()
+	return d > 0 && d > c.DepthBudget(s.Executed)
 }
 
 // underloaded reports clear headroom: the backlog is at most half the
@@ -288,11 +273,11 @@ func StepUp(threshold, protected, max int64) int64 {
 //     else fixed, a sample with a larger backlog never yields a more
 //     permissive threshold.
 //
-// The policy: an overloaded window (backlog past the depth budget, or
-// rank-error budget breached) tightens one multiplicative step; a
-// window with clear headroom (backlog at most half the budget) relaxes
-// one additive step; anything in between holds — the hysteresis gap
-// that keeps the gate from oscillating around the budget boundary.
+// The policy: an overloaded window (backlog past the depth budget)
+// tightens one multiplicative step; a window with clear headroom
+// (backlog at most half the budget) relaxes one additive step; anything
+// in between holds — the hysteresis gap that keeps the gate from
+// oscillating around the budget boundary.
 func Decide(cfg Config, cur State, s Sample) State {
 	cfg = cfg.withDefaults()
 	cur = cfg.Clamp(cur)
@@ -333,7 +318,7 @@ func ReadmitQuota(cfg Config, s Sample) int64 {
 }
 
 // Cumulative is a snapshot of monotone admission counters plus the
-// instantaneous signals, as fed to Controller.Step. The controller
+// instantaneous occupancies, as fed to Controller.Step. The controller
 // differences successive snapshots into window Samples itself.
 type Cumulative struct {
 	// Admitted through Executed are the monotone admission-outcome
@@ -348,9 +333,6 @@ type Cumulative struct {
 	// counters.
 	Pending int64
 	Spill   int64
-	// RankErrP99 is the instantaneous windowed estimate (< 0 when no
-	// signal is wired).
-	RankErrP99 float64
 }
 
 // Window records one controller decision for tracing.
@@ -366,7 +348,6 @@ func diffCumulative(prev, cur Cumulative) (Sample, Cumulative) {
 		Executed:   cur.Executed - prev.Executed,
 		Pending:    cur.Pending,
 		Spill:      cur.Spill,
-		RankErrP99: cur.RankErrP99,
 	}, cur
 }
 

@@ -40,56 +40,56 @@ func TestDecideTable(t *testing.T) {
 			name: "steady within budget holds",
 			cur:  State{Threshold: open},
 			// depth 800, budget 1000: past half, under full — hysteresis.
-			s:    Sample{Executed: 100, Pending: 800, RankErrP99: -1},
+			s:    Sample{Executed: 100, Pending: 800},
 			want: open,
 		},
 		{
 			name: "backlog past the depth budget tightens",
 			cur:  State{Threshold: open},
-			s:    Sample{Executed: 100, Pending: 2000, RankErrP99: -1},
+			s:    Sample{Executed: 100, Pending: 2000},
 			want: StepDown(open, pb),
 		},
 		{
 			name: "clear headroom relaxes",
 			cur:  State{Threshold: pb + 1024},
-			s:    Sample{Executed: 100, Pending: 300, RankErrP99: -1},
+			s:    Sample{Executed: 100, Pending: 300},
 			want: StepUp(pb+1024, pb, open),
 		},
 		{
 			name: "idle window relaxes toward open",
 			cur:  State{Threshold: pb + 1024},
-			s:    Sample{RankErrP99: -1},
+			s:    Sample{},
 			want: StepUp(pb+1024, pb, open),
 		},
 		{
 			name: "no service with backlog is overload",
 			cur:  State{Threshold: open},
-			s:    Sample{Executed: 0, Pending: 50, RankErrP99: -1},
+			s:    Sample{Executed: 0, Pending: 50},
 			want: StepDown(open, pb),
 		},
 		{
 			name: "spilled tasks do not count as structure backlog",
 			cur:  State{Threshold: pb + 1024},
 			// pending 2300 but 2000 of it parked: depth 300 vs budget 1000.
-			s:    Sample{Executed: 100, Pending: 2300, Spill: 2000, RankErrP99: -1},
+			s:    Sample{Executed: 100, Pending: 2300, Spill: 2000},
 			want: StepUp(pb+1024, pb, open),
 		},
 		{
 			name: "tighten saturates at the protected band",
 			cur:  State{Threshold: pb},
-			s:    Sample{Executed: 0, Pending: 1 << 30, RankErrP99: -1},
+			s:    Sample{Executed: 0, Pending: 1 << 30},
 			want: pb,
 		},
 		{
 			name: "relax saturates at MaxPrio",
 			cur:  State{Threshold: open - 1},
-			s:    Sample{RankErrP99: -1},
+			s:    Sample{},
 			want: open,
 		},
 		{
 			name: "out-of-domain input state is clamped",
 			cur:  State{Threshold: 10 * open},
-			s:    Sample{Executed: 100, Pending: 800, RankErrP99: -1},
+			s:    Sample{Executed: 100, Pending: 800},
 			want: open,
 		},
 	}
@@ -97,31 +97,6 @@ func TestDecideTable(t *testing.T) {
 		if got := Decide(cfg, tc.cur, tc.s); got.Threshold != tc.want {
 			t.Errorf("%s: Decide = %d, want %d", tc.name, got.Threshold, tc.want)
 		}
-	}
-}
-
-// TestDecideRankBudget: the rank-error signal is a second, independent
-// overload trigger, and an absent signal (< 0) or disabled budget (0)
-// never fires it.
-func TestDecideRankBudget(t *testing.T) {
-	cfg := testCfg(t)
-	cfg.RankErrorBudget = 500
-	open := State{Threshold: cfg.MaxPrio}
-	// Headroom in depth, but rank error over budget: tighten wins.
-	got := Decide(cfg, open, Sample{Executed: 100, Pending: 100, RankErrP99: 501})
-	if want := StepDown(cfg.MaxPrio, cfg.ProtectedBand); got.Threshold != want {
-		t.Fatalf("rank breach with depth headroom: threshold %d, want %d", got.Threshold, want)
-	}
-	// Missing signal must not breach.
-	got = Decide(cfg, open, Sample{Executed: 100, Pending: 100, RankErrP99: -1})
-	if got.Threshold != cfg.MaxPrio {
-		t.Fatalf("missing rank signal tightened: %d", got.Threshold)
-	}
-	// Disabled budget ignores even huge estimates.
-	cfg.RankErrorBudget = 0
-	got = Decide(cfg, open, Sample{Executed: 100, Pending: 100, RankErrP99: 1e12})
-	if got.Threshold != cfg.MaxPrio {
-		t.Fatalf("disabled rank budget tightened: %d", got.Threshold)
 	}
 }
 
@@ -142,7 +117,6 @@ func oneStep(cfg Config, cur State, next int64) bool {
 // never yields a more permissive threshold.
 func TestDecideProperties(t *testing.T) {
 	cfg := testCfg(t)
-	cfg.RankErrorBudget = 300
 	prop := func(seed uint64, n uint8) bool {
 		r := xrand.New(seed)
 		cur := State{Threshold: int64(r.Uint64n(uint64(2 * cfg.MaxPrio)))} // may start out of domain
@@ -155,7 +129,6 @@ func TestDecideProperties(t *testing.T) {
 				Executed:   int64(r.Intn(20000)),
 				Pending:    int64(r.Intn(1 << 21)),
 				Spill:      int64(r.Intn(8192)),
-				RankErrP99: float64(r.Intn(1000)) - 1,
 			}
 			next := Decide(cfg, cur, s)
 			if next.Threshold < cfg.ProtectedBand || next.Threshold > cfg.MaxPrio {
@@ -187,9 +160,9 @@ func TestDecideProperties(t *testing.T) {
 // determinism rests on.
 func TestDecideDeterministic(t *testing.T) {
 	cfg := testCfg(t)
-	prop := func(th uint32, exec, pend uint16, rank float64) bool {
+	prop := func(th uint32, exec, pend, spill uint16) bool {
 		cur := State{Threshold: int64(th)}
-		s := Sample{Executed: int64(exec), Pending: int64(pend), RankErrP99: rank}
+		s := Sample{Executed: int64(exec), Pending: int64(pend), Spill: int64(spill)}
 		return Decide(cfg, cur, s) == Decide(cfg, cur, s)
 	}
 	if err := quick.Check(prop, nil); err != nil {
@@ -252,7 +225,6 @@ func TestConfigValidate(t *testing.T) {
 		{MaxPrio: 100, Interval: time.Microsecond},      // sub-ms window
 		{MaxPrio: 100, SpillCap: -1},
 		{MaxPrio: 100, ReadmitChunk: -1},
-		{MaxPrio: 100, RankErrorBudget: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -285,7 +257,7 @@ func TestControllerStepDeltas(t *testing.T) {
 		t.Fatalf("seed threshold = %d, want fully open %d", got.Threshold, cfg.MaxPrio)
 	}
 	// Window 1: 100 executed, backlog 2000 — overload, tighten.
-	w1 := ctrl.Step(10*time.Millisecond, Cumulative{Admitted: 2100, Executed: 100, Pending: 2000, RankErrP99: -1})
+	w1 := ctrl.Step(10*time.Millisecond, Cumulative{Admitted: 2100, Executed: 100, Pending: 2000})
 	if w1.Sample.Admitted != 2100 || w1.Sample.Executed != 100 {
 		t.Fatalf("first window sample %+v, want raw cumulative values", w1.Sample)
 	}
@@ -293,7 +265,7 @@ func TestControllerStepDeltas(t *testing.T) {
 		t.Fatalf("overloaded first window: threshold %d, want %d", w1.State.Threshold, want)
 	}
 	// Window 2: backlog cleared — relax one step.
-	w2 := ctrl.Step(20*time.Millisecond, Cumulative{Admitted: 2100, Executed: 2100, Pending: 0, RankErrP99: -1})
+	w2 := ctrl.Step(20*time.Millisecond, Cumulative{Admitted: 2100, Executed: 2100, Pending: 0})
 	if w2.Sample.Admitted != 0 || w2.Sample.Executed != 2000 {
 		t.Fatalf("second window sample %+v, want deltas 0/2000", w2.Sample)
 	}
@@ -311,7 +283,7 @@ func TestControllerPrime(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl.Prime(Cumulative{Admitted: 1e9, Executed: 1e9})
-	w := ctrl.Step(10*time.Millisecond, Cumulative{Admitted: 1e9 + 50, Executed: 1e9 + 50, Pending: 0, RankErrP99: -1})
+	w := ctrl.Step(10*time.Millisecond, Cumulative{Admitted: 1e9 + 50, Executed: 1e9 + 50, Pending: 0})
 	if w.Sample.Admitted != 50 || w.Sample.Executed != 50 {
 		t.Fatalf("primed first window sampled history: %+v", w.Sample)
 	}

@@ -21,16 +21,15 @@ func burstyPhases() []Phase {
 			{Prio: 900_000, Count: 2000},
 		},
 		ServiceRate: 1000,
-		RankErrP99:  -1,
 	}
-	idle := Load{ServiceRate: 1000, RankErrP99: -1}
+	idle := Load{ServiceRate: 1000}
 	return []Phase{
-		{Name: "warmup", Windows: 10, Load: Load{Arrivals: []Group{{Prio: 1 << 16, Count: 100}}, ServiceRate: 1000, RankErrP99: -1}},
+		{Name: "warmup", Windows: 10, Load: Load{Arrivals: []Group{{Prio: 1 << 16, Count: 100}}, ServiceRate: 1000}},
 		{Name: "burst1", Windows: 15, Load: burst},
 		{Name: "gap1", Windows: 10, Load: idle},
 		{Name: "burst2", Windows: 15, Load: burst},
 		{Name: "gap2", Windows: 10, Load: idle},
-		{Name: "recovery", Windows: 30, Load: Load{Arrivals: []Group{{Prio: 1 << 16, Count: 100}}, ServiceRate: 1000, RankErrP99: -1}},
+		{Name: "recovery", Windows: 30, Load: Load{Arrivals: []Group{{Prio: 1 << 16, Count: 100}}, ServiceRate: 1000}},
 	}
 }
 

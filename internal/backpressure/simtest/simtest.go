@@ -40,9 +40,6 @@ type Load struct {
 	Arrivals []Group
 	// ServiceRate is the number of tasks the workers execute per window.
 	ServiceRate int64
-	// RankErrP99 is the plant's simulated rank-error signal (< 0 for
-	// "no signal"; the controller then polices depth only).
-	RankErrP99 float64
 }
 
 // Phase is one scripted segment of the replay.
@@ -144,7 +141,6 @@ func Run(cfg backpressure.Config, phases []Phase) (Result, error) {
 
 			cum.Pending = backlog + int64(spill.Len())
 			cum.Spill = int64(spill.Len())
-			cum.RankErrP99 = ph.Load.RankErrP99
 
 			rec := ctrl.Step(time.Duration(window)*cfg.Interval, cum)
 
@@ -204,10 +200,10 @@ func StandardPhases() []Phase {
 	}
 	return []Phase{
 		// 100 arrivals vs capacity 1000: deep underload.
-		{Name: "underload", Windows: 20, Load: Load{Arrivals: mixed(10), ServiceRate: 1000, RankErrP99: -1}},
+		{Name: "underload", Windows: 20, Load: Load{Arrivals: mixed(10), ServiceRate: 1000}},
 		// 2000 arrivals vs capacity 1000: sustained 2× overload.
-		{Name: "overload", Windows: 40, Load: Load{Arrivals: mixed(200), ServiceRate: 1000, RankErrP99: -1}},
+		{Name: "overload", Windows: 40, Load: Load{Arrivals: mixed(200), ServiceRate: 1000}},
 		// Light traffic again: the backlog and spillway must drain.
-		{Name: "recovery", Windows: 40, Load: Load{Arrivals: mixed(10), ServiceRate: 1000, RankErrP99: -1}},
+		{Name: "recovery", Windows: 40, Load: Load{Arrivals: mixed(10), ServiceRate: 1000}},
 	}
 }

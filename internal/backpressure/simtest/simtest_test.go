@@ -108,7 +108,7 @@ func TestMonotoneTightening(t *testing.T) {
 	res, err := Run(cfg, []Phase{{
 		Name:    "jam",
 		Windows: 64,
-		Load:    Load{Arrivals: []Group{{Prio: 1 << 18, Count: 500}}, ServiceRate: 0, RankErrP99: -1},
+		Load:    Load{Arrivals: []Group{{Prio: 1 << 18, Count: 500}}, ServiceRate: 0},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -124,25 +124,6 @@ func TestMonotoneTightening(t *testing.T) {
 	if res.Final.Threshold != cfg.ProtectedBand {
 		t.Fatalf("sustained jam must saturate at the protected band: %d, want %d",
 			res.Final.Threshold, cfg.ProtectedBand)
-	}
-}
-
-// TestRankSignalTightens: a rank-error budget breach tightens the gate
-// even when the backlog has headroom — the second overload signal the
-// ISSUE wires from the shared RankSignal estimator.
-func TestRankSignalTightens(t *testing.T) {
-	cfg := StandardConfig()
-	cfg.RankErrorBudget = 100
-	res, err := Run(cfg, []Phase{{
-		Name:    "rank-breach",
-		Windows: 4,
-		Load:    Load{Arrivals: []Group{{Prio: 1 << 18, Count: 100}}, ServiceRate: 1000, RankErrP99: 5000},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final.Threshold >= cfg.MaxPrio {
-		t.Fatalf("rank breach with depth headroom did not tighten: %d", res.Final.Threshold)
 	}
 }
 

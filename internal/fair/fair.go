@@ -10,17 +10,17 @@
 // layer a tenant submitting 10× everyone else's traffic — or inflating
 // its priorities — starves the rest behind the backpressure threshold,
 // which is global. This package generalizes backpressure.ProtectedBand
-// from a priority band to per-tenant quotas, as the repo's fourth
-// controller on the sample → decide → apply pattern (internal/ctl):
+// from a priority band to per-tenant quotas, as the second of the
+// scheduler's two controllers on the sample → decide → apply pattern
+// (internal/ctl):
 //
 //   - the scheduler samples, per window, its cumulative per-tenant
 //     admission counters (arrived/admitted/deferred/shed/readmitted/
 //     executed) plus the instantaneous per-tenant outstanding counts;
 //   - the pure Decide function watches each tenant's sojourn budget —
 //     the tenant's backlog against what its observed service rate
-//     clears within its SLO band (Budgets, defaulting to the shared
-//     SojournBudget) — and gates when any tenant breaches while the
-//     system is saturated;
+//     clears within the shared SojournBudget — and gates when any
+//     tenant breaches while the system is saturated;
 //   - while gated, each tenant's admission budget for the next window
 //     is its weighted max-min fair share of the observed service
 //     capacity (water-filling over smoothed demand): tenants under
@@ -28,11 +28,11 @@
 //     ones in weight proportion, so sustained uniform overload drives
 //     the quotas to the weight vector;
 //   - every tenant with positive weight also gets an unconditional
-//     per-window floor (at least one task, FloorFrac of its capacity
-//     share otherwise). Floor admissions bypass the priority threshold
-//     entirely — the per-tenant generalization of the protected band —
-//     so an adversary inflating its priorities cannot starve a
-//     low-weight tenant's ordinary traffic.
+//     per-window floor (at least one task, DefaultFloorFrac of its
+//     capacity share otherwise). Floor admissions bypass the priority
+//     threshold entirely — the per-tenant generalization of the
+//     protected band — so an adversary inflating its priorities cannot
+//     starve a low-weight tenant's ordinary traffic.
 //
 // The decision function is pure and the controller clock-free, so the
 // simtest subpackage replays scripted hot-tenant, diurnal and
@@ -48,14 +48,16 @@ import (
 
 // Default controller parameters.
 const (
-	// DefaultSojournBudget is the shared per-tenant SLO band used for
-	// tenants without an explicit entry in Config.Budgets.
+	// DefaultSojournBudget is the per-tenant SLO band every tenant's
+	// backlog is policed against.
 	DefaultSojournBudget = 50 * time.Millisecond
 	// DefaultInterval is the sampling window the scheduler drives the
 	// controller at (shared cadence with the other controllers).
 	DefaultInterval = 10 * time.Millisecond
 	// DefaultFloorFrac is the fraction of the observed capacity reserved
-	// as unconditional per-tenant floors, split by weight.
+	// as unconditional per-tenant floors, split by weight (every
+	// positive-weight tenant's floor is at least one task per window
+	// regardless).
 	DefaultFloorFrac = 0.05
 	// MaxTenants bounds the tenant-id domain: per-tenant hot-path
 	// counters are padded to a cache-line stride, so an unbounded domain
@@ -77,20 +79,10 @@ type Config struct {
 	// one > 0). A zero-weight tenant gets no floor and no share — it is
 	// admitted only through whatever the priority gate leaves open.
 	Weights []int64
-	// FloorFrac is the fraction of observed capacity reserved as
-	// unconditional per-tenant floors, split by weight (0 selects
-	// DefaultFloorFrac; every positive-weight tenant's floor is at least
-	// one task per window regardless).
-	FloorFrac float64
 	// SojournBudget is the shared per-tenant SLO band (0 selects
 	// DefaultSojournBudget): tenant t is overloaded when its backlog
-	// exceeds what its observed service rate clears within its band.
+	// exceeds what its observed service rate clears within the band.
 	SojournBudget time.Duration
-	// Budgets optionally overrides the SLO band per tenant (deadline/SLA
-	// bands). Nil applies SojournBudget to every tenant; a zero entry
-	// selects SojournBudget for that tenant. Length must match Weights
-	// when non-nil.
-	Budgets []time.Duration
 	// Interval is the sampling window (0 selects DefaultInterval). The
 	// controller itself is clock-free — Interval only scales the
 	// sojourn-budget arithmetic and is consumed by whoever drives Step.
@@ -99,9 +91,6 @@ type Config struct {
 
 // withDefaults normalizes zero fields.
 func (c Config) withDefaults() Config {
-	if c.FloorFrac == 0 {
-		c.FloorFrac = DefaultFloorFrac
-	}
 	if c.SojournBudget == 0 {
 		c.SojournBudget = DefaultSojournBudget
 	}
@@ -127,19 +116,8 @@ func (c *Config) Validate() error {
 	if total == 0 {
 		return fmt.Errorf("fair: all %d tenant weights are zero, at least one must be positive", len(c.Weights))
 	}
-	if c.FloorFrac < 0 || c.FloorFrac > 0.5 {
-		return fmt.Errorf("fair: FloorFrac = %v outside (0, 0.5]", c.FloorFrac)
-	}
 	if c.SojournBudget < time.Millisecond {
 		return fmt.Errorf("fair: SojournBudget = %v, must be at least 1ms", c.SojournBudget)
-	}
-	if c.Budgets != nil && len(c.Budgets) != len(c.Weights) {
-		return fmt.Errorf("fair: %d tenant budgets for %d weights", len(c.Budgets), len(c.Weights))
-	}
-	for t, b := range c.Budgets {
-		if b != 0 && b < time.Millisecond {
-			return fmt.Errorf("fair: Budgets[%d] = %v, must be 0 (default) or at least 1ms", t, b)
-		}
 	}
 	if c.Interval < time.Millisecond {
 		return fmt.Errorf("fair: Interval = %v, must be at least 1ms", c.Interval)
@@ -150,23 +128,15 @@ func (c *Config) Validate() error {
 // Tenants returns the tenant count.
 func (c Config) Tenants() int { return len(c.Weights) }
 
-// Budget returns tenant t's SLO band.
-func (c Config) Budget(t int) time.Duration {
-	if t >= 0 && t < len(c.Budgets) && c.Budgets[t] != 0 {
-		return c.Budgets[t]
-	}
-	return c.SojournBudget
-}
-
-// DepthBudget converts tenant t's SLO band into a backlog bound: the
-// number of tasks the tenant's observed per-window service rate clears
-// within its band. A tenant whose window executed nothing has a zero
-// budget — any backlog is then overload for it.
-func (c Config) DepthBudget(t int, executed int64) int64 {
+// DepthBudget converts the SLO band into one tenant's backlog bound: the
+// number of tasks the tenant's observed per-window service rate
+// (executed) clears within SojournBudget. A tenant whose window executed
+// nothing has a zero budget — any backlog is then overload for it.
+func (c Config) DepthBudget(executed int64) int64 {
 	if executed <= 0 {
 		return 0
 	}
-	return int64(float64(executed) * float64(c.Budget(t)) / float64(c.Interval))
+	return int64(float64(executed) * float64(c.SojournBudget) / float64(c.Interval))
 }
 
 // State is the tenant admission policy in force. Ungated (the fully
@@ -239,7 +209,7 @@ func totals(xs []int64) int64 {
 // system (nothing pending anywhere) is never overloaded.
 func (s Sample) overloaded(c Config) bool {
 	for t := range s.Pending {
-		if s.Pending[t] > 0 && s.Pending[t] > c.DepthBudget(t, s.Executed[t]) {
+		if s.Pending[t] > 0 && s.Pending[t] > c.DepthBudget(s.Executed[t]) {
 			return true
 		}
 	}
@@ -251,7 +221,7 @@ func (s Sample) overloaded(c Config) bool {
 // gate from oscillating around the budget boundary.
 func (s Sample) underloaded(c Config) bool {
 	for t := range s.Pending {
-		if s.Pending[t]*2 > c.DepthBudget(t, s.Executed[t]) {
+		if s.Pending[t]*2 > c.DepthBudget(s.Executed[t]) {
 			return false
 		}
 	}
@@ -278,7 +248,7 @@ func Waterfill(cfg Config, capacity int64, demand []int64) (quotas, floors []int
 		if w == 0 {
 			continue
 		}
-		f := int64(cfg.FloorFrac * float64(capacity) * float64(w) / float64(totalW))
+		f := int64(DefaultFloorFrac * float64(capacity) * float64(w) / float64(totalW))
 		if f < 1 {
 			f = 1
 		}

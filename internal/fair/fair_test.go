@@ -20,11 +20,8 @@ func TestConfigValidate(t *testing.T) {
 		{Weights: []int64{0, 0}},
 		{Weights: []int64{1, -1}},
 		{Weights: make([]int64, MaxTenants+1)},
-		{Weights: []int64{1}, FloorFrac: 0.9},
 		{Weights: []int64{1}, SojournBudget: time.Microsecond},
 		{Weights: []int64{1}, Interval: time.Microsecond},
-		{Weights: []int64{1, 1}, Budgets: []time.Duration{time.Second}},
-		{Weights: []int64{1}, Budgets: []time.Duration{time.Microsecond}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -35,7 +32,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.FloorFrac != DefaultFloorFrac || c.SojournBudget != DefaultSojournBudget || c.Interval != DefaultInterval {
+	if c.SojournBudget != DefaultSojournBudget || c.Interval != DefaultInterval {
 		t.Errorf("defaults not applied: %+v", c)
 	}
 	if c.Tenants() != 4 {
@@ -43,24 +40,25 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestBudgetBands: DepthBudget is the window's service rate scaled by
+// SojournBudget/Interval, so a tighter band bites at a smaller backlog,
+// and a window that executed nothing tolerates no backlog at all.
 func TestBudgetBands(t *testing.T) {
-	c := Config{
-		Weights: []int64{1, 1, 1},
-		Budgets: []time.Duration{0, 20 * time.Millisecond, 100 * time.Millisecond},
+	tight := Config{Weights: []int64{1, 1, 1}, SojournBudget: 20 * time.Millisecond}
+	loose := Config{Weights: []int64{1, 1, 1}}
+	for _, c := range []*Config{&tight, &loose} {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
+	if got := tight.DepthBudget(100); got != 200 {
+		t.Errorf("20ms band at 100/window: DepthBudget = %d, want 200", got)
 	}
-	if got := c.Budget(0); got != DefaultSojournBudget {
-		t.Errorf("Budget(0) = %v, want default %v", got, DefaultSojournBudget)
+	if got := loose.DepthBudget(100); got != 500 {
+		t.Errorf("default band at 100/window: DepthBudget = %d, want 500", got)
 	}
-	if got := c.Budget(1); got != 20*time.Millisecond {
-		t.Errorf("Budget(1) = %v, want 20ms", got)
-	}
-	// A tighter band means a smaller depth budget for the same service
-	// rate: tenant 1's SLA bites sooner than tenant 2's.
-	if b1, b2 := c.DepthBudget(1, 100), c.DepthBudget(2, 100); b1 >= b2 {
-		t.Errorf("DepthBudget: tight band %d ≥ loose band %d", b1, b2)
+	if got := loose.DepthBudget(0); got != 0 {
+		t.Errorf("idle window: DepthBudget = %d, want 0", got)
 	}
 }
 
@@ -220,28 +218,24 @@ func TestDecideGateHysteresis(t *testing.T) {
 	}
 }
 
-// TestDecidePerTenantBand: a tenant with a tight SLA band engages the
-// gate at a backlog the default band tolerates.
+// TestDecidePerTenantBand: the band is policed per tenant — one
+// tenant's backlog past its own depth budget engages the gate even when
+// the summed backlog fits the summed budget.
 func TestDecidePerTenantBand(t *testing.T) {
-	tight := Config{
-		Weights: []int64{1, 1, 1, 1},
-		Budgets: []time.Duration{10 * time.Millisecond, 0, 0, 0},
-	}
-	if err := tight.Validate(); err != nil {
+	c := cfg4()
+	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	loose := cfg4()
-	if err := loose.Validate(); err != nil {
-		t.Fatal(err)
+	// Service 100/window per tenant: the 50ms band clears 500 each.
+	// Tenant 0 holds 600 (breach), the others 100: 900 of 2000 summed.
+	s := sample4(100, 100, 100)
+	s.Pending[0] = 600
+	if st := Decide(c, c.Open(), s); !st.Gated {
+		t.Error("one tenant past its band did not engage the gate")
 	}
-	// Backlog 300 per tenant at service 100/window: 10ms band clears
-	// only 100 (breach), the default 50ms clears 500 (fine).
-	s := sample4(100, 100, 300)
-	if st := Decide(tight, tight.Open(), s); !st.Gated {
-		t.Error("tight per-tenant band did not engage the gate")
-	}
-	if st := Decide(loose, loose.Open(), s); st.Gated {
-		t.Error("default band engaged the gate without a breach")
+	s.Pending[0] = 400
+	if st := Decide(c, c.Open(), s); st.Gated {
+		t.Error("gate engaged with every tenant inside its band")
 	}
 }
 

@@ -46,7 +46,7 @@ func Gran(cfg GranConfig) ([]GranPoint, error) {
 		}})
 		for _, k := range cfg.Ks {
 			cells = append(cells, cell{"hybrid", k, sssp.Options{
-				Places: cfg.Places, Strategy: sched.Hybrid, K: k, KMax: max(512, k), SpinWork: spin,
+				Places: cfg.Places, Strategy: sched.Hybrid, K: k, SpinWork: spin,
 			}})
 		}
 	}

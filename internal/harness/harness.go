@@ -322,7 +322,6 @@ func Fig5(cfg Fig5Config) ([]SSSPPoint, error) {
 		for _, k := range cfg.Ks {
 			cells = append(cells, cell{strat.String(), k, sssp.Options{
 				Places: cfg.Places, Strategy: strat, K: k,
-				KMax: max(512, k), // let the sweep exceed the paper's kmax
 			}})
 		}
 	}

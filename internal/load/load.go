@@ -180,12 +180,10 @@ type Config struct {
 	// supply: Less, Priority and MaxPrio (the Task priority order over
 	// [0, PrioRange)), Execute (the instrumentation hook), Tenant, Hash
 	// (enqueue timestamp folded with priority, so replay diffs detect
-	// reordered or substituted payloads), Injectors (= Producers),
-	// RankSignal (the decaying rank-error estimator, when backpressure
-	// has a RankErrorBudget to check it against), and — because it
-	// depends on the generator's priority range — ProtectedBand =
-	// PrioRange/8 when Backpressure leaves it 0. Seed also drives the
-	// producers.
+	// reordered or substituted payloads), Injectors (= Producers), and
+	// — because it depends on the generator's priority range —
+	// ProtectedBand = PrioRange/8 when Backpressure leaves it 0. Seed
+	// also drives the producers.
 	//
 	// Batch sets both ends of the pipeline: producers buffer Batch
 	// drawn tasks and submit them through one Scheduler.SubmitAll
@@ -318,12 +316,11 @@ type Result struct {
 	RankErrMax     int64   `json:"rank_err_max"`
 	RankErrSamples int64   `json:"rank_err_samples"`
 
-	// Backpressure-run extras: the budgets, the admission totals
+	// Backpressure-run extras: the sojourn budget, the admission totals
 	// (Attempted = Submitted + Shed), the shed rate, goodput by priority
 	// band, the final admission threshold and the controller's
 	// per-window trace.
 	Backpressure    bool                  `json:"backpressure,omitempty"`
-	RankErrorBudget float64               `json:"rank_error_budget,omitempty"`
 	SojournBudgetMs float64               `json:"sojourn_budget_ms,omitempty"`
 	ProtectedBand   int64                 `json:"protected_band,omitempty"`
 	Attempted       int64                 `json:"attempted,omitempty"`
@@ -426,8 +423,7 @@ type tracker struct {
 	// batch is the producers' submit batch: Sched.Batch, at least 1.
 	batch int
 	// rank is the live-set census and rank-error engine: producers
-	// register submissions, workers measure sampled pop rank error, and
-	// the controllers read the decayed p99 through rank.Signal.
+	// register submissions and workers measure sampled pop rank error.
 	rank  *stats.RankTracker
 	hists []placeHists
 
@@ -801,14 +797,6 @@ func (tr *tracker) schedConfig() sched.Config[Task] {
 	if tr.tenCum != nil {
 		sc.Tenant = func(t Task) int { return t.Tenant }
 	}
-	if sc.RankErrorBudget > 0 {
-		// Backpressure checks its rank-error budget against the decaying
-		// estimator through sched's once-per-window signal read: the
-		// tracker's Signal closure reports the decayed p99, then ages the
-		// window, allocating nothing (the controller goroutine is its
-		// only caller). sched.New refuses a budget without Backpressure.
-		sc.RankSignal = tr.rank.Signal()
-	}
 	return sc
 }
 
@@ -886,7 +874,6 @@ func Run(cfg Config) (Result, error) {
 	elapsed := res.ElapsedSec
 	if sc.Backpressure {
 		res.Backpressure = true
-		res.RankErrorBudget = sc.RankErrorBudget
 		budget := sc.SojournBudget
 		if budget == 0 {
 			budget = backpressure.DefaultSojournBudget

@@ -183,7 +183,6 @@ func TestCaptureRoundTrip(t *testing.T) {
 		cum.Admitted += 500
 		cum.Executed += 100
 		cum.Pending = cum.Admitted - cum.Executed
-		cum.RankErrP99 = -1
 		w := ctrl.Step(time.Duration(i)*interval, cum)
 		rec.Flush()
 		rec.BackpressureWindow(w)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/backpressure"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/xrand"
 )
 
@@ -250,15 +251,14 @@ func TestServeBackpressureStopFlushesSpill(t *testing.T) {
 
 // TestServeBackpressureRestart: sessions are independent — a gate
 // driven shut by one session's overload starts the next session fully
-// open, and a quiet second session sheds nothing.
+// open, and a quiet second session sheds nothing. No controller window
+// closes on its own (the interval is an hour), so nothing here depends
+// on the host's speed: session 1's overload window is stepped by hand
+// over workers held still, and session 2's submits meet no window.
 func TestServeBackpressureRestart(t *testing.T) {
-	var slow atomic.Bool
-	slow.Store(true)
-	cfg := bpConfig(func(ctx *Ctx[int64], v int64) {
-		if slow.Load() {
-			time.Sleep(50 * time.Microsecond)
-		}
-	})
+	hold := make(chan struct{})
+	cfg := bpConfig(func(ctx *Ctx[int64], v int64) { <-hold })
+	cfg.AdaptInterval = time.Hour
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -266,25 +266,37 @@ func TestServeBackpressureRestart(t *testing.T) {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// Session 1: a backlog the held workers cannot clear overloads the
+	// window (nothing executed, everything pending), and one step of the
+	// controller shuts the gate.
 	r := xrand.New(7)
-	shed := 0
-	for i := 0; i < 30000; i++ {
-		if err := s.Submit(int64(r.Uint64n(uint64(cfg.MaxPrio + 1)))); errors.Is(err, ErrShed) {
-			shed++
-		}
-		if i%2000 == 0 {
-			time.Sleep(time.Millisecond)
+	for i := 0; i < 1000; i++ {
+		if err := s.Submit(int64(r.Uint64n(uint64(cfg.MaxPrio + 1)))); err != nil {
+			t.Fatalf("open gate rejected a submit: %v", err)
 		}
 	}
-	slow.Store(false)
+	s.bpTick(time.Millisecond)
+	if bst, _ := s.BackpressureState(); bst.Threshold >= cfg.MaxPrio {
+		t.Fatalf("overloaded window left the gate at %d, want it tightened below %d", bst.Threshold, cfg.MaxPrio)
+	}
+	shed := 0
+	for i := 0; i < 1000; i++ {
+		switch err := s.Submit(cfg.MaxPrio); {
+		case errors.Is(err, ErrShed):
+			shed++
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	if want := 1000 - cfg.SpillCap; shed != want {
+		t.Fatalf("shut gate shed %d of 1000 submits, want %d past the %d-task spillway", shed, want, cfg.SpillCap)
+	}
+	close(hold)
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Stop(); err != nil {
 		t.Fatal(err)
-	}
-	if shed == 0 {
-		t.Skip("first session never overloaded on this machine; nothing to assert about recovery")
 	}
 
 	// Session 2: light traffic, fresh gate.
@@ -312,10 +324,11 @@ func TestServeBackpressureRestart(t *testing.T) {
 }
 
 // TestServeBackpressureWithRankSignal runs the admission controller
-// with batched submits and pops and a rank signal wired, and checks the
-// window loop's one signal read per window reaches it: batch submits
-// flow, the trace fills with every sample carrying the signal's value,
-// and the accounting still balances.
+// with batched submits and pops and a rank signal wired: the signal is
+// a measurement, not an admission input, so without Metrics the window
+// loop never reads it, while batch submits flow, the trace fills and
+// the accounting still balances. A second scheduler with Metrics on
+// publishes it as the sched_rank_error_p99 gauge.
 func TestServeBackpressureWithRankSignal(t *testing.T) {
 	var slow atomic.Bool
 	slow.Store(true)
@@ -325,8 +338,8 @@ func TestServeBackpressureWithRankSignal(t *testing.T) {
 		}
 	})
 	cfg.Batch = 4
-	cfg.RankErrorBudget = 1e9 // wired, never breached: the sojourn signal alone gates
-	cfg.RankSignal = func() float64 { return 7 }
+	var signalCalls atomic.Int64
+	cfg.RankSignal = func() float64 { signalCalls.Add(1); return 7 }
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -378,14 +391,26 @@ func TestServeBackpressureWithRankSignal(t *testing.T) {
 	if st.DS.Shed != sheds {
 		t.Fatalf("Stats.Shed = %d, outcomes counted %d", st.DS.Shed, sheds)
 	}
-	trace := s.BackpressureTrace()
-	if len(trace) == 0 {
+	if len(s.BackpressureTrace()) == 0 {
 		t.Fatal("no backpressure trace recorded")
 	}
-	for i, w := range trace {
-		if w.Sample.RankErrP99 != 7 {
-			t.Fatalf("window %d sampled rank p99 %v, want the signal's 7", i, w.Sample.RankErrP99)
-		}
+	if n := signalCalls.Load(); n != 0 {
+		t.Fatalf("RankSignal read %d times without Metrics, want 0", n)
+	}
+
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	if s, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Stop(); err != nil { // the final publish reads the signal once
+		t.Fatal(err)
+	}
+	if got := obsPoint(t, reg, "sched_rank_error_p99").Value; got != 7 {
+		t.Fatalf("sched_rank_error_p99 = %v, want the signal's 7", got)
 	}
 }
 
@@ -393,12 +418,14 @@ func TestServeBackpressureWithRankSignal(t *testing.T) {
 // concurrent single and batch producers with varying k, injects a
 // mid-run burst, drains while the producers still run and stops while
 // the controller is live — the -race lane's closed-loop counterpart of
-// TestServeStress. A deterministic fake rank signal alternates between
-// under and over budget, so the gate both tightens and reopens against
-// real traffic. Asserts: every accepted task executes exactly once and
-// no shed one runs, the controller goroutine exits cleanly (Stop joins
-// it and a later Start gets a fresh one), and every traced threshold
-// stays inside [ProtectedBand, MaxPrio].
+// TestServeStress. Beside the controller's own threshold stores, a
+// toggler swings the gate between the protected band and fully open
+// until the producers finish, so admission, deferral and shedding all
+// run against real traffic whatever the host's speed. Asserts: every
+// accepted task executes exactly once and no shed one runs, the
+// controller goroutine exits cleanly (Stop joins it and a later Start
+// gets a fresh one), and every traced threshold stays inside
+// [ProtectedBand, MaxPrio].
 func TestServeBackpressureRaceStress(t *testing.T) {
 	const producers = 4
 	perProducer := 8000
@@ -410,7 +437,6 @@ func TestServeBackpressureRaceStress(t *testing.T) {
 	seen := make([]atomic.Int32, total)
 	accepted := make([]atomic.Int32, total)
 	var executed atomic.Int64
-	var signalCalls atomic.Int64
 	var reusingIDs atomic.Bool // second session re-submits old ids
 	cfg := bpConfig(func(ctx *Ctx[int64], v int64) {
 		if !reusingIDs.Load() && seen[v].Add(1) != 1 {
@@ -424,19 +450,6 @@ func TestServeBackpressureRaceStress(t *testing.T) {
 	cfg.MaxPrio = int64(total)
 	cfg.ProtectedBand = int64(total / 8)
 	cfg.AdaptInterval = time.Millisecond
-	cfg.RankErrorBudget = 64
-	cfg.RankSignal = func() float64 {
-		// Deterministically alternate: no signal, under budget, over
-		// budget — so hold, widen and tighten all fire mid-traffic.
-		switch signalCalls.Add(1) % 3 {
-		case 0:
-			return -1
-		case 1:
-			return 1
-		default:
-			return 1e6
-		}
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -458,6 +471,20 @@ func TestServeBackpressureRaceStress(t *testing.T) {
 		}
 		return nil
 	}
+	produced, toggled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(toggled)
+		gates := [2]int64{cfg.ProtectedBand, cfg.MaxPrio}
+		for i := 0; ; i++ {
+			select {
+			case <-produced:
+				return
+			default:
+			}
+			s.bpGate.Store(gates[i%2])
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -504,6 +531,8 @@ func TestServeBackpressureRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
+	close(produced)
+	<-toggled
 	st, err := s.Stop()
 	if err != nil {
 		t.Fatal(err)
@@ -561,10 +590,10 @@ func TestBackpressureTraceBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.bpCtl.Begin(fresh(backpressure.NewController(s.bpCfg)), s.bpSnapshot(-1))
+	s.bpCtl.Begin(fresh(backpressure.NewController(s.bpCfg)), s.bpSnapshot())
 	const extra = 37
 	for i := 0; i < maxTraceWindows+extra; i++ {
-		s.bpTick(time.Duration(i)*time.Millisecond, -1)
+		s.bpTick(time.Duration(i) * time.Millisecond)
 	}
 	trace := s.BackpressureTrace()
 	if len(trace) != maxTraceWindows {

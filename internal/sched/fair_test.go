@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/fair"
 )
 
 // tenTask is the tenant-fairness test task: a tenant id plus a numeric
@@ -63,10 +65,10 @@ func TestTenantConfigValidation(t *testing.T) {
 		t.Error("an all-zero weight vector was accepted")
 	}
 
-	cfg = tenantConfig([]int64{7, 1, 1, 1})
-	cfg.TenantFloorFrac = 0.9
+	cfg = tenantConfig(make([]int64, fair.MaxTenants+1))
+	cfg.TenantWeights[0] = 1
 	if _, err := New(cfg); err == nil {
-		t.Error("TenantFloorFrac = 0.9 was accepted")
+		t.Errorf("%d tenants were accepted, past fair.MaxTenants", len(cfg.TenantWeights))
 	}
 }
 

@@ -145,7 +145,7 @@ func (s *Scheduler[T]) primeMetrics() {
 // obsTick publishes one window: counter deltas since the previous
 // window, instantaneous gauges, and the controller states in force.
 // Runs on the controller goroutine; allocation-free after registration.
-func (s *Scheduler[T]) obsTick(at time.Duration, rank float64) {
+func (s *Scheduler[T]) obsTick(at time.Duration) {
 	m := s.metrics
 	cur := s.obsCumNow()
 	m.executed.Add(cur.executed - m.prev.executed)
@@ -169,7 +169,7 @@ func (s *Scheduler[T]) obsTick(at time.Duration, rank float64) {
 		m.spillOcc.Set(float64(s.spill.Len()))
 	}
 	if m.rankP99 != nil {
-		m.rankP99.Set(rank)
+		m.rankP99.Set(s.cfg.RankSignal())
 	}
 	if m.tenSeries != nil {
 		fst := s.fairCtl.State()

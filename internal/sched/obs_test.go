@@ -118,9 +118,9 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 
 // TestServeObsTickAllocationFree pins the exporter's core property: a
 // window publish allocates nothing, on the fullest configuration the
-// scheduler supports (admission control + rank signal). The per-task hot path never touches the exporter at all, so
-// zero allocations per window is zero allocations per task at any
-// throughput.
+// scheduler supports (admission control + rank signal). The per-task
+// hot path never touches the exporter at all, so zero allocations per
+// window is zero allocations per task at any throughput.
 func TestServeObsTickAllocationFree(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := bpConfig(func(ctx *Ctx[int64], v int64) {})
@@ -151,7 +151,7 @@ func TestServeObsTickAllocationFree(t *testing.T) {
 	at := time.Since(s.serveT0)
 	allocs := testing.AllocsPerRun(200, func() {
 		at += time.Millisecond
-		s.obsTick(at, 42)
+		s.obsTick(at)
 	})
 	if allocs != 0 {
 		t.Errorf("obsTick allocs = %v, want 0", allocs)

@@ -159,10 +159,10 @@ type Config[T any] struct {
 	// Strategy selects the backing data structure.
 	Strategy Strategy
 	// K is the default relaxation parameter used by Ctx.Spawn; Ctx.SpawnK
-	// overrides it per task. The paper's experiments use k = 512.
+	// overrides it per task. The paper's experiments use k = 512. It also
+	// sets the centralized structure's kmax, the bound on any per-task k:
+	// the paper's 512 (core.DefaultKMax), or K itself when K is larger.
 	K int
-	// KMax bounds per-task k for the centralized structure (default 512).
-	KMax int
 	// Less is the priority function: Less(a, b) means a runs before b.
 	Less func(a, b T) bool
 	// Execute runs one task. It may spawn further tasks through ctx.
@@ -198,17 +198,11 @@ type Config[T any] struct {
 	// before re-sampling. 0 selects the unsticky default (S = 1); other
 	// strategies ignore it.
 	Stickiness int
-	// RankErrorBudget is a second overload signal for Backpressure: a
-	// window whose RankSignal p99 exceeds it counts as overloaded. 0
-	// disables it; a positive budget without Backpressure is rejected,
-	// because nothing else reads it.
-	RankErrorBudget float64
 	// RankSignal optionally supplies the windowed rank-error p99
 	// estimate (e.g. a stats.DecayingHist quantile, as wired by
-	// internal/load). It is called from the controller goroutine once
-	// per window; the value goes to backpressure's RankErrorBudget check
-	// and to the sched_rank_error_p99 gauge. A negative return means "no
-	// signal this window". Nil behaves like a permanently absent signal.
+	// internal/load) for the sched_rank_error_p99 gauge. With Metrics
+	// set, it is called from the controller goroutine once per window;
+	// without, never. A negative return means "no signal this window".
 	RankSignal func() float64
 	// AdaptInterval is the one control window of a serve session: both
 	// runtime controllers, the metrics publication and the recorder tick
@@ -218,13 +212,12 @@ type Config[T any] struct {
 	// Backpressure enables priority-aware admission control in serve
 	// mode (internal/backpressure): every AdaptInterval the controller
 	// compares the structure's backlog against what the observed service
-	// rate clears within SojournBudget (plus the RankSignal estimate
-	// against RankErrorBudget) and maintains an admission threshold over
-	// the numeric priority domain. Submissions above the threshold are
-	// deferred to a bounded spillway — re-submitted on under-loaded
-	// windows — or, when it is full, rejected with ErrShed. Closed-world
-	// Run is not gated: admission control exists to protect an open
-	// system from its callers.
+	// rate clears within SojournBudget and maintains an admission
+	// threshold over the numeric priority domain. Submissions above the
+	// threshold are deferred to a bounded spillway — re-submitted on
+	// under-loaded windows — or, when it is full, rejected with ErrShed.
+	// Closed-world Run is not gated: admission control exists to
+	// protect an open system from its callers.
 	Backpressure bool
 	// Priority maps a task to its numeric priority (smaller is more
 	// urgent). It is the one numeric projection of the order: the relaxed
@@ -270,15 +263,6 @@ type Config[T any] struct {
 	// Required with TenantWeights; called on the submit and execute hot
 	// paths, so keep it a field read.
 	Tenant func(T) int
-	// TenantFloorFrac is the capacity fraction reserved for the
-	// per-tenant starvation floors (0 selects fair.DefaultFloorFrac).
-	TenantFloorFrac float64
-	// TenantBudgets optionally sets per-tenant sojourn budgets (SLO
-	// bands): entry t overrides SojournBudget for tenant t's overload
-	// signal, so a latency-sensitive tenant can gate the system earlier
-	// than a batch tenant. Missing or zero entries inherit
-	// SojournBudget.
-	TenantBudgets []time.Duration
 	// Metrics optionally plugs an export sink (internal/obs) into serve
 	// mode: once per AdaptInterval window, the controller goroutine
 	// publishes the scheduler's core series — throughput, admission
@@ -470,12 +454,6 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 	if cfg.Stickiness > MaxStickiness {
 		return nil, fmt.Errorf("sched: Stickiness = %d exceeds %d; a place would never meaningfully re-sample its lane", cfg.Stickiness, MaxStickiness)
 	}
-	if cfg.RankErrorBudget < 0 {
-		return nil, fmt.Errorf("sched: RankErrorBudget = %v, must be non-negative", cfg.RankErrorBudget)
-	}
-	if cfg.RankErrorBudget > 0 && !cfg.Backpressure {
-		return nil, fmt.Errorf("sched: RankErrorBudget requires Backpressure (the admission controller is the only reader of the budget)")
-	}
 	// One control interval, resolved here for every configuration: the
 	// controller configs below receive it and ctlLoop ticks on it.
 	if cfg.AdaptInterval == 0 {
@@ -490,12 +468,11 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 			return nil, fmt.Errorf("sched: Backpressure requires a Priority function (the admission threshold is compared against it at Submit time)")
 		}
 		bcfg := backpressure.Config{
-			MaxPrio:         cfg.MaxPrio,
-			ProtectedBand:   cfg.ProtectedBand,
-			SojournBudget:   cfg.SojournBudget,
-			RankErrorBudget: cfg.RankErrorBudget,
-			Interval:        cfg.AdaptInterval,
-			SpillCap:        cfg.SpillCap,
+			MaxPrio:       cfg.MaxPrio,
+			ProtectedBand: cfg.ProtectedBand,
+			SojournBudget: cfg.SojournBudget,
+			Interval:      cfg.AdaptInterval,
+			SpillCap:      cfg.SpillCap,
 		}
 		if err := bcfg.Validate(); err != nil {
 			return nil, err
@@ -514,9 +491,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		}
 		fcfg := fair.Config{
 			Weights:       cfg.TenantWeights,
-			FloorFrac:     cfg.TenantFloorFrac,
 			SojournBudget: cfg.SojournBudget,
-			Budgets:       cfg.TenantBudgets,
 			Interval:      cfg.AdaptInterval,
 		}
 		if err := fcfg.Validate(); err != nil {
@@ -542,7 +517,7 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 	opts := core.Options[envelope[T]]{
 		Places: cfg.Places + cfg.Injectors,
 		Less:   func(a, b envelope[T]) bool { return cfg.Less(a.v, b.v) },
-		KMax:   cfg.KMax,
+		KMax:   max(core.DefaultKMax, cfg.K),
 		Seed:   cfg.Seed,
 	}
 	if cfg.Stale != nil {

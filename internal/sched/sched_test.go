@@ -378,9 +378,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestConfigKnobUpperBounds covers the validation boundary: the largest
-// legal Batch/Stickiness values are accepted, one past them is rejected,
-// and so is a RankErrorBudget that is negative or that nothing would
-// read — a budget without Backpressure used to be accepted and ignored.
+// legal Batch/Stickiness/ProtectedBand values are accepted, and one past
+// them is rejected.
 func TestConfigKnobUpperBounds(t *testing.T) {
 	exec := func(ctx *Ctx[int64], v int64) {}
 	mk := func(mut func(*Config[int64])) Config[int64] {
@@ -396,7 +395,7 @@ func TestConfigKnobUpperBounds(t *testing.T) {
 	accepted := []Config[int64]{
 		mk(func(c *Config[int64]) { c.Batch = MaxBatch }),
 		mk(func(c *Config[int64]) { c.Stickiness = MaxStickiness }),
-		mk(func(c *Config[int64]) { gated(c); c.RankErrorBudget = 300 }),
+		mk(func(c *Config[int64]) { gated(c); c.ProtectedBand = c.MaxPrio }),
 	}
 	for i, cfg := range accepted {
 		if _, err := New(cfg); err != nil {
@@ -409,8 +408,7 @@ func TestConfigKnobUpperBounds(t *testing.T) {
 	}{
 		{mk(func(c *Config[int64]) { c.Batch = MaxBatch + 1 }), "Batch"},
 		{mk(func(c *Config[int64]) { c.Stickiness = MaxStickiness + 1 }), "Stickiness"},
-		{mk(func(c *Config[int64]) { gated(c); c.RankErrorBudget = -1 }), "RankErrorBudget"},
-		{mk(func(c *Config[int64]) { c.RankErrorBudget = 300 }), "RankErrorBudget requires Backpressure"},
+		{mk(func(c *Config[int64]) { gated(c); c.ProtectedBand = c.MaxPrio + 1 }), "ProtectedBand"},
 	} {
 		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("New = %v, want an error containing %q", err, tc.want)

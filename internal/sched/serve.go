@@ -151,7 +151,7 @@ func (s *Scheduler[T]) Start() error {
 	// converged to.
 	if s.cfg.Backpressure {
 		loop := fresh(backpressure.NewController(s.bpCfg))
-		s.bpGate.Store(s.bpCtl.Begin(loop, s.bpSnapshot(-1)).Threshold)
+		s.bpGate.Store(s.bpCtl.Begin(loop, s.bpSnapshot()).Threshold)
 	}
 	if s.tenants > 0 {
 		loop := fresh(fair.NewController(s.fairCfg))
@@ -190,9 +190,7 @@ func fresh[L any](loop *L, err error) *L {
 // closes the stop channel. It lives strictly inside a serve session —
 // Start creates it and Stop joins it before returning. Both runtime
 // controllers (backpressure admission, tenant fairness) share the loop
-// with the metrics publication: Config.RankSignal reads have a side
-// effect (the estimator decays), so a single read per window is taken
-// here and fanned out to the consumers.
+// with the metrics publication.
 func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	t := time.NewTicker(s.cfg.AdaptInterval)
@@ -206,19 +204,11 @@ func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 				// after the workers quiesce, so the last delta closes the
 				// books on every executed task. No controller window is
 				// stepped here — the traces stay the controllers' own.
-				rank := -1.0
-				if s.cfg.RankSignal != nil {
-					rank = s.cfg.RankSignal()
-				}
-				s.obsTick(time.Since(s.serveT0), rank)
+				s.obsTick(time.Since(s.serveT0))
 			}
 			return
 		case <-t.C:
 			at := time.Since(s.serveT0)
-			rank := -1.0
-			if s.cfg.RankSignal != nil {
-				rank = s.cfg.RankSignal()
-			}
 			rec := s.cfg.Recorder
 			if rec != nil {
 				// Drain the arrival ring before this window's decision
@@ -226,7 +216,7 @@ func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 				rec.Flush()
 			}
 			if s.cfg.Backpressure {
-				w := s.bpTick(at, rank)
+				w := s.bpTick(at)
 				if rec != nil {
 					rec.BackpressureWindow(w)
 				}
@@ -238,7 +228,7 @@ func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 				}
 			}
 			if s.metrics != nil {
-				s.obsTick(at, rank)
+				s.obsTick(at)
 			}
 		}
 	}
@@ -252,11 +242,8 @@ func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 const maxTraceWindows = 4096
 
 // bpSnapshot collects the cumulative admission totals the backpressure
-// controller differences into window samples. rank is the window's
-// rank-error p99 estimate (< 0: none), passed in rather than read here:
-// a read has a side effect (the estimator decays), so ctlLoop takes one
-// per window.
-func (s *Scheduler[T]) bpSnapshot(rank float64) backpressure.Cumulative {
+// controller differences into window samples.
+func (s *Scheduler[T]) bpSnapshot() backpressure.Cumulative {
 	now := s.scan(nil)
 	return backpressure.Cumulative{
 		Admitted:   s.admittedN.Load(),
@@ -266,7 +253,6 @@ func (s *Scheduler[T]) bpSnapshot(rank float64) backpressure.Cumulative {
 		Executed:   now.executed,
 		Pending:    now.outstanding(),
 		Spill:      int64(s.spill.Len()),
-		RankErrP99: rank,
 	}
 }
 
@@ -274,8 +260,8 @@ func (s *Scheduler[T]) bpSnapshot(rank float64) backpressure.Cumulative {
 // controller, publish the new threshold to the Submit hot path, and
 // re-admit whatever the window's spare capacity allows back out of the
 // spillway.
-func (s *Scheduler[T]) bpTick(at time.Duration, rank float64) backpressure.Window {
-	w := s.bpCtl.Step(at, s.bpSnapshot(rank))
+func (s *Scheduler[T]) bpTick(at time.Duration) backpressure.Window {
+	w := s.bpCtl.Step(at, s.bpSnapshot())
 	s.bpGate.Store(w.State.Threshold)
 	if q := backpressure.ReadmitQuota(s.bpCfg, w.Sample); q > 0 {
 		s.readmitSpill(int(q), true)

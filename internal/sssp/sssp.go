@@ -86,10 +86,9 @@ type Options struct {
 	Places int
 	// Strategy selects the scheduling data structure.
 	Strategy sched.Strategy
-	// K is the relaxation parameter (the paper's experiments use 512).
+	// K is the relaxation parameter (the paper's experiments use 512);
+	// the centralized structure's kmax is 512, or K when K is larger.
 	K int
-	// KMax bounds per-task k in the centralized structure (default 512).
-	KMax int
 	// Seed drives scheduling randomness.
 	Seed uint64
 	// SpinWork adds artificial computation to every executed relaxation
@@ -141,7 +140,6 @@ func NewSolver(n int, opt Options) (*Solver, error) {
 		Places:   opt.Places,
 		Strategy: opt.Strategy,
 		K:        opt.K,
-		KMax:     opt.KMax,
 		Seed:     opt.Seed,
 		Less:     func(a, b NodeTask) bool { return a.Dist < b.Dist },
 		Priority: distKey,

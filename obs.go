@@ -62,8 +62,7 @@ func NewRecorder(w io.Writer) *Recorder { return obs.NewRecorder(w) }
 // better-priority tasks were live when a task ran — as a windowed p99
 // signal. Feed Submitted/Executed (and Retract for shed tasks) from
 // the serving callbacks and hand Signal() to
-// SchedulerConfig.RankSignal: backpressure then polices
-// RankErrorBudget against it, and the metrics export gains the
+// SchedulerConfig.RankSignal: the metrics export then gains the
 // sched_rank_error_p99 series.
 type RankTracker = stats.RankTracker
 

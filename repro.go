@@ -102,10 +102,10 @@ type SchedulerConfig[T any] struct {
 	Places int
 	// Strategy selects the backing data structure.
 	Strategy Strategy
-	// K is the default relaxation parameter for Spawn (paper: 512).
+	// K is the default relaxation parameter for Spawn (paper: 512). The
+	// centralized structure's kmax, the bound on any per-task k, is the
+	// paper's 512 or K itself when K is larger.
 	K int
-	// KMax bounds per-task k for the centralized structure (default 512).
-	KMax int
 	// Less is the priority function: Less(a, b) schedules a before b.
 	Less func(a, b T) bool
 	// Execute runs one task; it may spawn more via ctx.
@@ -127,14 +127,10 @@ type SchedulerConfig[T any] struct {
 	// fixed at construction (default: re-sample every operation).
 	// Ignored by other strategies.
 	Stickiness int
-	// RankErrorBudget is backpressure's second overload signal: a
-	// window whose RankSignal p99 exceeds it counts as overloaded
-	// (0 = none). A positive budget requires Backpressure.
-	RankErrorBudget float64
 	// RankSignal optionally supplies the windowed rank-error p99
-	// estimate, read once per control window for RankErrorBudget and
-	// the sched_rank_error_p99 gauge; negative return values mean "no
-	// signal". Nil disables both.
+	// estimate for the sched_rank_error_p99 gauge, read once per control
+	// window when Metrics is set (never without); negative return values
+	// mean "no signal". It measures the schedule and gates nothing.
 	RankSignal func() float64
 	// AdaptInterval is the control window shared by the runtime
 	// controllers — backpressure and tenant fairness — the metrics
@@ -193,16 +189,6 @@ type SchedulerConfig[T any] struct {
 	// Tenant maps a task to its tenant id in [0, len(TenantWeights));
 	// out-of-range ids are clamped. Required with TenantWeights.
 	Tenant func(T) int
-	// TenantFloorFrac is the fraction of measured capacity reserved as
-	// guaranteed admission floors, split across tenants by weight
-	// (0 = the 0.05 default; at most 0.5).
-	TenantFloorFrac float64
-	// TenantBudgets optionally sets per-tenant sojourn budgets (SLO
-	// bands): tenant t's backlog is policed against TenantBudgets[t]
-	// instead of the global SojournBudget. Shorter entries mean the
-	// controller gates sooner on that tenant's behalf. Missing or zero
-	// entries inherit SojournBudget.
-	TenantBudgets []time.Duration
 	// Metrics optionally plugs a metrics registry into serve mode: the
 	// scheduler publishes its core series to it once per control
 	// window, entirely off the per-task hot path (0 allocs/task added).
@@ -241,32 +227,28 @@ func NewScheduler[T any](cfg SchedulerConfig[T]) (*Scheduler[T], error) {
 		sink = cfg.Metrics
 	}
 	inner, err := sched.New(sched.Config[T]{
-		Metrics:         sink,
-		Places:          cfg.Places,
-		Strategy:        cfg.Strategy,
-		K:               cfg.K,
-		KMax:            cfg.KMax,
-		Less:            cfg.Less,
-		Stale:           cfg.Stale,
-		Injectors:       cfg.Injectors,
-		Batch:           cfg.Batch,
-		Stickiness:      cfg.Stickiness,
-		RankErrorBudget: cfg.RankErrorBudget,
-		RankSignal:      cfg.RankSignal,
-		AdaptInterval:   cfg.AdaptInterval,
-		Backpressure:    cfg.Backpressure,
-		Priority:        cfg.Priority,
-		MaxPrio:         cfg.MaxPrio,
-		SojournBudget:   cfg.SojournBudget,
-		ProtectedBand:   cfg.ProtectedBand,
-		SpillCap:        cfg.SpillCap,
-		TenantWeights:   cfg.TenantWeights,
-		Tenant:          cfg.Tenant,
-		TenantFloorFrac: cfg.TenantFloorFrac,
-		TenantBudgets:   cfg.TenantBudgets,
-		Recorder:        cfg.Recorder,
-		Hash:            cfg.Hash,
-		Seed:            cfg.Seed,
+		Metrics:       sink,
+		Places:        cfg.Places,
+		Strategy:      cfg.Strategy,
+		K:             cfg.K,
+		Less:          cfg.Less,
+		Stale:         cfg.Stale,
+		Injectors:     cfg.Injectors,
+		Batch:         cfg.Batch,
+		Stickiness:    cfg.Stickiness,
+		RankSignal:    cfg.RankSignal,
+		AdaptInterval: cfg.AdaptInterval,
+		Backpressure:  cfg.Backpressure,
+		Priority:      cfg.Priority,
+		MaxPrio:       cfg.MaxPrio,
+		SojournBudget: cfg.SojournBudget,
+		ProtectedBand: cfg.ProtectedBand,
+		SpillCap:      cfg.SpillCap,
+		TenantWeights: cfg.TenantWeights,
+		Tenant:        cfg.Tenant,
+		Recorder:      cfg.Recorder,
+		Hash:          cfg.Hash,
+		Seed:          cfg.Seed,
 		Execute: func(ic *sched.Ctx[T], v T) {
 			cfg.Execute(Ctx[T]{inner: ic}, v)
 		},

@@ -79,10 +79,9 @@ type SSSPOptions struct {
 	Places int
 	// Strategy selects the scheduling data structure.
 	Strategy Strategy
-	// K is the relaxation parameter (paper: 512).
+	// K is the relaxation parameter (paper: 512); the centralized
+	// structure's kmax is 512, or K when K is larger.
 	K int
-	// KMax bounds per-task k in the centralized structure (default 512).
-	KMax int
 	// Seed drives scheduling randomness.
 	Seed uint64
 }
@@ -107,7 +106,6 @@ func SolveSSSP(g Graph, src int, opt SSSPOptions) (SSSPResult, error) {
 		Places:   opt.Places,
 		Strategy: opt.Strategy,
 		K:        opt.K,
-		KMax:     opt.KMax,
 		Seed:     opt.Seed,
 	})
 	if err != nil {
