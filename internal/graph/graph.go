@@ -6,16 +6,23 @@
 //
 // Generation is stateless-deterministic: the existence and weight of an
 // edge {i, j} are pure functions of (seed, i, j), so the dense generator
-// can run in two passes (degree count, fill) without materializing an edge
-// list, and the same seed always reproduces the same graph — which the
-// experiments rely on ("we use exactly the same 20 random graphs used in
-// the experiments", §5.4.1).
+// builds rows in parallel without materializing an edge list — a row pass
+// packs each pair's existence bit, hashed once, into an adjacency bitset,
+// a transpose pass mirrors it and counts degrees, and a fill pass mixes
+// the weights of the edges that exist — and the same seed always
+// reproduces the same graph, bit for bit, which the experiments rely on
+// ("we use exactly the same 20 random graphs used in the experiments",
+// §5.4.1). Tests pin the bit-identity against the per-pair definition and
+// against fingerprints of the benchmark graphs.
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -53,7 +60,12 @@ func (g *Graph) Neighbors(v int) ([]int32, []float64) {
 
 // Validate checks structural invariants: monotone row pointers, in-range
 // targets, positive weights, no self loops, and symmetry of adjacency
-// (each directed entry has a reverse entry with equal weight).
+// (each directed entry v→t has a reverse entry with equal weight; where t's
+// row holds several entries t→v, the first of them in row order is the
+// reverse). Rows are checked in order and each row is read in target
+// order through a cursor that only moves forward, so the symmetry check is
+// one merge: Validate costs O(m) on rows already sorted by target, as the
+// generators make them, and O(m log d) for maximum degree d otherwise.
 func (g *Graph) Validate() error {
 	if len(g.RowPtr) != g.N+1 {
 		return fmt.Errorf("graph: RowPtr length %d, want %d", len(g.RowPtr), g.N+1)
@@ -65,10 +77,14 @@ func (g *Graph) Validate() error {
 	if len(g.Targets) != len(g.Weights) {
 		return fmt.Errorf("graph: %d targets vs %d weights", len(g.Targets), len(g.Weights))
 	}
+	// Every row must be a valid slice before any row is walked.
 	for v := 0; v < g.N; v++ {
 		if g.RowPtr[v] > g.RowPtr[v+1] {
 			return fmt.Errorf("graph: RowPtr not monotone at %d", v)
 		}
+	}
+	order, next := g.targetOrder(), make([]int32, g.N)
+	for v := 0; v < g.N; v++ {
 		ts, ws := g.Neighbors(v)
 		for i, t := range ts {
 			if t < 0 || int(t) >= g.N {
@@ -80,7 +96,7 @@ func (g *Graph) Validate() error {
 			if !(ws[i] > 0) || math.IsNaN(ws[i]) {
 				return fmt.Errorf("graph: non-positive weight %v on %d→%d", ws[i], v, t)
 			}
-			if w, ok := g.weight(int(t), v); !ok || w != ws[i] {
+			if w, ok := g.reverseWeight(order, next, int(t), v); !ok || w != ws[i] {
 				return fmt.Errorf("graph: asymmetric edge %d→%d", v, t)
 			}
 		}
@@ -88,41 +104,70 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// weight looks up the weight of the directed entry u→v by linear scan
-// (validation only).
-func (g *Graph) weight(u, v int) (float64, bool) {
-	ts, ws := g.Neighbors(u)
-	for i, t := range ts {
-		if int(t) == v {
-			return ws[i], true
+// targetOrder returns nil when every row's targets are non-decreasing, as
+// the generators make them and a DIMACS round trip keeps them. Otherwise it returns, per row, the entry offsets stably sorted by
+// target, so that among equal targets the first in row order comes first.
+func (g *Graph) targetOrder() []int32 {
+	var order []int32
+	for v := 0; v < g.N; v++ {
+		lo, hi := g.RowPtr[v], g.RowPtr[v+1]
+		ts := g.Targets[lo:hi]
+		if slices.IsSorted(ts) {
+			continue
 		}
+		if order == nil {
+			order = make([]int32, len(g.Targets))
+			for u := 0; u < g.N; u++ {
+				for k := range g.RowPtr[u+1] - g.RowPtr[u] {
+					order[g.RowPtr[u]+k] = int32(k)
+				}
+			}
+		}
+		slices.SortStableFunc(order[lo:hi], func(a, b int32) int { return cmp.Compare(ts[a], ts[b]) })
+	}
+	return order
+}
+
+// reverseWeight returns the weight of the first entry u→v in u's row,
+// walking the row in target order (through order when it is non-nil) from
+// the cursor next[u]. Validate asks with non-decreasing v for each u, so
+// the entries the cursor skips, with targets below v, match no later query.
+func (g *Graph) reverseWeight(order, next []int32, u, v int) (float64, bool) {
+	lo := g.RowPtr[u]
+	d := int32(g.RowPtr[u+1] - lo)
+	at := func(k int32) int64 {
+		if order == nil {
+			return lo + int64(k)
+		}
+		return lo + int64(order[lo+int64(k)])
+	}
+	k := next[u]
+	for k < d && int(g.Targets[at(k)]) < v {
+		k++
+	}
+	next[u] = k
+	if k < d && int(g.Targets[at(k)]) == v {
+		return g.Weights[at(k)], true
 	}
 	return 0, false
 }
 
 // pairHash derives the deterministic 64-bit randomness for pair {i, j}
-// with i < j.
+// with i < j. Edge {i, j} exists under probability p when the top 53 bits
+// of the hash, read as a uniform in [0, 1), fall below p.
 func pairHash(seed uint64, i, j int) uint64 {
 	sm := xrand.NewSplitMix64(seed ^ (uint64(i)<<32 | uint64(uint32(j))))
 	return sm.Next()
 }
 
-// pairExists reports whether edge {i, j} exists under probability p, and
-// returns its weight in ]0, 1].
-func pairExists(seed uint64, i, j int, p float64) (float64, bool) {
-	h := pairHash(seed, i, j)
-	// Top 53 bits → uniform [0,1) for the existence test.
-	u := float64(h>>11) * (1.0 / (1 << 53))
-	if u >= p {
-		return 0, false
-	}
-	// Independent weight from a second mix; (0,1].
-	w := 1.0 - float64(xrand.NewSplitMix64(h).Next()>>11)*(1.0/(1<<53))
-	return w, true
+// pairWeight returns the weight in ]0, 1] of an existing edge with pair
+// hash h, from a second, independent mix.
+func pairWeight(h uint64) float64 {
+	return 1.0 - float64(xrand.NewSplitMix64(h).Next()>>11)*(1.0/(1<<53))
 }
 
 // ErdosRenyi generates G(n, p) with uniform ]0, 1] weights. For dense p it
-// runs the two-pass stateless construction; for sparse p (expected degree
+// runs the stateless bitset construction; for sparse p (expected degree
 // below a threshold) it uses geometric skipping over the pair index space,
 // which costs O(m) rather than O(n²).
 func ErdosRenyi(n int, p float64, seed uint64) *Graph {
@@ -138,42 +183,70 @@ func ErdosRenyi(n int, p float64, seed uint64) *Graph {
 	return erSparse(n, p, seed)
 }
 
-// erDense is the two-pass stateless dense generator. Because edge
-// randomness is a pure function of (seed, i, j), each node's row can be
-// generated independently: both the degree pass and the fill pass run
-// row-parallel, and rows come out with sorted targets.
+// erDense is the stateless dense generator. Because edge randomness is a
+// pure function of (seed, i, j), rows can be built independently. Three
+// passes over an n × ⌈n/64⌉ adjacency bitset hash each pair {i < j} once
+// for existence, and mix a weight only for the edges that exist:
+//
+//  1. Row pass, row-parallel: row i tests its pairs j > i and packs the
+//     existence bits, 64 per word, into its upper words.
+//  2. Transpose pass, parallel over 64-row blocks: block b mirrors column
+//     word b of the rows above it into its own lower words, 64 × 64 bits
+//     at a time, and counts its rows' degrees. A block writes only its own
+//     rows and reads only upper words, which no other block writes.
+//  3. Fill pass, row-parallel: row i walks its set bits in column order,
+//     so targets come out sorted, and recomputes each arc's weight.
+//
+// The graph is bit-identical to the one the per-pair definition gives (the
+// reference in graph_test.go), for every (n, p, seed).
 func erDense(n int, p float64, seed uint64) *Graph {
+	words := (n + 63) / 64
+	adj := make([]uint64, n*words)
+	// u < p with u = (h>>11)·2⁻⁵³ holds exactly when the integer h>>11 is
+	// below ⌈p·2⁵³⌉ (p·2⁵³ is exact), so the sign bit of h>>11 − limit is
+	// the existence bit.
+	limit := uint64(math.Ceil(p * (1 << 53)))
+	parallelFor(n, 64, func(i int) {
+		row := adj[i*words : (i+1)*words]
+		for w := (i + 1) >> 6; w < words; w++ {
+			var word uint64
+			for j := max(w<<6, i+1); j < min(w<<6+64, n); j++ {
+				word |= (pairHash(seed, i, j)>>11 - limit) >> 63 << (j & 63)
+			}
+			row[w] = word
+		}
+	})
 	deg := make([]int64, n)
-	parallelRows(n, func(i int) {
-		var d int64
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+	parallelFor(words, 1, func(b int) {
+		rows := min(64, n-b<<6)
+		var blk [64]uint64
+		for c := 0; c <= b; c++ {
+			for r := range blk {
+				blk[r] = 0
+				if i := c<<6 + r; i < n {
+					blk[r] = adj[i*words+b]
+				}
 			}
-			a, b := i, j
-			if a > b {
-				a, b = b, a
-			}
-			if _, ok := pairExists(seed, a, b, p); ok {
-				d++
+			transpose64(&blk)
+			for k := 0; k < rows; k++ {
+				adj[(b<<6+k)*words+c] |= blk[k]
 			}
 		}
-		deg[i] = d
+		for k := 0; k < rows; k++ {
+			i := b<<6 + k
+			for _, word := range adj[i*words : (i+1)*words] {
+				deg[i] += int64(bits.OnesCount64(word))
+			}
+		}
 	})
 	g := fromDegrees(n, deg)
-	parallelRows(n, func(i int) {
+	parallelFor(n, 64, func(i int) {
 		pos := g.RowPtr[i]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			a, b := i, j
-			if a > b {
-				a, b = b, a
-			}
-			if w, ok := pairExists(seed, a, b, p); ok {
+		for w, word := range adj[i*words : (i+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
 				g.Targets[pos] = int32(j)
-				g.Weights[pos] = w
+				g.Weights[pos] = pairWeight(pairHash(seed, min(i, j), max(i, j)))
 				pos++
 			}
 		}
@@ -181,8 +254,22 @@ func erDense(n int, p float64, seed uint64) *Graph {
 	return g
 }
 
-// parallelRows applies fn to every row index in [0, n) using all cores.
-func parallelRows(n int, fn func(i int)) {
+// transpose64 transposes a 64 × 64 bit matrix in place, where row r is
+// a[r] and column c is its bit c: it swaps the off-diagonal halves of each
+// 2j × 2j block for j = 32, 16, …, 1 (Hacker's Delight, §7-3).
+func transpose64(a *[64]uint64) {
+	for j, m := 32, uint64(0x00000000FFFFFFFF); j != 0; j, m = j>>1, m^m<<(j>>1) {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>j ^ a[k+j]) & m
+			a[k] ^= t << j
+			a[k+j] ^= t
+		}
+	}
+}
+
+// parallelFor applies fn to every index in [0, n) using all cores; the
+// workers claim indices chunk at a time.
+func parallelFor(n, chunk int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -195,13 +282,12 @@ func parallelRows(n int, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	const chunk = 64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				lo := int(next.Add(chunk)) - chunk
+				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
 					return
 				}

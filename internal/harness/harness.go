@@ -101,19 +101,23 @@ func Fig3(cfg Fig3Config) (Fig3Result, error) {
 		return out
 	}
 
+	// Each graph is generated once and simulated under every ρ; the
+	// per-ρ accumulators still see the graphs in order gi = 0, 1, ….
 	var boundAcc, simRho0Acc acc
-	for ri, rho := range cfg.Rhos {
-		var settledAcc, hstarAcc acc
-		var totalR, totalS stats.Sample
-		for gi := 0; gi < cfg.Common.Graphs; gi++ {
-			g := cfg.Common.graph(gi)
+	settledAcc := make([]acc, len(cfg.Rhos))
+	hstarAcc := make([]acc, len(cfg.Rhos))
+	totalR := make([]stats.Sample, len(cfg.Rhos))
+	totalS := make([]stats.Sample, len(cfg.Rhos))
+	for gi := 0; gi < cfg.Common.Graphs; gi++ {
+		g := cfg.Common.graph(gi)
+		for ri, rho := range cfg.Rhos {
 			r, err := sim.Run(g, 0, sim.Config{P: cfg.Places, Rho: rho, Seed: cfg.Common.Seed + uint64(1000+gi)})
 			if err != nil {
 				return Fig3Result{}, err
 			}
 			for ph, p := range r.Phases {
-				add(&settledAcc, ph, float64(p.Settled))
-				add(&hstarAcc, ph, p.HStar)
+				add(&settledAcc[ri], ph, float64(p.Settled))
+				add(&hstarAcc[ri], ph, p.HStar)
 				if rho == 0 {
 					add(&simRho0Acc, ph, float64(p.Settled))
 					if cfg.Theory {
@@ -121,13 +125,15 @@ func Fig3(cfg Fig3Config) (Fig3Result, error) {
 					}
 				}
 			}
-			totalR.Add(float64(r.TotalRelaxed))
-			totalS.Add(float64(r.TotalSettled))
+			totalR[ri].Add(float64(r.TotalRelaxed))
+			totalS[ri].Add(float64(r.TotalSettled))
 		}
-		res.Settled[ri] = mean(&settledAcc)
-		res.HStar[ri] = mean(&hstarAcc)
-		res.TotalRlx[ri] = totalR.Mean()
-		res.TotalStld[ri] = totalS.Mean()
+	}
+	for ri := range cfg.Rhos {
+		res.Settled[ri] = mean(&settledAcc[ri])
+		res.HStar[ri] = mean(&hstarAcc[ri])
+		res.TotalRlx[ri] = totalR[ri].Mean()
+		res.TotalStld[ri] = totalS[ri].Mean()
 	}
 	res.SimRho0 = mean(&simRho0Acc)
 	if cfg.Theory {

@@ -21,8 +21,7 @@ const rankWords = RankBuckets / 64
 // task, how many strictly-better-priority tasks were still live — from
 // a lock-free per-bucket census of the outstanding work. It is the
 // shared engine behind loadgen's rank-error report and the serve-mode
-// rank-error series (docs/METRICS.md), and it feeds backpressure's
-// rank budget check through Signal.
+// rank-error series (docs/METRICS.md), which reads it through Signal.
 //
 // Protocol: call Submitted when a task enters the scheduler, Retract
 // if that submission is then rejected (shed), and Executed when it
@@ -49,9 +48,11 @@ type RankTracker struct {
 	wordSum [rankWords]atomic.Int64
 	occ     [rankWords]atomic.Uint64
 
-	// decay is the windowed estimator behind Signal: Executed feeds
-	// every sampled rank into it, Signal reads the p99 and ages it.
-	decay *DecayingHist
+	// decay is the windowed estimator behind Signal, nil until Signal is
+	// first called: from then on Executed feeds every sampled rank into
+	// it, and the Signal closure reads the p99 and ages it. Without a
+	// reader, sampled executions pay no histogram update.
+	decay atomic.Pointer[DecayingHist]
 }
 
 // NewRankTracker returns a tracker for priorities in [0, prioRange).
@@ -67,7 +68,6 @@ func NewRankTracker(prioRange int64, sampleEvery int) (*RankTracker, error) {
 	t := &RankTracker{
 		live:   make([]atomic.Int64, RankBuckets),
 		sample: int64(sampleEvery),
-		decay:  NewDecayingHist(),
 	}
 	for w := prioRange / RankBuckets; w > 1; w >>= 1 {
 		t.bshift++
@@ -147,20 +147,26 @@ func (t *RankTracker) Executed(prio int64) (rank int64, sampled bool) {
 		// negative; clamp rather than pollute the estimate.
 		better = 0
 	}
-	t.decay.Observe(float64(better))
+	if d := t.decay.Load(); d != nil {
+		d.Observe(float64(better))
+	}
 	return better, true
 }
 
 // Signal returns the windowed rank-error p99 closure the controller
-// goroutine consumes (sched.Config.RankSignal): each call reports the decayed p99
-// and then ages the window. The closure retains its own scratch, so a
+// goroutine consumes (sched.Config.RankSignal): each call reports the
+// decayed p99 and then ages the window. The window covers the sampled
+// executions since the first Signal call; call it before executions
+// start to see them all. The closure retains its own scratch, so a
 // periodic reader allocates nothing — but that also means it is for a
 // single reader (the controller goroutine).
 func (t *RankTracker) Signal() func() float64 {
-	scratch := make([]int64, t.decay.ScratchLen())
+	t.decay.CompareAndSwap(nil, NewDecayingHist())
+	d := t.decay.Load()
+	scratch := make([]int64, d.ScratchLen())
 	return func() float64 {
-		q := t.decay.QuantileScratch(0.99, scratch)
-		t.decay.Decay()
+		q := d.QuantileScratch(0.99, scratch)
+		d.Decay()
 		return q
 	}
 }

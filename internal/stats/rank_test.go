@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestRankTrackerValidation(t *testing.T) {
 	if _, err := NewRankTracker(100, 1); err == nil {
@@ -83,4 +86,73 @@ func TestRankTrackerSignal(t *testing.T) {
 	if q := sig(); q <= 0 {
 		t.Errorf("signal after inverted pop = %v, want > 0", q)
 	}
+}
+
+// TestRankTrackerDecayOnlyWithSignal checks that sampled executions feed
+// the windowed histogram only once Signal has been called, and that the
+// p99 Signal then reports is that of every sampled rank, as when the
+// histogram was always fed.
+func TestRankTrackerDecayOnlyWithSignal(t *testing.T) {
+	run := func(tr *RankTracker) (ranks []int64) {
+		for i := 0; i < 300; i++ {
+			tr.Submitted(int64(i % 1024))
+		}
+		for i := 299; i >= 0; i-- {
+			if r, ok := tr.Executed(int64(i % 1024)); ok {
+				ranks = append(ranks, r)
+			}
+		}
+		return ranks
+	}
+
+	quiet, err := NewRankTracker(1<<10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ranks := run(quiet); len(ranks) != 100 {
+		t.Fatalf("sampled %d ranks, want 100", len(ranks))
+	}
+	if quiet.decay.Load() != nil {
+		t.Fatal("histogram exists although Signal was never called")
+	}
+
+	read, err := NewRankTracker(1<<10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := read.Signal()
+	ref := NewDecayingHist()
+	for _, r := range run(read) {
+		ref.Observe(float64(r))
+	}
+	if got, want := sig(), ref.Quantile(0.99); got != want || got <= 0 {
+		t.Fatalf("Signal p99 = %v, want %v (> 0) from the sampled ranks", got, want)
+	}
+}
+
+// TestRankTrackerSignalWhileExecuting calls Signal and reads it while
+// other goroutines execute, so the race detector sees the histogram being
+// published to running Executed calls.
+func TestRankTrackerSignalWhileExecuting(t *testing.T) {
+	tr, err := NewRankTracker(1<<10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				p := int64((i*7 + g) % 1024)
+				tr.Submitted(p)
+				tr.Executed(p)
+			}
+		}(g)
+	}
+	sig := tr.Signal()
+	for k := 0; k < 10; k++ {
+		sig()
+	}
+	wg.Wait()
 }
