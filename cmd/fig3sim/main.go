@@ -9,7 +9,7 @@
 // Usage:
 //
 //	fig3sim [-n 10000] [-p 0.5] [-graphs 20] [-places 80]
-//	        [-rhos 0,128,512] [-theory] [-csv] [-seed 20140215]
+//	        [-rhos 0,128,512] [-theory] [-seed 20140215]
 package main
 
 import (

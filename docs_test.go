@@ -62,7 +62,7 @@ func TestDocsRelativeLinksResolve(t *testing.T) {
 
 var (
 	// flagDef matches a flag definition in a main package: flag.Int("name", …
-	flagDef = regexp.MustCompile(`flag\.\w+\("([a-z0-9]+)"`)
+	flagDef = regexp.MustCompile(`flag\.\w+\("([a-z0-9-]+)"`)
 	// shellContinuation matches a backslash line continuation.
 	shellContinuation = regexp.MustCompile(`\\\n\s*`)
 	// loadgenCmd matches a loadgen invocation up to the end of its line,
@@ -74,7 +74,23 @@ var (
 	// not joined to a word, so "[-k 512]" and "(-h" count and
 	// "k-priority" does not.
 	docFlag = regexp.MustCompile(`(?:^|[^\w-])-([a-z][a-z0-9]*)\b`)
+	// usageFlag matches a -flag token of a Usage synopsis, hyphenated
+	// names ("-max-regress") included.
+	usageFlag = regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`)
+	// shellOp matches a pipe or redirection in a Usage line; a bare "|"
+	// between alternatives ("-arrival poisson|bursty") is not one.
+	shellOp = regexp.MustCompile(`\s[|<>](?:\s|$)`)
 )
+
+// definedFlags is the flag set a main package's source defines, plus
+// the flag package's own -h and -help.
+func definedFlags(src []byte) map[string]bool {
+	defined := map[string]bool{"h": true, "help": true}
+	for _, m := range flagDef.FindAllSubmatch(src, -1) {
+		defined[string(m[1])] = true
+	}
+	return defined
+}
 
 // TestDocsLoadgenFlagsExist keeps deleted flags out of the docs: every
 // -flag on a loadgen command line in README.md, docs/*.md, the CI
@@ -89,10 +105,7 @@ func TestDocsLoadgenFlagsExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defined := map[string]bool{"h": true, "help": true} // the flag package's own
-	for _, m := range flagDef.FindAllSubmatch(src, -1) {
-		defined[string(m[1])] = true
-	}
+	defined := definedFlags(src)
 	if len(defined) < 10 {
 		t.Fatalf("found only %d flag definitions in cmd/loadgen/main.go; has the flag idiom changed?", len(defined))
 	}
@@ -133,6 +146,84 @@ func TestDocsLoadgenFlagsExist(t *testing.T) {
 	if checked < 50 {
 		t.Fatalf("checked only %d documented loadgen flags; the command-line pattern no longer matches the docs", checked)
 	}
+}
+
+// TestDocsCommandUsageFlagsExist holds every command's Usage block to
+// its flag set: each -flag that an invocation of cmd/X in the package
+// doc's Usage block names, continuation lines included and anything
+// piped or redirected cut off, must be one cmd/X/main.go defines.
+func TestDocsCommandUsageFlagsExist(t *testing.T) {
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withUsage := 0
+	for _, path := range mains {
+		name := filepath.Base(filepath.Dir(path))
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := parser.ParseFile(token.NewFileSet(), path, src, parser.PackageClauseOnly|parser.ParseComments)
+		if err != nil || pkg.Doc == nil {
+			t.Fatalf("%s: no package doc (%v)", path, err)
+		}
+		usage := usageBlock(pkg.Doc.Text())
+		if usage == nil {
+			continue
+		}
+		withUsage++
+		defined := definedFlags(src)
+		invocation := regexp.MustCompile(`(?:^|[\s|])` + regexp.QuoteMeta(name) + `\b(.*)`)
+		checked, inCmd := 0, false
+		for _, line := range usage {
+			var args string
+			if m := invocation.FindStringSubmatch(line); m != nil {
+				args, inCmd = m[1], true
+			} else if rest := strings.TrimSpace(line); inCmd && strings.HasPrefix(rest, "[") {
+				args = rest // a continuation of the invocation above
+			} else {
+				inCmd = false
+				continue
+			}
+			if loc := shellOp.FindStringIndex(args); loc != nil {
+				args, inCmd = args[:loc[0]], false
+			}
+			for _, m := range usageFlag.FindAllStringSubmatch(args, -1) {
+				checked++
+				if !defined[m[1]] {
+					t.Errorf("%s: the Usage block names -%s, which %s does not define", path, m[1], name)
+				}
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: the Usage block names no flag of %s; the invocation pattern no longer matches it", path, name)
+		}
+	}
+	if withUsage < 8 {
+		t.Fatalf("found %d commands with a Usage block, want at least 8", withUsage)
+	}
+}
+
+// usageBlock returns the indented lines that follow "Usage:" in a
+// package doc, or nil when it has none.
+func usageBlock(doc string) []string {
+	_, after, ok := strings.Cut(doc, "Usage:\n")
+	if !ok {
+		return nil
+	}
+	var block []string
+	for _, line := range strings.Split(after, "\n") {
+		switch {
+		case strings.HasPrefix(line, "\t"):
+			block = append(block, line)
+		case line == "" && len(block) == 0:
+			// the blank line between the heading and the block
+		default:
+			return block
+		}
+	}
+	return block
 }
 
 // configField matches a scheduler config field named in prose:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -265,4 +266,51 @@ func TestSchedulerConfigMirrorsSched(t *testing.T) {
 			t.Errorf("repro.SchedulerConfig.%s has no sched.Config field", name)
 		}
 	}
+}
+
+// TestSolveSSSPConcurrentCallers: SolveSSSP shares pooled solvers
+// between calls, so callers running at once, with graphs of different
+// sizes (a pooled solver too small for a graph is replaced, a larger one
+// reused) and different strategies, must each get exactly Dijkstra's
+// distances.
+func TestSolveSSSPConcurrentCallers(t *testing.T) {
+	graphs := []repro.Graph{
+		repro.ErdosRenyi(300, 0.05, 1),
+		repro.ErdosRenyi(1200, 0.01, 2),
+		repro.GridGraph(20, 30, 3),
+	}
+	want := make([][]float64, len(graphs))
+	for i, g := range graphs {
+		want[i], _ = repro.Dijkstra(g, 0)
+	}
+	strategies := []repro.Strategy{repro.Hybrid, repro.Centralized, repro.Relaxed, repro.WorkStealing}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				gi := (w + i) % len(graphs)
+				strat := strategies[(w+i/len(graphs))%len(strategies)]
+				res, err := repro.SolveSSSP(graphs[gi], 0, repro.SSSPOptions{
+					Places: 2, Strategy: strat, K: 64, Seed: uint64(100*w + i),
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(res.Dist) != len(want[gi]) {
+					t.Errorf("caller %d call %d (%s): %d distances for %d nodes", w, i, strat, len(res.Dist), len(want[gi]))
+					return
+				}
+				for v, d := range res.Dist {
+					if d != want[gi][v] {
+						t.Errorf("caller %d call %d (%s, graph %d): dist[%d] = %v, want %v", w, i, strat, gi, v, d, want[gi][v])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

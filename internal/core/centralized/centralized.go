@@ -79,23 +79,35 @@ func New[T any](opts core.Options[T]) (*DS[T], error) {
 	d := &DS[T]{
 		opts: opts,
 		kmax: int64(opts.KMax),
-		// Segment size ≥ kmax keeps window scans within ≤ 2 segments.
-		arr:  segarray.New[item[T]](opts.KMax, opts.Places),
 		ctrs: make([]core.Counters, opts.Places),
 	}
-	seeds := xrand.New(opts.Seed)
 	d.places = make([]*place[T], opts.Places)
 	for i := range d.places {
 		d.places[i] = &place[T]{
-			id:  int32(i),
-			rng: seeds.Split(),
+			id: int32(i),
 			pq: core.NewLocalQueue(opts.Prio != nil, func(a, b pq.Keyed[ref[T]]) bool {
 				return opts.Less(a.V.it.v, b.V.it.v)
 			}),
-			cur: d.arr.NewCursor(),
 		}
 	}
+	d.Reset(opts.Seed)
 	return d, nil
+}
+
+// Reset empties the structure and re-seeds it. The global array starts
+// over at position 0 (a new one: the old one's segments were retired as
+// the cursors passed them, and items are allocated per push anyway);
+// the local queues keep their storage.
+func (d *DS[T]) Reset(seed uint64) {
+	// Segment size ≥ kmax keeps window scans within ≤ 2 segments.
+	d.arr = segarray.New[item[T]](int(d.kmax), len(d.places))
+	d.tail.Store(0)
+	seeds := xrand.New(seed)
+	for _, p := range d.places {
+		p.rng = seeds.Split()
+		p.pq.Clear()
+		p.cur = d.arr.NewCursor()
+	}
 }
 
 // ref is the local-queue reference to it at array position pos.

@@ -56,6 +56,12 @@ type DS[T any] interface {
 	// whole provides no stronger ordering guarantee than len(out)
 	// successive Pops.
 	PopKInto(place int, out []T) int
+	// Reset empties the structure and re-seeds it as if it had been
+	// built with Options.Seed = seed, keeping the storage it has grown
+	// for the next round of operations. It must only be called while
+	// the structure is quiescent: no operation in flight on any place.
+	// Stats keep counting across it.
+	Reset(seed uint64)
 	// Stats returns aggregated operation counters. It may be called
 	// concurrently with operations; values are internally consistent per
 	// counter but not across counters.

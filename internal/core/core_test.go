@@ -36,6 +36,8 @@ func (s *stackDS) PopKInto(place int, out []int64) int {
 	return PopKIntoViaSingles[int64](s, place, out)
 }
 
+func (s *stackDS) Reset(uint64) { s.items = s.items[:0] }
+
 func (s *stackDS) Stats() Stats { return s.stats }
 
 // TestPopKIntoViaSinglesAllocFree pins the singles helper's allocation

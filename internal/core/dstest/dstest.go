@@ -69,6 +69,7 @@ func RunFlags(t *testing.T, name string, mk Factory, f Flags) {
 	if !f.NoLocalOrdering {
 		t.Run(name+"/MonotonePriorities", func(t *testing.T) { monotonePriorities(t, mk) })
 	}
+	t.Run(name+"/ResetReplays", func(t *testing.T) { resetReplays(t, mk) })
 	t.Run(name+"/Conformance", func(t *testing.T) { Conformance(t, mk) })
 }
 
@@ -101,6 +102,61 @@ func popAll(d core.DS[int64], place, patience int) []int64 {
 		}
 	}
 	return out
+}
+
+// resetReplays pins core.DS.Reset: Reset(seed) returns a used
+// structure to the state of a fresh one built with that seed. One
+// single-goroutine script of pushes and pops over every place yields
+// the same pops, in the same order, and the same counter deltas on a
+// fresh structure and on one that was left holding tasks and then
+// Reset — twice in a row, so storage a Reset kept is reused once too.
+func resetReplays(t *testing.T, mk Factory) {
+	for _, places := range []int{1, 3} {
+		script := func(d core.DS[int64]) ([]int64, core.Stats) {
+			before := d.Stats()
+			r := xrand.New(5)
+			var got []int64
+			for i := 0; i < 4000; i++ {
+				pl := r.Intn(places)
+				if r.Intn(3) > 0 {
+					// Distinct values (w.h.p.): no tie for a queue to break
+					// its own way. A k of up to 200 keeps tasks in local
+					// lists, where other places find them only at random.
+					d.Push(pl, r.Intn(200), int64(r.Uint64()>>1))
+				} else if v, ok := d.Pop(pl); ok {
+					got = append(got, v)
+				}
+			}
+			for pl := 0; pl < places; pl++ {
+				got = append(got, popAll(d, pl, 64)...)
+			}
+			return got, d.Stats().Sub(before)
+		}
+		want, wantSt := script(mustNew(t, mk, core.Options[int64]{Places: places, Seed: 11}))
+
+		used := mustNew(t, mk, core.Options[int64]{Places: places, Seed: 99})
+		for i := 0; i < 3000; i++ {
+			used.Push(i%places, 8, int64(i))
+		}
+		for i := 0; i < 1000; i++ {
+			used.Pop(i % places)
+		}
+		for round := 1; round <= 2; round++ {
+			used.Reset(11)
+			got, gotSt := script(used)
+			if len(got) != len(want) {
+				t.Fatalf("places=%d round %d: %d pops after Reset, %d on a fresh structure", places, round, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("places=%d round %d: pop %d is %d after Reset, %d on a fresh structure", places, round, i, got[i], want[i])
+				}
+			}
+			if gotSt != wantSt {
+				t.Fatalf("places=%d round %d: counters after Reset\n%v\nfresh\n%v", places, round, gotSt, wantSt)
+			}
+		}
+	}
 }
 
 func singleTask(t *testing.T, mk Factory) {

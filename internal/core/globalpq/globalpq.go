@@ -131,6 +131,10 @@ func (d *DS[T]) PopKInto(pl int, out []T) int {
 	return got
 }
 
+// Reset empties the queue, keeping its backing array. Nothing is
+// random here, so the seed is unused.
+func (d *DS[T]) Reset(uint64) { d.heap.Clear() }
+
 // Stats aggregates the per-place counters.
 func (d *DS[T]) Stats() core.Stats { return core.SumCounters(d.ctrs) }
 

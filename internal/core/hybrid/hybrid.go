@@ -23,12 +23,14 @@
 // items it pushed, so a pop misses at most ρ = P·k items in total.
 //
 // Lists are realized as linked lists of blocks (§4.2.3), each a list node
-// plus a slab holding up to blockSize items inline: a push allocates two
-// objects per blockSize tasks, and the references in the priority queues
+// plus a slab holding up to blockSize items inline: a push takes one
+// block per blockSize tasks, and the references in the priority queues
 // are interior pointers into the slabs. In the paper items carry
 // per-place index tags to guard the taken flag against ABA under item
-// reuse; with Go's GC items are never reused, so a plain CAS-able taken
-// flag suffices (see DESIGN.md, substitutions).
+// reuse. Here an item is reused only across Reset, which the caller
+// issues on a quiescent structure after every priority queue has been
+// cleared, so no reference can outlive its item's round and a plain
+// CAS-able taken flag suffices.
 //
 // Memory: nothing roots the global list, so a list node is collectable
 // once every place's iterator has moved past it. Iterators advance on
@@ -39,7 +41,16 @@
 // when it reaches the top of its queue. The slab is a separate object
 // from the node because such a reference can sit in a queue for long:
 // it may pin its slab, but must not pin the next link and with it every
-// block published since.
+// block published since. That holds for a structure that is never
+// Reset. Once Reset, the structure keeps every block its places take
+// until the next Reset, which clears them and hands them out again: a
+// closed-world Run (which resets at its start) holds one item per
+// spawned task until the next Run — 32 B for the SSSP task — instead of
+// leaving it to the collector, and a repeated Run allocates no blocks.
+// A place that would keep more than maxKeptBlocks new blocks in one
+// round drops the kept set of every place at once, so a structure
+// served after a Run, or a Run larger than that, is as collectable as a
+// never-reset one until the next Reset.
 package hybrid
 
 import (
@@ -61,6 +72,11 @@ const blockSize = 64
 // spurious failure, so bounding the walk is safe.
 const maxSpyBlocks = 1024
 
+// maxKeptBlocks bounds the new blocks one place keeps for reuse in one
+// round after a Reset: 2^13 blocks, up to 2^19 tasks — about 16 MB at
+// the SSSP task's 32 B item.
+const maxKeptBlocks = 1 << 13
+
 // item is a task plus the taken flag.
 type item[T any] struct {
 	taken atomic.Int32
@@ -78,6 +94,27 @@ type block[T any] struct {
 	owner int32
 	next  atomic.Pointer[block[T]]
 	items []item[T]
+}
+
+// recycle empties a block for reuse, keeping its slab's capacity and
+// dropping the payloads it held.
+func (b *block[T]) recycle() {
+	clear(b.items[:b.n.Load()])
+	b.items = b.items[:0]
+	b.n.Store(0)
+	b.next.Store(nil)
+}
+
+// kept is what a Reset structure holds on to for the next Reset: the
+// blocks every earlier round took, which the places draw from in turn
+// through next, and per place the new blocks it took once those ran
+// out. shared changes only at Reset; added[i] is written only by place
+// i (and by Reset). One pool for all places, not one per place, so the
+// kept total is the largest round's, however the places split it.
+type kept[T any] struct {
+	shared []*block[T]
+	next   atomic.Int64
+	added  [][]*block[T]
 }
 
 // cursor addresses a position inside a block chain.
@@ -105,6 +142,9 @@ type DS[T any] struct {
 	globalTail atomic.Pointer[block[T]] // hint; the true tail is found by walking next
 	places     []*place[T]
 	ctrs       []core.Counters
+	// kept is nil until the first Reset, and again after a place
+	// outgrew maxKeptBlocks, until the next Reset.
+	kept atomic.Pointer[kept[T]]
 }
 
 // New constructs the data structure for opts.Places places.
@@ -132,28 +172,89 @@ func newDS[T any](opts core.Options[T], noSpy bool) (*DS[T], error) {
 		places: make([]*place[T], opts.Places),
 		ctrs:   make([]core.Counters, opts.Places),
 	}
+	for i := range d.places {
+		d.places[i] = &place[T]{
+			id: int32(i),
+			pq: core.NewLocalQueue(opts.Prio != nil, func(a, b pq.Keyed[*item[T]]) bool {
+				return opts.Less(a.V.v, b.V.v)
+			}),
+		}
+	}
+	d.restart(opts.Seed)
+	return d, nil
+}
+
+// Reset empties the structure for the next round and re-seeds it. The
+// first Reset makes the structure keep the blocks its places take from
+// then on; each Reset clears the ones taken since the last and hands
+// them out again (see Memory in the package comment). The local queues
+// keep their storage.
+func (d *DS[T]) Reset(seed uint64) {
+	for _, p := range d.places {
+		p.pq.Clear()
+	}
+	if k := d.kept.Load(); k == nil {
+		d.kept.Store(&kept[T]{added: make([][]*block[T], len(d.places))})
+	} else {
+		for _, b := range k.shared[:min(k.next.Load(), int64(len(k.shared)))] {
+			b.recycle()
+		}
+		for i, mine := range k.added {
+			for _, b := range mine {
+				b.recycle()
+			}
+			k.shared = append(k.shared, mine...)
+			k.added[i] = mine[:0]
+		}
+		k.next.Store(0)
+	}
+	d.restart(seed)
+}
+
+// restart begins a new global list and a new local list per place, and
+// seeds the places' generators from seed.
+func (d *DS[T]) restart(seed uint64) {
 	// The global list starts at an empty sentinel block. Only the
 	// iterators and the tail hint hold it: the structure keeps no head, or
 	// every block ever published would stay reachable.
 	sentinel := &block[T]{owner: -1}
 	d.globalTail.Store(sentinel)
-	seeds := xrand.New(opts.Seed)
-	for i := range d.places {
-		p := &place[T]{
-			id:        int32(i),
-			rng:       seeds.Split(),
-			remaining: math.MaxInt64,
-			giter:     cursor[T]{b: sentinel},
-		}
-		p.lastHit.Store(int32((i + 1) % opts.Places))
-		p.pq = core.NewLocalQueue(opts.Prio != nil, func(a, b pq.Keyed[*item[T]]) bool {
-			return opts.Less(a.V.v, b.V.v)
-		})
-		p.listTail = &block[T]{owner: p.id}
+	seeds := xrand.New(seed)
+	for i, p := range d.places {
+		p.rng = seeds.Split()
+		p.remaining = math.MaxInt64
+		p.giter = cursor[T]{b: sentinel}
+		p.lastHit.Store(int32((i + 1) % len(d.places)))
+		p.listTail = d.newBlock(i, p)
 		p.listHead.Store(p.listTail)
-		d.places[i] = p
 	}
-	return d, nil
+}
+
+// newBlock hands place pl an empty block of its own: the next kept one
+// when the structure keeps blocks and has one left, else a new one.
+func (d *DS[T]) newBlock(pl int, p *place[T]) *block[T] {
+	k := d.kept.Load()
+	if k == nil {
+		//schedlint:ignore one list node per slab, or per publication when k is smaller
+		return &block[T]{owner: p.id}
+	}
+	if i := k.next.Add(1) - 1; i < int64(len(k.shared)) {
+		b := k.shared[i]
+		b.owner = p.id // published to other places with the block itself
+		return b
+	}
+	//schedlint:ignore one list node per slab, or per publication when k is smaller; kept for the next Reset
+	b := &block[T]{owner: p.id}
+	mine := k.added[pl]
+	if len(mine) == maxKeptBlocks {
+		// Kept blocks pin every block published after them, so keeping
+		// stops for all places at once.
+		d.kept.Store(nil)
+		return b
+	}
+	//schedlint:ignore amortized growth of the place's kept list: one append per new block, none once a repeated Run reuses them
+	k.added[pl] = append(mine, b)
+	return b
 }
 
 // ref is the local-queue reference to it.
@@ -177,16 +278,19 @@ func (d *DS[T]) Push(pl int, k int, v T) {
 	n := tailBlk.n.Load()
 	if int(n) == len(tailBlk.items) {
 		if n > 0 {
-			//schedlint:ignore one list node per slab
-			nb := &block[T]{owner: p.id}
+			nb := d.newBlock(pl, p)
 			tailBlk.next.Store(nb)
 			p.listTail = nb
 			tailBlk, n = nb, 0
 		}
 		// The list takes this task and at most rem more before it is
 		// published, so a small k gets a small slab.
-		//schedlint:ignore one slab per blockSize pushes, or per publication when k is smaller: the items live inline in it
-		tailBlk.items = make([]item[T], min(max(rem, 0)+1, blockSize))
+		if want := min(max(rem, 0)+1, blockSize); int64(cap(tailBlk.items)) >= want {
+			tailBlk.items = tailBlk.items[:want] // a kept block's slab
+		} else {
+			//schedlint:ignore one slab per blockSize pushes, or per publication when k is smaller: the items live inline in it
+			tailBlk.items = make([]item[T], want)
+		}
 	}
 	it := &tailBlk.items[n]
 	it.v = v
@@ -213,8 +317,7 @@ func (d *DS[T]) publish(pl int, p *place[T]) {
 			break
 		}
 	}
-	//schedlint:ignore one list node per publication (every k+1 pushes) starts the next local list
-	fresh := &block[T]{owner: p.id}
+	fresh := d.newBlock(pl, p)
 	p.listHead.Store(fresh)
 	p.listTail = fresh
 	p.remaining = math.MaxInt64

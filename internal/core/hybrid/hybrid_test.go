@@ -434,3 +434,138 @@ func TestSlabSizedByPublicationBudget(t *testing.T) {
 		}
 	}
 }
+
+// drainBoth pops n tasks alternating between places 0 and 1.
+func drainBoth(t *testing.T, d *DS[int64], n int) {
+	t.Helper()
+	for got, fails := 0, 0; got < n; {
+		_, ok0 := d.Pop(0)
+		_, ok1 := d.Pop(1)
+		if ok0 {
+			got++
+		}
+		if ok1 {
+			got++
+		}
+		if !ok0 && !ok1 {
+			if fails++; fails > 1<<12 {
+				t.Fatalf("drained %d of %d", got, n)
+			}
+		}
+	}
+}
+
+// TestResetHandsBlocksOutAgain: once Reset, the structure keeps the
+// blocks its places take, and the next Reset clears them and hands the
+// same ones out, so a repeated round allocates no list storage: only
+// Reset's sentinel and generators. A kept slab is cut to what the new
+// round's publication budget asks for, whatever its capacity.
+func TestResetHandsBlocksOutAgain(t *testing.T) {
+	d, err := New(core.Options[int64]{Places: 2, Less: func(a, b int64) bool { return a < b }, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40 * blockSize
+	round := func() {
+		d.Reset(1)
+		for i := 0; i < n; i++ {
+			d.Push(i&1, 512, int64(i))
+		}
+		drainBoth(t, d, n)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(5, round); allocs > 8 {
+		t.Fatalf("a repeated round allocates %.0f objects, want at most 8", allocs)
+	}
+	if kept := len(d.kept.Load().shared); kept < n/blockSize {
+		t.Fatalf("%d blocks kept after %d pushes", kept, n)
+	}
+
+	d.Reset(1)
+	blk := d.places[0].listHead.Load()
+	for i := 0; i < 4; i++ {
+		d.Push(0, 3, int64(i))
+	}
+	if len(blk.items) != 4 || cap(blk.items) != blockSize || blk.next.Load() != nil {
+		t.Fatalf("k=3 on a kept block: slab of %d items (capacity %d), want 4 (capacity %d)", len(blk.items), cap(blk.items), blockSize)
+	}
+	for i := 0; i < 4; i++ {
+		if v, ok := d.Pop(0); !ok || v != int64(i) {
+			t.Fatalf("pop %d = %d, %v; want %d", i, v, ok, i)
+		}
+	}
+}
+
+// TestKeptBlocksDroppedPastCap: kept blocks pin every block published
+// after them, so a place that would keep more than maxKeptBlocks drops
+// what every place keeps, and the next Reset starts keeping afresh.
+func TestKeptBlocksDroppedPastCap(t *testing.T) {
+	d, err := New(core.Options[int64]{Places: 2, Less: func(a, b int64) bool { return a < b }, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.kept.Load() != nil {
+		t.Fatal("a structure never Reset keeps blocks")
+	}
+	d.Reset(1)
+	for i := 0; i < maxKeptBlocks*blockSize; i++ {
+		d.Push(1, 1<<30, int64(i))
+	}
+	if k := d.kept.Load(); k == nil || len(k.added[1]) != maxKeptBlocks {
+		t.Fatalf("after %d blocks' worth of pushes the place should keep exactly %d blocks", maxKeptBlocks, maxKeptBlocks)
+	}
+	d.Push(1, 1<<30, -1)
+	if d.kept.Load() != nil {
+		t.Fatal("a place past maxKeptBlocks did not drop the kept blocks")
+	}
+	d.Reset(2)
+	if k := d.kept.Load(); k == nil || len(k.added[1]) != 1 {
+		t.Fatal("Reset after a drop does not start keeping afresh (with the new local list's block)")
+	}
+	d.Push(1, 8, 5)
+	if v, ok := d.Pop(0); !ok || v != 5 {
+		t.Fatalf("pop after the re-armed Reset = %d, %v; want 5", v, ok)
+	}
+}
+
+// TestServedAfterResetStaysCollectable: a structure Reset once and then
+// used without end — a scheduler served after a closed-world Run —
+// keeps blocks only until a place outgrows maxKeptBlocks; from then on
+// its heap stays flat round after round, as a never-reset one's does
+// (TestPublishedBlocksAreCollectable). At k = 0 every push publishes
+// and takes a block of its own, so the first round outgrows the cap.
+func TestServedAfterResetStaysCollectable(t *testing.T) {
+	d, err := New(core.Options[int64]{Places: 2, Less: func(a, b int64) bool { return a < b }, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Reset(7)
+	const perRound = 4 * maxKeptBlocks
+	inuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	var dropped, after uint64
+	for round := 1; round <= 12; round++ {
+		for i := 0; i < perRound; i++ {
+			d.Push(i&1, 0, int64(i))
+		}
+		drainBoth(t, d, perRound)
+		if dropped == 0 && d.kept.Load() == nil {
+			dropped = uint64(round)
+			after = inuse()
+		}
+	}
+	if dropped != 1 {
+		t.Fatalf("kept blocks dropped in round %d, want 1", dropped)
+	}
+	final := inuse()
+	runtime.KeepAlive(d)
+	t.Logf("HeapInuse %d KB when the kept blocks were dropped, %d KB after round 12", after>>10, final>>10)
+	if final > 2*after {
+		t.Fatalf("HeapInuse %d KB after round 12, %d KB when the kept blocks were dropped: published blocks are being retained",
+			final>>10, after>>10)
+	}
+}

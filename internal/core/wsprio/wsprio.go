@@ -61,14 +61,21 @@ func newDS[T any](opts core.Options[T], stealOne bool) (*DS[T], error) {
 		places:   make([]*place[T], opts.Places),
 		ctrs:     make([]core.Counters, opts.Places),
 	}
-	seeds := xrand.New(opts.Seed)
 	for i := range d.places {
-		d.places[i] = &place[T]{
-			heap: pq.NewBinHeap(opts.Less),
-			rng:  seeds.Split(),
-		}
+		d.places[i] = &place[T]{heap: pq.NewBinHeap(opts.Less)}
 	}
+	d.Reset(opts.Seed)
 	return d, nil
+}
+
+// Reset empties every place's queue, keeping its backing array, and
+// re-seeds the places' generators.
+func (d *DS[T]) Reset(seed uint64) {
+	seeds := xrand.New(seed)
+	for _, p := range d.places {
+		p.heap.Clear()
+		p.rng = seeds.Split()
+	}
 }
 
 // DS is the priority work-stealing data structure. It implements core.DS.

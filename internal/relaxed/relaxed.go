@@ -300,14 +300,29 @@ func NewWithNumeric[T any](opts core.Options[T], cfg Config, num NumericConfig[T
 		if num.Prio == nil {
 			ln.q = pq.NewBinHeap(opts.Less)
 		}
-		ln.minP.Store(emptyPrio)
 		d.lanes[i] = ln
 	}
-	seeds := xrand.New(opts.Seed)
+	d.Reset(opts.Seed)
+	return d, nil
+}
+
+// Reset empties every lane, keeping its storage, forgets the places'
+// sticky lanes and re-seeds their generators.
+func (d *DS[T]) Reset(seed uint64) {
+	for _, ln := range d.lanes {
+		clear(ln.front)
+		ln.front = ln.front[:0]
+		ln.kh.Clear()
+		if ln.q != nil {
+			ln.q.Clear()
+		}
+		d.advertise(ln)
+	}
+	clear(d.sticky)
+	seeds := xrand.New(seed)
 	for i := range d.rngs {
 		d.rngs[i] = seeds.Split()
 	}
-	return d, nil
 }
 
 // Lanes returns the lane count.

@@ -593,8 +593,18 @@ type RunStats struct {
 
 // Run executes the computation seeded by the given root tasks and blocks
 // until every transitively spawned task has finished. Run may be called
-// repeatedly, but not concurrently.
+// repeatedly, but not concurrently. Each Run draws its randomness from
+// Config.Seed afresh (see RunSeed).
 func (s *Scheduler[T]) Run(roots ...T) (RunStats, error) {
+	return s.RunSeed(s.cfg.Seed, roots...)
+}
+
+// RunSeed is Run with seed in place of Config.Seed. It resets the data
+// structure with it (core.DS.Reset: emptied and re-seeded, its storage
+// kept for reuse) and derives the workers' generators from it, so the
+// run's randomness is that of the first Run of a scheduler built with
+// Seed = seed.
+func (s *Scheduler[T]) RunSeed(seed uint64, roots ...T) (RunStats, error) {
 	if len(roots) == 0 {
 		return RunStats{}, fmt.Errorf("sched: Run needs at least one root task")
 	}
@@ -603,6 +613,7 @@ func (s *Scheduler[T]) Run(roots ...T) (RunStats, error) {
 	}
 	defer s.active.Store(false)
 
+	s.ds.Reset(seed)
 	dsBefore := s.Stats()
 	before := s.scan(nil)
 	s.injected.Add(int64(len(roots)))
@@ -613,7 +624,7 @@ func (s *Scheduler[T]) Run(roots ...T) (RunStats, error) {
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	seeds := xrand.New(s.cfg.Seed ^ 0xabcdef)
+	seeds := xrand.New(seed ^ 0xabcdef)
 	for pl := 0; pl < s.cfg.Places; pl++ {
 		wg.Add(1)
 		go func(pl int, rng *xrand.Rand) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -298,6 +299,57 @@ func TestRunReusable(t *testing.T) {
 	}
 	if count.Load() != 30 {
 		t.Fatalf("total executions %d, want 30", count.Load())
+	}
+}
+
+// TestRepeatedRunsKeepHeapFlat: every Run resets the structure, which
+// keeps its storage and hands it out again, so 20 Runs of the same
+// 64 k-task computation leave the live heap where two left it, give or
+// take the high-water marks of the places' queues.
+func TestRepeatedRunsKeepHeapFlat(t *testing.T) {
+	const tasks = 1 << 16
+	s, err := New(Config[int64]{
+		Places:   2,
+		Strategy: Hybrid,
+		K:        512,
+		Less:     intLess,
+		Priority: func(v int64) int64 { return v },
+		Execute: func(ctx *Ctx[int64], v int64) {
+			for c := 2*v + 1; c <= 2*v+2 && c < tasks; c++ {
+				ctx.Spawn(c)
+			}
+		},
+		Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inuse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	var after2 uint64
+	for run := 1; run <= 20; run++ {
+		st, err := s.Run(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Executed != tasks {
+			t.Fatalf("run %d executed %d tasks, want %d", run, st.Executed, tasks)
+		}
+		if run == 2 {
+			after2 = inuse()
+		}
+	}
+	after20 := inuse()
+	runtime.KeepAlive(s)
+	t.Logf("HeapInuse %d KB after run 2, %d KB after run 20", after2>>10, after20>>10)
+	// Slack for the high-water marks of the places' queues, which grow
+	// by doubling; storage kept but not reused would add ≈ 1.5 MB a run.
+	if after20 > after2+after2/2 {
+		t.Fatalf("HeapInuse grew from %d KB after run 2 to %d KB after run 20: runs keep storage without reusing it", after2>>10, after20>>10)
 	}
 }
 

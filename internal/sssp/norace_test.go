@@ -1,0 +1,5 @@
+//go:build !race
+
+package sssp
+
+const raceEnabled = false

@@ -16,6 +16,7 @@ package sssp
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,39 +29,38 @@ import (
 var Inf = math.Inf(1)
 
 // Dijkstra computes exact shortest path distances from src with a
-// lazy-deletion binary heap. It returns the distance vector and the
-// number of node relaxations performed, which equals the number of
-// reachable nodes — by Dijkstra's invariant every relaxed node is settled,
-// so this is the "only useful work" baseline the parallel versions are
-// measured against (§5.5: "ideally, a parallel implementation of SSSP
-// relaxes each node exactly once").
+// lazy-deletion heap. It returns the distance vector and the number of
+// node relaxations performed, which equals the number of reachable
+// nodes — by Dijkstra's invariant every relaxed node is settled, so this
+// is the "only useful work" baseline the parallel versions are measured
+// against (§5.5: "ideally, a parallel implementation of SSSP relaxes
+// each node exactly once"). The heap is keyed by the distance's bits,
+// which order like the distances themselves (see distKey), so its
+// comparisons are integer compares, not calls.
 func Dijkstra(g *graph.Graph, src int) ([]float64, int64) {
 	dist := make([]float64, g.N)
 	for i := range dist {
 		dist[i] = Inf
 	}
-	type entry struct {
-		node int32
-		d    float64
-	}
-	h := pq.NewBinHeap(func(a, b entry) bool { return a.d < b.d })
+	h := pq.NewKeyHeap[int32]()
 	dist[src] = 0
-	h.Push(entry{int32(src), 0})
+	h.Push(pq.Keyed[int32]{Key: 0, V: int32(src)})
 	var relaxed int64
 	for {
 		e, ok := h.Pop()
 		if !ok {
 			break
 		}
-		if e.d != dist[e.node] {
+		d := math.Float64frombits(uint64(e.Key))
+		if d != dist[e.V] {
 			continue // lazily deleted: superseded by a better path
 		}
 		relaxed++
-		ts, ws := g.Neighbors(int(e.node))
+		ts, ws := g.Neighbors(int(e.V))
 		for i, t := range ts {
-			if nd := e.d + ws[i]; nd < dist[t] {
+			if nd := d + ws[i]; nd < dist[t] {
 				dist[t] = nd
-				h.Push(entry{t, nd})
+				h.Push(pq.Keyed[int32]{Key: int64(math.Float64bits(nd)), V: t})
 			}
 		}
 	}
@@ -116,8 +116,10 @@ type Result struct {
 }
 
 // Solver is a reusable parallel SSSP instance: the scheduler (and its
-// data structure) is built once and can solve many sources/graphs of the
-// same node count, which is how the benchmark harness amortizes setup.
+// data structure) is built once and solves any number of sources and
+// graphs of up to its node count, each Solve resetting the structure
+// and keeping its storage. Parallel draws its solvers from a pool, so
+// repeated one-shot calls of one shape share them too.
 type Solver struct {
 	opt  Options
 	s    *sched.Scheduler[NodeTask]
@@ -187,8 +189,9 @@ func (sv *Solver) relaxNode(ctx *sched.Ctx[NodeTask], t NodeTask) {
 	}
 }
 
-// Solve runs the parallel algorithm on g from src. g must have at most
-// the node count the solver was built with.
+// Solve runs the parallel algorithm on g from src, with the scheduling
+// randomness of Options.Seed. g must have at most the node count the
+// solver was built with.
 func (sv *Solver) Solve(g *graph.Graph, src int) (Result, error) {
 	if g.N > len(sv.dist) {
 		return Result{}, fmt.Errorf("sssp: graph has %d nodes, solver built for %d", g.N, len(sv.dist))
@@ -204,7 +207,8 @@ func (sv *Solver) Solve(g *graph.Graph, src int) (Result, error) {
 	sv.dist[src].Store(math.Float64bits(0))
 	sv.relaxed.Store(0)
 
-	st, err := sv.s.Run(NodeTask{Node: int32(src), Dist: 0})
+	st, err := sv.s.RunSeed(sv.opt.Seed, NodeTask{Node: int32(src), Dist: 0})
+	sv.g = nil // a solver kept for reuse must not pin the graph
 	if err != nil {
 		return Result{}, err
 	}
@@ -234,13 +238,54 @@ func spin(units int) {
 	spinSink.Store(x)
 }
 
-// Parallel is the one-shot convenience wrapper around NewSolver + Solve.
-func Parallel(g *graph.Graph, src int, opt Options) (Result, error) {
-	sv, err := NewSolver(g.N, opt)
-	if err != nil {
-		return Result{}, err
+// shape is what a pooled Solver must match, besides holding enough
+// nodes, for a Parallel call to reuse it: everything in Options but the
+// seed, which every Solve applies afresh.
+type shape struct {
+	places   int
+	strategy sched.Strategy
+	k        int
+	spinWork int
+}
+
+// pools holds one pool of idle solvers per shape.
+var pools = struct {
+	sync.Mutex
+	m map[shape]*sync.Pool
+}{m: map[shape]*sync.Pool{}}
+
+// poolFor returns the pool of solvers of shape sh.
+func poolFor(sh shape) *sync.Pool {
+	pools.Lock()
+	defer pools.Unlock()
+	p := pools.m[sh]
+	if p == nil {
+		p = new(sync.Pool)
+		pools.m[sh] = p
 	}
-	return sv.Solve(g, src)
+	return p
+}
+
+// Parallel is the one-shot form of NewSolver + Solve. It takes an idle
+// solver of opt's shape and at least g.N nodes from a pool (building one
+// when there is none), solves, and returns it to the pool, so a
+// repeated call reuses the scheduler, the structure's storage and the
+// distance array, and allocates little beyond Result.Dist. It is safe
+// for concurrent use.
+func Parallel(g *graph.Graph, src int, opt Options) (Result, error) {
+	opt.K = max(opt.K, 0)
+	pool := poolFor(shape{opt.Places, opt.Strategy, opt.K, opt.SpinWork})
+	sv, _ := pool.Get().(*Solver)
+	if sv == nil || len(sv.dist) < g.N {
+		var err error
+		if sv, err = NewSolver(g.N, opt); err != nil {
+			return Result{}, err
+		}
+	}
+	sv.opt.Seed = opt.Seed
+	res, err := sv.Solve(g, src)
+	pool.Put(sv)
+	return res, err
 }
 
 // DeltaStepping computes shortest paths with the sequential Δ-stepping

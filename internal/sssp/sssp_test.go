@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/pq"
 	"repro/internal/sched"
 	"repro/internal/xrand"
 )
@@ -47,6 +48,77 @@ func TestDijkstraSingleNode(t *testing.T) {
 	dist, relaxed := Dijkstra(g, 0)
 	if dist[0] != 0 || relaxed != 1 {
 		t.Fatalf("dist=%v relaxed=%d", dist, relaxed)
+	}
+}
+
+// dijkstraBinHeap is Dijkstra as it was on a pq.BinHeap with a
+// closure comparator, kept as the reference the keyed-heap version must
+// reproduce exactly.
+func dijkstraBinHeap(g *graph.Graph, src int) ([]float64, int64) {
+	dist := make([]float64, g.N)
+	for i := range dist {
+		dist[i] = Inf
+	}
+	type entry struct {
+		node int32
+		d    float64
+	}
+	h := pq.NewBinHeap(func(a, b entry) bool { return a.d < b.d })
+	dist[src] = 0
+	h.Push(entry{int32(src), 0})
+	var relaxed int64
+	for {
+		e, ok := h.Pop()
+		if !ok {
+			break
+		}
+		if e.d != dist[e.node] {
+			continue
+		}
+		relaxed++
+		ts, ws := g.Neighbors(int(e.node))
+		for i, t := range ts {
+			if nd := e.d + ws[i]; nd < dist[t] {
+				dist[t] = nd
+				h.Push(entry{t, nd})
+			}
+		}
+	}
+	return dist, relaxed
+}
+
+// TestDijkstraMatchesBinHeapReference: the keyed heap orders by the
+// distance's bits, which order like the distances, so every distance
+// (bit for bit, unreachable ones included) and the relaxation count
+// equal the reference's, on dense, sparse, disconnected, grid and
+// hub-heavy graphs and on graphs with equal weights, where ties decide
+// the pop order.
+func TestDijkstraMatchesBinHeapReference(t *testing.T) {
+	r := xrand.New(31)
+	graphs := []*graph.Graph{
+		graph.ErdosRenyi(400, 0.5, 1),
+		graph.ErdosRenyi(3000, 0.002, 2),
+		graph.ErdosRenyi(500, 0.001, 3), // mostly unreachable
+		graph.Grid(30, 40, 4),
+		graph.RMAT(10, 8, 0, 0, 0, 5),
+		graph.FromEdges(6, [][3]float64{{0, 1, 1}, {0, 2, 1}, {1, 3, 1}, {2, 3, 1}, {3, 4, 0.5}, {1, 4, 1.5}}),
+	}
+	for it := 0; it < 30; it++ {
+		graphs = append(graphs, graph.ErdosRenyi(20+r.Intn(300), 0.01+0.5*r.Float64(), r.Uint64()))
+	}
+	for gi, g := range graphs {
+		for _, src := range []int{0, g.N / 2, g.N - 1} {
+			want, wantRelaxed := dijkstraBinHeap(g, src)
+			got, relaxed := Dijkstra(g, src)
+			if relaxed != wantRelaxed {
+				t.Fatalf("graph %d src %d: relaxed %d, reference %d", gi, src, relaxed, wantRelaxed)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("graph %d src %d: dist[%d] = %v, reference %v", gi, src, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
