@@ -1,10 +1,10 @@
 // Benchmarks regenerating every figure of the paper's evaluation section
 // at a reduced default scale, so `go test -bench=.` finishes in minutes.
 // The cmd/ binaries run the same experiments at the paper's full scale
-// (n = 10000, p = 0.5, 20 graphs); see DESIGN.md's experiment index and
-// EXPERIMENTS.md for recorded full-scale results.
+// (n = 10000, p = 0.5, 20 graphs); docs/ARCHITECTURE.md ("Layer map")
+// says which command regenerates which figure.
 //
-// Mapping (DESIGN.md ids):
+// Mapping (experiment id -> benchmark):
 //
 //	FIG3-LEFT/MID/RIGHT  -> BenchmarkFig3Simulation, BenchmarkFig3Theory
 //	FIG4-TIME/RELAX      -> BenchmarkFig4Scaling/*

@@ -7,7 +7,7 @@
 // P ∈ {1, 2, 3, 5, 10, 20, 40, 80}. Note that the paper's machine has 80
 // cores; on smaller machines the high-P points run oversubscribed, which
 // preserves the relative comparison between strategies at equal P but not
-// absolute scaling (see EXPERIMENTS.md).
+// absolute scaling.
 //
 // Usage:
 //

@@ -328,7 +328,7 @@ func main() {
 			log.Fatalf("-capture: %v", err)
 		}
 		if n := recorder.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: capture ring overflow, %d arrivals dropped\n", n)
+			fmt.Fprintf(os.Stderr, "loadgen: capture dropped %d arrivals (session cap reached, or ring full between flushes)\n", n)
 		}
 	}
 

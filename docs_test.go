@@ -311,3 +311,58 @@ func TestDocsMetricSeriesExist(t *testing.T) {
 		t.Fatalf("checked only %d documented series names; the pattern no longer matches the docs", checked)
 	}
 }
+
+// mdName matches a markdown file named in prose: a path ending in .md.
+var mdName = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// TestDocsGoCommentFilesExist keeps Go comments from citing documents
+// that are gone: every *.md file a comment names must exist, read
+// relative to the commenting file's directory, to the repository root,
+// or to docs/. A comment that points at a deleted design note fails
+// here until it points at the section that holds the content now.
+func TestDocsGoCommentFilesExist(t *testing.T) {
+	fset := token.NewFileSet()
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				for _, name := range mdName.FindAllString(c.Text, -1) {
+					checked++
+					found := false
+					for _, dir := range []string{filepath.Dir(path), ".", "docs"} {
+						if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+							found = true
+							break
+						}
+					}
+					if !found {
+						t.Errorf("%s: comment names %s, which does not exist", fset.Position(c.Pos()), name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < 20 {
+		t.Fatalf("checked only %d named *.md files; the pattern no longer matches the comments", checked)
+	}
+}

@@ -229,7 +229,8 @@ func (d *DS[T]) Pop(pl int) (v T, ok bool) {
 		// relaxed zone while it is still within its own k-window of the
 		// observed tail. (Listing 2 writes this comparison the other way
 		// around, which could never fire for k = kmax and would strand
-		// the final window; see DESIGN.md.)
+		// the final window; see docs/ARCHITECTURE.md, "Departures from
+		// the paper".)
 		if off < int64(it.k) {
 			if d.opts.Stale != nil && d.opts.Stale(it.v) {
 				if it.tag.CompareAndSwap(pos, takenTag) {

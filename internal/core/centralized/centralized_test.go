@@ -137,7 +137,7 @@ func TestTailAdvances(t *testing.T) {
 // TestProbeFindsTailWindowTasks: after draining the priority queue, tasks
 // remaining in the k-window after the tail must be reachable through the
 // random probe (this is the path that Listing 2's literal condition would
-// have broken; see DESIGN.md).
+// have broken; see docs/ARCHITECTURE.md, "Departures from the paper").
 func TestProbeFindsTailWindowTasks(t *testing.T) {
 	d, err := New(core.Options[int64]{
 		Places: 2,

@@ -6,7 +6,8 @@
 // exactly where the parallel algorithm needs throughput.
 //
 // It exists so the repository can *measure* that motivation rather than
-// assert it (see the GLOBAL-PQ rows in EXPERIMENTS.md): it provides the
+// assert it (BenchmarkGlobalHeapBaseline in the root bench_test.go, and
+// the global-heap row of README's "Choosing a strategy"): it provides the
 // strictest possible ordering (ρ = 0 — pops never ignore anything) and
 // the worst contention profile, completing the trade-off spectrum
 // work-stealing ↔ hybrid ↔ centralized ↔ global.

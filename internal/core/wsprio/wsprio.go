@@ -14,9 +14,9 @@
 // to Pheet [19, 20]). This implementation guards each place's queue with a
 // mutex: the owner takes it briefly for push/pop, and thieves use TryLock —
 // a failed TryLock becomes a spurious pop failure, which the scheduling
-// model explicitly allows. See DESIGN.md (substitutions) for why this
-// preserves the evaluated behaviour even though it is not lock-free in the
-// strict sense.
+// model explicitly allows. See docs/ARCHITECTURE.md ("Departures from
+// the paper") for why this preserves the evaluated behaviour even though
+// it is not lock-free in the strict sense.
 //
 // Unlike the k-priority structures, a task here exists in exactly one
 // place's queue at any time (stealing transfers ownership), so no taken

@@ -86,31 +86,32 @@ func (l *Loop[C, S, St]) Step(at time.Duration, cum C) Window[S, St] {
 	return Window[S, St]{At: at, Sample: s, State: l.state}
 }
 
-// Ring is a fixed-capacity decision-trace buffer: appends beyond the
-// capacity overwrite the oldest entries. Not safe for concurrent use —
-// callers guard it with whatever lock protects their controller.
+// Ring is a bounded decision-trace buffer: appends beyond the capacity
+// overwrite the oldest entries. Its buffer grows by doubling as entries
+// arrive, so a short session holds what it recorded, not the capacity.
+// Not safe for concurrent use — callers guard it with whatever lock
+// protects their controller.
 type Ring[T any] struct {
-	buf  []T
-	head int // oldest element when full
-	full bool
+	buf      []T
+	capacity int
+	head     int // oldest element when full
 }
 
 // NewRing returns an empty ring retaining the most recent capacity
 // entries. Capacity must be ≥ 1.
 func NewRing[T any](capacity int) *Ring[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring[T]{buf: make([]T, 0, capacity)}
+	return &Ring[T]{capacity: max(capacity, 1)}
 }
 
 // Append records v, evicting the oldest entry once the ring is full.
 func (r *Ring[T]) Append(v T) {
-	if !r.full {
-		r.buf = append(r.buf, v)
-		if len(r.buf) == cap(r.buf) {
-			r.full = true
+	if n := len(r.buf); n < r.capacity {
+		if n == cap(r.buf) {
+			grown := make([]T, n, min(max(2*n, 16), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
 		}
+		r.buf = append(r.buf, v)
 		return
 	}
 	r.buf[r.head] = v

@@ -107,6 +107,40 @@ func TestRingMinimumCapacity(t *testing.T) {
 	}
 }
 
+// TestRingGrowsWithUse: the buffer starts empty and grows by doubling
+// as entries arrive, never past the capacity; at every length the ring
+// keeps the most recent entries oldest first, evicting once full.
+func TestRingGrowsWithUse(t *testing.T) {
+	for _, capacity := range []int{1, 5, 16, 17, 100, 4096} {
+		r := NewRing[int](capacity)
+		if c := cap(r.buf); c != 0 {
+			t.Fatalf("capacity %d: fresh ring holds a %d-entry buffer", capacity, c)
+		}
+		for i := 0; i < 3*capacity+7; i++ {
+			r.Append(i)
+			if c := cap(r.buf); c > capacity {
+				t.Fatalf("capacity %d: buffer grew to %d after %d appends", capacity, c, i+1)
+			}
+			n := min(i+1, capacity)
+			if c := cap(r.buf); c > max(2*n, 16) {
+				t.Fatalf("capacity %d: %d-entry buffer holds %d entries", capacity, c, n)
+			}
+			got := r.Snapshot()
+			if len(got) != n || r.Len() != n {
+				t.Fatalf("capacity %d after %d appends: %d entries (Len %d), want %d", capacity, i+1, len(got), r.Len(), n)
+			}
+			for j, v := range got {
+				if want := i + 1 - n + j; v != want {
+					t.Fatalf("capacity %d after %d appends: snapshot[%d] = %d, want %d", capacity, i+1, j, v, want)
+				}
+			}
+		}
+		if c := cap(r.buf); c != capacity {
+			t.Fatalf("capacity %d: full ring's buffer is %d", capacity, c)
+		}
+	}
+}
+
 // bump is the toy policy of the session and replay tests: one step up
 // per busy window.
 func bump(cur int, s counterSample) int {

@@ -9,8 +9,8 @@ import (
 	"repro/internal/stats"
 )
 
-// GranConfig parameterizes the task-granularity experiment (GRAN in
-// DESIGN.md). Section 5.5 observes that "the minimum k required to match
+// GranConfig parameterizes the task-granularity experiment (GRAN in the
+// experiment index of the root bench_test.go). Section 5.5 observes that "the minimum k required to match
 // work-stealing performance in the hybrid data structure is dependent on
 // task granularity: the more fine-grained tasks are, the higher the
 // minimum required k". The experiment measures, for several artificial

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,12 +18,17 @@ import (
 // docs/METRICS.md ("Capture format").
 const CaptureVersion = 1
 
-// DefaultArrivalCap is the default size of the Recorder's arrival
-// ring: the capture holds the first DefaultArrivalCap arrival
-// envelopes of the session (40 B each — 10 MiB) plus every controller
-// decision; later arrivals are counted in the end record's "dropped"
-// field rather than silently lost.
+// DefaultArrivalCap is the default session bound of a Recorder: the
+// capture holds the first DefaultArrivalCap arrival envelopes of the
+// session plus every controller decision; later arrivals are counted
+// in the end record's "dropped" field rather than silently lost.
 const DefaultArrivalCap = 1 << 18
+
+// arrivalRing is the number of slots in a Recorder's arrival ring (a
+// power of two; 40 B each, 1.25 MiB). A slot is reused once Flush has
+// serialized it, so the ring only has to hold one flush interval's
+// arrivals: 3.3 M arrivals/s at a 10 ms window.
+const arrivalRing = 1 << 15
 
 // Header is the first line of a capture: schema version, who produced
 // it, and freeform metadata (strategy, places, rates — whatever helps
@@ -46,7 +52,7 @@ type Arrival struct {
 
 // arrSlot is one arrival ring entry. ready flips to 1 only after the
 // payload fields are fully written, so the flusher never reads a
-// half-claimed slot.
+// half-claimed slot, and back to 0 once the flusher has serialized it.
 type arrSlot struct {
 	at    int64
 	prio  int64
@@ -65,16 +71,20 @@ type arrSlot struct {
 //   - Arrival is the per-task side: a lock-free claim of one ring slot
 //     and four plain stores — no formatting, no locks, no allocation —
 //     so recording does not disturb the zero-allocation submit path.
-//     The ring is a session-lifetime bound (cap passed to
-//     NewRecorderSize); overflow increments a drop counter.
+//     Arrival i goes to slot i mod the ring size, and Flush frees the
+//     slots it serializes. An arrival is dropped, and counted, when the
+//     session has already recorded its cap (passed to NewRecorderSize)
+//     or when its slot still holds an arrival Flush has not reached.
 //   - Window records and Flush run on the controller goroutine once
 //     per window; they serialize with encoding/json under a mutex.
 //
 // A Recorder is single-session: Begin once, Finish once.
 type Recorder struct {
 	ring    []arrSlot
-	head    atomic.Int64 // next slot to claim
-	flushed int64        // next slot to serialize (flusher goroutine only)
+	mask    int64        // len(ring) - 1
+	limit   int64        // session cap: arrivals past it are dropped
+	head    atomic.Int64 // arrivals claimed; never exceeds limit
+	flushed atomic.Int64 // arrivals serialized; their slots are free
 	dropped atomic.Int64
 	written int64
 	begun   atomic.Bool // Begin was called
@@ -85,20 +95,29 @@ type Recorder struct {
 	err error
 }
 
-// NewRecorder returns a recorder writing to w with the default
-// arrival-ring capacity.
+// NewRecorder returns a recorder writing to w that records the first
+// DefaultArrivalCap arrivals of its session.
 func NewRecorder(w io.Writer) *Recorder { return NewRecorderSize(w, DefaultArrivalCap) }
 
-// NewRecorderSize returns a recorder whose arrival ring holds
-// arrivalCap envelopes (the session-lifetime capture bound).
+// NewRecorderSize returns a recorder that records at most arrivalCap
+// arrival envelopes in its session. Its ring holds arrivalCap rounded
+// up to a power of two, or the fixed ring size if that is smaller.
 func NewRecorderSize(w io.Writer, arrivalCap int) *Recorder {
 	if arrivalCap < 1 {
 		arrivalCap = 1
 	}
+	return newRecorder(w, arrivalCap, min(arrivalRing, 1<<bits.Len(uint(arrivalCap-1))))
+}
+
+// newRecorder returns a recorder with a ring of slots entries, a power
+// of two.
+func newRecorder(w io.Writer, arrivalCap, slots int) *Recorder {
 	return &Recorder{
-		ring: make([]arrSlot, arrivalCap),
-		w:    bufio.NewWriter(w),
-		buf:  make([]byte, 0, 128),
+		ring:  make([]arrSlot, slots),
+		mask:  int64(slots - 1),
+		limit: int64(arrivalCap),
+		w:     bufio.NewWriter(w),
+		buf:   make([]byte, 0, 128),
 	}
 }
 
@@ -159,35 +178,43 @@ func (r *Recorder) ConfigFair(cfg fair.Config, seed fair.State) {
 // Arrival records one submission envelope: at nanoseconds since
 // capture start, priority prio, batch size k, optional payload hash
 // (0 = none). Lock-free and allocation-free; safe from any goroutine.
-// Envelopes past the ring capacity are dropped and counted.
+// An envelope past the session cap, or one whose ring slot Flush has
+// not freed yet, is dropped and counted. A drop claims no index, so
+// the recorded arrivals are numbered without gaps.
 func (r *Recorder) Arrival(at, prio int64, k int, hash uint64) {
-	idx := r.head.Add(1) - 1
-	if idx >= int64(len(r.ring)) {
-		r.dropped.Add(1)
-		return
+	for {
+		idx := r.head.Load()
+		if idx >= r.limit || idx-r.flushed.Load() > r.mask {
+			r.dropped.Add(1)
+			return
+		}
+		if r.head.CompareAndSwap(idx, idx+1) {
+			s := &r.ring[idx&r.mask]
+			s.at = at
+			s.prio = prio
+			s.k = int64(k)
+			s.hash = hash
+			s.ready.Store(1)
+			return
+		}
 	}
-	s := &r.ring[idx]
-	s.at = at
-	s.prio = prio
-	s.k = int64(k)
-	s.hash = hash
-	s.ready.Store(1)
 }
 
 // Flush serializes every committed arrival envelope accumulated since
-// the previous Flush. Called from the controller goroutine at window
-// boundaries (and by Finish); not safe for concurrent Flush calls.
-// The walk stops at the first claimed-but-uncommitted slot and resumes
-// there next time, preserving ring order.
+// the previous Flush and frees their slots. Called from the controller
+// goroutine at window boundaries (and by Finish); not safe for
+// concurrent Flush calls. The walk stops at the first
+// claimed-but-uncommitted slot and resumes there next time, preserving
+// claim order.
 func (r *Recorder) Flush() {
+	f := r.flushed.Load()
 	limit := r.head.Load()
-	if limit > int64(len(r.ring)) {
-		limit = int64(len(r.ring))
-	}
-	for r.flushed < limit {
-		s := &r.ring[r.flushed]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for ; f < limit; f++ {
+		s := &r.ring[f&r.mask]
 		if s.ready.Load() == 0 {
-			return // claimed, payload not yet committed; retry next flush
+			break // claimed, payload not yet committed; retry next flush
 		}
 		b := r.buf[:0]
 		b = append(b, `{"t":"arr","at_ns":`...)
@@ -203,14 +230,14 @@ func (r *Recorder) Flush() {
 		}
 		b = append(b, '}', '\n')
 		r.buf = b
-		r.mu.Lock()
 		if r.err == nil {
 			_, r.err = r.w.Write(b)
 		}
-		r.mu.Unlock()
-		r.flushed++
+		s.ready.Store(0)
 		r.written++
 	}
+	// Only now may producers claim the slots this walk serialized.
+	r.flushed.Store(f)
 }
 
 // windowRecord is the shared shape of the per-window decision lines.
@@ -230,12 +257,13 @@ func (r *Recorder) FairWindow(w fair.Window) {
 	r.writeJSON(windowRecord[fair.Window]{T: "ten", W: w})
 }
 
-// Dropped returns the number of arrival envelopes that did not fit the
-// ring.
+// Dropped returns the number of arrival envelopes dropped so far: past
+// the session cap, or while the ring was full between flushes.
 func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
 
 // End is the last line of a capture: how many arrivals made it into
-// the file and how many overflowed the ring.
+// the file and how many were dropped (past the session cap, or while
+// the ring was full between flushes).
 type End struct {
 	Arrivals int64 `json:"arrivals"`
 	Dropped  int64 `json:"dropped"`

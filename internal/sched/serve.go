@@ -238,7 +238,8 @@ func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 // most recent windows (~40s of history at the default 10ms interval),
 // so a long-lived serving process does not grow its trace without
 // bound while short experiment runs (loadgen, the benchmarks) keep
-// their full trajectory.
+// their full trajectory. The ring grows with use, so a short session
+// holds the windows it decided, not 4096.
 const maxTraceWindows = 4096
 
 // bpSnapshot collects the cumulative admission totals the backpressure

@@ -10,10 +10,10 @@
 // the segment again and the array's head pointer is advanced past it. The
 // paper then frees the segment with a wait-free garbage collector [18];
 // here unlinking it from the head chain makes it unreachable and the Go
-// runtime GC reclaims it (see DESIGN.md, substitutions). Items that are
-// still referenced from place-local priority queues stay alive through
-// those references — this is exactly the laziness the paper's first
-// retirement condition provides.
+// runtime GC reclaims it (see docs/ARCHITECTURE.md, "Departures from the
+// paper"). Items that are still referenced from place-local priority
+// queues stay alive through those references — this is exactly the
+// laziness the paper's first retirement condition provides.
 package segarray
 
 import "sync/atomic"

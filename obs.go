@@ -53,9 +53,11 @@ func MetricsJSONHandler(m *Metrics) http.Handler { return obs.JSONHandler(m) }
 type Recorder = obs.Recorder
 
 // NewRecorder returns a Recorder writing the capture to w. The
-// recorder buffers arrivals in a fixed lock-free ring flushed at
-// window boundaries; under extreme arrival rates excess envelopes are
-// counted (Recorder.Dropped) rather than blocking the submit path.
+// recorder buffers arrivals in a fixed lock-free ring flushed, and
+// freed, at window boundaries. An envelope is dropped and counted
+// (Recorder.Dropped) rather than blocking the submit path in two
+// cases: the session has already recorded its first 2¹⁸ arrivals, or
+// arrivals came so fast that the ring filled between two flushes.
 func NewRecorder(w io.Writer) *Recorder { return obs.NewRecorder(w) }
 
 // RankTracker estimates the rank error of executed tasks — how many
