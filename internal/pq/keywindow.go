@@ -59,7 +59,7 @@ type winChunk[V any] struct {
 type KeyWindow[V any] struct {
 	heap KeyHeap[V]
 
-	heads []uint32 // per band slot: first node of the chain, 0 when empty; nil until activated
+	heads []uint32 // per band slot: first node of the chain, 0 when empty; nil until first activated
 	occ   []uint64 // bit s set ⇔ heads[s] != 0
 	nodes []*winChunk[V]
 	used  uint32 // node indexes handed out so far; index 0 is the nil link
@@ -68,6 +68,9 @@ type KeyWindow[V any] struct {
 	cur   uint64 // band number (ukey >> shift) of the window start
 	top   uint64 // no band above this one is occupied (a bound, not the maximum)
 	shift uint8
+	// banded is set by activate and reset by Clear: until then every
+	// push goes to the heap, and the band width is derived anew.
+	banded bool
 
 	// This epoch's pushes: how many, how many at or above the window
 	// start, how many past its end, and the largest distance in key
@@ -111,7 +114,7 @@ func (q *KeyWindow[V]) next(i uint32) *uint32 {
 //
 //schedlint:hotpath
 func (q *KeyWindow[V]) Push(e Keyed[V]) {
-	if q.heads == nil {
+	if !q.banded {
 		q.heap.Push(e)
 		if q.heap.Len() >= winActivate {
 			q.activate()
@@ -148,13 +151,17 @@ func (q *KeyWindow[V]) Push(e Keyed[V]) {
 	}
 }
 
-// activate builds the band table and picks the first band width from
-// the keys the heap holds. They stay in the heap and drain from there.
+// activate starts banding and picks the first band width from the keys
+// the heap holds. They stay in the heap and drain from there. The band
+// table is built on the first activation and kept by Clear.
 func (q *KeyWindow[V]) activate() {
-	//schedlint:ignore the band table, once per queue that reaches winActivate entries
-	q.heads = make([]uint32, winBands)
-	//schedlint:ignore the occupancy bitmap, allocated with the band table
-	q.occ = make([]uint64, winBands/64)
+	if q.heads == nil {
+		//schedlint:ignore the band table, once per queue that reaches winActivate entries
+		q.heads = make([]uint32, winBands)
+		//schedlint:ignore the occupancy bitmap, allocated with the band table
+		q.occ = make([]uint64, winBands/64)
+	}
+	q.banded = true
 	lo, hi := ukey(q.heap.a[0].Key), uint64(0)
 	for _, e := range q.heap.a {
 		hi = max(hi, ukey(e.Key))
@@ -308,7 +315,9 @@ func (q *KeyWindow[V]) Peek() (top Keyed[V], ok bool) {
 	return top, true
 }
 
-// Clear removes all elements but keeps the tables and chunks.
+// Clear removes all elements but keeps the tables and chunks. A cleared
+// queue derives its band width from its first winActivate entries, as
+// a new one does.
 func (q *KeyWindow[V]) Clear() {
 	q.heap.Clear()
 	clear(q.heads)
@@ -317,6 +326,7 @@ func (q *KeyWindow[V]) Clear() {
 		*c = winChunk[V]{}
 	}
 	q.used, q.free, q.n = 1, 0, 0
+	q.cur, q.top, q.shift, q.banded = 0, 0, 0, false
 	q.pushes, q.ahead, q.above, q.hiOff = 0, 0, 0, 0
 }
 

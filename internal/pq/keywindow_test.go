@@ -266,6 +266,45 @@ func TestKeyWindowBuildsTableLazily(t *testing.T) {
 	}
 }
 
+// TestKeyWindowClearForgetsBandWidth: a cleared queue keeps its band
+// table and node chunks but not the band width it adapted to, so a
+// refill at another key scale runs exactly as on a new queue — same
+// width, same band/heap split, same pops.
+func TestKeyWindowClearForgetsBandWidth(t *testing.T) {
+	fill := func(q *KeyWindow[int], seed uint64, scale int) {
+		r := xrand.New(seed)
+		for i := 0; i < 3*winEpoch; i++ {
+			q.Push(Keyed[int]{Key: int64(r.Intn(scale)), V: i})
+			if i%4 == 3 {
+				q.Pop()
+			}
+		}
+	}
+	reused := NewKeyWindow[int]()
+	fill(reused, 1, 1<<12)
+	if reused.heads == nil || reused.shift != 0 {
+		t.Fatalf("first fill: band table built %v, shift %d; want a built table at shift 0", reused.heads != nil, reused.shift)
+	}
+	reused.Clear()
+	fresh := NewKeyWindow[int]()
+	fill(reused, 2, 1<<40)
+	fill(fresh, 2, 1<<40)
+	if reused.shift != fresh.shift || reused.n != fresh.n || reused.heap.Len() != fresh.heap.Len() {
+		t.Fatalf("cleared queue: shift %d, %d banded, %d in the heap; new queue: shift %d, %d banded, %d in the heap",
+			reused.shift, reused.n, reused.heap.Len(), fresh.shift, fresh.n, fresh.heap.Len())
+	}
+	for i := 0; fresh.Len() > 0; i++ {
+		a, _ := reused.Pop()
+		b, _ := fresh.Pop()
+		if a != b {
+			t.Fatalf("pop %d: cleared queue %v, new queue %v", i, a, b)
+		}
+	}
+	if reused.Len() != 0 {
+		t.Fatalf("cleared queue holds %d entries after the new one drained", reused.Len())
+	}
+}
+
 // TestKeyWindowZeroesVacatedNodes: a popped entry's reference must not
 // stay in the node pool, or the queue would keep the referent alive for
 // the collector long after it was handed out.

@@ -632,3 +632,72 @@ func BenchmarkSpawnTree(b *testing.B) {
 		})
 	}
 }
+
+// TestIdleStepLadder pins the idle ladder's boundaries: a crowded
+// scheduler spins 16 failed pops, an uncrowded one 256, and both then
+// yield for 240 more before they sleep.
+func TestIdleStepLadder(t *testing.T) {
+	for _, c := range []struct {
+		fails   int
+		crowded bool
+		want    idlePhase
+	}{
+		{1, false, idleSpin}, {15, false, idleSpin}, {16, false, idleSpin},
+		{255, false, idleSpin}, {256, false, idleYield},
+		{495, false, idleYield}, {496, false, idleSleep}, {1 << 20, false, idleSleep},
+		{1, true, idleSpin}, {15, true, idleSpin}, {16, true, idleYield},
+		{255, true, idleYield}, {256, true, idleSleep}, {1 << 20, true, idleSleep},
+	} {
+		if got := idleStep(c.fails, c.crowded); got != c.want {
+			t.Errorf("idleStep(%d, crowded=%v) = %d, want %d", c.fails, c.crowded, got, c.want)
+		}
+	}
+}
+
+func TestCrowdedBy(t *testing.T) {
+	for _, c := range []struct {
+		places, procs int
+		want          bool
+	}{
+		{1, 1, false}, {2, 1, true}, {2, 2, false}, {3, 2, true}, {4, 8, false}, {80, 2, true},
+	} {
+		if got := crowdedBy(c.places, c.procs); got != c.want {
+			t.Errorf("crowdedBy(%d, %d) = %v, want %v", c.places, c.procs, got, c.want)
+		}
+	}
+}
+
+// TestRunAndStartReadCrowded: RunSeed and Start each derive the ladder
+// from Places and the current GOMAXPROCS, whatever the field held
+// before.
+func TestRunAndStartReadCrowded(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, places := range []int{1, procs, procs + 1} {
+		want := crowdedBy(places, procs)
+		s, err := New(Config[int64]{
+			Places: places, Strategy: Relaxed, Less: intLess, Injectors: 1,
+			Execute: func(*Ctx[int64], int64) {},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.crowded = !want
+		if _, err := s.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if s.crowded != want {
+			t.Errorf("Places = %d, GOMAXPROCS = %d: after Run crowded = %v, want %v", places, procs, s.crowded, want)
+		}
+		s.crowded = !want
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		got := s.crowded
+		if _, err := s.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("Places = %d, GOMAXPROCS = %d: after Start crowded = %v, want %v", places, procs, got, want)
+		}
+	}
+}

@@ -21,6 +21,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -133,6 +134,7 @@ func (s *Scheduler[T]) Start() error {
 	s.stopping.Store(false)
 	s.serveT0 = time.Now()
 	s.serveBase, s.serveBaseDS = s.scan(nil), s.Stats()
+	s.crowded = crowdedBy(s.cfg.Places, runtime.GOMAXPROCS(0))
 
 	seeds := xrand.New(s.cfg.Seed ^ 0x5e7e5e7e)
 	for pl := 0; pl < s.cfg.Places; pl++ {
@@ -653,7 +655,7 @@ func (s *Scheduler[T]) Drain() error {
 			s.readmitSpill(s.bpCfg.ReadmitChunk, false)
 		}
 		fails++
-		backoff(fails)
+		backoff(fails, s.crowded)
 	}
 	return nil
 }
