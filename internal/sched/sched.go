@@ -321,9 +321,9 @@ type Scheduler[T any] struct {
 	// other strategies), read for its lane contention total.
 	rlx    *relaxed.DS[envelope[T]]
 	active atomic.Bool
-	// crowded is crowdedBy(Places, GOMAXPROCS(0)), set by RunSeed and
-	// Start before the workers start and read by backoff's callers; it
-	// picks the idle ladder (see idleStep).
+	// crowded picks the workers' idle ladder (see idleStep). RunSeed
+	// and Start set it before the workers start, from Places and
+	// GOMAXPROCS(0).
 	crowded bool
 	// Task accounting (see ledger.go): one ledger per worker place; the
 	// count of tasks created outside the worker places is injected, in
@@ -626,7 +626,7 @@ func (s *Scheduler[T]) RunSeed(seed uint64, roots ...T) (RunStats, error) {
 		s.ds.Push(i%s.cfg.Places, s.cfg.K, envelope[T]{v: r})
 	}
 
-	s.crowded = crowdedBy(s.cfg.Places, runtime.GOMAXPROCS(0))
+	s.crowded = s.cfg.Places > runtime.GOMAXPROCS(0)
 	start := time.Now()
 	var wg sync.WaitGroup
 	seeds := xrand.New(seed ^ 0xabcdef)
@@ -754,20 +754,31 @@ func (s *Scheduler[T]) execute(ctx *Ctx[T], e envelope[T]) {
 // between yields. Sleeping is for a structure that stays empty: it
 // gives the CPU back for 20 µs at a time.
 //
-// How long to spin depends on whether yielding can help this
-// scheduler's own goroutines. When the places outnumber the Ps
-// (crowded), a spinning place holds a P another place needs, so the
-// spin stays at 16 pops. Otherwise it is long enough to cover a gap
-// between arrivals. On a 2-vCPU VM with one place, an open loop at a
-// quarter of capacity (an arrival every 3.3 µs on average) read a p50
-// sojourn of 1.80 µs with 16 spins, where most tasks arrived during the
-// yield phase, and 1.18 µs with 256 (medians of ten 20 s runs), for 6 %
-// more CPU per task. In 4 s runs 64 spins read 1.18–1.29 µs, 256 read
+// How long to spin depends on whether yielding can help another
+// goroutine the scheduler needs running. A session is crowded when
+// those goroutines outnumber the Ps: the places in a Run, the places
+// plus the producer that calls Submit in a serve session. Then a
+// spinning place holds a P a place or the producer needs, and the spin
+// stays at 16 pops. Otherwise it is long enough to cover a gap between
+// arrivals. On a 2-vCPU VM with one place, an open loop at a quarter of
+// capacity (an arrival every 3.3 µs on average) read a p50 sojourn of
+// 1.80 µs with 16 spins, where most tasks arrived during the yield
+// phase, and 1.18 µs with 256 (medians of ten 20 s runs), for 6 % more
+// CPU per task. In 4 s runs 64 spins read 1.18–1.29 µs, 256 read
 // 0.97–1.06 µs and 1 024 no better, at 0.96–1.05 µs. The yield phase
 // stays 240 pops long either way: without it a gap longer than the spin
-// lands in a 20 µs sleep (p50 27 µs in 4 s runs). The guard counts only
-// this scheduler's places against the Ps, not other goroutines a
-// process runs; those still get the P at the yield phase.
+// lands in a 20 µs sleep (p50 27 µs in 4 s runs).
+//
+// Spinning 256 where the session is crowded was measured and loses.
+// Pinned to one CPU (one place and its producer on one P), the same
+// open loop read a p50 sojourn of 10.8–15.4 µs against 0.8–1.5 µs, and
+// the closed loop 4.2–6.0 M tasks/s against 6.3–9.2 M (4 s runs). In
+// SSSP solves at GOMAXPROCS=1 with 80 places, relaxed took 1.56× and
+// work stealing 1.21× as long (median of 6, slower in 6 of 6), while
+// hybrid and centralized ran 15 % and 9 % faster: a mixed result, so a
+// crowded Run keeps the old ladder too. The guard counts only this
+// scheduler's goroutines against the Ps, not others a process runs;
+// those still get the P at the yield phase.
 const (
 	idleSpinCrowded = 16
 	idleSpinAlone   = 256
@@ -796,12 +807,6 @@ func idleStep(fails int, crowded bool) idlePhase {
 		return idleSleep
 	}
 }
-
-// crowdedBy reports whether places outnumber procs, the Ps the Go
-// runtime runs goroutines on. Callers read GOMAXPROCS(0) once per Run
-// or serve session, never per pop: it takes the runtime's scheduler
-// lock.
-func crowdedBy(places, procs int) bool { return places > procs }
 
 // backoff implements the idle policy for the fails-th failed pop (or
 // quiescence check) in a row: see idleStep.

@@ -654,26 +654,14 @@ func TestIdleStepLadder(t *testing.T) {
 	}
 }
 
-func TestCrowdedBy(t *testing.T) {
-	for _, c := range []struct {
-		places, procs int
-		want          bool
-	}{
-		{1, 1, false}, {2, 1, true}, {2, 2, false}, {3, 2, true}, {4, 8, false}, {80, 2, true},
-	} {
-		if got := crowdedBy(c.places, c.procs); got != c.want {
-			t.Errorf("crowdedBy(%d, %d) = %v, want %v", c.places, c.procs, got, c.want)
-		}
-	}
-}
-
 // TestRunAndStartReadCrowded: RunSeed and Start each derive the ladder
 // from Places and the current GOMAXPROCS, whatever the field held
-// before.
+// before. A Run is crowded when its places outnumber the Ps; a serve
+// session already when they match, since its producer needs a P too.
 func TestRunAndStartReadCrowded(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	for _, places := range []int{1, procs, procs + 1} {
-		want := crowdedBy(places, procs)
+		wantRun, wantStart := places > procs, places >= procs
 		s, err := New(Config[int64]{
 			Places: places, Strategy: Relaxed, Less: intLess, Injectors: 1,
 			Execute: func(*Ctx[int64], int64) {},
@@ -681,14 +669,14 @@ func TestRunAndStartReadCrowded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.crowded = !want
+		s.crowded = !wantRun
 		if _, err := s.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		if s.crowded != want {
-			t.Errorf("Places = %d, GOMAXPROCS = %d: after Run crowded = %v, want %v", places, procs, s.crowded, want)
+		if s.crowded != wantRun {
+			t.Errorf("Places = %d, GOMAXPROCS = %d: after Run crowded = %v, want %v", places, procs, s.crowded, wantRun)
 		}
-		s.crowded = !want
+		s.crowded = !wantStart
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -696,8 +684,8 @@ func TestRunAndStartReadCrowded(t *testing.T) {
 		if _, err := s.Stop(); err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("Places = %d, GOMAXPROCS = %d: after Start crowded = %v, want %v", places, procs, got, want)
+		if got != wantStart {
+			t.Errorf("Places = %d, GOMAXPROCS = %d: after Start crowded = %v, want %v", places, procs, got, wantStart)
 		}
 	}
 }

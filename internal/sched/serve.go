@@ -134,7 +134,10 @@ func (s *Scheduler[T]) Start() error {
 	s.stopping.Store(false)
 	s.serveT0 = time.Now()
 	s.serveBase, s.serveBaseDS = s.scan(nil), s.Stats()
-	s.crowded = crowdedBy(s.cfg.Places, runtime.GOMAXPROCS(0))
+	// Read once per session, never per pop: GOMAXPROCS(0) takes the
+	// runtime's scheduler lock. The producer calling Submit needs a P
+	// too, so Places == GOMAXPROCS is already crowded (see idleStep).
+	s.crowded = s.cfg.Places >= runtime.GOMAXPROCS(0)
 
 	seeds := xrand.New(s.cfg.Seed ^ 0x5e7e5e7e)
 	for pl := 0; pl < s.cfg.Places; pl++ {
@@ -655,7 +658,10 @@ func (s *Scheduler[T]) Drain() error {
 			s.readmitSpill(s.bpCfg.ReadmitChunk, false)
 		}
 		fails++
-		backoff(fails, s.crowded)
+		// Drain is a waiter, not a place: a task it finds a tick
+		// earlier shortens no sojourn, so it keeps the short spin and
+		// leaves the P to the workers and producers it waits for.
+		backoff(fails, true)
 	}
 	return nil
 }
