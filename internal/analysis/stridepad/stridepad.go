@@ -23,9 +23,13 @@
 //     go/types size model cannot see.
 //
 // Generic padded structs are sized at a representative instantiation
-// (every type parameter bound to int): the padded structs in this
+// (every type parameter bound to int). Most padded structs in this
 // repository keep type parameters behind pointers (atomic.Pointer[T]),
-// so any argument yields the layout the annotation vouches for.
+// so any argument yields the layout the annotation vouches for. One
+// holds a T inline — sched's handoff slot, whose envelope shares the
+// state word's line — and pads past it by more than a stride, so the
+// separation it needs holds for any T while the size checked here is
+// the one at int.
 package stridepad
 
 import (

@@ -222,6 +222,11 @@ type Stats struct {
 	// the fairness controller), so at the DS level both are always zero.
 	TenantShed     int64 // fairness: tasks rejected by a tenant quota (spillway full)
 	TenantDeferred int64 // fairness: tasks parked in the spillway by a tenant quota
+
+	// Handoffs is written only by the scheduler layer too: tasks a
+	// Submit handed straight to an idle worker place, which never entered
+	// the structure (Pushes, Pops and Eliminated exclude them).
+	Handoffs int64
 }
 
 // Sub returns s minus other, counter by counter. Used to compute per-run
@@ -250,6 +255,7 @@ func (s Stats) Sub(other Stats) Stats {
 		Readmitted:     s.Readmitted - other.Readmitted,
 		TenantShed:     s.TenantShed - other.TenantShed,
 		TenantDeferred: s.TenantDeferred - other.TenantDeferred,
+		Handoffs:       s.Handoffs - other.Handoffs,
 	}
 }
 
@@ -277,15 +283,16 @@ func (s *Stats) Add(other Stats) {
 	s.Readmitted += other.Readmitted
 	s.TenantShed += other.TenantShed
 	s.TenantDeferred += other.TenantDeferred
+	s.Handoffs += other.Handoffs
 }
 
 // String renders the non-zero counters compactly.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"pushes=%d pops=%d popFail=%d batchPush=%d batchPop=%d popRetry=%d restick=%d elim=%d tailAdv=%d probes=%d/%d publishes=%d spies=%d/%d steals=%d/%d stolen=%d shed=%d deferred=%d readmit=%d tenShed=%d tenDefer=%d",
+		"pushes=%d pops=%d popFail=%d batchPush=%d batchPop=%d popRetry=%d restick=%d elim=%d tailAdv=%d probes=%d/%d publishes=%d spies=%d/%d steals=%d/%d stolen=%d shed=%d deferred=%d readmit=%d tenShed=%d tenDefer=%d handoffs=%d",
 		s.Pushes, s.Pops, s.PopFailures, s.BatchPushes, s.BatchPops,
 		s.PopRetries, s.Resticks, s.Eliminated, s.TailAdvances,
 		s.ProbeHits, s.Probes, s.Publishes, s.SpyHits, s.Spies,
 		s.StealHits, s.Steals, s.StolenTasks,
-		s.Shed, s.Deferred, s.Readmitted, s.TenantShed, s.TenantDeferred)
+		s.Shed, s.Deferred, s.Readmitted, s.TenantShed, s.TenantDeferred, s.Handoffs)
 }

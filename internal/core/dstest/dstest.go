@@ -968,6 +968,7 @@ var monotoneCounters = []struct {
 	{"Readmitted", func(s core.Stats) int64 { return s.Readmitted }},
 	{"TenantShed", func(s core.Stats) int64 { return s.TenantShed }},
 	{"TenantDeferred", func(s core.Stats) int64 { return s.TenantDeferred }},
+	{"Handoffs", func(s core.Stats) int64 { return s.Handoffs }},
 }
 
 // counterConsistency: under a scripted concurrent mix of single and
@@ -1098,6 +1099,10 @@ func counterConsistency(t *testing.T, mk Factory) {
 		// are enforced above the DS, never inside it.
 		t.Fatalf("raw DS reported tenant admission counters shed=%d deferred=%d, want all zero",
 			s.TenantShed, s.TenantDeferred)
+	}
+	if s.Handoffs != 0 {
+		// Handed tasks bypass the structure altogether.
+		t.Fatalf("raw DS reported %d handoffs, want 0", s.Handoffs)
 	}
 	if s.Pops != s.Pushes {
 		t.Fatalf("item flow broken at quiescence: pushed %d, popped %d", s.Pushes, s.Pops)

@@ -19,6 +19,7 @@ func TestSubmitCountersKeepTheirDistance(t *testing.T) {
 	group := map[string]bool{
 		"injected": true, "nextInj": true, "admittedN": true, "deferredN": true,
 		"shed": true, "readmitted": true, "quotaShed": true, "quotaDeferred": true,
+		"handoffs": true,
 	}
 	st := reflect.TypeOf(Scheduler[int64]{})
 	lo, hi := st.Size(), uintptr(0)

@@ -20,6 +20,7 @@ type serveMetrics struct {
 	shed       obs.Counter
 	deferred   obs.Counter
 	readmitted obs.Counter
+	handoffs   obs.Counter
 	pops       obs.Counter
 	popFail    obs.Counter
 	batchPops  obs.Counter
@@ -57,7 +58,7 @@ type tenantSeries struct {
 type obsCum struct {
 	executed, spawned, shed, deferred, readmitted  int64
 	pops, popFailures, batchPops, steals, resticks int64
-	laneCont                                       int64
+	laneCont, handoffs                             int64
 }
 
 // newServeMetrics registers the scheduler's series on the sink. Which
@@ -72,6 +73,7 @@ func (s *Scheduler[T]) newServeMetrics(sink obs.Sink) *serveMetrics {
 		shed:        sink.Counter(obs.Desc{Name: "sched_tasks_shed_total", Help: "tasks rejected by the admission gate", Unit: "tasks"}),
 		deferred:    sink.Counter(obs.Desc{Name: "sched_tasks_deferred_total", Help: "tasks parked in the spillway", Unit: "tasks"}),
 		readmitted:  sink.Counter(obs.Desc{Name: "sched_tasks_readmitted_total", Help: "spilled tasks re-submitted", Unit: "tasks"}),
+		handoffs:    sink.Counter(obs.Desc{Name: "sched_handoffs_total", Help: "submitted tasks handed straight to an idle place, bypassing the structure", Unit: "tasks"}),
 		pops:        sink.Counter(obs.Desc{Name: "sched_pops_total", Help: "successful pop episodes", Unit: "ops"}),
 		popFail:     sink.Counter(obs.Desc{Name: "sched_pop_failures_total", Help: "failed pop episodes", Unit: "ops"}),
 		batchPops:   sink.Counter(obs.Desc{Name: "sched_batch_pops_total", Help: "multi-task pop episodes", Unit: "ops"}),
@@ -118,6 +120,7 @@ func (s *Scheduler[T]) obsCumNow() obsCum {
 		shed:        s.shed.Load(),
 		deferred:    s.deferredN.Load(),
 		readmitted:  s.readmitted.Load(),
+		handoffs:    s.handoffs.Load(),
 		pops:        st.Pops,
 		popFailures: st.PopFailures,
 		batchPops:   st.BatchPops,
@@ -153,6 +156,7 @@ func (s *Scheduler[T]) obsTick(at time.Duration) {
 	m.shed.Add(cur.shed - m.prev.shed)
 	m.deferred.Add(cur.deferred - m.prev.deferred)
 	m.readmitted.Add(cur.readmitted - m.prev.readmitted)
+	m.handoffs.Add(cur.handoffs - m.prev.handoffs)
 	m.pops.Add(cur.pops - m.prev.pops)
 	m.popFail.Add(cur.popFailures - m.prev.popFailures)
 	m.batchPops.Add(cur.batchPops - m.prev.batchPops)

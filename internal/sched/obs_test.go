@@ -95,6 +95,9 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	if got := obsPoint(t, reg, "sched_tasks_readmitted_total").Value; got != float64(st.DS.Readmitted) {
 		t.Errorf("readmitted counter = %v, Stats.Readmitted = %d", got, st.DS.Readmitted)
 	}
+	if got := obsPoint(t, reg, "sched_handoffs_total").Value; got != float64(st.DS.Handoffs) {
+		t.Errorf("handoffs counter = %v, Stats.Handoffs = %d", got, st.DS.Handoffs)
+	}
 	if got := obsPoint(t, reg, "sched_tasks_submitted_total").Value; got != float64(st.Spawned) {
 		t.Errorf("submitted counter = %v, RunStats.Spawned = %d", got, st.Spawned)
 	}

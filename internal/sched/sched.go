@@ -329,6 +329,9 @@ type Scheduler[T any] struct {
 	// count of tasks created outside the worker places is injected, in
 	// the submit group at the end.
 	led []placeLedger
+	// slots are the worker places' handoff slots (see handoff.go), one
+	// per place when serve mode is configured (Injectors ≥ 1), else none.
+	slots []handoff[T]
 
 	// Serve-mode state (see serve.go). serveMu guards the Start/Stop
 	// lifecycle; accepting gates the Submit hot path without taking it.
@@ -402,15 +405,15 @@ type Scheduler[T any] struct {
 	// Submit group: the counters producers read-modify-write on every
 	// Submit — injected (tasks created outside the worker places, see
 	// ledger.go), nextInj (the injector round-robin, untouched with one
-	// injector) and the scheduler-level admission counters merged into
-	// Stats(). Everything above is written at Start, Stop or a controller
-	// tick and otherwise only read, much of it by the workers on every
-	// pop episode and every failed pop (cfg.Execute, ds, stopping,
-	// tenants): with a counter on one of those lines each Submit took the
-	// line from an idle, polling worker, and got it taken back. So the
-	// group keeps
-	// 128 bytes — the pair of lines the spatial prefetcher pulls together
-	// — clear on both sides, wherever the allocator puts the struct.
+	// injector) and the scheduler-level admission and handoff counters
+	// merged into Stats(). Everything above is written at Start, Stop or
+	// a controller tick and otherwise only read, much of it by the
+	// workers on every pop episode and every failed pop (cfg.Execute, ds,
+	// stopping, tenants): with a counter on one of those lines each
+	// Submit took the line from an idle, polling worker, and got it taken
+	// back. So the group keeps 128 bytes — the pair of lines the spatial
+	// prefetcher pulls together — clear on both sides, wherever the
+	// allocator puts the struct.
 	// TestSubmitCountersKeepTheirDistance holds the layout until
 	// ROADMAP item 8 (ii) can.
 	_             [128]byte
@@ -422,6 +425,7 @@ type Scheduler[T any] struct {
 	readmitted    atomic.Int64
 	quotaShed     atomic.Int64
 	quotaDeferred atomic.Int64
+	handoffs      atomic.Int64
 	_             [128]byte
 }
 
@@ -516,6 +520,9 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 	for i := 0; i < cfg.Injectors; i++ {
 		// Injector lanes occupy the place ids past the worker places.
 		s.injectors = append(s.injectors, &injector[T]{place: cfg.Places + i})
+	}
+	if cfg.Injectors > 0 {
+		s.slots = make([]handoff[T], cfg.Places)
 	}
 
 	opts := core.Options[envelope[T]]{
@@ -634,7 +641,7 @@ func (s *Scheduler[T]) RunSeed(seed uint64, roots ...T) (RunStats, error) {
 		wg.Add(1)
 		go func(pl int, rng *xrand.Rand) {
 			defer wg.Done()
-			s.workLoop(s.newCtx(pl, rng), nil)
+			s.workLoop(s.newCtx(pl, rng), nil, nil)
 		}(pl, seeds.Split())
 	}
 	wg.Wait()
@@ -676,6 +683,12 @@ func (s *Scheduler[T]) onEliminate(place int, e envelope[T]) {
 // waiting inside a finish region (work-helping: until the region has no
 // outstanding task, asked before every pop).
 //
+// slot is the place's handoff slot in a serve session's top-level loop,
+// nil everywhere else (see handoff.go). After an empty pop the loop
+// parks it and then checks it before every pop; it takes the slot back
+// before it runs popped work or returns, running a task already handed
+// in first.
+//
 // Each pop episode fills up to Config.Batch tasks through
 // core.DS.PopKInto — with a batch of 1 (the default) that is exactly a
 // Pop on every structure. Every task of an obtained batch is executed
@@ -691,7 +704,7 @@ func (s *Scheduler[T]) onEliminate(place int, e envelope[T]) {
 // the outer one.
 //
 //schedlint:hotpath
-func (s *Scheduler[T]) workLoop(ctx *Ctx[T], region *finishRegion) {
+func (s *Scheduler[T]) workLoop(ctx *Ctx[T], region *finishRegion, slot *handoff[T]) {
 	buf := ctx.popBuf
 	if buf == nil {
 		//schedlint:ignore once per nested loop entry, then cached on the Ctx; the per-task steady state re-uses it
@@ -702,18 +715,41 @@ func (s *Scheduler[T]) workLoop(ctx *Ctx[T], region *finishRegion) {
 	defer func() { ctx.popBuf = buf }()
 	crowded := s.crowded
 	fails := 0
+	var parked uint64 // the slot's parked word; 0 while not parked
 	for {
 		if region != nil && region.pending.Load() == 0 {
 			return
 		}
+		if parked != 0 && slot.state.Load() == parked|slotFull {
+			s.runHanded(ctx, slot, parked)
+			parked, fails = 0, 0
+			continue
+		}
 		n := s.ds.PopKInto(ctx.place, buf)
 		if n == 0 {
+			if slot != nil && parked == 0 {
+				parked = slot.park()
+			}
 			if region == nil && s.stopping.Load() && s.quiescent() {
+				// A claimed slot holds an outstanding task, so after a
+				// quiescent scan the CAS should not fail; if it ever
+				// does, the handed task runs before the place leaves.
+				if parked != 0 && !slot.unpark(parked) {
+					s.runHanded(ctx, slot, parked)
+					parked = 0
+					continue
+				}
 				return
 			}
 			fails++
 			backoff(fails, crowded)
 			continue
+		}
+		if parked != 0 {
+			if !slot.unpark(parked) {
+				s.runHanded(ctx, slot, parked)
+			}
+			parked = 0
 		}
 		fails = 0
 		for i := 0; i < n; i++ {
@@ -767,7 +803,10 @@ func (s *Scheduler[T]) execute(ctx *Ctx[T], e envelope[T]) {
 // CPU per task. In 4 s runs 64 spins read 1.18–1.29 µs, 256 read
 // 0.97–1.06 µs and 1 024 no better, at 0.96–1.05 µs. The yield phase
 // stays 240 pops long either way: without it a gap longer than the spin
-// lands in a 20 µs sleep (p50 27 µs in 4 s runs).
+// lands in a 20 µs sleep (p50 27 µs in 4 s runs). These sojourns were
+// measured before the handoff slot (handoff.go), when every task went
+// through the structure; a place now polls its slot on the same ladder,
+// and the same loop reads ≈ 0.7 µs with it.
 //
 // Spinning 256 where the session is crowded was measured and loses.
 // Pinned to one CPU (one place and its producer on one P), the same
@@ -822,8 +861,10 @@ func backoff(fails int, crowded bool) {
 
 // Stats exposes the backing data structure's cumulative counters,
 // merged with the scheduler-level admission counters (Shed, Deferred,
-// Readmitted, plus the tenant-quota split TenantShed/TenantDeferred) —
-// a raw DS never sheds, so the scheduler is the only writer of those.
+// Readmitted, plus the tenant-quota split TenantShed/TenantDeferred) and
+// Handoffs — a raw DS never sheds or hands off, so the scheduler is the
+// only writer of those. Handed tasks bypass the structure: its Pushes,
+// Pops and Eliminated do not count them.
 func (s *Scheduler[T]) Stats() core.Stats {
 	st := s.ds.Stats()
 	st.Shed = s.shed.Load()
@@ -831,6 +872,7 @@ func (s *Scheduler[T]) Stats() core.Stats {
 	st.Readmitted = s.readmitted.Load()
 	st.TenantShed = s.quotaShed.Load()
 	st.TenantDeferred = s.quotaDeferred.Load()
+	st.Handoffs = s.handoffs.Load()
 	return st
 }
 
@@ -883,6 +925,6 @@ func (c *Ctx[T]) Finish(body func()) {
 	region := &finishRegion{}
 	c.fin = region
 	body()
-	c.s.workLoop(c, region)
+	c.s.workLoop(c, region, nil)
 	c.fin = parent
 }

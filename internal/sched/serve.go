@@ -144,7 +144,7 @@ func (s *Scheduler[T]) Start() error {
 		s.workers.Add(1)
 		go func(pl int, rng *xrand.Rand) {
 			defer s.workers.Done()
-			s.workLoop(s.newCtx(pl, rng), nil)
+			s.workLoop(s.newCtx(pl, rng), nil, &s.slots[pl])
 		}(pl, seeds.Split())
 	}
 	// Every configured controller starts the session fresh: a new loop
@@ -453,6 +453,13 @@ func (s *Scheduler[T]) Submit(v T) error { return s.SubmitK(s.cfg.K, v) }
 
 // SubmitK stores v with an explicit per-task relaxation parameter k.
 //
+// After the recorder and the admission gate have seen v, SubmitK hands
+// it straight to a worker place whose last pop came back empty when v
+// is the only task outstanding (see handoff.go): the place runs it from
+// its handoff slot and the structure never holds it. A pop returning
+// the only outstanding task is exact, so k does not matter there.
+// Otherwise v is pushed through an injector lane.
+//
 //schedlint:hotpath
 func (s *Scheduler[T]) SubmitK(k int, v T) error {
 	// Count the task before checking the gate: once injected is raised,
@@ -475,6 +482,9 @@ func (s *Scheduler[T]) SubmitK(k int, v T) error {
 			return nil
 		}
 		s.admittedN.Add(1)
+	}
+	if s.handOff(v) {
+		return nil
 	}
 	inj := s.nextInjector()
 	inj.mu.Lock()
