@@ -27,9 +27,9 @@
 // repository keep type parameters behind pointers (atomic.Pointer[T]),
 // so any argument yields the layout the annotation vouches for. One
 // holds a T inline — sched's handoff slot, whose envelope shares the
-// state word's line — and pads past it by more than a stride, so the
-// separation it needs holds for any T while the size checked here is
-// the one at int.
+// state word's line — and pads past it by more than a stride, so what
+// follows the slot stays a stride away for any T while the size checked
+// here is the one at int.
 package stridepad
 
 import (

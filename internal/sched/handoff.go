@@ -1,16 +1,16 @@
 // The idle handoff. A task submitted through SubmitK while nothing else
 // is outstanding would otherwise cross the injector lock, a lane's lock
-// and header line and its advertised minimum before a polling worker's
-// sweep finds it again. When some worker place's last pop came back
-// empty, the producer instead writes the task into that place's handoff
-// slot, and the worker runs it from there — the idea of the Go
-// runtime's runnext and Tokio's LIFO slot, restricted so that the
+// and header line and its advertised minimum before the polling worker's
+// sweep finds it again. When a one-place scheduler's worker last came
+// back from a pop empty, the producer instead writes the task into the
+// place's handoff slot, and the worker runs it from there — the idea of
+// the Go runtime's runnext and Tokio's LIFO slot, restricted so that the
 // handoff is an exact pop:
 //
-//   - only the top-level loop of a serve-session worker parks a slot,
+//   - only the top-level loop of a serve-session worker parks the slot,
 //     after a failed pop; nested Finish loops and closed-world Run never
 //     do, and batches (SubmitAllK with two or more tasks, the gated
-//     batch path, spillway readmission) never fill one;
+//     batch path, spillway readmission) never fill it;
 //   - the producer reads the slot's state before it scans the task
 //     accounting, so the scan instant falls inside the worker's pop
 //     (the worker parked before it and has not taken the slot back),
@@ -18,8 +18,19 @@
 //     only one outstanding. A pop that returns the only outstanding task
 //     honours every strategy's k and ρ bound (Wimmer et al., §2.1).
 //
-// A worker takes its slot back with a CAS before it runs popped work or
-// leaves its loop; a CAS that fails means a producer got there first,
+// Only a scheduler with one worker place has a slot. With more places a
+// Submit would load every place's slot line, which each owner writes on
+// every park and unpark, and a task running on another place counts as
+// outstanding, so the scan often fails and the task is pushed anyway.
+// Measured on a 2-vCPU VM (loadgen, singles at 300 000 tasks/s per
+// place, relaxed-two): at one place the p50 sojourn fell from ≈ 1.4 to
+// ≈ 0.9 µs with about 62 % of tasks handed; at two places with four
+// producers it rose from ≈ 5.2 to ≈ 6.3 µs with 16 % handed, and at two
+// or three places with one producer it did not move. Both multi-place
+// shapes run more goroutines than that VM has cores.
+//
+// The worker takes its slot back with a CAS before it runs popped work
+// or leaves its loop; a CAS that fails means a producer got there first,
 // and the handed task runs before anything else. Handed tasks never
 // enter the structure, so core.Stats Pushes, Pops and Eliminated
 // exclude them; Stats().Handoffs counts them.
@@ -45,13 +56,13 @@ const (
 	slotPark  uint64 = slotPhase + 1 // one park, in the bits above
 )
 
-// handoff is one worker place's handoff slot. The owner parks and takes
+// handoff is the worker place's handoff slot. The owner parks and takes
 // it back; producers fill it. The envelope sits inline beside the state
 // word, so a handoff moves the line the worker polls and nothing else.
 // The pad follows the envelope and is longer than the 128-byte stride,
-// so whatever T is, the next slot's state word starts a full stride
-// after this slot's envelope ends and two places' slots never share a
-// prefetch pair; at T = int the element is 256 bytes.
+// so whatever T is, whatever the allocator places after the slot starts
+// a full stride after the envelope ends; at T = int the slot is 256
+// bytes.
 //
 //schedlint:padded
 type handoff[T any] struct {
@@ -92,33 +103,36 @@ func (h *handoff[T]) take(w uint64) envelope[T] {
 		}
 	}
 	e := h.env
+	// Drop the slot's reference so the task can be collected once it
+	// has run, as the structure clears a popped slot.
+	h.env = envelope[T]{}
 	h.state.Store(w &^ slotPhase)
 	return e
 }
 
-// handOff gives v to a parked worker place when it is the only task
+// handOff gives v to the parked worker place when it is the only task
 // outstanding, and reports whether it did. The caller has counted v as
 // injected and passed it through recording and admission.
 //
 //schedlint:hotpath
 func (s *Scheduler[T]) handOff(v T) bool {
-	for i := range s.slots {
-		h := &s.slots[i]
-		w := h.state.Load()
-		if w&slotPhase != slotWaiting {
-			continue
-		}
-		// Scan after reading the parked word: the scan instant is then
-		// inside the pop the owner parked in.
-		if s.scan(nil).outstanding() != 1 || !h.state.CompareAndSwap(w, w&^slotPhase|slotFilling) {
-			return false
-		}
-		h.env = envelope[T]{v: v}
-		h.state.Store(w | slotFull)
-		s.handoffs.Add(1)
-		return true
+	h := s.slot
+	if h == nil {
+		return false
 	}
-	return false
+	w := h.state.Load()
+	// Scan after reading the parked word: the scan instant is then inside
+	// the pop the owner parked in.
+	if w&slotPhase != slotWaiting || s.scan(nil).outstanding() != 1 ||
+		!h.state.CompareAndSwap(w, w&^slotPhase|slotFilling) {
+		return false
+	}
+	// Count before publishing: once the slot reads full the task can run,
+	// and Drain and Stop return, before this goroutine runs again.
+	s.handoffs.Add(1)
+	h.env = envelope[T]{v: v}
+	h.state.Store(w | slotFull)
+	return true
 }
 
 // runHanded takes the task handed into the slot parked with w and runs

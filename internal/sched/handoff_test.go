@@ -9,21 +9,17 @@ import (
 	"time"
 )
 
-// waitParked waits until some place in places has parked its handoff
-// slot, and returns the first such place.
-func waitParked[T any](t *testing.T, s *Scheduler[T], places ...int) int {
+// waitParked waits until the worker place has parked its handoff slot.
+func waitParked[T any](t *testing.T, s *Scheduler[T]) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, pl := range places {
-			if s.slots[pl].state.Load()&slotPhase == slotWaiting {
-				return pl
-			}
+		if s.slot.state.Load()&slotPhase == slotWaiting {
+			return
 		}
 		runtime.Gosched()
 	}
-	t.Fatalf("no place of %v parked its handoff slot", places)
-	return -1
+	t.Fatal("the place never parked its handoff slot")
 }
 
 // within runs call, failing the test if it errs or has not returned
@@ -43,11 +39,12 @@ func within(t *testing.T, name string, call func() error) {
 }
 
 // TestHandoffOnlyWhenAlone pins when a Submit hands its task to a parked
-// place: only when it is the only task outstanding. A second task held
-// in Execute, or sitting in the structure, sends the Submit through the
-// structure instead; batches, spawns and Run never hand off; and a
-// handed task that Stale condemns is retired unrun and settled like any
-// eliminated one.
+// place: only when it is the only task outstanding. A second task popped
+// and not yet retired (as one held in Execute is), or sitting in the
+// structure, sends the Submit through the structure instead; batches,
+// spawns and Run never hand off, nor does a scheduler with more than one
+// place; and a handed task that Stale condemns is retired unrun and
+// settled like any eliminated one.
 func TestHandoffOnlyWhenAlone(t *testing.T) {
 	t.Run("alone", func(t *testing.T) {
 		var ran atomic.Int64
@@ -61,7 +58,7 @@ func TestHandoffOnlyWhenAlone(t *testing.T) {
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
-		waitParked(t, s, 0)
+		waitParked(t, s)
 		if err := s.Submit(7); err != nil {
 			t.Fatal(err)
 		}
@@ -79,51 +76,49 @@ func TestHandoffOnlyWhenAlone(t *testing.T) {
 		if st.Executed != 1 || st.Spawned != 1 {
 			t.Fatalf("executed %d, spawned %d, want 1/1", st.Executed, st.Spawned)
 		}
+		if s.slot.env != (envelope[int64]{}) {
+			t.Fatalf("slot still holds %+v after its task ran, want it cleared", s.slot.env)
+		}
 	})
 
-	t.Run("second held in Execute", func(t *testing.T) {
-		release := make(chan struct{})
-		holder := make(chan int, 1)
-		var ran atomic.Int64
+	t.Run("second popped, not retired", func(t *testing.T) {
+		// No worker runs: the test opens the submission gate, pops the
+		// first task itself and holds it, as a place running it in
+		// Execute would, and parks place 0's slot.
 		s, err := New(Config[int64]{
-			Places: 2, Strategy: RelaxedSampleTwo, K: 8, Injectors: 1, Less: intLess,
-			Execute: func(ctx *Ctx[int64], v int64) {
-				if v == 1 {
-					holder <- ctx.Place()
-					<-release
-				}
-				ran.Add(1)
-			},
+			Places: 1, Strategy: RelaxedSampleTwo, K: 8, Injectors: 1, Less: intLess,
+			Execute: func(ctx *Ctx[int64], v int64) {},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Start(); err != nil {
-			t.Fatal(err)
-		}
+		s.accepting.Store(true)
 		if err := s.Submit(1); err != nil {
 			t.Fatal(err)
 		}
-		idle := 1 - <-holder
-		waitParked(t, s, idle)
-		before := s.Stats().Handoffs
+		var held [1]envelope[int64]
+		n := 0
+		for try := 0; n == 0 && try < 1000; try++ {
+			n = s.ds.PopKInto(0, held[:])
+		}
+		if n != 1 || held[0].v != 1 {
+			t.Fatalf("PopKInto = %d (%v), want task 1", n, held[0].v)
+		}
+		w := s.slot.park()
 		if err := s.Submit(2); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Stats().Handoffs - before; got != 0 {
-			t.Fatalf("a Submit with a task held in Execute handed off %d tasks, want 0", got)
+		st := s.Stats()
+		if st.Handoffs != 0 || st.Pushes != 2 {
+			t.Fatalf("handoffs %d, pushes %d: with a task popped and not retired the Submit must push", st.Handoffs, st.Pushes)
 		}
-		close(release)
-		if err := s.Drain(); err != nil {
-			t.Fatal(err)
+		if got := s.slot.state.Load(); got != w {
+			t.Fatalf("slot state %#x, want the parked word %#x untouched", got, w)
 		}
-		st, err := s.Stop()
-		if err != nil {
-			t.Fatal(err)
+		if !s.slot.unpark(w) {
+			t.Fatal("unpark of an unclaimed slot failed")
 		}
-		if ran.Load() != 2 || st.Executed != 2 {
-			t.Fatalf("ran %d, executed %d, want 2", ran.Load(), st.Executed)
-		}
+		s.accepting.Store(false)
 	})
 
 	t.Run("second in the structure", func(t *testing.T) {
@@ -140,7 +135,7 @@ func TestHandoffOnlyWhenAlone(t *testing.T) {
 		if err := s.Submit(1); err != nil {
 			t.Fatal(err)
 		}
-		w := s.slots[0].park()
+		w := s.slot.park()
 		if err := s.Submit(2); err != nil {
 			t.Fatal(err)
 		}
@@ -148,10 +143,10 @@ func TestHandoffOnlyWhenAlone(t *testing.T) {
 		if st.Handoffs != 0 || st.Pushes != 2 {
 			t.Fatalf("handoffs %d, pushes %d: with a task in the structure the Submit must push", st.Handoffs, st.Pushes)
 		}
-		if got := s.slots[0].state.Load(); got != w {
+		if got := s.slot.state.Load(); got != w {
 			t.Fatalf("slot state %#x, want the parked word %#x untouched", got, w)
 		}
-		if !s.slots[0].unpark(w) {
+		if !s.slot.unpark(w) {
 			t.Fatal("unpark of an unclaimed slot failed")
 		}
 		s.accepting.Store(false)
@@ -172,7 +167,7 @@ func TestHandoffOnlyWhenAlone(t *testing.T) {
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
-		waitParked(t, s, 0)
+		waitParked(t, s)
 		if err := s.SubmitAllK(8, []int64{1, 2}); err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +208,7 @@ func TestHandoffOnlyWhenAlone(t *testing.T) {
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
-		waitParked(t, s, 0)
+		waitParked(t, s)
 		if err := s.Submit(tenTask{tenant: 1, prio: -1}); err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +240,8 @@ func TestHandoffOnlyWhenAlone(t *testing.T) {
 // places go idle and park, while a fifth submits batches through
 // SubmitAllK, which never hand off. Drain runs mid-stream and Stop at the
 // end. Every value must run exactly once, Pending must read 0 after both
-// calls, and every worker must leave its slot taken back.
+// calls, and the worker must leave its slot taken back. With three places
+// there is no slot, and nothing may be handed off.
 func TestHandoffDeliversExactlyOnce(t *testing.T) {
 	for _, places := range []int{1, 3} {
 		t.Run(fmt.Sprintf("places=%d", places), func(t *testing.T) {
@@ -335,10 +331,12 @@ func testHandoffExactlyOnce(t *testing.T, places int) {
 		t.Fatalf("executed %d, pops %d + handoffs %d, pushes %d: want %d executed, each popped or handed once",
 			st.Executed, st.DS.Pops, st.DS.Handoffs, st.DS.Pushes, total)
 	}
-	for pl := range s.slots {
-		if w := s.slots[pl].state.Load(); w&slotPhase != slotBusy {
-			t.Fatalf("place %d left its slot in phase %d, want it taken back", pl, w&slotPhase)
+	if places == 1 {
+		if w := s.slot.state.Load(); w&slotPhase != slotBusy {
+			t.Fatalf("the place left its slot in phase %d, want it taken back", w&slotPhase)
 		}
+	} else if s.slot != nil || st.DS.Handoffs != 0 {
+		t.Fatalf("%d places: slot %v, %d handed off, want no slot and none", places, s.slot != nil, st.DS.Handoffs)
 	}
 	t.Logf("places=%d: %d of %d tasks handed off", places, st.DS.Handoffs, total)
 }

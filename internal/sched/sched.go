@@ -329,9 +329,9 @@ type Scheduler[T any] struct {
 	// count of tasks created outside the worker places is injected, in
 	// the submit group at the end.
 	led []placeLedger
-	// slots are the worker places' handoff slots (see handoff.go), one
-	// per place when serve mode is configured (Injectors ≥ 1), else none.
-	slots []handoff[T]
+	// slot is the one worker place's handoff slot (see handoff.go) when
+	// serve mode is configured (Injectors ≥ 1) with Places == 1, else nil.
+	slot *handoff[T]
 
 	// Serve-mode state (see serve.go). serveMu guards the Start/Stop
 	// lifecycle; accepting gates the Submit hot path without taking it.
@@ -521,8 +521,8 @@ func New[T any](cfg Config[T]) (*Scheduler[T], error) {
 		// Injector lanes occupy the place ids past the worker places.
 		s.injectors = append(s.injectors, &injector[T]{place: cfg.Places + i})
 	}
-	if cfg.Injectors > 0 {
-		s.slots = make([]handoff[T], cfg.Places)
+	if cfg.Injectors > 0 && cfg.Places == 1 {
+		s.slot = new(handoff[T])
 	}
 
 	opts := core.Options[envelope[T]]{
@@ -683,8 +683,8 @@ func (s *Scheduler[T]) onEliminate(place int, e envelope[T]) {
 // waiting inside a finish region (work-helping: until the region has no
 // outstanding task, asked before every pop).
 //
-// slot is the place's handoff slot in a serve session's top-level loop,
-// nil everywhere else (see handoff.go). After an empty pop the loop
+// slot is the handoff slot in a one-place serve session's top-level
+// loop, nil everywhere else (see handoff.go). After an empty pop the loop
 // parks it and then checks it before every pop; it takes the slot back
 // before it runs popped work or returns, running a task already handed
 // in first.
@@ -805,8 +805,8 @@ func (s *Scheduler[T]) execute(ctx *Ctx[T], e envelope[T]) {
 // stays 240 pops long either way: without it a gap longer than the spin
 // lands in a 20 µs sleep (p50 27 µs in 4 s runs). These sojourns were
 // measured before the handoff slot (handoff.go), when every task went
-// through the structure; a place now polls its slot on the same ladder,
-// and the same loop reads ≈ 0.7 µs with it.
+// through the structure; a one-place session's worker now polls its
+// slot on the same ladder, and the same loop reads ≈ 0.7 µs with it.
 //
 // Spinning 256 where the session is crowded was measured and loses.
 // Pinned to one CPU (one place and its producer on one P), the same

@@ -144,7 +144,7 @@ func (s *Scheduler[T]) Start() error {
 		s.workers.Add(1)
 		go func(pl int, rng *xrand.Rand) {
 			defer s.workers.Done()
-			s.workLoop(s.newCtx(pl, rng), nil, &s.slots[pl])
+			s.workLoop(s.newCtx(pl, rng), nil, s.slot)
 		}(pl, seeds.Split())
 	}
 	// Every configured controller starts the session fresh: a new loop
@@ -453,12 +453,12 @@ func (s *Scheduler[T]) Submit(v T) error { return s.SubmitK(s.cfg.K, v) }
 
 // SubmitK stores v with an explicit per-task relaxation parameter k.
 //
-// After the recorder and the admission gate have seen v, SubmitK hands
-// it straight to a worker place whose last pop came back empty when v
-// is the only task outstanding (see handoff.go): the place runs it from
-// its handoff slot and the structure never holds it. A pop returning
-// the only outstanding task is exact, so k does not matter there.
-// Otherwise v is pushed through an injector lane.
+// After the recorder and the admission gate have seen v, a scheduler
+// with one worker place hands v straight to that place when its last pop
+// came back empty and v is the only task outstanding (see handoff.go):
+// the place runs it from its handoff slot and the structure never holds
+// it. A pop returning the only outstanding task is exact, so k does not
+// matter there. Otherwise v is pushed through an injector lane.
 //
 //schedlint:hotpath
 func (s *Scheduler[T]) SubmitK(k int, v T) error {
