@@ -24,11 +24,26 @@ const CaptureVersion = 1
 // in the end record's "dropped" field rather than silently lost.
 const DefaultArrivalCap = 1 << 18
 
-// arrivalRing is the number of slots in a Recorder's arrival ring (a
-// power of two; 40 B each, 1.25 MiB). A slot is reused once Flush has
-// serialized it, so the ring only has to hold one flush interval's
-// arrivals: 3.3 M arrivals/s at a 10 ms window.
-const arrivalRing = 1 << 15
+// The arrival ring starts at ringInitial slots (a power of two; 40 B
+// each, 160 KiB) and may double up to ringMax (1.25 MiB), never past
+// the session cap rounded up to a power of two. A slot is reused once
+// Flush has serialized it, and a serve session's controller flushes
+// whenever half the ring is unflushed as well as once per window, so the
+// ring only has to cover the flusher's wake-up lag: half the first ring
+// is 4.5 ms of 450 k arrivals/s, half the largest 5 ms of 3.3 M
+// arrivals/s.
+const (
+	ringInitial = 1 << 12
+	ringMax     = 1 << 15
+)
+
+// head packs the ring generation above the arrival count: a ring switch
+// bumps the generation, so a producer's claim CAS that raced a switch
+// fails and retries on the new ring.
+const (
+	genShift = 48
+	idxMask  = 1<<genShift - 1
+)
 
 // Header is the first line of a capture: schema version, who produced
 // it, and freeform metadata (strategy, places, rates — whatever helps
@@ -61,6 +76,14 @@ type arrSlot struct {
 	ready atomic.Uint32
 }
 
+// arrRing is one generation of the arrival ring: arrival i goes to
+// slots[i&mask] while head carries gen.
+type arrRing struct {
+	slots []arrSlot
+	mask  int64 // len(slots) - 1
+	gen   int64
+}
+
 // Recorder serializes one serve session (or one simtest run) to a
 // versioned JSONL capture: a header, optional controller config
 // records, best-effort arrival envelopes, and every controller
@@ -72,22 +95,35 @@ type arrSlot struct {
 //     and four plain stores — no formatting, no locks, no allocation —
 //     so recording does not disturb the zero-allocation submit path.
 //     Arrival i goes to slot i mod the ring size, and Flush frees the
-//     slots it serializes. An arrival is dropped, and counted, when the
+//     slots it serializes. The arrival that leaves half the ring
+//     unflushed signals Wake, so a session's controller flushes between
+//     its windows too. An arrival is dropped, and counted, when the
 //     session has already recorded its cap (passed to NewRecorderSize)
 //     or when its slot still holds an arrival Flush has not reached.
 //   - Window records and Flush run on the controller goroutine once
-//     per window; they serialize with encoding/json under a mutex.
+//     per window and on each Wake; they serialize with encoding/json
+//     under a mutex.
+//
+// The ring starts small and grows with its traffic: a Flush that finds
+// an arrival dropped for want of a free slot doubles it, up to its
+// largest size, at the next instant every claimed arrival is
+// serialized. Every drop, before or after a growth, is counted.
 //
 // A Recorder is single-session: Begin once, Finish once.
 type Recorder struct {
-	ring    []arrSlot
-	mask    int64        // len(ring) - 1
-	limit   int64        // session cap: arrivals past it are dropped
-	head    atomic.Int64 // arrivals claimed; never exceeds limit
+	ring    atomic.Pointer[arrRing]
+	head    atomic.Int64 // ring generation << genShift | arrivals claimed
 	flushed atomic.Int64 // arrivals serialized; their slots are free
 	dropped atomic.Int64
-	written int64
-	begun   atomic.Bool // Begin was called
+	limit   int64         // session cap: arrivals past it are dropped
+	wake    chan struct{} // one slot: the ring is half unflushed
+	begun   atomic.Bool   // Begin was called
+
+	// Flusher-only state.
+	written  int64
+	maxSlots int      // the ring grows up to this many slots
+	next     *arrRing // the doubled ring, while a switch is pending
+	seenDrop int64    // dropped as of the previous Flush
 
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -100,25 +136,26 @@ type Recorder struct {
 func NewRecorder(w io.Writer) *Recorder { return NewRecorderSize(w, DefaultArrivalCap) }
 
 // NewRecorderSize returns a recorder that records at most arrivalCap
-// arrival envelopes in its session. Its ring holds arrivalCap rounded
-// up to a power of two, or the fixed ring size if that is smaller.
+// arrival envelopes in its session. Its ring never grows past
+// arrivalCap rounded up to a power of two.
 func NewRecorderSize(w io.Writer, arrivalCap int) *Recorder {
-	if arrivalCap < 1 {
-		arrivalCap = 1
-	}
-	return newRecorder(w, arrivalCap, min(arrivalRing, 1<<bits.Len(uint(arrivalCap-1))))
+	arrivalCap = max(1, min(arrivalCap, idxMask))
+	fit := 1 << bits.Len(uint(arrivalCap-1))
+	return newRecorder(w, arrivalCap, min(ringInitial, fit), min(ringMax, fit))
 }
 
-// newRecorder returns a recorder with a ring of slots entries, a power
-// of two.
-func newRecorder(w io.Writer, arrivalCap, slots int) *Recorder {
-	return &Recorder{
-		ring:  make([]arrSlot, slots),
-		mask:  int64(slots - 1),
-		limit: int64(arrivalCap),
-		w:     bufio.NewWriter(w),
-		buf:   make([]byte, 0, 128),
+// newRecorder returns a recorder whose ring starts at slots entries and
+// grows up to maxSlots, both powers of two.
+func newRecorder(w io.Writer, arrivalCap, slots, maxSlots int) *Recorder {
+	r := &Recorder{
+		limit:    int64(arrivalCap),
+		wake:     make(chan struct{}, 1),
+		maxSlots: maxSlots,
+		w:        bufio.NewWriter(w),
+		buf:      make([]byte, 0, 128),
 	}
+	r.ring.Store(&arrRing{slots: make([]arrSlot, slots), mask: int64(slots - 1)})
+	return r
 }
 
 // writeJSON marshals v and writes it as one line. Controller-goroutine
@@ -178,66 +215,129 @@ func (r *Recorder) ConfigFair(cfg fair.Config, seed fair.State) {
 // Arrival records one submission envelope: at nanoseconds since
 // capture start, priority prio, batch size k, optional payload hash
 // (0 = none). Lock-free and allocation-free; safe from any goroutine.
-// An envelope past the session cap, or one whose ring slot Flush has
-// not freed yet, is dropped and counted. A drop claims no index, so
-// the recorded arrivals are numbered without gaps.
+// The arrival that leaves half the ring unflushed signals Wake. An
+// envelope past the session cap, or one whose ring slot Flush has not
+// freed yet, is dropped and counted, whatever the ring's size. A drop
+// claims no index, so the recorded arrivals are numbered without gaps.
 func (r *Recorder) Arrival(at, prio int64, k int, hash uint64) {
 	for {
-		idx := r.head.Load()
-		if idx >= r.limit || idx-r.flushed.Load() > r.mask {
+		h := r.head.Load()
+		ring := r.ring.Load()
+		if h>>genShift != ring.gen {
+			continue // Flush is switching rings: the new one is a store away
+		}
+		idx, free := h&idxMask, r.flushed.Load()
+		if idx >= r.limit || idx-free > ring.mask {
 			r.dropped.Add(1)
 			return
 		}
-		if r.head.CompareAndSwap(idx, idx+1) {
-			s := &r.ring[idx&r.mask]
-			s.at = at
-			s.prio = prio
-			s.k = int64(k)
-			s.hash = hash
-			s.ready.Store(1)
-			return
+		if !r.head.CompareAndSwap(h, h+1) {
+			continue
 		}
+		s := &ring.slots[idx&ring.mask]
+		s.at = at
+		s.prio = prio
+		s.k = int64(k)
+		s.hash = hash
+		s.ready.Store(1)
+		if idx+1-free >= (ring.mask+1)/2 {
+			select {
+			case r.wake <- struct{}{}:
+			default:
+			}
+		}
+		return
 	}
 }
 
-// Flush serializes every committed arrival envelope accumulated since
-// the previous Flush and frees their slots. Called from the controller
-// goroutine at window boundaries (and by Finish); not safe for
-// concurrent Flush calls. The walk stops at the first
-// claimed-but-uncommitted slot and resumes there next time, preserving
-// claim order.
+// Wake returns the channel the arrival that leaves half the ring
+// unflushed signals (non-blocking, one slot). A serve session's
+// controller goroutine answers it with Flush; a Recorder driven by hand
+// may ignore it and Flush on its own cadence.
+func (r *Recorder) Wake() <-chan struct{} { return r.wake }
+
+// Flush serializes every committed arrival envelope up to the first
+// claimed-but-uncommitted slot, freeing their slots, and keeps walking
+// the arrivals claimed meanwhile until it catches up with the producers.
+// Called from the controller goroutine at window boundaries and on Wake
+// (and by Finish); not safe for concurrent Flush calls. An unfinished
+// walk resumes at its first uncommitted slot next time, preserving claim
+// order.
+//
+// A Flush that finds arrivals dropped for want of a free slot doubles
+// the ring, up to its largest size. The switch happens only once every
+// claimed arrival is serialized — at the end of this walk or of a later
+// one — so no arrival is left behind in the old ring.
 func (r *Recorder) Flush() {
+	ring := r.ring.Load()
 	f := r.flushed.Load()
-	limit := r.head.Load()
+	d := r.dropped.Load()
+	h := r.head.Load()
+	if d != r.seenDrop {
+		// A drop past the cap found head at the cap, and head never
+		// decreases: with head still below it, every new drop was for
+		// want of a free slot.
+		if h&idxMask < r.limit && r.next == nil && len(ring.slots) < r.maxSlots {
+			n := 2 * len(ring.slots)
+			r.next = &arrRing{slots: make([]arrSlot, n), mask: int64(n - 1), gen: ring.gen + 1}
+		}
+		r.seenDrop = d
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for ; f < limit; f++ {
-		s := &r.ring[f&r.mask]
-		if s.ready.Load() == 0 {
-			break // claimed, payload not yet committed; retry next flush
+	// At most one ring's length past the first pass, so producers that
+	// outpace the serializer cannot hold the controller here.
+	for end := h&idxMask + ring.mask + 1; ; {
+		for limit := h & idxMask; f < limit; f++ {
+			s := &ring.slots[f&ring.mask]
+			if s.ready.Load() == 0 {
+				r.flushed.Store(f)
+				return // claimed, payload not yet committed; retry next flush
+			}
+			r.writeArrival(s)
+			s.ready.Store(0)
+			r.written++
 		}
-		b := r.buf[:0]
-		b = append(b, `{"t":"arr","at_ns":`...)
-		b = strconv.AppendInt(b, s.at, 10)
-		b = append(b, `,"p":`...)
-		b = strconv.AppendInt(b, s.prio, 10)
-		b = append(b, `,"k":`...)
-		b = strconv.AppendInt(b, s.k, 10)
-		if s.hash != 0 {
-			b = append(b, `,"h":"`...)
-			b = strconv.AppendUint(b, s.hash, 16)
-			b = append(b, '"')
+		if h = r.head.Load(); h&idxMask == f {
+			break // caught up: the ring is empty
 		}
-		b = append(b, '}', '\n')
-		r.buf = b
-		if r.err == nil {
-			_, r.err = r.w.Write(b)
+		// Only now may producers claim the slots this pass serialized.
+		r.flushed.Store(f)
+		if f >= end {
+			return
 		}
-		s.ready.Store(0)
-		r.written++
 	}
-	// Only now may producers claim the slots this walk serialized.
+	grow := r.next != nil && r.head.CompareAndSwap(h, h+1<<genShift)
 	r.flushed.Store(f)
+	if grow {
+		// A claim at the old generation now fails its CAS; one at the
+		// new generation waits for this store, and then sees flushed at
+		// the switch, every slot of the new ring free.
+		r.ring.Store(r.next)
+		r.next = nil
+	}
+}
+
+// writeArrival serializes one arrival slot as a capture line. Caller
+// holds r.mu.
+func (r *Recorder) writeArrival(s *arrSlot) {
+	b := r.buf[:0]
+	b = append(b, `{"t":"arr","at_ns":`...)
+	b = strconv.AppendInt(b, s.at, 10)
+	b = append(b, `,"p":`...)
+	b = strconv.AppendInt(b, s.prio, 10)
+	b = append(b, `,"k":`...)
+	b = strconv.AppendInt(b, s.k, 10)
+	if s.hash != 0 {
+		b = append(b, `,"h":"`...)
+		b = strconv.AppendUint(b, s.hash, 16)
+		b = append(b, '"')
+	}
+	b = append(b, '}', '\n')
+	r.buf = b
+	if r.err == nil {
+		_, r.err = r.w.Write(b)
+	}
 }
 
 // windowRecord is the shared shape of the per-window decision lines.
@@ -258,7 +358,8 @@ func (r *Recorder) FairWindow(w fair.Window) {
 }
 
 // Dropped returns the number of arrival envelopes dropped so far: past
-// the session cap, or while the ring was full between flushes.
+// the session cap, or while the ring was full between flushes, before
+// or after it grew.
 func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
 
 // End is the last line of a capture: how many arrivals made it into

@@ -167,7 +167,8 @@ func parseArrivals(t *testing.T, raw []byte) *Capture {
 // TestRecorderRingMatchesFirstRing: the recycled ring writes exactly the
 // bytes of the first design on every script whose bursts fit the ring —
 // with and without hashes, past the session cap, and across many ring
-// wraparounds, including the default ring size.
+// wraparounds, including the default ring sizes — and such a script
+// never grows the ring.
 func TestRecorderRingMatchesFirstRing(t *testing.T) {
 	rnd := xrand.New(31)
 	randomBursts := func(n, most int) []int {
@@ -178,23 +179,25 @@ func TestRecorderRingMatchesFirstRing(t *testing.T) {
 		return b
 	}
 	cases := []struct {
-		name        string
-		cap, slots  int
-		bursts      []int
-		wantDropped int64
+		name             string
+		cap, slots, grow int // grow: the ring's largest size
+		bursts           []int
+		wantDropped      int64
 	}{
-		{"below cap", 4, 4, []int{2, 0, 1}, 0},
-		{"past cap", 4, 4, []int{3, 3}, 2},
-		{"past cap, one flush", 100, 128, []int{250}, 150},
-		{"exactly a ring", 8, 8, []int{8, 5}, 5},
-		{"wraparound", 50, 8, []int{8, 8, 3, 8, 8, 7, 8, 8, 8}, 16},
-		{"wraparound, random bursts", 1000, 16, randomBursts(200, 16), -1},
-		{"default ring wraps", DefaultArrivalCap, arrivalRing, []int{arrivalRing, 1, arrivalRing - 1, 5}, 0},
+		{"below cap", 4, 4, 4, []int{2, 0, 1}, 0},
+		{"past cap", 4, 4, 4, []int{3, 3}, 2},
+		{"past cap, one flush", 100, 128, 128, []int{250}, 150},
+		{"exactly a ring", 8, 8, 8, []int{8, 5}, 5},
+		{"wraparound", 50, 8, 8, []int{8, 8, 3, 8, 8, 7, 8, 8, 8}, 16},
+		{"wraparound, random bursts", 1000, 16, 16, randomBursts(200, 16), -1},
+		{"growable, random bursts", 1000, 16, 64, randomBursts(200, 16), -1},
+		{"default ring wraps", DefaultArrivalCap, ringInitial, ringMax, []int{ringInitial, 1, ringInitial - 1, 5}, 0},
 	}
 	for _, c := range cases {
 		for _, hashed := range []bool{false, true} {
 			var got, want bytes.Buffer
-			runScript(t, newRecorder(&got, c.cap, c.slots), c.bursts, hashed)
+			rec := newRecorder(&got, c.cap, c.slots, c.grow)
+			runScript(t, rec, c.bursts, hashed)
 			runScript(t, newRecorderFirstRing(&want, c.cap), c.bursts, hashed)
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("%s (hashed %v): capture differs from the first ring's (%d vs %d bytes)", c.name, hashed, got.Len(), want.Len())
@@ -206,18 +209,112 @@ func TestRecorderRingMatchesFirstRing(t *testing.T) {
 			if int64(len(capt.Arrivals)) != capt.End.Arrivals {
 				t.Errorf("%s: %d arrival lines, end record says %d", c.name, len(capt.Arrivals), capt.End.Arrivals)
 			}
+			if n := len(rec.ring.Load().slots); n != c.slots {
+				t.Errorf("%s: ring grew to %d slots with nothing dropped for want of one", c.name, n)
+			}
 		}
 	}
 }
 
-// TestRecorderNewSizeRing: NewRecorderSize's ring is the cap rounded up
-// to a power of two, never more than the fixed ring.
+// TestRecorderNewSizeRing: NewRecorderSize's ring starts at the cap
+// rounded up to a power of two, never more than the initial ring, and
+// may grow to that rounded cap, never more than the largest ring.
 func TestRecorderNewSizeRing(t *testing.T) {
-	for _, c := range []struct{ cap, slots int }{
-		{0, 1}, {1, 1}, {4, 4}, {5, 8}, {1 << 14, 1 << 14}, {arrivalRing + 1, arrivalRing}, {DefaultArrivalCap, arrivalRing},
+	for _, c := range []struct{ cap, slots, grow int }{
+		{0, 1, 1}, {1, 1, 1}, {4, 4, 4}, {5, 8, 8},
+		{ringInitial, ringInitial, ringInitial}, {ringInitial + 1, ringInitial, 2 * ringInitial},
+		{ringMax + 1, ringInitial, ringMax}, {DefaultArrivalCap, ringInitial, ringMax},
 	} {
-		if got := len(NewRecorderSize(io.Discard, c.cap).ring); got != c.slots {
-			t.Errorf("NewRecorderSize(%d) ring = %d slots, want %d", c.cap, got, c.slots)
+		r := NewRecorderSize(io.Discard, c.cap)
+		if got := len(r.ring.Load().slots); got != c.slots || r.maxSlots != c.grow {
+			t.Errorf("NewRecorderSize(%d) ring = %d slots growing to %d, want %d growing to %d", c.cap, got, r.maxSlots, c.slots, c.grow)
+		}
+	}
+}
+
+// TestRecorderWakeAtHalf: the arrival that leaves half the ring
+// unflushed signals Wake, once per slot of the channel; a Flush that
+// empties the ring re-arms it.
+func TestRecorderWakeAtHalf(t *testing.T) {
+	r := newRecorder(io.Discard, 100, 8, 8)
+	woken := func() bool {
+		select {
+		case <-r.Wake():
+			return true
+		default:
+			return false
+		}
+	}
+	for i := int64(0); i < 3; i++ {
+		r.Arrival(i, i, 1, 0)
+	}
+	if woken() {
+		t.Fatal("3 of 8 slots unflushed: woken, want not yet")
+	}
+	r.Arrival(3, 3, 1, 0)
+	if !woken() {
+		t.Fatal("4 of 8 slots unflushed: not woken")
+	}
+	r.Arrival(4, 4, 1, 0)
+	if !woken() {
+		t.Fatal("5 of 8 slots unflushed after the wake was taken: not woken again")
+	}
+	r.Flush()
+	for i := int64(5); i < 8; i++ {
+		r.Arrival(i, i, 1, 0)
+	}
+	if woken() {
+		t.Fatal("3 of 8 slots unflushed after a Flush: woken, want not yet")
+	}
+}
+
+// TestRecorderGrowsOnlyWhenEmpty: a Flush that finds an arrival dropped
+// for want of a slot doubles the ring, but only once every claimed
+// arrival is serialized — a claim still being written holds the switch
+// back to a later Flush — and the arrivals on both sides of the switch
+// are recorded in claim order, none lost.
+func TestRecorderGrowsOnlyWhenEmpty(t *testing.T) {
+	var buf bytes.Buffer
+	r := newRecorder(&buf, 100, 8, 16)
+	slots := func() int { return len(r.ring.Load().slots) }
+	for i := int64(0); i < 8; i++ {
+		r.Arrival(i, i, 1, 0)
+	}
+	r.Flush()
+	if slots() != 8 {
+		t.Fatalf("a full ring, nothing dropped: ring grew to %d, want 8", slots())
+	}
+	for i := int64(8); i < 15; i++ {
+		r.Arrival(i, i, 1, 0)
+	}
+	// Claim arrival 15 the way Arrival does, but leave its payload
+	// uncommitted, as a producer between its CAS and its stores.
+	r.head.Add(1)
+	r.Arrival(-1, -1, 1, 0) // no free slot: dropped
+	r.Flush()
+	if slots() != 8 {
+		t.Fatalf("ring switched to %d slots while an arrival was still being written", slots())
+	}
+	s := &r.ring.Load().slots[15&7]
+	s.at, s.prio, s.k = 15, 15, 1
+	s.ready.Store(1)
+	r.Flush()
+	if slots() != 16 {
+		t.Fatalf("a drop seen, then the ring empty: %d slots, want 16", slots())
+	}
+	for i := int64(16); i < 32; i++ {
+		r.Arrival(i, i, 1, 0)
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	capt := parseArrivals(t, buf.Bytes())
+	if capt.End.Arrivals != 32 || capt.End.Dropped != 1 {
+		t.Fatalf("end record %+v, want 32 arrivals, 1 dropped", *capt.End)
+	}
+	for i, a := range capt.Arrivals {
+		if a.At != int64(i) {
+			t.Fatalf("arrival %d recorded as %d", i, a.At)
 		}
 	}
 }
@@ -227,7 +324,7 @@ func TestRecorderNewSizeRing(t *testing.T) {
 // next Flush are recorded in order with no gap.
 func TestRecorderRingFullDrops(t *testing.T) {
 	var buf bytes.Buffer
-	r := newRecorder(&buf, 100, 8)
+	r := newRecorder(&buf, 100, 8, 8)
 	for i := int64(0); i < 11; i++ {
 		r.Arrival(i, i, 1, 0)
 	}
@@ -269,7 +366,7 @@ func TestRecorderRingFullDrops(t *testing.T) {
 func TestRecorderConcurrentArrivalsAndFlush(t *testing.T) {
 	const producers, perProducer, slots = 4, 20000, 64
 	var buf bytes.Buffer
-	r := newRecorder(&buf, producers*perProducer, slots)
+	r := newRecorder(&buf, producers*perProducer, slots, slots)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -335,8 +432,126 @@ func TestRecorderConcurrentArrivalsAndFlush(t *testing.T) {
 	}
 }
 
+// TestRecorderGrowsUnderConcurrentArrivals: four producers record at
+// full speed into a ring that starts at 4 slots and may grow to 64, and
+// the flusher runs only when Wake signals it. Every offered
+// arrival is written or dropped, none twice, each producer's recorded
+// arrivals keep its order, and the ring grows four times. A producer
+// that has seen the largest ring offers a few more arrivals, and none
+// of them is dropped: the ring switched only when empty, so all the
+// arrivals claimed after the switch fit it. A lost arrival needs a
+// claim to race a switch, so the session runs many times. CI runs it
+// under -race.
+func TestRecorderGrowsUnderConcurrentArrivals(t *testing.T) {
+	rounds := 10
+	if testing.Short() {
+		rounds = 2
+	}
+	for round := 0; round < rounds; round++ {
+		growUnderConcurrentArrivals(t)
+		if t.Failed() {
+			t.Fatalf("round %d of %d", round, rounds)
+		}
+	}
+}
+
+func growUnderConcurrentArrivals(t *testing.T) {
+	// producers*(after+1) ≤ grown: besides its after arrivals, a
+	// producer can claim at most one more after the switch — the one it
+	// offered between seeing the old ring and the switch.
+	const producers, slots, grown, after = 4, 4, 64, 15
+	id := func(p, i int) uint64 { return uint64(i*producers+p) + 1 }
+	var buf bytes.Buffer
+	r := newRecorder(&buf, 1<<40, slots, grown)
+	var offered [producers]int
+	giveUp := time.Now().Add(30 * time.Second)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			i := 0
+			for ; len(r.ring.Load().slots) < grown; i++ {
+				if i%1024 == 0 && time.Now().After(giveUp) {
+					break
+				}
+				r.Arrival(int64(i), int64(p), 1, id(p, i))
+			}
+			for j := 0; j < after; j, i = j+1, i+1 {
+				r.Arrival(int64(i), int64(p), 2, id(p, i))
+			}
+			offered[p] = i
+		}(p)
+	}
+	done := make(chan struct{})
+	flushed := make(chan struct{})
+	go func() {
+		defer close(flushed)
+		for {
+			select {
+			case <-r.Wake():
+				r.Flush()
+			case <-done:
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-flushed
+	if n := len(r.ring.Load().slots); n != grown {
+		t.Errorf("ring ended at %d slots, want %d: it did not grow to its largest size", n, grown)
+		return
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	capt := parseArrivals(t, buf.Bytes())
+	written, dropped := capt.End.Arrivals, capt.End.Dropped
+	total := int64(0)
+	for _, n := range offered {
+		total += int64(n)
+	}
+	if int64(len(capt.Arrivals)) != written {
+		t.Errorf("%d arrival lines, end record says %d", len(capt.Arrivals), written)
+		return
+	}
+	if written+dropped != total {
+		t.Errorf("written %d + dropped %d != offered %d", written, dropped, total)
+		return
+	}
+	seen := make(map[uint64]bool, len(capt.Arrivals))
+	last := [producers]int64{-1, -1, -1, -1}
+	late := 0
+	for _, a := range capt.Arrivals {
+		p := a.Prio
+		h, err := strconv.ParseUint(a.Hash, 16, 64)
+		if err != nil || p < 0 || p >= producers || h != id(int(p), int(a.At)) {
+			t.Errorf("arrival %+v does not match what its producer offered", a)
+			return
+		}
+		if seen[h] {
+			t.Errorf("arrival %+v recorded twice", a)
+			return
+		}
+		seen[h] = true
+		if a.At <= last[p] {
+			t.Errorf("producer %d: arrival %d recorded after %d", p, a.At, last[p])
+			return
+		}
+		last[p] = a.At
+		if a.K == 2 {
+			late++
+		}
+	}
+	if late != producers*after {
+		t.Errorf("%d of the %d arrivals offered after the ring had grown were recorded, want all", late, producers*after)
+	}
+}
+
 // TestRecorderRetainedMemory: a fresh default Recorder retains its
-// fixed ring, not one slot per arrival the session may record.
+// initial ring, not its largest one, let alone one slot per arrival the
+// session may record.
 func TestRecorderRetainedMemory(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -345,7 +560,7 @@ func TestRecorderRetainedMemory(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(r)
-	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held > 3<<19 {
-		t.Fatalf("a fresh NewRecorder retains %d B, want ≤ 1.5 MiB", held)
+	if held := int64(after.HeapAlloc) - int64(before.HeapAlloc); held > 256<<10 {
+		t.Fatalf("a fresh NewRecorder retains %d B, want ≤ 256 KiB", held)
 	}
 }

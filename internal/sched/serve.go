@@ -195,11 +195,19 @@ func fresh[L any](loop *L, err error) *L {
 // closes the stop channel. It lives strictly inside a serve session —
 // Start creates it and Stop joins it before returning. Both runtime
 // controllers (backpressure admission, tenant fairness) share the loop
-// with the metrics publication.
+// with the metrics publication. With a Recorder it also drains the
+// capture's arrival ring: at every tick, and whenever the ring's Wake
+// says half of it is unflushed — then with Flush alone, stepping no
+// controller window, so the ring is sized by the wake-up lag rather
+// than by a whole window of arrivals.
 func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	t := time.NewTicker(s.cfg.AdaptInterval)
 	defer t.Stop()
+	var wake <-chan struct{} // nil without a Recorder: never ready
+	if s.cfg.Recorder != nil {
+		wake = s.cfg.Recorder.Wake()
+	}
 	for {
 		select {
 		case <-stop:
@@ -212,6 +220,8 @@ func (s *Scheduler[T]) ctlLoop(stop <-chan struct{}, done chan<- struct{}) {
 				s.obsTick(time.Since(s.serveT0))
 			}
 			return
+		case <-wake:
+			s.cfg.Recorder.Flush()
 		case <-t.C:
 			at := time.Since(s.serveT0)
 			rec := s.cfg.Recorder
